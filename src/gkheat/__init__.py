@@ -20,8 +20,7 @@ from .model import (MaterialParams, OnsagerCoefficients, SimulationConfig,
                     StepperKind, gk_to_onsager, onsager_to_gk, validate)
 from .scheme import (AssembledOperators, Trajectory, aq_matrix, assemble,
                      assemble_coupled_system, at_matrix, run, step_coupled,
-                     step_coupled_reference, step_fourier,
-                     step_vectorial_as_printed)
+                     step_coupled_reference, step_vectorial_as_printed)
 
 __all__ = [
     "AssembledOperators", "BandedMatrix", "DecayConstants", "DegenerateTrace",
@@ -37,7 +36,7 @@ __all__ = [
     "equilibrium_energy", "fit_energy_decay_rate", "gk_to_onsager",
     "lyapunov", "lyapunov_sandwich_check", "matvec", "mode_decay_oracle",
     "normalized_Z", "onsager_to_gk", "pointwise_residual", "residual_scales",
-    "run", "step_coupled", "step_coupled_reference", "step_fourier",
+    "run", "step_coupled", "step_coupled_reference",
     "step_vectorial_as_printed", "thomas_solve", "total_heat", "validate",
     "zero_mean_initial",
 ]

@@ -2,7 +2,8 @@
 
 Config files are UTF-8 ``key = value`` lines ('#' starts a comment).  Keys:
 rho, c, tau_q, mu2, k, l, dx, dt, t_final, T_b, T_f, stepper, stride,
-out_dir.  Missing keys fall back to the reference case defaults below.
+out_dir.  Missing keys fall back to the reference case defaults below; a
+repeated key or a non-finite number is a ParseError.
 
 Exit codes: 0 success / all checks pass, 1 usage or configuration error,
 2 numerical failure (singular pivot, non-finite state), 3 verification
@@ -59,6 +60,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_rows(path: Path, header: str, template: str, rows) -> None:
+    """Write a header, then one `template % row` line per row ("%.17g" is
+    _fmt); streamed so that the file text is never held in memory whole."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(template % row)
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything one command needs: material, numerics, and output routing."""
@@ -92,6 +102,7 @@ class CsvTraceRow:
 def parse_config(text: str) -> RunManifest:
     """Parse key = value lines into a manifest, defaulting to the reference case."""
     values = dict(REFERENCE_DEFAULTS)
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -102,6 +113,9 @@ def parse_config(text: str) -> RunManifest:
         key, val = key.strip(), val.strip()
         if key not in REFERENCE_DEFAULTS:
             raise UnknownKey(key)
+        if key in seen:
+            raise ParseError(lineno, f"duplicate key {key!r}, first set on line {seen[key]}")
+        seen[key] = lineno
         if not val:
             raise ParseError(lineno, f"empty value for key {key!r}")
         if key in _FLOAT_KEYS:
@@ -109,6 +123,8 @@ def parse_config(text: str) -> RunManifest:
                 values[key] = float(val)
             except ValueError:
                 raise ParseError(lineno, f"{key!r} needs a number, got {val!r}")
+            if not np.isfinite(values[key]):
+                raise ParseError(lineno, f"{key!r} must be finite, got {val!r}")
         elif key == "stride":
             try:
                 values[key] = int(val)
@@ -140,13 +156,11 @@ def _initial_state(manifest: RunManifest, grid) -> State:
 
 
 def write_trace_csv(path: Path, trace: diagnostics.EnergyTrace) -> None:
-    lines = [",".join(TRACE_COLUMNS)]
-    for n in range(len(trace)):
-        lines.append(",".join([str(n)] + [_fmt(col[n]) for col in
-                                          (trace.t, trace.E, trace.diss_lhs,
-                                           trace.diss_rhs, trace.heat,
-                                           trace.C_T, trace.lyapunov, trace.Z)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.column_stack((trace.t, trace.E, trace.diss_lhs, trace.diss_rhs,
+                             trace.heat, trace.C_T, trace.lyapunov, trace.Z))
+    _write_rows(path, ",".join(TRACE_COLUMNS),
+                "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1) + "\n",
+                ((n, *row.tolist()) for n, row in enumerate(table)))
 
 
 def read_trace_csv(path: Path) -> list[CsvTraceRow]:
@@ -170,13 +184,10 @@ def write_profiles_csv(path: Path, traj: scheme.Trajectory) -> None:
     times = [traj.trace.t[n] for n in traj.stored_steps]
     header = (["x"] + [f"T_t{t:.6g}" for t in times]
               + [f"q_t{t:.6g}" for t in times])
-    lines = [",".join(header)]
-    for j in range(grid.J + 1):
-        row = [_fmt(grid.x[j])]
-        row += [_fmt(s.T[j]) for s in traj.states]
-        row += [_fmt(s.q[j]) for s in traj.states]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.column_stack([grid.x[:grid.J + 1], *(s.T for s in traj.states),
+                             *(s.q[:-1] for s in traj.states)])
+    _write_rows(path, ",".join(header), ",".join(["%.17g"] * len(header)) + "\n",
+                (tuple(row.tolist()) for row in table))
 
 
 def _write_constants(path: Path, manifest: RunManifest,

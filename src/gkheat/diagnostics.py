@@ -10,8 +10,10 @@ which the coupled implicit scheme dissipates at the rate
     (E^n - E^{n-1})/dt <= -(1/k) dx sum |q_j^n|^2
                           - (mu2/k) dx sum |(q_{j+1}^n - q_j^n)/dx|^2.
 
-Everything here is a pure function of states or traces; the only stateful
-piece is TraceAccumulator, which the trajectory runner feeds step by step.
+Everything here is a pure function of states or traces.  split_trace_rows
+evaluates the per-step trace on whole chunks of levels at once; the
+trajectory runner stacks its rows and build_trace turns them into an
+EnergyTrace.
 """
 
 from __future__ import annotations
@@ -123,9 +125,9 @@ def boundary_term(state: State, params: MaterialParams, dx: float) -> float:
 
 
 def _tail_integral(T: np.ndarray, dx: float) -> np.ndarray:
-    # I_j = dx * sum_{i=j..J} T_i, the right-endpoint realization of the
-    # inner integral from x_j to l
-    return dx * np.cumsum(T[::-1])[::-1]
+    # I_j = dx * sum_{i=j..J} T_i along the last axis, the right-endpoint
+    # realization of the inner integral from x_j to l
+    return dx * np.cumsum(T[..., ::-1], axis=-1)[..., ::-1]
 
 
 def lyapunov(state: State, params: MaterialParams,
@@ -311,70 +313,50 @@ def fit_energy_decay_rate(trace: EnergyTrace, params: MaterialParams,
     return float(-slope)
 
 
-class TraceAccumulator:
-    """Builds an EnergyTrace while a trajectory is advanced.
+def split_trace_rows(params: MaterialParams, grid: Grid, m: float,
+                     e: np.ndarray, q: np.ndarray, first: int = 1) -> np.ndarray:
+    """Trace rows of consecutive levels of a trajectory split as T = m + e.
 
-    The runner passes the temperature field split as m + e (constant mean
-    plus fluctuation).  All sums that would otherwise subtract two
-    O(E)-sized quantities are formed from e and the per-step differences
-    directly, keeping the recorded dissipation lhs and heat accurate at the
-    1e-12 scales the per-step checks use.
+    e (K+1 x J+1 fluctuations) and q (K+1 x J interior fluxes) hold one
+    level per row.  Returns the rows of levels first..K with columns E,
+    diss_lhs, diss_rhs, heat, C_T, F, lyapunov; the dissipation sides pair
+    each level with the row before and are zero for row 0 (first=0).  Sums
+    that would subtract two O(E)-sized quantities are formed from e and the
+    per-step differences directly, keeping the dissipation lhs and heat
+    accurate at the 1e-12 scales the per-step checks use.
     """
+    dx, k, mu2, tau_q, rc = grid.dx, params.k, params.mu2, params.tau_q, params.rho_c
+    w_T, w_q = rc * dx / 2.0, (tau_q / k) * (dx / 2.0)
 
-    def __init__(self, params: MaterialParams, grid: Grid):
-        self.params = params
-        self.grid = grid
-        self._rows: list[tuple[float, float, float, float, float, float, float]] = []
-        rc = params.rho_c
-        self._w_T = rc * grid.dx / 2.0
-        self._w_q = (params.tau_q / params.k) * (grid.dx / 2.0)
-        self._w_L = (2.0 * params.l**2 + 2.0 * params.mu2
-                     + params.tau_q * params.k / rc)
+    def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", a, b)
 
-    def _row(self, m: float, e: np.ndarray, qi: np.ndarray,
-             lhs: float, rhs: float) -> None:
-        grid, params = self.grid, self.params
-        n_nodes = grid.J + 1
-        sum_e = float(np.sum(e))
-        E = (self._w_T * max(n_nodes * m * m + 2.0 * m * sum_e + float(e @ e), 0.0)
-             + self._w_q * float(qi @ qi))
-        heat = grid.dx * (n_nodes * m + sum_e)
-        q1 = qi[0] if qi.size else 0.0
-        C_T = (params.mu2 * q1 / grid.dx - params.k * (m + e[0])) * heat
-        T = m + e
-        I = _tail_integral(T, grid.dx)
-        rc = params.rho_c
-        F = ((rc / 2.0) * grid.dx * float(I @ I)
-             + (rc / 2.0) * params.mu2 * grid.dx * float(T @ T)
-             + params.tau_q * grid.dx * float(np.sum(I[1:] * qi)))
-        self._rows.append((E, lhs, rhs, heat, C_T, F, self._w_L * E + F))
+    rows = np.zeros((e.shape[0] - first, 7))
+    e0, e1, q0, q1 = e[:-1], e[1:], q[:-1], q[1:]
+    rows[1 - first:, 1] = (w_T * dot(e1 - e0, 2.0 * m + e1 + e0)
+                           + w_q * dot(q1 - q0, q1 + q0)) / grid.dt
+    grad = np.diff(q1, axis=1, prepend=0.0, append=0.0) / dx
+    rows[1 - first:, 2] = -(1.0 / k) * dx * dot(q1, q1) - (mu2 / k) * dx * dot(grad, grad)
+    e, q, T = e[first:], q[first:], m + e[first:]
+    n_nodes, sum_e = e.shape[1], np.sum(e, axis=1)
+    rows[:, 0] = E = (w_T * np.maximum(n_nodes * m * m + 2.0 * m * sum_e + dot(e, e), 0.0)
+                      + w_q * dot(q, q))
+    rows[:, 3] = heat = dx * (n_nodes * m + sum_e)
+    rows[:, 4] = (mu2 * q[:, 0] / dx - k * T[:, 0]) * heat
+    tail = _tail_integral(T, dx)
+    rows[:, 5] = F = ((rc / 2.0) * dx * dot(tail, tail) + (rc / 2.0) * mu2 * dx * dot(T, T)
+                      + tau_q * dx * dot(tail[:, 1:], q))
+    rows[:, 6] = (2.0 * params.l**2 + 2.0 * mu2 + tau_q * k / rc) * E + F
+    return rows
 
-    def start(self, m: float, e: np.ndarray, qi: np.ndarray) -> None:
-        self._row(m, e, qi, 0.0, 0.0)
 
-    def record_step(self, m: float, e_prev: np.ndarray, qi_prev: np.ndarray,
-                    e_next: np.ndarray, qi_next: np.ndarray) -> None:
-        grid, params = self.grid, self.params
-        dE_T = self._w_T * float(np.sum((e_next - e_prev)
-                                        * (2.0 * m + e_next + e_prev)))
-        dE_q = self._w_q * float(np.sum((qi_next - qi_prev) * (qi_next + qi_prev)))
-        lhs = (dE_T + dE_q) / grid.dt
-        qfull = np.concatenate(([0.0], qi_next, [0.0]))
-        grad = np.diff(qfull) / grid.dx
-        rhs = (-(1.0 / params.k) * grid.dx * float(qi_next @ qi_next)
-               - (params.mu2 / params.k) * grid.dx * float(grad @ grad))
-        self._row(m, e_next, qi_next, lhs, rhs)
-
-    def build(self) -> EnergyTrace:
-        arr = np.array(self._rows, dtype=float)
-        if arr.shape[0] != self.grid.t.size:
-            raise ValueError(f"recorded {arr.shape[0]} rows for "
-                             f"{self.grid.t.size} time levels")
-        trace = EnergyTrace(t=self.grid.t.copy(), E=arr[:, 0], diss_lhs=arr[:, 1],
-                            diss_rhs=arr[:, 2], heat=arr[:, 3], C_T=arr[:, 4],
-                            F=arr[:, 5], lyapunov=arr[:, 6],
-                            Z=np.full(arr.shape[0], np.nan))
-        if trace.E[0] > 0.0:
-            z = normalized_Z(trace, decay_constants(self.params))
-            trace = dataclasses.replace(trace, Z=z)
-        return trace
+def build_trace(params: MaterialParams, t: np.ndarray,
+                rows: np.ndarray) -> EnergyTrace:
+    """EnergyTrace from stacked split_trace_rows output at times t, with Z."""
+    trace = EnergyTrace(t=t.copy(), E=rows[:, 0], diss_lhs=rows[:, 1],
+                        diss_rhs=rows[:, 2], heat=rows[:, 3], C_T=rows[:, 4],
+                        F=rows[:, 5], lyapunov=rows[:, 6],
+                        Z=np.full(t.size, np.nan))
+    if trace.E[0] > 0.0:
+        trace = dataclasses.replace(trace, Z=normalized_Z(trace, decay_constants(params)))
+    return trace

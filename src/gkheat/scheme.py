@@ -12,10 +12,11 @@ tridiagonal system
 
     [I - (c_B + c_T dt) L] q^n = c_r q^{n-1} - c_Q A_T T^{n-1}
 
-per step; the temperature update is then explicit.  step_coupled solves
-this reduced system, which is algebraically identical to the full coupled
-solve (the interleaved banded assembly is retained as the brute-force
-reference).
+per step; the temperature update is then explicit.  The reduced matrix
+is symmetric positive definite and the same at every step, so assemble
+factors it once (LAPACK dpttrf) and step_coupled solves with that factor
+(dpttrs).  This is algebraically identical to the full coupled solve (the
+interleaved banded assembly is retained as the brute-force reference).
 
 step_vectorial_as_printed instead applies the closed-form update
 
@@ -34,13 +35,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .diagnostics import EnergyTrace, TraceAccumulator
+from . import diagnostics
 from .discretization import Grid, State, build_grid
 from .errors import GridMismatch, InvalidLimit, SingularPivot
 from .linalg import BandedMatrix, DenseMatrix, TridiagonalMatrix, dense_solve, thomas_solve
 from .model import MaterialParams, SimulationConfig, StepperKind
+
+
+#: float64 values per trace chunk buffer (128 KiB, cache-sized)
+TRACE_CHUNK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,8 @@ class AssembledOperators:
     c_Q: float
     c_r: float
     c_flux: float
-    reduced_band: np.ndarray  # solve_banded form of I - (c_B + c_T*dt) * L
+    # dpttrf factor (d, e) of the SPD reduced matrix I - (c_B + c_T*dt) * L
+    reduced_factor: tuple[np.ndarray, np.ndarray]
 
 
 def assemble(params: MaterialParams, grid: Grid) -> AssembledOperators:
@@ -89,13 +95,14 @@ def assemble(params: MaterialParams, grid: Grid) -> AssembledOperators:
     B = TridiagonalMatrix(lower=-c_B * off, diag=(1.0 + 2.0 * c_B) * np.ones(J),
                           upper=-c_B * off)
     w = c_B + c_T * dt
-    band = np.zeros((3, J))
-    band[0, 1:] = -w
-    band[1, :] = 1.0 + 2.0 * w
-    band[2, :-1] = -w
+    # the wrapper wants a nonempty off-diagonal even at J = 1 (LAPACK ignores it)
+    d, e, info = dpttrf(np.full(J, 1.0 + 2.0 * w), np.full(max(J - 1, 1), -w))
+    if info != 0:
+        raise SingularPivot(f"dpttrf: reduced matrix not positive definite "
+                            f"(info={info})")
     return AssembledOperators(J=J, dx=dx, dt=dt, L=L, B=B, c_B=c_B, c_T=c_T,
                               c_q=c_q, c_Q=c_Q, c_r=c_r, c_flux=c_flux,
-                              reduced_band=band)
+                              reduced_factor=(d, e))
 
 
 def aq_matrix(J: int) -> DenseMatrix:
@@ -114,57 +121,63 @@ def at_matrix(J: int) -> DenseMatrix:
     return DenseMatrix(a)
 
 
+_ZERO = np.zeros(1)
+
+
+def _padded(q_interior: np.ndarray) -> np.ndarray:
+    # nodal fluxes j = 0..J+1 with the zero boundary values
+    return np.concatenate((_ZERO, q_interior, _ZERO))
+
+
 def _apply_aq(q_interior: np.ndarray) -> np.ndarray:
     # differences q_{j+1} - q_j for j = 0..J with zero boundary fluxes
-    return np.diff(np.concatenate(([0.0], q_interior, [0.0])))
+    q = _padded(q_interior)
+    return q[1:] - q[:-1]
 
 
 def _solve_reduced(ops: AssembledOperators, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return scipy.linalg.solve_banded((1, 1), ops.reduced_band, rhs,
-                                         check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SingularPivot(str(exc)) from exc
+    x, info = dpttrs(*ops.reduced_factor, rhs)
+    if info != 0:
+        raise SingularPivot(f"dpttrs: illegal argument {-info}")
+    return x
 
 
-def _advance_split(ops: AssembledOperators, m: float, e: np.ndarray,
+def _advance_split(ops: AssembledOperators, e: np.ndarray,
                    qi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One coupled step on the mean/fluctuation representation.
+    """One coupled step on the fluctuation e of a mean/fluctuation split.
 
     The uniform component m is an exact fixed point, so it is carried
     outside the solve; every computed quantity then scales with the
     fluctuation, which keeps conservation and dissipation checks meaningful
     near equilibrium where e is ~10 orders below m.
     """
-    rhs = ops.c_r * qi - ops.c_Q * np.diff(e)
-    qi_next = _solve_reduced(ops, rhs)
-    e_next = e - ops.c_flux * _apply_aq(qi_next)
-    return e_next, qi_next
+    qi_next = _solve_reduced(ops, ops.c_r * qi - ops.c_Q * (e[1:] - e[:-1]))
+    return e - ops.c_flux * _apply_aq(qi_next), qi_next
+
+
+def _advance_printed(ops: AssembledOperators, T: np.ndarray,
+                     qi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    binv_at_T = thomas_solve(ops.B, np.diff(T))
+    binv_q = thomas_solve(ops.B, qi)
+    T_next = T + ops.c_T * _apply_aq(binv_at_T) - ops.c_q * _apply_aq(binv_q)
+    qi_next = ops.c_r * binv_q - ops.c_Q * binv_at_T
+    # the explicit correction can overflow; stop at the first bad level
+    if not (np.all(np.isfinite(T_next)) and np.all(np.isfinite(qi_next))):
+        raise ValueError("state contains non-finite entries")
+    return T_next, qi_next
 
 
 def step_coupled(ops: AssembledOperators, params: MaterialParams, grid: Grid,
                  prev: State) -> State:
-    """Advance one step by the exact coupled solve; the default stepper."""
+    """Advance one step by the exact coupled solve; the default stepper.
+
+    With tau_q = mu2 = 0 this is implicit Euler for rho*c*T_t = -q_x,
+    q = -k*T_x, the fourier_limit stepper.
+    """
     _check_state(grid, prev)
     m = float(np.mean(prev.T))
-    e_next, qi_next = _advance_split(ops, m, prev.T - m, prev.q_interior)
-    return State(T=m + e_next,
-                 q=np.concatenate(([0.0], qi_next, [0.0])))
-
-
-def step_fourier(ops: AssembledOperators, params: MaterialParams, grid: Grid,
-                 prev: State) -> State:
-    """Coupled step in the Fourier limit; requires tau_q = mu2 = 0.
-
-    With both parameters zero the coupled system is implicit Euler for
-    rho*c*T_t = -q_x, q = -k*T_x, and this stepper is the identical linear
-    solve (same code path as step_coupled).
-    """
-    if not params.is_fourier:
-        raise InvalidLimit(
-            f"fourier stepper needs tau_q = mu2 = 0, got "
-            f"tau_q={params.tau_q!r}, mu2={params.mu2!r}")
-    return step_coupled(ops, params, grid, prev)
+    e_next, qi_next = _advance_split(ops, prev.T - m, prev.q_interior)
+    return State(T=m + e_next, q=_padded(qi_next))
 
 
 def step_vectorial_as_printed(ops: AssembledOperators, params: MaterialParams,
@@ -177,13 +190,8 @@ def step_vectorial_as_printed(ops: AssembledOperators, params: MaterialParams,
     correction is unstable at practical meshes, so long runs can overflow.
     """
     _check_state(grid, prev)
-    T, qi = prev.T, prev.q_interior
-    at_T = np.diff(T)
-    binv_at_T = thomas_solve(ops.B, at_T)
-    binv_q = thomas_solve(ops.B, qi)
-    T_next = T + ops.c_T * _apply_aq(binv_at_T) - ops.c_q * _apply_aq(binv_q)
-    qi_next = ops.c_r * binv_q - ops.c_Q * binv_at_T
-    return State(T=T_next, q=np.concatenate(([0.0], qi_next, [0.0])))
+    T_next, qi_next = _advance_printed(ops, prev.T, prev.q_interior)
+    return State(T=T_next, q=_padded(qi_next))
 
 
 def assemble_coupled_system(params: MaterialParams, grid: Grid,
@@ -250,7 +258,7 @@ class Trajectory:
     grid: Grid
     params: MaterialParams
     stepper_kind: StepperKind
-    trace: EnergyTrace
+    trace: diagnostics.EnergyTrace
 
     @property
     def final_state(self) -> State:
@@ -269,7 +277,9 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
 
     States are stored every `stride` steps (level 0 and the final level
     always included); energy diagnostics are recorded at every step
-    regardless of stride.
+    regardless of stride, a chunk of levels at a time.  The coupled
+    steppers advance the fluctuation e of T = m + e around the conserved
+    mean m; the as-printed stepper advances T itself (m = 0).
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -279,33 +289,29 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     if kind == StepperKind.FOURIER_LIMIT and not params.is_fourier:
         raise InvalidLimit("fourier_limit stepper needs tau_q = mu2 = 0")
     ops = assemble(params, grid)
-    acc = TraceAccumulator(params, grid)
-    states = [init]
-    stored = [0]
-    n_levels = grid.N + 2
-
     if kind == StepperKind.VECTORIAL_AS_PRINTED:
-        state = init
-        acc.start(0.0, state.T, state.q_interior)
-        for n in range(1, n_levels):
-            nxt = step_vectorial_as_printed(ops, params, grid, state)
-            acc.record_step(0.0, state.T, state.q_interior, nxt.T, nxt.q_interior)
-            state = nxt
-            if n % stride == 0 or n == n_levels - 1:
-                states.append(state)
-                stored.append(n)
+        m, advance = 0.0, _advance_printed
     else:
-        m = float(np.mean(init.T))
-        e = init.T - m
-        qi = init.q_interior.copy()
-        acc.start(m, e, qi)
-        for n in range(1, n_levels):
-            e_next, qi_next = _advance_split(ops, m, e, qi)
-            acc.record_step(m, e, qi, e_next, qi_next)
-            e, qi = e_next, qi_next
-            if n % stride == 0 or n == n_levels - 1:
-                states.append(State(T=m + e, q=np.concatenate(([0.0], qi, [0.0]))))
-                stored.append(n)
-
+        m, advance = float(np.mean(init.T)), _advance_split
+    J, last = grid.J, grid.N + 1
+    chunk = max(1, TRACE_CHUNK_ELEMENTS // (J + 1))
+    # row 0 holds the level before the chunk
+    e_buf, q_buf = np.empty((chunk + 1, J + 1)), np.empty((chunk + 1, J))
+    e_buf[0], q_buf[0] = init.T - m, init.q_interior
+    states, stored, rows = [init], [0], []
+    e, qi, row = e_buf[0], q_buf[0], 0
+    for n in range(1, last + 1):
+        e, qi = advance(ops, e, qi)
+        row += 1
+        e_buf[row], q_buf[row] = e, qi
+        if n % stride == 0 or n == last:
+            states.append(State(T=m + e, q=_padded(qi)))
+            stored.append(n)
+        if row == chunk or n == last:
+            # the first chunk also gives level 0 its row
+            rows.append(diagnostics.split_trace_rows(
+                params, grid, m, e_buf[:row + 1], q_buf[:row + 1], first=1 if rows else 0))
+            e_buf[0], q_buf[0], row = e_buf[row], q_buf[row], 0
+    trace = diagnostics.build_trace(params, grid.t, np.concatenate(rows))
     return Trajectory(states=states, stored_steps=stored, grid=grid,
-                      params=params, stepper_kind=kind, trace=acc.build())
+                      params=params, stepper_kind=kind, trace=trace)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gkheat import NonPositiveCoefficient, ParseError, StepperKind, UnknownKey
-from gkheat.cli import (REFERENCE_DEFAULTS, CsvTraceRow, cmd_run, cmd_sweep,
-                        cmd_verify, main, parse_config, read_trace_csv)
+from gkheat import (NonPositiveCoefficient, ParseError, StepperKind, UnknownKey,
+                    build_grid, cosine_initial, run)
+from gkheat.cli import (REFERENCE_DEFAULTS, TRACE_COLUMNS, CsvTraceRow, _fmt,
+                        cmd_run, cmd_sweep, cmd_verify, main, parse_config,
+                        read_trace_csv)
 
 FAST_CONFIG = """\
 # coarse mesh, short horizon: keeps file-shape tests quick
@@ -58,6 +60,20 @@ class TestParseConfig:
     def test_bad_stepper(self):
         with pytest.raises(ParseError):
             parse_config("stepper = magic\n")
+
+    @pytest.mark.parametrize("text", ["T_b = nan\n", "rho = 2e3\nT_f = inf\n",
+                                      "dt = -inf\n"])
+    def test_non_finite_number_rejected(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_config(text)
+        assert exc.value.line == text.count("\n")
+        assert "finite" in str(exc.value)
+
+    def test_duplicate_key_names_both_lines(self):
+        with pytest.raises(ParseError) as exc:
+            parse_config("T_b = 10\n# comment\nrho = 2e3\nT_b = 12\n")
+        assert exc.value.line == 4
+        assert "line 1" in str(exc.value) and "line 4" in str(exc.value)
 
     def test_stepper_choice(self):
         m = parse_config("stepper = vectorial_as_printed\n")
@@ -129,6 +145,29 @@ class TestCmdRun:
         cmd_run(parse_config(FAST_CONFIG + f"out_dir = {out_b}\n"))
         for name in ("trace.csv", "profiles.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("T_b,T_f", [(15.0, 30.0), (0.0, 0.0)])
+    def test_csv_text_matches_fmt(self, tmp_path, T_b, T_f):
+        # the streamed files are byte for byte the _fmt-joined text; zero
+        # initial data puts nan in Z
+        out = tmp_path / "o"
+        manifest = parse_config(FAST_CONFIG + f"T_b = {T_b}\nT_f = {T_f}\n"
+                                f"out_dir = {out}\n")
+        assert cmd_run(manifest) == 0
+        grid = build_grid(manifest.params, manifest.config)
+        traj = run(manifest.params, manifest.config,
+                   cosine_initial(grid, T_b, T_f), stride=manifest.stride)
+        tr = traj.trace
+        cols = (tr.t, tr.E, tr.diss_lhs, tr.diss_rhs, tr.heat, tr.C_T,
+                tr.lyapunov, tr.Z)
+        expected = [",".join(TRACE_COLUMNS)] + [
+            ",".join([str(n)] + [_fmt(c[n]) for c in cols]) for n in range(len(tr))]
+        assert (out / "trace.csv").read_text() == "\n".join(expected) + "\n"
+        assert ("nan" in expected[-1]) == (T_f == 0.0)
+        rows = ([_fmt(grid.x[j])] + [_fmt(s.T[j]) for s in traj.states]
+                + [_fmt(s.q[j]) for s in traj.states] for j in range(grid.J + 1))
+        body = (out / "profiles.csv").read_text().split("\n", 1)[1]
+        assert body == "".join(",".join(r) + "\n" for r in rows)
 
     def test_full_reference_run(self, tmp_path):
         # default manifest end to end: 2500 steps at J=499, final energy at
@@ -223,6 +262,19 @@ class TestMain:
                        "dx = 2e-3\nt_final = 2.4\n"
                        f"out_dir = {tmp_path / 'x'}\n")
         assert main(["run", "-c", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("line", ["T_b = nan", "T_f = inf"])
+    def test_non_finite_config_exits_one(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CONFIG + line + f"\nout_dir = {tmp_path / 'o'}\n")
+        assert main(["run", "-c", str(cfg)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_duplicate_key_exits_one(self, tmp_path):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("stride = 5\nstride = 7\n")
+        assert main(["verify", "-c", str(cfg)]) == 1
 
     def test_run_and_sweep_round(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

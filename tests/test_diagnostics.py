@@ -10,7 +10,7 @@ from gkheat import (DegenerateTrace, State, boundary_term, build_grid,
                     fit_energy_decay_rate, lyapunov, lyapunov_sandwich_check,
                     mode_decay_oracle, normalized_Z, run, total_heat,
                     zero_mean_initial)
-from gkheat.diagnostics import EnergyTrace, sandwich_bounds
+from gkheat.diagnostics import EnergyTrace, sandwich_bounds, split_trace_rows
 from gkheat.model import MaterialParams, SimulationConfig
 
 
@@ -279,6 +279,66 @@ class TestTraceChecksOnShortRun:
         assert np.all(np.abs(trace.heat - trace.heat[0])
                       <= 1e-12 * abs(trace.heat[0]))
         assert np.all(np.diff(trace.Z) >= 0.0)
+
+    @pytest.mark.parametrize("T_b", [15.0, 0.0])
+    def test_split_trace_matches_state_functions(self, ref_params, T_b):
+        # the chunked trace on the m + e split against the state-level
+        # formulas evaluated on the stored states T = m + e
+        cfg = SimulationConfig(dx=2e-3, dt=1.2e-2, t_final=0.6, T_b=T_b,
+                               T_f=30.0)
+        grid = build_grid(ref_params, cfg)
+        traj = run(ref_params, cfg, cosine_initial(grid, T_b, 30.0))
+        trace, dx = traj.trace, grid.dx
+        assert traj.stored_steps == list(range(grid.N + 2))
+        by_state = np.array([
+            (discrete_energy(s, ref_params, dx), total_heat(s, dx),
+             boundary_term(s, ref_params, dx), *lyapunov(s, ref_params, dx))
+            for s in traj.states])
+        for col, got in enumerate((trace.E, trace.heat, trace.C_T, trace.F,
+                                   trace.lyapunov)):
+            ref = by_state[:, col]
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), col
+        rhs = [dissipation_check(a, b, ref_params, dx, grid.dt).rhs
+               for a, b in zip(traj.states, traj.states[1:])]
+        np.testing.assert_allclose(trace.diss_rhs[1:], rhs, rtol=1e-13)
+
+    @pytest.mark.parametrize("J", [1, 49])
+    def test_split_trace_rows_match_per_level_loop(self, ref_params, J):
+        # one level at a time with plain dot products, the per-step formulas
+        # that split_trace_rows evaluates on a whole stack
+        cfg = SimulationConfig(dx=0.1 / (J + 1), dt=1.2e-2, t_final=0.24,
+                               T_b=15.0, T_f=30.0)
+        grid = build_grid(ref_params, cfg)
+        traj = run(ref_params, cfg, cosine_initial(grid, 15.0, 30.0))
+        p, dx = ref_params, grid.dx
+        m = float(np.mean(traj.states[0].T))
+        e = np.array([s.T - m for s in traj.states])
+        q = np.array([s.q_interior for s in traj.states])
+        w_T, w_q = p.rho_c * dx / 2.0, (p.tau_q / p.k) * (dx / 2.0)
+        expected = []
+        for n in range(len(e)):
+            en, qn = e[n], q[n]
+            lhs = rhs = 0.0
+            if n:
+                lhs = (w_T * np.sum((en - e[n - 1]) * (2.0 * m + en + e[n - 1]))
+                       + w_q * np.sum((qn - q[n - 1]) * (qn + q[n - 1]))) / grid.dt
+                grad = np.diff(np.concatenate(([0.0], qn, [0.0]))) / dx
+                rhs = -(dx / p.k) * (qn @ qn) - (p.mu2 / p.k) * dx * (grad @ grad)
+            T = m + en
+            E = w_T * (T @ T) + w_q * (qn @ qn)
+            heat = dx * np.sum(T)
+            tail = dx * np.cumsum(T[::-1])[::-1]
+            F = (p.rho_c / 2.0) * dx * (tail @ tail + p.mu2 * (T @ T)) \
+                + p.tau_q * dx * (tail[1:] @ qn)
+            w_L = 2.0 * p.l**2 + 2.0 * p.mu2 + p.tau_q * p.k / p.rho_c
+            expected.append((E, lhs, rhs, heat,
+                             (p.mu2 * qn[0] / dx - p.k * T[0]) * heat, F, w_L * E + F))
+        expected = np.array(expected)
+        got = split_trace_rows(p, grid, m, e, q, first=0)
+        assert got.shape == expected.shape
+        scale = np.maximum(np.max(np.abs(expected), axis=0), 1e-300)
+        assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)
+        np.testing.assert_array_equal(split_trace_rows(p, grid, m, e, q), got[1:])
 
     def test_equilibrium_energy_helper(self, ref_params):
         assert equilibrium_energy(ref_params, 1.5) == pytest.approx(

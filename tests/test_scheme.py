@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gkheat import scheme
 from gkheat import (GridMismatch, InvalidLimit, State, StepperKind, aq_matrix,
                     assemble, at_matrix, build_grid, cosine_initial, matvec,
-                    run, step_coupled, step_coupled_reference, step_fourier,
+                    run, step_coupled, step_coupled_reference,
                     step_vectorial_as_printed, total_heat)
 from gkheat.model import MaterialParams, SimulationConfig
 
@@ -151,18 +152,27 @@ class TestSteppers:
 
 
 class TestFourierStepper:
+    # the fourier_limit stepper is step_coupled, with run() checking that
+    # the parameters are in the limit
     def test_requires_fourier_params(self):
-        p, cfg, grid, ops = small_setup()
-        with pytest.raises(InvalidLimit):
-            step_fourier(ops, p, grid, cosine_initial(grid, 15.0, 30.0))
+        # both parameters must vanish, not just one of them
+        for tau_q, mu2 in ((8e-3, 2.8e-3), (0.0, 2.8e-3), (8e-3, 0.0)):
+            p, cfg, grid, ops = small_setup(tau_q=tau_q, mu2=mu2)
+            cfg_f = dataclasses.replace(cfg, stepper_kind=StepperKind.FOURIER_LIMIT)
+            with pytest.raises(InvalidLimit):
+                run(p, cfg_f, cosine_initial(grid, 15.0, 30.0))
 
     def test_identical_to_coupled_in_the_limit(self):
-        p, cfg, grid, ops = small_setup(tau_q=0.0, mu2=0.0, J=49)
+        p, cfg, grid, ops = small_setup(tau_q=0.0, mu2=0.0, J=49,
+                                        t_final=5 * 1.2e-2)
         s = cosine_initial(grid, 15.0, 30.0)
-        a = step_fourier(ops, p, grid, s)
-        b = step_coupled(ops, p, grid, s)
-        np.testing.assert_array_equal(a.T, b.T)
-        np.testing.assert_array_equal(a.q, b.q)
+        a = run(p, dataclasses.replace(cfg, stepper_kind=StepperKind.FOURIER_LIMIT), s)
+        b = run(p, cfg, s)
+        for sa, sb in zip(a.states, b.states, strict=True):
+            np.testing.assert_array_equal(sa.T, sb.T)
+            np.testing.assert_array_equal(sa.q, sb.q)
+        np.testing.assert_array_equal(a.trace.E, b.trace.E)
+        assert rel_gap(a.states[1], step_coupled(ops, p, grid, s)) <= 1e-14
 
     def test_cosine_mode_amplification(self, ref_params, ref_config):
         # implicit Euler damps the fundamental mode by 1/(1 + (k/rho c) kappa^2 dt);
@@ -174,7 +184,7 @@ class TestFourierStepper:
         kappa = np.pi / p.l
         mode = np.cos(kappa * (grid.x[:grid.J + 1] + grid.dx / 2.0))
         s = State(T=15.0 * mode, q=np.zeros(grid.J + 2))
-        out = step_fourier(ops, p, grid, s)
+        out = step_coupled(ops, p, grid, s)
         g = float((out.T @ s.T) / (s.T @ s.T))
         # eigenvector to solver precision
         assert np.max(np.abs(out.T - g * s.T)) <= 1e-12 * np.max(np.abs(s.T))
@@ -270,3 +280,65 @@ class TestRun:
         traj = run(ref_params, cfg, zero_mean_initial(grid, cfg.T_f),
                    stride=grid.N + 1)
         assert traj.trace.E[-1] <= 1e-4 * traj.trace.E[0]
+
+
+class TestReducedSolve:
+    @pytest.mark.parametrize("J", [2, 63, 499])
+    @pytest.mark.parametrize("tau_q,mu2", [(8e-3, 2.8e-3), (0.0, 0.0)])
+    def test_factored_solve_matches_dense(self, J, tau_q, mu2):
+        # the dpttrf factor made once in assemble against a dense LU solve
+        # of I - (c_B + c_T dt) L
+        p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
+        dense = np.eye(J) - (ops.c_B + ops.c_T * grid.dt) * ops.L.to_dense().a
+        rng = np.random.default_rng(J)
+        for _ in range(5):
+            rhs = rng.normal(0.0, 1e4, J)
+            expected = np.linalg.solve(dense, rhs)
+            got = scheme._solve_reduced(ops, rhs)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_single_flux_unknown(self):
+        p, cfg, grid, ops = small_setup(J=1)
+        w = ops.c_B + ops.c_T * grid.dt
+        assert scheme._solve_reduced(ops, np.array([3.0]))[0] == pytest.approx(
+            3.0 / (1.0 + 2.0 * w), rel=1e-15)
+
+
+TRACE_FIELDS = ("E", "diss_lhs", "diss_rhs", "heat", "C_T", "F", "lyapunov", "Z")
+
+
+class TestTraceChunks:
+    # J=9999 gives one level per chunk at the default budget
+    @pytest.mark.parametrize("J,steps", [(2, 6000), (63, 600), (9999, 5)])
+    def test_trace_independent_of_chunk_budget(self, monkeypatch, J, steps):
+        p, cfg, grid, ops = small_setup(J=J, t_final=steps * 1.2e-2)
+        init = cosine_initial(grid, 15.0, 30.0)
+        budgets = (1, scheme.TRACE_CHUNK_ELEMENTS, (grid.N + 3) * (J + 1))
+        assert max(1, scheme.TRACE_CHUNK_ELEMENTS // (J + 1)) < grid.N + 1
+        trajs = []
+        for budget in budgets:
+            monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
+            trajs.append(run(p, cfg, init, stride=7))
+        base = trajs[0]
+        for traj in trajs[1:]:
+            assert traj.stored_steps == base.stored_steps
+            for a, b in zip(traj.states, base.states, strict=True):
+                np.testing.assert_array_equal(a.T, b.T)
+                np.testing.assert_array_equal(a.q, b.q)
+            for name in TRACE_FIELDS:
+                got, ref = getattr(traj.trace, name), getattr(base.trace, name)
+                assert got.shape == ref.shape == (grid.N + 2,)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+    def test_as_printed_trace_independent_of_chunk_budget(self, monkeypatch):
+        p, cfg, grid, ops = small_setup(J=9, t_final=20 * 1.2e-2)
+        cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
+        init = cosine_initial(grid, 15.0, 30.0)
+        traces = []
+        for budget in (1, 30, 10**6):
+            monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
+            traces.append(run(p, cfg, init).trace)
+        for trace in traces[1:]:
+            for name in TRACE_FIELDS:
+                np.testing.assert_array_equal(getattr(trace, name),
+                                              getattr(traces[0], name))
