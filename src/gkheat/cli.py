@@ -5,9 +5,9 @@ rho, c, tau_q, mu2, k, l, dx, dt, t_final, T_b, T_f, stepper, stride,
 out_dir.  Missing keys fall back to the reference case defaults below; a
 repeated key or a non-finite number is a ParseError.
 
-Exit codes: 0 success / all checks pass, 1 usage or configuration error,
-2 numerical failure (singular pivot, non-finite state), 3 verification
-failure.
+Exit codes: 0 success / all checks pass, 1 usage or configuration error
+(a mesh over discretization.MAX_MESH_POINTS included), 2 numerical failure
+(singular pivot, non-finite state), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, scheme
+from . import checks, diagnostics, scheme
 from .discretization import State, build_grid, cosine_initial, zero_mean_initial
 from .errors import (GKHeatError, NonDivisibleMesh, NonPositiveCoefficient,
                      ParseError, SingularMatrix, SingularPivot, UnknownKey)
@@ -82,21 +82,6 @@ class RunManifest:
     def __post_init__(self):
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-
-
-@dataclass(frozen=True)
-class CsvTraceRow:
-    """One parsed row of trace.csv (column order fixed by TRACE_COLUMNS)."""
-
-    n: int
-    t: float
-    E: float
-    diss_lhs: float
-    diss_rhs: float
-    heat: float
-    C_T: float
-    lyapunov: float
-    Z: float
 
 
 def parse_config(text: str) -> RunManifest:
@@ -163,17 +148,6 @@ def write_trace_csv(path: Path, trace: diagnostics.EnergyTrace) -> None:
                 ((n, *row.tolist()) for n, row in enumerate(table)))
 
 
-def read_trace_csv(path: Path) -> list[CsvTraceRow]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
-        raise ParseError(1, "trace.csv header does not match the schema")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append(CsvTraceRow(int(parts[0]), *(float(p) for p in parts[1:])))
-    return rows
-
-
 def write_profiles_csv(path: Path, traj: scheme.Trajectory) -> None:
     """Strided T and q snapshots, wide format.
 
@@ -195,8 +169,6 @@ def _write_constants(path: Path, manifest: RunManifest,
     params = manifest.params
     dc = diagnostics.decay_constants(params).with_sup_ct(traj.trace)
     trace = traj.trace
-    heat0 = trace.heat[0]
-    drift = float(np.max(np.abs(trace.heat - heat0)))
     closed = 0.5 * params.rho_c * params.l * manifest.config.T_b**2
     lines = {
         "beta": dc.beta,
@@ -207,8 +179,8 @@ def _write_constants(path: Path, manifest: RunManifest,
         "sup_CT": dc.sup_CT,
         "E0": trace.E[0],
         "E_final": trace.E[-1],
-        "heat_initial": heat0,
-        "heat_drift_max_abs": drift,
+        "heat_initial": trace.heat[0],
+        "heat_drift_max_abs": checks.heat_drift(trace),
         "E_equilibrium_closed_form": closed,
     }
     if closed > 0.0:
@@ -276,104 +248,6 @@ def cmd_run(manifest: RunManifest) -> int:
 # verification
 # ---------------------------------------------------------------------------
 
-def _check_monotone(trace: diagnostics.EnergyTrace) -> tuple[bool, str]:
-    jumps = np.diff(trace.E)
-    worst = float(np.max(jumps)) if jumps.size else 0.0
-    ok = bool(np.all(jumps <= 1e-12 * max(trace.E[0], 1.0)))
-    return ok, f"max energy increase {worst:.3e}"
-
-def _check_dissipation(trace: diagnostics.EnergyTrace) -> tuple[bool, str]:
-    lhs, rhs = trace.diss_lhs[1:], trace.diss_rhs[1:]
-    if not lhs.size:
-        return True, "no steps"
-    slack = diagnostics.DISSIPATION_RTOL * np.maximum(1.0, np.abs(lhs))
-    margin = rhs + slack - lhs
-    return bool(np.all(margin >= 0.0)), f"min margin {float(np.min(margin)):.3e}"
-
-def _check_heat(trace: diagnostics.EnergyTrace) -> tuple[bool, str]:
-    h0 = trace.heat[0]
-    drift = float(np.max(np.abs(trace.heat - h0)))
-    ok = drift <= 1e-12 * abs(h0) if h0 != 0.0 else drift == 0.0
-    rel = drift / abs(h0) if h0 != 0.0 else drift
-    return ok, f"max drift {rel:.3e} (relative)"
-
-def _check_sandwich(trace, params) -> tuple[bool, str]:
-    rep = diagnostics.lyapunov_sandwich_check(trace, params)
-    return rep.ok, (f"lower ratio >= {rep.min_lower_ratio:.4f}, "
-                    f"upper ratio <= {rep.max_upper_ratio:.4f}")
-
-def _check_envelope(trace, params, zero_mean) -> tuple[bool, str]:
-    dc = diagnostics.decay_constants(params)
-    rep = diagnostics.envelope_check(trace, dc, zero_mean=zero_mean)
-    kind = "zero-mean bound" if zero_mean else "offset bound"
-    return rep.ok, f"{kind}, max E/bound {rep.max_ratio:.4f}, sup|C_T| {rep.sup_CT:.6g}"
-
-def _check_oracle(manifest: RunManifest) -> tuple[bool, str]:
-    params = manifest.params
-    rng = np.random.default_rng(1729)
-    worst = 0.0
-    for J in range(2, 9):
-        cfg = dataclasses.replace(manifest.config, dx=params.l / (J + 1),
-                                  t_final=manifest.config.dt)
-        grid = build_grid(params, cfg)
-        ops = scheme.assemble(params, grid)
-        for _ in range(10):
-            q = np.zeros(J + 2)
-            q[1:-1] = rng.normal(0.0, 1e4, J)
-            prev = State(T=rng.normal(15.0, 10.0, J + 1), q=q)
-            fast = scheme.step_coupled(ops, params, grid, prev)
-            ref = scheme.step_coupled_reference(params, grid, prev)
-            rel = max(
-                float(np.max(np.abs(fast.T - ref.T)) / np.max(np.abs(ref.T))),
-                float(np.max(np.abs(fast.q - ref.q))
-                      / max(np.max(np.abs(ref.q)), 1e-300)))
-            worst = max(worst, rel)
-    return worst <= 1e-10, f"worst relative gap to dense reference {worst:.3e}"
-
-def _check_rate_fit(manifest: RunManifest) -> tuple[bool, str]:
-    params = manifest.params
-    dt_fit = manifest.config.dt / 8.0
-    n_steps = max(2, round(6.0 / dt_fit))
-    cfg = dataclasses.replace(manifest.config, dt=dt_fit,
-                              t_final=n_steps * dt_fit,
-                              stepper_kind=StepperKind.COUPLED_IMPLICIT)
-    grid = build_grid(params, cfg)
-    traj = scheme.run(params, cfg, zero_mean_initial(grid, manifest.config.T_f),
-                      stride=max(1, n_steps))
-    if traj.trace.E[0] == 0.0:
-        return True, "zero initial data, nothing to fit"
-    hi = min(5.0, 0.9 * cfg.t_final)
-    fitted = diagnostics.fit_energy_decay_rate(traj.trace, params,
-                                               t_window=(hi / 10.0, hi))
-    slow, _ = diagnostics.mode_decay_oracle(params, 1)
-    target = 2.0 * abs(slow.real)
-    rel = abs(fitted / target - 1.0)
-    return rel <= 0.02, (f"fitted {fitted:.6g} 1/s vs spectral {target:.6g} 1/s "
-                         f"({100 * rel:.3f}% off)")
-
-def _printed_gap_report(manifest: RunManifest) -> list[str]:
-    """Informational: one-step gap between the as-printed and coupled updates."""
-    params = manifest.params
-    lines = []
-    gaps = []
-    for level, dt in enumerate(manifest.config.dt / 2.0**np.arange(3)):
-        cfg = dataclasses.replace(manifest.config, dt=dt, t_final=dt)
-        grid = build_grid(params, cfg)
-        ops = scheme.assemble(params, grid)
-        init = cosine_initial(grid, manifest.config.T_b, manifest.config.T_f)
-        printed = scheme.step_vectorial_as_printed(ops, params, grid, init)
-        coupled = scheme.step_coupled(ops, params, grid, init)
-        rel = max(
-            float(np.max(np.abs(printed.T - coupled.T)) / np.max(np.abs(coupled.T))),
-            float(np.max(np.abs(printed.q - coupled.q))
-                  / max(np.max(np.abs(coupled.q)), 1e-300)))
-        gaps.append(rel)
-        lines.append(f"INFO printed-vs-coupled gap at dt={dt:.6g}: {rel:.6e}")
-    lines.append("INFO gap halving ratios: "
-                 + ", ".join(f"{gaps[i + 1] / gaps[i]:.4f}" for i in range(2)))
-    return lines
-
-
 def cmd_verify(manifest: RunManifest) -> int:
     """Run the property suite and print one pass/fail line per property.
 
@@ -382,31 +256,29 @@ def cmd_verify(manifest: RunManifest) -> int:
     additionally gets its per-step gap to the coupled solve reported,
     informational and non-fatal.
     """
-    grid = build_grid(manifest.params, manifest.config)
-    cfg = dataclasses.replace(manifest.config,
-                              stepper_kind=StepperKind.COUPLED_IMPLICIT)
-    traj = scheme.run(manifest.params, cfg,
-                      _initial_state(manifest, grid),
-                      stride=max(1, grid.N + 1))
-    trace = traj.trace
-    zero_mean = manifest.config.T_b == 0.0
-    checks = [
-        ("energy_monotone", *_check_monotone(trace)),
-        ("dissipation_inequality", *_check_dissipation(trace)),
-        ("heat_conservation", *_check_heat(trace)),
-        ("lyapunov_sandwich", *_check_sandwich(trace, manifest.params)),
-        ("decay_envelope", *_check_envelope(trace, manifest.params, zero_mean)),
-        ("oracle_equivalence", *_check_oracle(manifest)),
-        ("mode_rate_fit", *_check_rate_fit(manifest)),
+    params, config = manifest.params, manifest.config
+    grid = build_grid(params, config)
+    cfg = dataclasses.replace(config, stepper_kind=StepperKind.COUPLED_IMPLICIT)
+    trace = scheme.run(params, cfg, _initial_state(manifest, grid),
+                       stride=max(1, grid.N + 1)).trace
+    results = [
+        checks.energy_monotone(trace),
+        checks.dissipation_inequality(trace),
+        checks.heat_conservation(trace),
+        checks.lyapunov_sandwich(trace, params),
+        checks.decay_envelope(trace, params, zero_mean=config.T_b == 0.0),
+        checks.oracle_equivalence(params, config, np.random.default_rng(1729)),
+        checks.mode_rate_fit(params, config),
     ]
-    all_ok = True
-    for name, ok, detail in checks:
-        all_ok &= ok
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    if manifest.config.stepper_kind == StepperKind.VECTORIAL_AS_PRINTED:
-        for line in _printed_gap_report(manifest):
-            print(line)
-    return 0 if all_ok else 3
+    for r in results:
+        print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
+    if config.stepper_kind == StepperKind.VECTORIAL_AS_PRINTED:
+        gaps = checks.printed_gaps(params, config)
+        for dt, gap in gaps:
+            print(f"INFO printed-vs-coupled gap at dt={dt:.6g}: {gap:.6e}")
+        print("INFO gap halving ratios: "
+              + ", ".join(f"{b / a:.4f}" for (_, a), (_, b) in zip(gaps, gaps[1:])))
+    return 0 if all(r.ok for r in results) else 3
 
 
 def cmd_sweep(manifest: RunManifest,
@@ -431,7 +303,7 @@ def cmd_sweep(manifest: RunManifest,
                           stride=max(1, grid.N + 1))
         dc = diagnostics.decay_constants(params)
         fitted = diagnostics.fit_energy_decay_rate(traj.trace, params, window)
-        monotone, _ = _check_monotone(traj.trace)
+        monotone = checks.energy_monotone(traj.trace).ok
         lines.append(",".join([
             _fmt(tau_q), _fmt(mu2), _fmt(fitted), _fmt(dc.omega), _fmt(dc.M),
             _fmt(traj.trace.E[-1]), "1" if monotone else "0"]))

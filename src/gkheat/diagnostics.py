@@ -52,7 +52,6 @@ class EnergyTrace:
     diss_rhs: np.ndarray  # dissipation bound
     heat: np.ndarray      # total heat dx*sum(T_j)
     C_T: np.ndarray       # boundary-times-mean term
-    F: np.ndarray         # auxiliary functional
     lyapunov: np.ndarray  # weighted Lyapunov functional
     Z: np.ndarray         # normalized envelope quantity
 
@@ -319,7 +318,7 @@ def split_trace_rows(params: MaterialParams, grid: Grid, m: float,
 
     e (K+1 x J+1 fluctuations) and q (K+1 x J interior fluxes) hold one
     level per row.  Returns the rows of levels first..K with columns E,
-    diss_lhs, diss_rhs, heat, C_T, F, lyapunov; the dissipation sides pair
+    diss_lhs, diss_rhs, heat, C_T, lyapunov; the dissipation sides pair
     each level with the row before and are zero for row 0 (first=0).  Sums
     that would subtract two O(E)-sized quantities are formed from e and the
     per-step differences directly, keeping the dissipation lhs and heat
@@ -331,7 +330,7 @@ def split_trace_rows(params: MaterialParams, grid: Grid, m: float,
     def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", a, b)
 
-    rows = np.zeros((e.shape[0] - first, 7))
+    rows = np.zeros((e.shape[0] - first, 6))
     e0, e1, q0, q1 = e[:-1], e[1:], q[:-1], q[1:]
     rows[1 - first:, 1] = (w_T * dot(e1 - e0, 2.0 * m + e1 + e0)
                            + w_q * dot(q1 - q0, q1 + q0)) / grid.dt
@@ -344,9 +343,9 @@ def split_trace_rows(params: MaterialParams, grid: Grid, m: float,
     rows[:, 3] = heat = dx * (n_nodes * m + sum_e)
     rows[:, 4] = (mu2 * q[:, 0] / dx - k * T[:, 0]) * heat
     tail = _tail_integral(T, dx)
-    rows[:, 5] = F = ((rc / 2.0) * dx * dot(tail, tail) + (rc / 2.0) * mu2 * dx * dot(T, T)
-                      + tau_q * dx * dot(tail[:, 1:], q))
-    rows[:, 6] = (2.0 * params.l**2 + 2.0 * mu2 + tau_q * k / rc) * E + F
+    F = ((rc / 2.0) * dx * dot(tail, tail) + (rc / 2.0) * mu2 * dx * dot(T, T)
+         + tau_q * dx * dot(tail[:, 1:], q))
+    rows[:, 5] = (2.0 * params.l**2 + 2.0 * mu2 + tau_q * k / rc) * E + F
     return rows
 
 
@@ -355,7 +354,7 @@ def build_trace(params: MaterialParams, t: np.ndarray,
     """EnergyTrace from stacked split_trace_rows output at times t, with Z."""
     trace = EnergyTrace(t=t.copy(), E=rows[:, 0], diss_lhs=rows[:, 1],
                         diss_rhs=rows[:, 2], heat=rows[:, 3], C_T=rows[:, 4],
-                        F=rows[:, 5], lyapunov=rows[:, 6],
+                        lyapunov=rows[:, 5],
                         Z=np.full(t.size, np.nan))
     if trace.E[0] > 0.0:
         trace = dataclasses.replace(trace, Z=normalized_Z(trace, decay_constants(params)))

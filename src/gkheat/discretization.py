@@ -16,11 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NonDivisibleMesh
+from .errors import GridMismatch, MeshTooLarge, NonDivisibleMesh
 from .model import MaterialParams, SimulationConfig
 
 #: relative tolerance for the "step divides the interval" check
 DIVISIBILITY_RTOL = 1e-9
+#: largest time-level count N+2 and node count J+2 a grid may have (over
+#: 100x the largest mesh the tests and benchmark use); checked before
+#: anything is allocated, since run() keeps several arrays of each length
+MAX_MESH_POINTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,11 @@ class Grid:
 
 def _integer_ratio(total: float, step: float, what: str) -> int:
     ratio = total / step
-    n = round(ratio)
+    # n intervals have n + 1 points; an overflowed ratio never reaches round()
+    n = round(ratio) if ratio < MAX_MESH_POINTS else MAX_MESH_POINTS
+    if n + 1 > MAX_MESH_POINTS:
+        raise MeshTooLarge(f"{what} = {ratio:.6g} gives more than "
+                           f"{MAX_MESH_POINTS} mesh points")
     if n < 1 or abs(ratio - n) > DIVISIBILITY_RTOL * ratio:
         raise NonDivisibleMesh(
             f"{what}: {total!r} is not an integer multiple of {step!r}")
@@ -57,7 +65,8 @@ def build_grid(params: MaterialParams, config: SimulationConfig) -> Grid:
     """Construct the mesh, requiring dx | l and dt | t_final.
 
     Raises NonDivisibleMesh when either ratio deviates from an integer by
-    more than 1e-9 relative.
+    more than 1e-9 relative, and MeshTooLarge when N+2 or J+2 would exceed
+    MAX_MESH_POINTS.
     """
     n_dx = _integer_ratio(params.l, config.dx, "l/dx")
     n_dt = _integer_ratio(config.t_final, config.dt, "t_final/dt")

@@ -19,6 +19,11 @@ class NonDivisibleMesh(GKHeatError):
     """Domain length or final time is not an integer multiple of the step."""
 
 
+class MeshTooLarge(GKHeatError):
+    """The mesh would have more time levels or nodes than
+    discretization.MAX_MESH_POINTS."""
+
+
 class GridMismatch(GKHeatError):
     """State arrays do not match the grid (or each other) in size."""
 

@@ -1,231 +1,29 @@
-"""Compact tridiagonal/banded operators and direct solvers.
+"""Dense direct solve, the brute-force oracle for the scheme's fast path.
 
-thomas_solve and banded_lu_solve are written out in full (no pivoting;
-the systems assembled by the scheme are safely eliminable as-is, see the
-scheme module).  dense_solve wraps LAPACK and serves as the independent
-brute-force oracle for both.
+Production steps solve the scheme's tridiagonal systems with a LAPACK
+factor made once per run (see the scheme module); dense_solve is the
+independent check those solves are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMatrix, SingularPivot
-
-#: pivots below this magnitude are treated as exact singularity
-PIVOT_FLOOR = 1e-300
+from .errors import DimensionMismatch, SingularMatrix
 
 
-@dataclass(frozen=True)
-class TridiagonalMatrix:
-    """Order-n tridiagonal matrix stored as three diagonals."""
-
-    lower: np.ndarray  # sub-diagonal, length n-1
-    diag: np.ndarray   # main diagonal, length n
-    upper: np.ndarray  # super-diagonal, length n-1
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        diag = np.asarray(self.diag, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if lower.size != diag.size - 1 or upper.size != diag.size - 1:
-            raise DimensionMismatch("off-diagonals must have length n-1")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def n(self) -> int:
-        return self.diag.size
-
-    def to_dense(self) -> "DenseMatrix":
-        a = np.diag(self.diag)
-        n = self.n
-        a[np.arange(1, n), np.arange(n - 1)] = self.lower
-        a[np.arange(n - 1), np.arange(1, n)] = self.upper
-        return DenseMatrix(a)
-
-
-@dataclass(frozen=True)
-class DenseMatrix:
-    """Row-major dense matrix; oracle storage for small systems."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2:
-            raise DimensionMismatch("dense matrix must be 2-D")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("dense matrix contains non-finite entries")
-        object.__setattr__(self, "a", a)
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-
-@dataclass(frozen=True)
-class BandedMatrix:
-    """Order-n matrix with `p` sub- and super-diagonals.
-
-    bands[p + d, i] holds entry (i, i+d) for -p <= d <= p; slots that fall
-    outside the matrix are zero and ignored.
-    """
-
-    n: int
-    p: int
-    bands: np.ndarray  # shape (2p+1, n)
-
-    def __post_init__(self):
-        bands = np.asarray(self.bands, dtype=float)
-        if bands.shape != (2 * self.p + 1, self.n):
-            raise DimensionMismatch(
-                f"band storage must be {(2 * self.p + 1, self.n)}, got {bands.shape}")
-        object.__setattr__(self, "bands", bands)
-
-    @classmethod
-    def from_dense(cls, dense: DenseMatrix, p: int) -> "BandedMatrix":
-        a = dense.a
-        n = a.shape[0]
-        if a.shape[0] != a.shape[1]:
-            raise DimensionMismatch("banded storage requires a square matrix")
-        bands = np.zeros((2 * p + 1, n))
-        for d in range(-p, p + 1):
-            i0, i1 = max(0, -d), min(n, n - d)
-            bands[p + d, i0:i1] = a[np.arange(i0, i1), np.arange(i0, i1) + d]
-        if np.count_nonzero(a) != np.count_nonzero(bands):
-            raise DimensionMismatch(f"matrix has entries outside bandwidth {p}")
-        return cls(n=n, p=p, bands=bands)
-
-    def to_dense(self) -> DenseMatrix:
-        a = np.zeros((self.n, self.n))
-        for d in range(-self.p, self.p + 1):
-            i0, i1 = max(0, -d), min(self.n, self.n - d)
-            a[np.arange(i0, i1), np.arange(i0, i1) + d] = self.bands[self.p + d, i0:i1]
-        return DenseMatrix(a)
-
-
-def thomas_solve(A: TridiagonalMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by the Thomas algorithm (no pivoting).
-
-    Intended for (strictly) diagonally dominant systems such as the
-    scheme's mass matrix.  Raises SingularPivot when a pivot underflows.
-    """
+def dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b for a square 2-D array a (LAPACK, partial pivoting)."""
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = A.n
-    if b.size != n:
-        raise DimensionMismatch(f"rhs has size {b.size}, matrix order {n}")
-    diag = A.diag
-    upper = A.upper
-    lower = A.lower
-    cp = np.empty(max(n - 1, 0))
-    x = np.empty(n)
-    piv = diag[0]
-    if abs(piv) < PIVOT_FLOOR:
-        raise SingularPivot("zero pivot at row 0")
-    x[0] = b[0] / piv
-    for i in range(1, n):
-        cp[i - 1] = upper[i - 1] / piv
-        piv = diag[i] - lower[i - 1] * cp[i - 1]
-        if abs(piv) < PIVOT_FLOOR:
-            raise SingularPivot(f"zero pivot at row {i}")
-        x[i] = (b[i] - lower[i - 1] * x[i - 1]) / piv
-    for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
-    return x
-
-
-def dense_solve(A: DenseMatrix, b: np.ndarray) -> np.ndarray:
-    """Brute-force dense solve (LAPACK); the oracle for the compact solvers."""
-    b = np.asarray(b, dtype=float)
-    if A.rows != A.cols:
-        raise DimensionMismatch("dense_solve requires a square matrix")
-    if b.size != A.rows:
-        raise DimensionMismatch(f"rhs has size {b.size}, matrix order {A.rows}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"dense_solve requires a square matrix, got {a.shape}")
+    if b.size != a.shape[0]:
+        raise DimensionMismatch(f"rhs has size {b.size}, matrix order {a.shape[0]}")
     try:
-        x = np.linalg.solve(A.a, b)
+        x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("solution contains non-finite entries")
     return x
-
-
-def banded_lu_solve(A: BandedMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by banded LU without pivoting.
-
-    Handles the interleaved coupled step assembly (bandwidth 2), which
-    eliminates stably without row exchanges; used as a cross-check route
-    next to dense_solve.
-    """
-    b = np.array(b, dtype=float)
-    n, p = A.n, A.p
-    if b.size != n:
-        raise DimensionMismatch(f"rhs has size {b.size}, matrix order {n}")
-    if p == 0:
-        d = A.bands[0]
-        if np.min(np.abs(d)) < PIVOT_FLOOR:
-            raise SingularPivot("zero pivot on diagonal")
-        return b / d
-    w = A.bands.copy()  # w[p + d, i] = entry (i, i + d)
-
-    def get(i, j):
-        return w[p + (j - i), i]
-
-    def axpy_row(r, j, f, c_hi):
-        # row_r[j..c_hi] -= f * row_j[j..c_hi]
-        for col in range(j, c_hi + 1):
-            w[p + (col - r), r] -= f * w[p + (col - j), j]
-
-    for j in range(n - 1):
-        piv = w[p, j]
-        if abs(piv) < PIVOT_FLOOR:
-            raise SingularPivot(f"zero pivot at row {j}")
-        c_hi = min(j + p, n - 1)
-        for r in range(j + 1, min(j + p, n - 1) + 1):
-            f = get(r, j) / piv
-            if f != 0.0:
-                axpy_row(r, j, f, c_hi)
-                b[r] -= f * b[j]
-    if abs(w[p, n - 1]) < PIVOT_FLOOR:
-        raise SingularPivot(f"zero pivot at row {n - 1}")
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        s = b[i]
-        for col in range(i + 1, min(i + p, n - 1) + 1):
-            s -= get(i, col) * x[col]
-        x[i] = s / w[p, i]
-    return x
-
-
-def matvec(A, x: np.ndarray) -> np.ndarray:
-    """Exact stencil application A @ x for any of the three matrix types."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(A, TridiagonalMatrix):
-        if x.size != A.n:
-            raise DimensionMismatch(f"vector size {x.size}, matrix order {A.n}")
-        y = A.diag * x
-        y[:-1] += A.upper * x[1:]
-        y[1:] += A.lower * x[:-1]
-        return y
-    if isinstance(A, DenseMatrix):
-        if x.size != A.cols:
-            raise DimensionMismatch(f"vector size {x.size}, matrix cols {A.cols}")
-        return A.a @ x
-    if isinstance(A, BandedMatrix):
-        if x.size != A.n:
-            raise DimensionMismatch(f"vector size {x.size}, matrix order {A.n}")
-        n, p = A.n, A.p
-        y = np.zeros(n)
-        for d in range(-p, p + 1):
-            i0, i1 = max(0, -d), min(n, n - d)
-            y[i0:i1] += A.bands[p + d, i0:i1] * x[i0 + d:i1 + d]
-        return y
-    raise TypeError(f"unsupported matrix type {type(A).__name__}")

@@ -16,7 +16,8 @@ per step; the temperature update is then explicit.  The reduced matrix
 is symmetric positive definite and the same at every step, so assemble
 factors it once (LAPACK dpttrf) and step_coupled solves with that factor
 (dpttrs).  This is algebraically identical to the full coupled solve (the
-interleaved banded assembly is retained as the brute-force reference).
+interleaved assembly is retained, solved densely, as the brute-force
+reference).
 
 step_vectorial_as_printed instead applies the closed-form update
 
@@ -24,10 +25,11 @@ step_vectorial_as_printed instead applies the closed-form update
     q^n = c_r B^{-1} q^{n-1} - c_Q B^{-1} A_T T^{n-1},
     C   = I + c_T A_q B^{-1} A_T,
 
-verbatim.  That variant advances both fields from level n-1 and carries a
-dt/dx^2 (not dt^2/dx^2) correction factor, so it is not equivalent to the
-coupled solve at finite dt; it is kept as a comparison mode and the gap is
-measured, never hidden.
+verbatim, with B = I - c_B L factored once like the reduced matrix, so
+each B^{-1} is one dpttrs solve.  That variant advances both fields from
+level n-1 and carries a dt/dx^2 (not dt^2/dx^2) correction factor, so it
+is not equivalent to the coupled solve at finite dt; it is kept as a
+comparison mode and the gap is measured, never hidden.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import diagnostics
-from .discretization import Grid, State, build_grid
-from .errors import GridMismatch, InvalidLimit, SingularPivot
-from .linalg import BandedMatrix, DenseMatrix, TridiagonalMatrix, dense_solve, thomas_solve
+from .discretization import Grid, State, _require_on_grid, build_grid
+from .errors import InvalidLimit, SingularPivot
+from .linalg import dense_solve
 from .model import MaterialParams, SimulationConfig, StepperKind
 
 
@@ -67,20 +69,38 @@ class AssembledOperators:
     J: int
     dx: float
     dt: float
-    L: TridiagonalMatrix   # J x J second-difference stencil (-2 diag, 1 off)
-    B: TridiagonalMatrix   # I - c_B * L, strictly diagonally dominant
     c_B: float
     c_T: float
     c_q: float
     c_Q: float
     c_r: float
     c_flux: float
-    # dpttrf factor (d, e) of the SPD reduced matrix I - (c_B + c_T*dt) * L
+    # dpttrf factors (d, e) of the SPD matrices I - w*L, L the J x J
+    # second-difference stencil: B (w = c_B) and the reduced matrix
+    # (w = c_B + c_T*dt)
+    b_factor: tuple[np.ndarray, np.ndarray]
     reduced_factor: tuple[np.ndarray, np.ndarray]
 
 
+def _factor(J: int, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """dpttrf factor of I - w*L (diagonal 1 + 2w, off-diagonals -w)."""
+    # the wrapper wants a nonempty off-diagonal even at J = 1 (LAPACK ignores it)
+    d, e, info = dpttrf(np.full(J, 1.0 + 2.0 * w), np.full(max(J - 1, 1), -w))
+    if info != 0:
+        raise SingularPivot(f"dpttrf: I - {w:g} L not positive definite (info={info})")
+    return d, e
+
+
+def _solve(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    x, info = dpttrs(*factor, rhs)
+    if info != 0:
+        raise SingularPivot(f"dpttrs: illegal argument {-info}")
+    return x
+
+
 def assemble(params: MaterialParams, grid: Grid) -> AssembledOperators:
-    """Build the stencils and scalar factors for one (params, grid) pair."""
+    """Build the scalar weights and the factors of B and of the reduced
+    matrix for one (params, grid) pair."""
     J, dx, dt = grid.J, grid.dx, grid.dt
     s = params.tau_q + dt
     rc = params.rho_c
@@ -90,35 +110,10 @@ def assemble(params: MaterialParams, grid: Grid) -> AssembledOperators:
     c_Q = params.k * dt / (s * dx)
     c_r = params.tau_q / s
     c_flux = dt / (rc * dx)
-    off = np.ones(J - 1)
-    L = TridiagonalMatrix(lower=off, diag=-2.0 * np.ones(J), upper=off)
-    B = TridiagonalMatrix(lower=-c_B * off, diag=(1.0 + 2.0 * c_B) * np.ones(J),
-                          upper=-c_B * off)
-    w = c_B + c_T * dt
-    # the wrapper wants a nonempty off-diagonal even at J = 1 (LAPACK ignores it)
-    d, e, info = dpttrf(np.full(J, 1.0 + 2.0 * w), np.full(max(J - 1, 1), -w))
-    if info != 0:
-        raise SingularPivot(f"dpttrf: reduced matrix not positive definite "
-                            f"(info={info})")
-    return AssembledOperators(J=J, dx=dx, dt=dt, L=L, B=B, c_B=c_B, c_T=c_T,
-                              c_q=c_q, c_Q=c_Q, c_r=c_r, c_flux=c_flux,
-                              reduced_factor=(d, e))
-
-
-def aq_matrix(J: int) -> DenseMatrix:
-    """(J+1) x J flux-divergence map: unit diagonal, -1 subdiagonal, final row -1."""
-    a = np.zeros((J + 1, J))
-    a[np.arange(J), np.arange(J)] = 1.0
-    a[np.arange(1, J + 1), np.arange(J)] = -1.0
-    return DenseMatrix(a)
-
-
-def at_matrix(J: int) -> DenseMatrix:
-    """J x (J+1) temperature-difference map: -1 diagonal, +1 superdiagonal."""
-    a = np.zeros((J, J + 1))
-    a[np.arange(J), np.arange(J)] = -1.0
-    a[np.arange(J), np.arange(1, J + 1)] = 1.0
-    return DenseMatrix(a)
+    return AssembledOperators(J=J, dx=dx, dt=dt, c_B=c_B, c_T=c_T, c_q=c_q,
+                              c_Q=c_Q, c_r=c_r, c_flux=c_flux,
+                              b_factor=_factor(J, c_B),
+                              reduced_factor=_factor(J, c_B + c_T * dt))
 
 
 _ZERO = np.zeros(1)
@@ -135,13 +130,6 @@ def _apply_aq(q_interior: np.ndarray) -> np.ndarray:
     return q[1:] - q[:-1]
 
 
-def _solve_reduced(ops: AssembledOperators, rhs: np.ndarray) -> np.ndarray:
-    x, info = dpttrs(*ops.reduced_factor, rhs)
-    if info != 0:
-        raise SingularPivot(f"dpttrs: illegal argument {-info}")
-    return x
-
-
 def _advance_split(ops: AssembledOperators, e: np.ndarray,
                    qi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One coupled step on the fluctuation e of a mean/fluctuation split.
@@ -151,14 +139,14 @@ def _advance_split(ops: AssembledOperators, e: np.ndarray,
     fluctuation, which keeps conservation and dissipation checks meaningful
     near equilibrium where e is ~10 orders below m.
     """
-    qi_next = _solve_reduced(ops, ops.c_r * qi - ops.c_Q * (e[1:] - e[:-1]))
+    qi_next = _solve(ops.reduced_factor, ops.c_r * qi - ops.c_Q * (e[1:] - e[:-1]))
     return e - ops.c_flux * _apply_aq(qi_next), qi_next
 
 
 def _advance_printed(ops: AssembledOperators, T: np.ndarray,
                      qi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    binv_at_T = thomas_solve(ops.B, np.diff(T))
-    binv_q = thomas_solve(ops.B, qi)
+    binv_at_T = _solve(ops.b_factor, np.diff(T))
+    binv_q = _solve(ops.b_factor, qi)
     T_next = T + ops.c_T * _apply_aq(binv_at_T) - ops.c_q * _apply_aq(binv_q)
     qi_next = ops.c_r * binv_q - ops.c_Q * binv_at_T
     # the explicit correction can overflow; stop at the first bad level
@@ -174,7 +162,7 @@ def step_coupled(ops: AssembledOperators, params: MaterialParams, grid: Grid,
     With tau_q = mu2 = 0 this is implicit Euler for rho*c*T_t = -q_x,
     q = -k*T_x, the fourier_limit stepper.
     """
-    _check_state(grid, prev)
+    _require_on_grid(prev, grid, "prev")
     m = float(np.mean(prev.T))
     e_next, qi_next = _advance_split(ops, prev.T - m, prev.q_interior)
     return State(T=m + e_next, q=_padded(qi_next))
@@ -184,25 +172,26 @@ def step_vectorial_as_printed(ops: AssembledOperators, params: MaterialParams,
                               grid: Grid, prev: State) -> State:
     """Advance one step by the closed-form vectorial update, verbatim.
 
-    Both updates read level n-1 only and every B^{-1} application is a
-    tridiagonal solve.  Not equivalent to step_coupled at finite dt; use
+    Both updates read level n-1 only and every B^{-1} application is one
+    solve with the factor of B.  Not equivalent to step_coupled at finite dt; use
     for gap measurement.  In the Fourier limit the explicit temperature
     correction is unstable at practical meshes, so long runs can overflow.
     """
-    _check_state(grid, prev)
+    _require_on_grid(prev, grid, "prev")
     T_next, qi_next = _advance_printed(ops, prev.T, prev.q_interior)
     return State(T=T_next, q=_padded(qi_next))
 
 
 def assemble_coupled_system(params: MaterialParams, grid: Grid,
-                            prev: State) -> tuple[BandedMatrix, np.ndarray]:
+                            prev: State) -> tuple[np.ndarray, np.ndarray]:
     """Verbatim interleaved assembly of the implicit step equations.
 
     Unknowns are ordered (T_0, q_1, T_1, q_2, ..., T_J); rows are the
-    untransformed step equations, giving bandwidth 2.  Used as the
-    brute-force route that step_coupled is checked against.
+    untransformed step equations (bandwidth 2), returned as a dense
+    (2J+1) x (2J+1) matrix and right-hand side: the brute-force route
+    that step_coupled is checked against.
     """
-    _check_state(grid, prev)
+    _require_on_grid(prev, grid, "prev")
     J, dx, dt = grid.J, grid.dx, grid.dt
     rc = params.rho_c
     n = 2 * J + 1
@@ -233,7 +222,7 @@ def assemble_coupled_system(params: MaterialParams, grid: Grid,
         a[r, i_T(j)] += params.k / dx
         a[r, i_T(j - 1)] -= params.k / dx
         b[r] = params.tau_q / dt * prev.q[j]
-    return BandedMatrix.from_dense(DenseMatrix(a), p=2), b
+    return a, b
 
 
 def step_coupled_reference(params: MaterialParams, grid: Grid,
@@ -243,7 +232,7 @@ def step_coupled_reference(params: MaterialParams, grid: Grid,
     O(J^3); intended for small J cross-checks of step_coupled.
     """
     system, b = assemble_coupled_system(params, grid, prev)
-    x = dense_solve(system.to_dense(), b)
+    x = dense_solve(system, b)
     q = np.zeros(grid.J + 2)
     q[1:-1] = x[1::2]
     return State(T=x[0::2], q=q)
@@ -265,12 +254,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _check_state(grid: Grid, state: State) -> None:
-    if state.T.size != grid.J + 1:
-        raise GridMismatch(
-            f"state has {state.T.size} temperature nodes, grid expects {grid.J + 1}")
-
-
 def run(params: MaterialParams, config: SimulationConfig, init: State,
         stride: int = 1) -> Trajectory:
     """Advance init over the full time mesh with the configured stepper.
@@ -284,7 +267,7 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     if stride < 1:
         raise ValueError("stride must be >= 1")
     grid = build_grid(params, config)
-    _check_state(grid, init)
+    _require_on_grid(init, grid, "init")
     kind = config.stepper_kind
     if kind == StepperKind.FOURIER_LIMIT and not params.is_fourier:
         raise InvalidLimit("fourier_limit stepper needs tau_q = mu2 = 0")

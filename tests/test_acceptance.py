@@ -12,15 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from gkheat import (StepperKind, build_grid, cosine_initial, decay_constants,
-                    envelope_check, fit_energy_decay_rate,
-                    lyapunov_sandwich_check, mode_decay_oracle, run,
-                    step_coupled, step_coupled_reference,
-                    step_vectorial_as_printed, zero_mean_initial)
-from gkheat.diagnostics import DISSIPATION_RTOL
+from gkheat import (StepperKind, build_grid, checks, cosine_initial,
+                    decay_constants, mode_decay_oracle, run, zero_mean_initial)
 from gkheat.model import MaterialParams, SimulationConfig
-from gkheat.scheme import assemble
-from gkheat.discretization import State
 
 REF_PARAMS = MaterialParams(rho=2e3, c=5e2, tau_q=8e-3, mu2=2.8e-3, k=2e3, l=0.1)
 REF_CONFIG = SimulationConfig(dx=2e-4, dt=1.2e-2, t_final=30.0, T_b=15.0, T_f=30.0)
@@ -52,33 +46,23 @@ def zero_mean():
     return run(REF_PARAMS, cfg, init, stride=grid.N + 1)
 
 
-def _refined_zero_mean_run(params: MaterialParams):
-    cfg = SimulationConfig(dx=2e-4, dt=1.5e-3, t_final=6.0, T_b=0.0, T_f=30.0)
-    grid = build_grid(params, cfg)
-    return run(params, cfg, zero_mean_initial(grid, cfg.T_f), stride=grid.N + 1)
-
-
 def test_criterion_1_discrete_dissipation(reference_run):
     traj, elapsed = reference_run
-    lhs = traj.trace.diss_lhs[1:]
-    rhs = traj.trace.diss_rhs[1:]
-    slack = DISSIPATION_RTOL * np.maximum(1.0, np.abs(lhs))
-    margin = rhs + slack - lhs
-    ok = bool(np.all(margin >= 0.0)) and elapsed < 5.0
-    report("C1 discrete dissipation",
-           ok, f"{lhs.size} steps, min margin {margin.min():.3e}, "
-               f"runtime {elapsed:.2f} s < 5 s")
+    res = checks.dissipation_inequality(traj.trace)
+    report("C1 discrete dissipation", res.ok and elapsed < 5.0,
+           f"{len(traj.trace) - 1} steps, {res.detail}, "
+           f"runtime {elapsed:.2f} s < 5 s")
 
 
 def test_criterion_2_energy_monotonicity_and_equilibrium(reference_run):
     traj, _ = reference_run
     E = traj.trace.E
-    monotone = bool(np.all(np.diff(E) <= 1e-12 * E[0]))
+    monotone = checks.energy_monotone(traj.trace)
     nonnegative = bool(np.all(E >= 0.0))
     rel = abs(E[-1] / CLOSED_FORM_EQUILIBRIUM - 1.0)
-    ok = monotone and nonnegative and rel <= 5e-3
+    ok = monotone.ok and nonnegative and rel <= 5e-3
     report("C2 energy monotonicity and equilibrium",
-           ok, f"final E {E[-1]:.6e} vs closed form "
+           ok, f"{monotone.detail}; final E {E[-1]:.6e} vs closed form "
                f"{CLOSED_FORM_EQUILIBRIUM:.6e} ({100 * rel:.3f}% <= 0.5%); "
                f"reported reference level {REPORTED_EQUILIBRIUM:.3e} differs "
                f"from the closed form by "
@@ -86,38 +70,20 @@ def test_criterion_2_energy_monotonicity_and_equilibrium(reference_run):
 
 
 def test_criterion_3_heat_conservation(reference_run, zero_mean):
-    worst = 0.0
-    for traj in (reference_run[0], zero_mean):
-        h = traj.trace.heat
-        worst = max(worst, float(np.max(np.abs(h - h[0])) / abs(h[0])))
-    report("C3 heat conservation", worst <= 1e-12,
-           f"max relative drift {worst:.3e} <= 1e-12 on both runs")
+    results = [checks.heat_conservation(traj.trace)
+               for traj in (reference_run[0], zero_mean)]
+    report("C3 heat conservation", all(r.ok for r in results),
+           "reference " + "; zero-mean ".join(r.detail for r in results)
+           + " <= 1e-12")
 
 
 def test_criterion_4_oracle_equivalence():
-    rng = np.random.default_rng(2718)
     t0 = time.perf_counter()
-    worst = 0.0
-    for J in range(2, 9):
-        cfg = dataclasses.replace(REF_CONFIG, dx=REF_PARAMS.l / (J + 1),
-                                  t_final=REF_CONFIG.dt)
-        grid = build_grid(REF_PARAMS, cfg)
-        ops = assemble(REF_PARAMS, grid)
-        for _ in range(10):
-            q = np.zeros(J + 2)
-            q[1:-1] = rng.normal(0.0, 1e4, J)
-            prev = State(T=rng.normal(15.0, 10.0, J + 1), q=q)
-            fast = step_coupled(ops, REF_PARAMS, grid, prev)
-            ref = step_coupled_reference(REF_PARAMS, grid, prev)
-            worst = max(
-                worst,
-                float(np.max(np.abs(fast.T - ref.T)) / np.max(np.abs(ref.T))),
-                float(np.max(np.abs(fast.q - ref.q)) / np.max(np.abs(ref.q))))
+    res = checks.oracle_equivalence(REF_PARAMS, REF_CONFIG,
+                                    np.random.default_rng(2718))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-10 and elapsed < 1.0
-    report("C4 oracle equivalence (J=2..8)",
-           ok, f"worst rel gap to dense brute force {worst:.3e} <= 1e-10, "
-               f"runtime {elapsed:.2f} s < 1 s")
+    report("C4 oracle equivalence (J=2..8)", res.ok and elapsed < 1.0,
+           f"{res.detail} <= 1e-10, runtime {elapsed:.2f} s < 1 s")
 
 
 def test_criterion_5_decay_envelope(reference_run, zero_mean):
@@ -127,37 +93,24 @@ def test_criterion_5_decay_envelope(reference_run, zero_mean):
     assert dc.omega == pytest.approx(0.1041, rel=1e-3)
     assert dc.M == pytest.approx(3.0025, rel=1e-4)
     assert dc.gamma0 == pytest.approx(78.125, rel=1e-12)
-    rep_i = envelope_check(reference_run[0].trace, dc, zero_mean=False)
-    rep_ii = envelope_check(zero_mean.trace, dc, zero_mean=True)
-    ok = rep_i.ok and rep_ii.ok
-    report("C5 decay envelope",
-           ok, f"offset bound max E/bound {rep_i.max_ratio:.3f} "
-               f"(sup|C_T|={rep_i.sup_CT:.4e}); pure bound max E/bound "
-               f"{rep_ii.max_ratio:.3f}")
+    rep_i = checks.decay_envelope(reference_run[0].trace, REF_PARAMS, zero_mean=False)
+    rep_ii = checks.decay_envelope(zero_mean.trace, REF_PARAMS, zero_mean=True)
+    report("C5 decay envelope", rep_i.ok and rep_ii.ok,
+           f"{rep_i.detail}; {rep_ii.detail}")
 
 
 def test_criterion_6_spectral_rates():
+    # zero-mean runs at dt/8 = 1.5e-3 over 6 s, fitted on [0.5, 5] s
     slow, _ = mode_decay_oracle(REF_PARAMS, 1)
-    gk_target = 2.0 * abs(slow.real)
-    assert gk_target == pytest.approx(1.05, rel=1e-3)
-    gk_traj = _refined_zero_mean_run(REF_PARAMS)
-    gk_fit = fit_energy_decay_rate(gk_traj.trace, REF_PARAMS)
-    gk_rel = abs(gk_fit / gk_target - 1.0)
-
+    assert 2.0 * abs(slow.real) == pytest.approx(1.05, rel=1e-3)
     fourier = dataclasses.replace(REF_PARAMS, tau_q=0.0, mu2=0.0)
     f_slow, f_fast = mode_decay_oracle(fourier, 1)
     assert f_fast is None
-    f_target = 2.0 * abs(f_slow.real)
-    assert f_target == pytest.approx(3.948, rel=1e-3)
-    f_traj = _refined_zero_mean_run(fourier)
-    f_fit = fit_energy_decay_rate(f_traj.trace, fourier)
-    f_rel = abs(f_fit / f_target - 1.0)
-
-    ok = gk_rel <= 0.02 and f_rel <= 0.02
-    report("C6 spectral rates at dt=1.5e-3",
-           ok, f"gk fitted {gk_fit:.5f} vs 2|lambda_slow| {gk_target:.5f} "
-               f"({100 * gk_rel:.3f}%); fourier fitted {f_fit:.5f} vs "
-               f"{f_target:.5f} ({100 * f_rel:.3f}%)")
+    assert 2.0 * abs(f_slow.real) == pytest.approx(3.948, rel=1e-3)
+    gk = checks.mode_rate_fit(REF_PARAMS, REF_CONFIG)
+    f = checks.mode_rate_fit(fourier, REF_CONFIG)
+    report("C6 spectral rates at dt=1.5e-3", gk.ok and f.ok,
+           f"gk {gk.detail}; fourier {f.detail}")
 
 
 def test_criterion_7_fourier_limit_consistency():
@@ -168,26 +121,17 @@ def test_criterion_7_fourier_limit_consistency():
     traj_f = run(params, dataclasses.replace(
         cfg, stepper_kind=StepperKind.FOURIER_LIMIT), init)
     traj_c = run(params, cfg, init)
-    worst = 0.0
-    for a, b in zip(traj_f.states, traj_c.states):
-        worst = max(worst,
-                    float(np.max(np.abs(a.T - b.T)) / np.max(np.abs(b.T))))
-        qs = np.max(np.abs(b.q))
-        if qs > 0:
-            worst = max(worst, float(np.max(np.abs(a.q - b.q)) / qs))
+    worst = max(checks.state_gap(a, b)
+                for a, b in zip(traj_f.states, traj_c.states, strict=True))
     report("C7 fourier-limit consistency", worst <= 1e-12,
            f"max relative gap over {len(traj_f.states)} levels {worst:.3e}")
 
 
 def test_criterion_8_lyapunov_sandwich(reference_run, zero_mean):
-    rep_i = lyapunov_sandwich_check(reference_run[0].trace, REF_PARAMS)
-    rep_z = lyapunov_sandwich_check(zero_mean.trace, REF_PARAMS)
-    ok = rep_i.ok and rep_z.ok
-    report("C8 lyapunov sandwich",
-           ok, f"case I ratios [{rep_i.min_lower_ratio:.3f}, "
-               f"{rep_i.max_upper_ratio:.3f}]; zero-mean ratios "
-               f"[{rep_z.min_lower_ratio:.3f}, {rep_z.max_upper_ratio:.3f}] "
-               f"within 1% slack")
+    rep_i = checks.lyapunov_sandwich(reference_run[0].trace, REF_PARAMS)
+    rep_z = checks.lyapunov_sandwich(zero_mean.trace, REF_PARAMS)
+    report("C8 lyapunov sandwich", rep_i.ok and rep_z.ok,
+           f"case I {rep_i.detail}; zero-mean {rep_z.detail}, within 1% slack")
 
 
 def test_criterion_9_as_printed_gap_characterization():
@@ -195,19 +139,8 @@ def test_criterion_9_as_printed_gap_characterization():
     # solve, under dt halving from 1e-4; the exact contraction order is
     # 1 - O(dt/(tau_q + dt)), so the halving ratio is pinned at <= 0.56
     # (ideal linear halving would give 0.5)
-    gaps = []
-    for dt in (1e-4, 5e-5, 2.5e-5):
-        cfg = dataclasses.replace(REF_CONFIG, dt=dt, t_final=dt)
-        grid = build_grid(REF_PARAMS, cfg)
-        ops = assemble(REF_PARAMS, grid)
-        init = cosine_initial(grid, cfg.T_b, cfg.T_f)
-        printed = step_vectorial_as_printed(ops, REF_PARAMS, grid, init)
-        coupled = step_coupled(ops, REF_PARAMS, grid, init)
-        gaps.append(max(
-            float(np.max(np.abs(printed.T - coupled.T))
-                  / np.max(np.abs(coupled.T))),
-            float(np.max(np.abs(printed.q - coupled.q))
-                  / np.max(np.abs(coupled.q)))))
+    gaps = [gap for _, gap in checks.printed_gaps(
+        REF_PARAMS, dataclasses.replace(REF_CONFIG, dt=1e-4))]
     r1, r2 = gaps[1] / gaps[0], gaps[2] / gaps[1]
     order = np.log(gaps[0] / gaps[2]) / np.log(4.0)
     ok = r1 <= 0.56 and r2 <= 0.56

@@ -1,0 +1,81 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from gkheat import State, checks
+from gkheat.diagnostics import EnergyTrace
+from gkheat.model import MaterialParams, SimulationConfig
+
+PARAMS = MaterialParams(rho=2e3, c=5e2, tau_q=8e-3, mu2=2.8e-3, k=2e3, l=0.1)
+CONFIG = SimulationConfig(dx=2e-3, dt=1.2e-2, t_final=1.2, T_b=15.0, T_f=30.0)
+
+
+def make_trace(E=(4.0, 3.0, 2.0), heat=(1.0, 1.0, 1.0), lhs=(0.0, -1.0, -1.0),
+               rhs=(0.0, -2.0, -1.0)):
+    n = len(E)
+    z = np.zeros(n)
+    return EnergyTrace(t=np.arange(n, dtype=float), E=np.asarray(E, float),
+                       diss_lhs=np.asarray(lhs, float), diss_rhs=np.asarray(rhs, float),
+                       heat=np.asarray(heat, float), C_T=z.copy(), lyapunov=z.copy(),
+                       Z=z.copy())
+
+
+class TestTraceChecks:
+    def test_monotone(self):
+        assert checks.energy_monotone(make_trace()).ok
+        # the jump allowance is 1e-12 * max(E0, 1)
+        res = checks.energy_monotone(make_trace(E=(0.5, 0.5 + 2e-12, 0.1)))
+        assert not res.ok and res.name == "energy_monotone"
+        assert res.detail == "max energy increase 2.000e-12"
+        assert checks.energy_monotone(make_trace(E=(0.5, 0.5 + 0.9e-12, 0.1))).ok
+
+    def test_dissipation(self):
+        # lhs <= rhs + 1e-12 * max(1, |lhs|); row 0 is not a step
+        ok = checks.dissipation_inequality(make_trace(lhs=(9.0, -2.0, -1.0)))
+        assert ok.ok and ok.detail == "min margin 1.000e-12"
+        bad = checks.dissipation_inequality(make_trace(lhs=(0.0, -1.0, -1.0 + 2e-12)))
+        assert not bad.ok
+        assert checks.dissipation_inequality(make_trace(E=(1.0,), heat=(1.0,),
+                                                        lhs=(0.0,), rhs=(0.0,))).detail \
+            == "no steps"
+
+    def test_heat(self):
+        assert checks.heat_conservation(make_trace(heat=(2.0, 2.0, 2.0 + 1e-12))).ok
+        res = checks.heat_conservation(make_trace(heat=(2.0, 2.0, 2.0 + 1e-11)))
+        assert not res.ok
+        assert checks.heat_drift(make_trace(heat=(2.0, 1.5, 2.25))) == 0.5
+        # zero total heat must stay exactly zero
+        assert checks.heat_conservation(make_trace(heat=(0.0, 0.0, 0.0))).ok
+        assert not checks.heat_conservation(make_trace(heat=(0.0, 1e-30, 0.0))).ok
+
+
+class TestStateGap:
+    def test_relative_to_second_state(self):
+        # the larger of max|dT|/max|T_b| and max|dq|/max|q_b|
+        a = State(T=[1.0, 2.0], q=[0.0, 10.0, 0.0])
+        b = State(T=[1.0, 4.0], q=[0.0, 11.0, 0.0])
+        assert checks.state_gap(a, b) == pytest.approx(0.5, rel=1e-15)
+        c = State(T=[1.0, 4.0], q=[0.0, 1.0, 0.0])
+        assert checks.state_gap(c, b) == pytest.approx(10.0 / 11.0, rel=1e-15)
+        assert checks.state_gap(b, b) == 0.0
+
+    def test_zero_flux_reference(self):
+        a = State(T=[1.0, 2.0], q=[0.0, 0.0, 0.0])
+        assert checks.state_gap(a, a) == 0.0
+
+
+class TestRunChecks:
+    def test_oracle_is_deterministic_per_seed(self):
+        a = checks.oracle_equivalence(PARAMS, CONFIG, np.random.default_rng(5))
+        b = checks.oracle_equivalence(PARAMS, CONFIG, np.random.default_rng(5))
+        assert a == b and a.ok
+
+    def test_printed_gaps_halve_dt(self):
+        gaps = checks.printed_gaps(PARAMS, CONFIG)
+        assert [dt for dt, _ in gaps] == [1.2e-2, 6e-3, 3e-3]
+        assert all(gap > 0.0 for _, gap in gaps)
+
+    def test_rate_fit_zero_data(self):
+        res = checks.mode_rate_fit(PARAMS, dataclasses.replace(CONFIG, T_f=0.0))
+        assert res.ok and res.detail == "zero initial data, nothing to fit"

@@ -5,9 +5,8 @@ import pytest
 
 from gkheat import (NonPositiveCoefficient, ParseError, StepperKind, UnknownKey,
                     build_grid, cosine_initial, run)
-from gkheat.cli import (REFERENCE_DEFAULTS, TRACE_COLUMNS, CsvTraceRow, _fmt,
-                        cmd_run, cmd_sweep, cmd_verify, main, parse_config,
-                        read_trace_csv)
+from gkheat.cli import (TRACE_COLUMNS, _fmt, cmd_run, cmd_sweep, cmd_verify,
+                        main, parse_config)
 
 FAST_CONFIG = """\
 # coarse mesh, short horizon: keeps file-shape tests quick
@@ -16,6 +15,14 @@ dt = 1.2e-2
 t_final = 1.2
 stride = 20
 """
+
+
+def read_trace(path):
+    """trace.csv as a structured array keyed by TRACE_COLUMNS, header checked."""
+    with open(path, encoding="utf-8") as f:
+        assert f.readline() == ",".join(TRACE_COLUMNS) + "\n"
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
+                      dtype=[(name, float) for name in TRACE_COLUMNS])
 
 
 class TestParseConfig:
@@ -94,9 +101,9 @@ class TestCmdRun:
             assert (run_dir / name).is_file()
 
     def test_trace_schema_and_roundtrip(self, run_dir):
-        rows = read_trace_csv(run_dir / "trace.csv")
-        assert rows[0].n == 0 and rows[0].t == 0.0
-        assert len(rows) == 101
+        rows = read_trace(run_dir / "trace.csv")
+        assert rows["n"][0] == 0 and rows["t"][0] == 0.0
+        assert np.array_equal(rows["n"], np.arange(101))
         # 17 significant digits round-trip bit-faithfully
         text = (run_dir / "trace.csv").read_text().splitlines()
         for lineno in (1, 17, 100):
@@ -105,13 +112,12 @@ class TestCmdRun:
                 assert format(float(p), ".17g") == p
 
     def test_trace_is_physical(self, run_dir):
-        rows = read_trace_csv(run_dir / "trace.csv")
-        E = np.array([r.E for r in rows])
-        heat = np.array([r.heat for r in rows])
+        rows = read_trace(run_dir / "trace.csv")
+        E, heat = rows["E"], rows["heat"]
         assert np.all(E >= 0.0)
         assert np.all(np.diff(E) <= 1e-12 * E[0])
         assert np.max(np.abs(heat - heat[0])) <= 1e-12 * abs(heat[0])
-        assert rows[0].diss_lhs == 0.0 and rows[0].diss_rhs == 0.0
+        assert rows["diss_lhs"][0] == 0.0 and rows["diss_rhs"][0] == 0.0
 
     def test_profiles_shape(self, run_dir):
         lines = (run_dir / "profiles.csv").read_text().splitlines()
@@ -174,10 +180,10 @@ class TestCmdRun:
         # the closed-form equilibrium within 0.5%
         manifest = parse_config(f"out_dir = {tmp_path / 'ref'}\n")
         assert cmd_run(manifest) == 0
-        rows = read_trace_csv(tmp_path / "ref" / "trace.csv")
+        rows = read_trace(tmp_path / "ref" / "trace.csv")
         assert len(rows) == 2501
-        assert rows[-1].E == pytest.approx(1.125e7, rel=5e-3)
-        assert rows[-1].t == pytest.approx(30.0, rel=1e-12)
+        assert rows["E"][-1] == pytest.approx(1.125e7, rel=5e-3)
+        assert rows["t"][-1] == pytest.approx(30.0, rel=1e-12)
 
     def test_nonpositive_stride_rejected(self):
         with pytest.raises(ParseError):
@@ -269,6 +275,15 @@ class TestMain:
         cfg.write_text(FAST_CONFIG + line + f"\nout_dir = {tmp_path / 'o'}\n")
         assert main(["run", "-c", str(cfg)]) == 1
         assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line", ["t_final = 1e300", "dx = 1e-300"])
+    def test_huge_mesh_exits_one(self, tmp_path, capsys, line):
+        # refused by the mesh-size cap before anything is allocated
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(line + f"\nout_dir = {tmp_path / 'o'}\n")
+        assert main(["run", "-c", str(cfg)]) == 1
+        assert "mesh points" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_duplicate_key_exits_one(self, tmp_path):

@@ -26,7 +26,6 @@ def make_trace(t, E, C_T=None, heat=None, lyap=None):
                        diss_lhs=z.copy(), diss_rhs=z.copy(),
                        heat=z.copy() if heat is None else np.asarray(heat, float),
                        C_T=z.copy() if C_T is None else np.asarray(C_T, float),
-                       F=z.copy(),
                        lyapunov=z.copy() if lyap is None else np.asarray(lyap, float),
                        Z=z.copy())
 
@@ -290,11 +289,12 @@ class TestTraceChecksOnShortRun:
         traj = run(ref_params, cfg, cosine_initial(grid, T_b, 30.0))
         trace, dx = traj.trace, grid.dx
         assert traj.stored_steps == list(range(grid.N + 2))
+        # lyapunov() returns (F, L); L = weight*E + F carries F
         by_state = np.array([
             (discrete_energy(s, ref_params, dx), total_heat(s, dx),
-             boundary_term(s, ref_params, dx), *lyapunov(s, ref_params, dx))
+             boundary_term(s, ref_params, dx), lyapunov(s, ref_params, dx)[1])
             for s in traj.states])
-        for col, got in enumerate((trace.E, trace.heat, trace.C_T, trace.F,
+        for col, got in enumerate((trace.E, trace.heat, trace.C_T,
                                    trace.lyapunov)):
             ref = by_state[:, col]
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), col
@@ -332,7 +332,7 @@ class TestTraceChecksOnShortRun:
                 + p.tau_q * dx * (tail[1:] @ qn)
             w_L = 2.0 * p.l**2 + 2.0 * p.mu2 + p.tau_q * p.k / p.rho_c
             expected.append((E, lhs, rhs, heat,
-                             (p.mu2 * qn[0] / dx - p.k * T[0]) * heat, F, w_L * E + F))
+                             (p.mu2 * qn[0] / dx - p.k * T[0]) * heat, w_L * E + F))
         expected = np.array(expected)
         got = split_trace_rows(p, grid, m, e, q, first=0)
         assert got.shape == expected.shape

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gkheat import (GridMismatch, NonDivisibleMesh, State, build_grid,
-                    cosine_initial, pointwise_residual, residual_scales,
-                    zero_mean_initial)
-from gkheat import assemble, step_coupled
+from gkheat import (GridMismatch, MeshTooLarge, NonDivisibleMesh, State,
+                    build_grid, cosine_initial, pointwise_residual,
+                    residual_scales, zero_mean_initial)
+from gkheat import assemble, discretization, step_coupled
 from gkheat.model import MaterialParams, SimulationConfig
 
 
@@ -42,6 +42,28 @@ class TestBuildGrid:
         cfg = SimulationConfig(dx=1.0, dt=1.0, t_final=1.0, T_b=0.0, T_f=1.0)
         with pytest.raises(NonDivisibleMesh):
             build_grid(p, cfg)
+
+    @pytest.mark.parametrize("field", ["dx", "t_final"])
+    def test_mesh_size_cap(self, monkeypatch, field):
+        # J+2 nodes and N+2 levels may reach the cap, not pass it
+        monkeypatch.setattr(discretization, "MAX_MESH_POINTS", 12)
+        p = MaterialParams(rho=1.0, c=1.0, tau_q=0.0, mu2=0.0, k=1.0, l=1.0)
+        at_cap = {"dx": 1.0 / 11, "t_final": 11.0}[field]
+        over = {"dx": 1.0 / 12, "t_final": 12.0}[field]
+        cfg = SimulationConfig(dx=0.5, dt=1.0, t_final=1.0, T_b=0.0, T_f=1.0)
+        grid = build_grid(p, dataclasses.replace(cfg, **{field: at_cap}))
+        assert max(grid.x.size, grid.t.size) == 12
+        with pytest.raises(MeshTooLarge):
+            build_grid(p, dataclasses.replace(cfg, **{field: over}))
+
+    @pytest.mark.parametrize("field,value", [("t_final", 1e300), ("dx", 1e-300),
+                                             ("t_final", 1e308)])
+    def test_huge_mesh_rejected_before_allocation(self, field, value):
+        # 1e308 / 1e-3 overflows the step count to inf
+        p = MaterialParams(rho=1.0, c=1.0, tau_q=0.0, mu2=0.0, k=1.0, l=1.0)
+        cfg = SimulationConfig(dx=0.5, dt=1e-3, t_final=1.0, T_b=0.0, T_f=1.0)
+        with pytest.raises(MeshTooLarge):
+            build_grid(p, dataclasses.replace(cfg, **{field: value}))
 
 
 class TestState:

@@ -1,84 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from gkheat import (BandedMatrix, DenseMatrix, DimensionMismatch, SingularMatrix,
-                    SingularPivot, TridiagonalMatrix, banded_lu_solve,
-                    cosine_initial, dense_solve, matvec, thomas_solve)
-from gkheat.discretization import build_grid
-from gkheat.model import MaterialParams, SimulationConfig
-from gkheat.scheme import assemble_coupled_system
-
-
-def random_dd_tridiag(rng, n):
-    """Random strictly diagonally dominant tridiagonal system."""
-    lower = rng.uniform(-1.0, 1.0, n - 1)
-    upper = rng.uniform(-1.0, 1.0, n - 1)
-    diag = 2.5 + rng.uniform(0.0, 1.0, n)
-    return TridiagonalMatrix(lower=lower, diag=diag, upper=upper)
-
-
-class TestThomas:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        b = rng.normal(size=12)
-        A = TridiagonalMatrix(lower=np.zeros(11), diag=np.ones(12),
-                              upper=np.zeros(11))
-        np.testing.assert_array_equal(thomas_solve(A, b), b)
-
-    def test_two_by_two_against_hand_inversion(self):
-        # [[2, 1], [1, 2]] x = (3, 3)  =>  x = (1, 1)
-        A = TridiagonalMatrix(lower=[1.0], diag=[2.0, 2.0], upper=[1.0])
-        np.testing.assert_allclose(thomas_solve(A, [3.0, 3.0]), [1.0, 1.0],
-                                   rtol=1e-14)
-
-    def test_matches_dense_oracle_n50(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            A = random_dd_tridiag(rng, 50)
-            b = rng.normal(size=50)
-            x = thomas_solve(A, b)
-            x_ref = dense_solve(A.to_dense(), b)
-            np.testing.assert_allclose(x, x_ref, rtol=1e-11)
-
-    def test_matches_dense_oracle_all_orders(self):
-        rng = np.random.default_rng(2)
-        for n in range(1, 65):
-            A = random_dd_tridiag(rng, n) if n > 1 else TridiagonalMatrix(
-                lower=[], diag=[3.0], upper=[])
-            b = rng.normal(size=n)
-            np.testing.assert_allclose(thomas_solve(A, b),
-                                       dense_solve(A.to_dense(), b), rtol=1e-11)
-
-    def test_residual_bound(self):
-        rng = np.random.default_rng(3)
-        A = random_dd_tridiag(rng, 64)
-        b = rng.normal(size=64)
-        x = thomas_solve(A, b)
-        res = np.max(np.abs(matvec(A, x) - b))
-        norm_A = np.max(np.abs(A.to_dense().a).sum(axis=1))
-        assert res <= 1e-12 * (norm_A * np.max(np.abs(x)) + np.max(np.abs(b)))
-
-    def test_singular_pivot(self):
-        A = TridiagonalMatrix(lower=[0.0], diag=[0.0, 1.0], upper=[0.0])
-        with pytest.raises(SingularPivot):
-            thomas_solve(A, [1.0, 1.0])
-
-    def test_size_mismatch(self):
-        A = TridiagonalMatrix(lower=[1.0], diag=[2.0, 2.0], upper=[1.0])
-        with pytest.raises(DimensionMismatch):
-            thomas_solve(A, [1.0, 2.0, 3.0])
+from gkheat import DimensionMismatch, SingularMatrix, dense_solve
 
 
 class TestDense:
     def test_identity(self):
         b = np.arange(5.0)
-        np.testing.assert_array_equal(dense_solve(DenseMatrix(np.eye(5)), b), b)
+        np.testing.assert_array_equal(dense_solve(np.eye(5), b), b)
 
     def test_hand_elimination(self):
-        A = DenseMatrix([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(dense_solve(A, [3.0, 3.0]), [1.0, 1.0],
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        np.testing.assert_allclose(dense_solve(a, [3.0, 3.0]), [1.0, 1.0],
                                    rtol=1e-14)
 
     def test_self_consistency(self):
@@ -86,111 +19,22 @@ class TestDense:
         for _ in range(10):
             a = rng.normal(size=(20, 20)) + 20.0 * np.eye(20)
             b = rng.normal(size=20)
-            x = dense_solve(DenseMatrix(a), b)
+            x = dense_solve(a, b)
             np.testing.assert_allclose(a @ x, b, rtol=1e-10, atol=1e-10)
 
     def test_singular(self):
         with pytest.raises(SingularMatrix):
-            dense_solve(DenseMatrix(np.zeros((3, 3))), np.ones(3))
+            dense_solve(np.zeros((3, 3)), np.ones(3))
 
     def test_non_square(self):
         with pytest.raises(DimensionMismatch):
-            dense_solve(DenseMatrix(np.zeros((2, 3))), np.ones(2))
+            dense_solve(np.zeros((2, 3)), np.ones(2))
 
-
-def random_banded(rng, n, p):
-    a = np.zeros((n, n))
-    for d in range(-p, p + 1):
-        i0, i1 = max(0, -d), min(n, n - d)
-        a[np.arange(i0, i1), np.arange(i0, i1) + d] = rng.uniform(-1, 1, i1 - i0)
-    a[np.arange(n), np.arange(n)] = (2.0 * p + 1.5) + rng.uniform(0, 1, n)
-    return BandedMatrix.from_dense(DenseMatrix(a), p)
-
-
-class TestBandedLU:
-    def test_diagonal_is_elementwise_division(self):
-        d = np.array([2.0, -4.0, 0.5])
-        A = BandedMatrix(n=3, p=0, bands=d.reshape(1, 3))
-        np.testing.assert_allclose(banded_lu_solve(A, [2.0, -4.0, 1.0]),
-                                   [1.0, 1.0, 2.0], rtol=1e-15)
-
-    def test_tridiagonal_instances_match_thomas(self):
-        rng = np.random.default_rng(5)
-        for n in (1, 2, 7, 33):
-            T = random_dd_tridiag(rng, n) if n > 1 else TridiagonalMatrix(
-                lower=[], diag=[2.0], upper=[])
-            A = BandedMatrix.from_dense(T.to_dense(), 1)
-            b = rng.normal(size=n)
-            np.testing.assert_allclose(banded_lu_solve(A, b), thomas_solve(T, b),
-                                       rtol=1e-12, atol=1e-14)
-
-    def test_coupled_step_system_matches_dense(self, ref_params):
-        cfg = SimulationConfig(dx=ref_params.l / 7.0, dt=1.2e-2, t_final=1.2e-2,
-                               T_b=15.0, T_f=30.0)
-        grid = build_grid(ref_params, cfg)
-        assert grid.J == 6
-        system, b = assemble_coupled_system(
-            ref_params, grid, cosine_initial(grid, 15.0, 30.0))
-        x_band = banded_lu_solve(system, b)
-        x_dense = dense_solve(system.to_dense(), b)
-        np.testing.assert_allclose(x_band, x_dense, rtol=1e-10)
-
-    def test_matches_dense_oracle_all_orders(self):
-        rng = np.random.default_rng(6)
-        for n in (1, 2, 3, 5, 9, 17, 33, 64):
-            for p in (1, 2, 3):
-                if p >= n:
-                    continue
-                A = random_banded(rng, n, p)
-                b = rng.normal(size=n)
-                np.testing.assert_allclose(banded_lu_solve(A, b),
-                                           dense_solve(A.to_dense(), b),
-                                           rtol=1e-10, atol=1e-12)
-
-    def test_singular_pivot(self):
-        A = BandedMatrix(n=2, p=0, bands=np.array([[1.0, 0.0]]))
-        with pytest.raises(SingularPivot):
-            banded_lu_solve(A, [1.0, 1.0])
-
-    def test_entries_outside_band_rejected(self):
+    @pytest.mark.parametrize("a", [np.ones(4), np.ones((2, 2, 2))])
+    def test_not_two_dimensional(self, a):
         with pytest.raises(DimensionMismatch):
-            BandedMatrix.from_dense(DenseMatrix(np.ones((4, 4))), 1)
+            dense_solve(a, np.ones(2))
 
-
-class TestMatvec:
-    def test_identity(self):
-        x = np.arange(4.0)
-        A = TridiagonalMatrix(lower=np.zeros(3), diag=np.ones(4), upper=np.zeros(3))
-        np.testing.assert_array_equal(matvec(A, x), x)
-
-    def test_laplacian_row_sums(self):
-        # second-difference stencil at order 2: [[-2, 1], [1, -2]] @ (1, 1)
-        L = TridiagonalMatrix(lower=[1.0], diag=[-2.0, -2.0], upper=[1.0])
-        np.testing.assert_array_equal(matvec(L, np.ones(2)), [-1.0, -1.0])
-
-    def test_flux_divergence_column(self):
-        # 2x1 forward-difference with both boundary fluxes pinned to zero
-        A = DenseMatrix([[1.0], [-1.0]])
-        np.testing.assert_array_equal(matvec(A, np.array([3.5])), [3.5, -3.5])
-
-    def test_banded_matches_dense(self):
-        rng = np.random.default_rng(8)
-        A = random_banded(rng, 12, 2)
-        x = rng.normal(size=12)
-        np.testing.assert_allclose(matvec(A, x), A.to_dense().a @ x, rtol=1e-13)
-
-    @given(alpha=st.floats(-10, 10), beta=st.floats(-10, 10),
-           seed=st.integers(0, 2**16))
-    @settings(deadline=None, max_examples=50)
-    def test_linearity(self, alpha, beta, seed):
-        rng = np.random.default_rng(seed)
-        A = random_dd_tridiag(rng, 9)
-        x, y = rng.normal(size=9), rng.normal(size=9)
-        lhs = matvec(A, alpha * x + beta * y)
-        rhs = alpha * matvec(A, x) + beta * matvec(A, y)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        A = TridiagonalMatrix(lower=[1.0], diag=[2.0, 2.0], upper=[1.0])
+    def test_rhs_size_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            matvec(A, np.ones(3))
+            dense_solve(np.eye(2), [1.0, 2.0, 3.0])

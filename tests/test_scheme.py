@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from gkheat import scheme
-from gkheat import (GridMismatch, InvalidLimit, State, StepperKind, aq_matrix,
-                    assemble, at_matrix, build_grid, cosine_initial, matvec,
-                    run, step_coupled, step_coupled_reference,
+from gkheat import (GridMismatch, InvalidLimit, SingularPivot, State,
+                    StepperKind, assemble, build_grid, cosine_initial, run,
+                    step_coupled, step_coupled_reference,
                     step_vectorial_as_printed, total_heat)
+from gkheat.checks import state_gap
 from gkheat.model import MaterialParams, SimulationConfig
 
 
@@ -26,10 +27,26 @@ def random_state(rng, J, t_scale=10.0, q_scale=1e4):
     return State(T=rng.normal(15.0, t_scale, J + 1), q=q)
 
 
-def rel_gap(a: State, b: State) -> float:
-    gT = np.max(np.abs(a.T - b.T)) / max(np.max(np.abs(b.T)), 1e-300)
-    gq = np.max(np.abs(a.q - b.q)) / max(np.max(np.abs(b.q)), 1e-300)
-    return max(gT, gq)
+def second_difference(J):
+    """J x J zero-flux second-difference stencil L: -2 diagonal, 1 off."""
+    return -2.0 * np.eye(J) + np.eye(J, k=1) + np.eye(J, k=-1)
+
+
+def aq_matrix(J):
+    """(J+1) x J flux-divergence map: unit diagonal, -1 subdiagonal."""
+    return np.eye(J + 1, J) - np.eye(J + 1, J, k=-1)
+
+
+def at_matrix(J):
+    """J x (J+1) temperature-difference map: -1 diagonal, +1 superdiagonal."""
+    return np.eye(J, J + 1, k=1) - np.eye(J, J + 1)
+
+
+def from_factor(factor):
+    """The matrix L D L^T of a dpttrf factor (d, e), L unit lower bidiagonal."""
+    d, e = factor
+    unit_lower = np.eye(d.size) + np.diag(e[:d.size - 1], k=-1)
+    return unit_lower @ np.diag(d) @ unit_lower.T
 
 
 class TestAssemble:
@@ -41,12 +58,12 @@ class TestAssemble:
         grid = build_grid(p, cfg)
         ops = assemble(p, grid)
         assert ops.c_B == pytest.approx(0.1, rel=1e-15)
-        np.testing.assert_allclose(ops.B.to_dense().a,
+        np.testing.assert_allclose(from_factor(ops.b_factor),
                                    [[1.2, -0.1], [-0.1, 1.2]], rtol=1e-15)
 
     def test_fourier_limit_kills_factors(self):
         p, cfg, grid, ops = small_setup(tau_q=0.0, mu2=0.0)
-        np.testing.assert_array_equal(ops.B.to_dense().a, np.eye(grid.J))
+        np.testing.assert_array_equal(from_factor(ops.b_factor), np.eye(grid.J))
         assert ops.c_r == 0.0
         assert ops.c_B == 0.0
         assert ops.c_q == 0.0
@@ -58,26 +75,32 @@ class TestAssemble:
 
     def test_stencils(self):
         p, cfg, grid, ops = small_setup(J=5)
-        assert np.all(ops.L.diag == -2.0)
-        assert np.all(ops.L.lower == 1.0) and np.all(ops.L.upper == 1.0)
-        # B = I - c_B * L
-        x = np.arange(1.0, 6.0)
-        np.testing.assert_allclose(matvec(ops.B, x), x - ops.c_B * matvec(ops.L, x),
+        L = second_difference(5)
+        # the two factors are of B = I - c_B L and I - (c_B + c_T dt) L
+        np.testing.assert_allclose(from_factor(ops.b_factor),
+                                   np.eye(5) - ops.c_B * L, rtol=1e-13)
+        np.testing.assert_allclose(from_factor(ops.reduced_factor),
+                                   np.eye(5) - (ops.c_B + ops.c_T * grid.dt) * L,
                                    rtol=1e-13)
         # B is strictly diagonally dominant
-        assert np.all(np.abs(ops.B.diag) > np.abs(ops.B.lower).max() * 2)
+        B = from_factor(ops.b_factor)
+        assert np.all(np.abs(np.diag(B)) > 2.0 * np.max(np.abs(np.diag(B, k=-1))))
+
+    def test_factor_rejects_indefinite_matrix(self):
+        # I - w L with w = -1/2 has a zero diagonal: not positive definite
+        with pytest.raises(SingularPivot):
+            scheme._factor(3, -0.5)
 
     def test_trapezoidal_maps(self):
         J = 6
-        aq, at = aq_matrix(J).a, at_matrix(J).a
+        aq, at = aq_matrix(J), at_matrix(J)
         assert aq.shape == (J + 1, J) and at.shape == (J, J + 1)
         assert np.all(aq[np.arange(J), np.arange(J)] == 1.0)
         assert np.all(aq[-1] == np.r_[np.zeros(J - 1), -1.0])
         # A_T annihilates constants, rows are first differences
         np.testing.assert_array_equal(at @ np.ones(J + 1), np.zeros(J))
         # composite A_T @ A_q is the zero-flux second-difference stencil
-        p, cfg, grid, ops = small_setup(J=J)
-        np.testing.assert_array_equal(at @ aq, ops.L.to_dense().a)
+        np.testing.assert_array_equal(at @ aq, second_difference(J))
         # actions equal the np.diff realizations used by the steppers
         q = np.arange(1.0, J + 1.0)
         np.testing.assert_array_equal(aq @ q,
@@ -110,8 +133,8 @@ class TestSteppers:
             p, cfg, grid, ops = small_setup(J=J)
             for _ in range(10):
                 prev = random_state(rng, J)
-                worst = max(worst, rel_gap(step_coupled(ops, p, grid, prev),
-                                           step_coupled_reference(p, grid, prev)))
+                worst = max(worst, state_gap(step_coupled(ops, p, grid, prev),
+                                             step_coupled_reference(p, grid, prev)))
         assert worst <= 1e-10
 
     def test_heat_conserved_per_step(self):
@@ -172,7 +195,7 @@ class TestFourierStepper:
             np.testing.assert_array_equal(sa.T, sb.T)
             np.testing.assert_array_equal(sa.q, sb.q)
         np.testing.assert_array_equal(a.trace.E, b.trace.E)
-        assert rel_gap(a.states[1], step_coupled(ops, p, grid, s)) <= 1e-14
+        assert state_gap(a.states[1], step_coupled(ops, p, grid, s)) <= 1e-14
 
     def test_cosine_mode_amplification(self, ref_params, ref_config):
         # implicit Euler damps the fundamental mode by 1/(1 + (k/rho c) kappa^2 dt);
@@ -199,7 +222,7 @@ class TestAsPrintedCharacterization:
         p, cfg, grid, ops = small_setup(J=9, tau_q=0.0, mu2=0.0)
         s = cosine_initial(grid, 15.0, 30.0)
         out = step_vectorial_as_printed(ops, p, grid, s)
-        aq, at = aq_matrix(grid.J).a, at_matrix(grid.J).a
+        aq, at = aq_matrix(grid.J), at_matrix(grid.J)
         factor = p.k / (p.rho_c * grid.dx**2)
         np.testing.assert_allclose(out.T, s.T + factor * (aq @ (at @ s.T)),
                                    rtol=1e-12)
@@ -212,8 +235,8 @@ class TestAsPrintedCharacterization:
         for dt in (1e-4, 5e-5, 2.5e-5):
             p, cfg, grid, ops = small_setup(J=499, dt=dt)
             init = cosine_initial(grid, 15.0, 30.0)
-            gaps.append(rel_gap(step_vectorial_as_printed(ops, p, grid, init),
-                                step_coupled(ops, p, grid, init)))
+            gaps.append(state_gap(step_vectorial_as_printed(ops, p, grid, init),
+                                  step_coupled(ops, p, grid, init)))
         assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
         assert gaps[1] / gaps[0] <= 0.56
         assert gaps[2] / gaps[1] <= 0.56
@@ -235,7 +258,7 @@ class TestRun:
         manual = init
         for n in range(1, grid.N + 2):
             manual = step_coupled(ops, p, grid, manual)
-            assert rel_gap(traj.states[n], manual) <= 1e-12
+            assert state_gap(traj.states[n], manual) <= 1e-12
 
     def test_zero_initial_data(self):
         p, cfg, grid, ops = small_setup(J=9, t_final=5 * 1.2e-2)
@@ -258,7 +281,7 @@ class TestRun:
         init = cosine_initial(grid, 15.0, 30.0)
         traj = run(p, cfg_printed, init)
         manual = step_vectorial_as_printed(ops, p, grid, init)
-        assert rel_gap(traj.states[1], manual) == 0.0
+        assert state_gap(traj.states[1], manual) == 0.0
 
     def test_fourier_kind_needs_fourier_params(self):
         p, cfg, grid, ops = small_setup(J=9)
@@ -289,22 +312,77 @@ class TestReducedSolve:
         # the dpttrf factor made once in assemble against a dense LU solve
         # of I - (c_B + c_T dt) L
         p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
-        dense = np.eye(J) - (ops.c_B + ops.c_T * grid.dt) * ops.L.to_dense().a
+        dense = np.eye(J) - (ops.c_B + ops.c_T * grid.dt) * second_difference(J)
         rng = np.random.default_rng(J)
         for _ in range(5):
             rhs = rng.normal(0.0, 1e4, J)
             expected = np.linalg.solve(dense, rhs)
-            got = scheme._solve_reduced(ops, rhs)
+            got = scheme._solve(ops.reduced_factor, rhs)
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_single_flux_unknown(self):
         p, cfg, grid, ops = small_setup(J=1)
         w = ops.c_B + ops.c_T * grid.dt
-        assert scheme._solve_reduced(ops, np.array([3.0]))[0] == pytest.approx(
+        assert scheme._solve(ops.reduced_factor, np.array([3.0]))[0] == pytest.approx(
             3.0 / (1.0 + 2.0 * w), rel=1e-15)
 
 
-TRACE_FIELDS = ("E", "diss_lhs", "diss_rhs", "heat", "C_T", "F", "lyapunov", "Z")
+class TestBFactor:
+    @pytest.mark.parametrize("J", [1, 2, 63, 499])
+    @pytest.mark.parametrize("tau_q,mu2", [(8e-3, 2.8e-3), (0.0, 0.0)])
+    def test_factored_solve_matches_dense(self, J, tau_q, mu2):
+        # the dpttrf factor of B = I - c_B L made in assemble against a dense
+        # LU solve; in the Fourier limit B = I.  Two backward-stable solves
+        # can differ by ~eps*cond(B): 1.3e-13 at J = 499, where cond(B) is
+        # 6.3e4, so the forward tolerance grows with cond(B) beyond 1e-13 and
+        # the backward error is held to 2 eps at every J
+        p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
+        dense = np.eye(J) - ops.c_B * second_difference(J)
+        if mu2 == 0.0:
+            np.testing.assert_array_equal(dense, np.eye(J))
+        eps = np.finfo(float).eps
+        forward_tol = max(1e-13, 4.0 * eps * np.linalg.cond(dense))
+        norm = np.max(np.sum(np.abs(dense), axis=1))
+        rng = np.random.default_rng(J)
+        for _ in range(5):
+            rhs = rng.normal(0.0, 1e4, J)
+            expected = np.linalg.solve(dense, rhs)
+            got = scheme._solve(ops.b_factor, rhs)
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(got - expected)) <= forward_tol * scale
+            residual = np.max(np.abs(dense @ got - rhs))
+            assert residual <= 2.0 * eps * (norm * np.max(np.abs(got))
+                                            + np.max(np.abs(rhs)))
+
+    @pytest.mark.parametrize("tau_q,mu2", [(8e-3, 2.8e-3), (0.0, 0.0)])
+    def test_as_printed_run_matches_dense_update(self, tau_q, mu2):
+        # the closed-form update with dense matrices and dense solves:
+        # T^n = T + c_T A_q B^-1 A_T T - c_q A_q B^-1 q,
+        # q^n = c_r B^-1 q - c_Q B^-1 A_T T
+        J, steps = 9, 40
+        p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2, dt=1.2e-3,
+                                        t_final=steps * 1.2e-3)
+        cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
+        init = cosine_initial(grid, 15.0, 30.0)
+        traj = run(p, cfg, init)
+        B = np.eye(J) - ops.c_B * second_difference(J)
+        aq, at = aq_matrix(J), at_matrix(J)
+        T, q = init.T, init.q_interior
+        Ts, qs = [T], [q]
+        for _ in range(steps):
+            binv_at_T, binv_q = np.linalg.solve(B, at @ T), np.linalg.solve(B, q)
+            T, q = (T + ops.c_T * (aq @ binv_at_T) - ops.c_q * (aq @ binv_q),
+                    ops.c_r * binv_q - ops.c_Q * binv_at_T)
+            Ts.append(T)
+            qs.append(q)
+        T_got = np.array([s.T for s in traj.states])
+        q_got = np.array([s.q_interior for s in traj.states])
+        Ts, qs = np.array(Ts), np.array(qs)
+        assert np.max(np.abs(T_got - Ts)) <= 1e-13 * np.max(np.abs(Ts))
+        assert np.max(np.abs(q_got - qs)) <= 1e-13 * np.max(np.abs(qs))
+
+
+TRACE_FIELDS = ("E", "diss_lhs", "diss_rhs", "heat", "C_T", "lyapunov", "Z")
 
 
 class TestTraceChunks:
