@@ -11,9 +11,10 @@ from .discretization import (Grid, State, build_grid, cosine_initial,
                              pointwise_residual, residual_scales,
                              zero_mean_initial)
 from .errors import (DegenerateTrace, DimensionMismatch, GKHeatError,
-                     GridMismatch, InvalidLimit, MeshTooLarge, NonDivisibleMesh,
-                     NonPositiveCoefficient, ParseError, SingularMatrix,
-                     SingularPivot, UnknownKey)
+                     GridMismatch, InsufficientFitData, InvalidLimit,
+                     MeshTooLarge, NonDivisibleMesh, NonFiniteState,
+                     NonPositiveCoefficient, NumericalFailure, ParseError,
+                     SingularMatrix, UnknownKey)
 from .linalg import dense_solve
 from .model import (MaterialParams, OnsagerCoefficients, SimulationConfig,
                     StepperKind, gk_to_onsager, onsager_to_gk, validate)
@@ -24,10 +25,11 @@ from .scheme import (AssembledOperators, Trajectory, assemble,
 __all__ = [
     "AssembledOperators", "DecayConstants", "DegenerateTrace",
     "DimensionMismatch", "DissipationReport", "EnergyTrace", "EnvelopeReport",
-    "GKHeatError", "Grid", "GridMismatch", "InvalidLimit", "MaterialParams",
-    "MeshTooLarge", "NonDivisibleMesh", "NonPositiveCoefficient",
+    "GKHeatError", "Grid", "GridMismatch", "InsufficientFitData",
+    "InvalidLimit", "MaterialParams", "MeshTooLarge", "NonDivisibleMesh",
+    "NonFiniteState", "NonPositiveCoefficient", "NumericalFailure",
     "OnsagerCoefficients", "ParseError", "SandwichReport", "SimulationConfig",
-    "SingularMatrix", "SingularPivot", "State", "StepperKind", "Trajectory",
+    "SingularMatrix", "State", "StepperKind", "Trajectory",
     "UnknownKey", "assemble", "assemble_coupled_system", "boundary_term",
     "build_grid", "cosine_initial", "decay_constants", "dense_solve",
     "discrete_energy", "dissipation_check", "envelope_check",

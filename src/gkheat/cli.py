@@ -6,8 +6,10 @@ out_dir.  Missing keys fall back to the reference case defaults below; a
 repeated key or a non-finite number is a ParseError.
 
 Exit codes: 0 success / all checks pass, 1 usage or configuration error
-(a mesh over discretization.MAX_MESH_POINTS included), 2 numerical failure
-(singular pivot, non-finite state), 3 verification failure.
+(a mesh over discretization.MAX_MESH_POINTS, or a run over
+scheme.MAX_RUN_BYTES, included), 2 numerical failure (errors.NumericalFailure:
+a non-finite state, a singular matrix, a rate fit without data), 3
+verification failure.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import checks, diagnostics, scheme
 from .discretization import State, build_grid, cosine_initial, zero_mean_initial
 from .errors import (GKHeatError, NonDivisibleMesh, NonPositiveCoefficient,
-                     ParseError, SingularMatrix, SingularPivot, UnknownKey)
+                     NumericalFailure, ParseError, UnknownKey)
 from .model import MaterialParams, SimulationConfig, StepperKind
 
 #: reference case: cosine initial profile on a 0.1 m conductor
@@ -356,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SingularPivot, SingularMatrix, ValueError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except GKHeatError as exc:

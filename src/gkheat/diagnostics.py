@@ -10,10 +10,13 @@ which the coupled implicit scheme dissipates at the rate
     (E^n - E^{n-1})/dt <= -(1/k) dx sum |q_j^n|^2
                           - (mu2/k) dx sum |(q_{j+1}^n - q_j^n)/dx|^2.
 
-Everything here is a pure function of states or traces.  split_trace_rows
-evaluates the per-step trace on whole chunks of levels at once; the
-trajectory runner stacks its rows and build_trace turns them into an
-EnergyTrace.
+Everything here is a pure function of states or traces.  The state-level
+functions (discrete_energy, lyapunov, ...) evaluate one physical state.
+modal_trace_rows evaluates the same quantities for whole chunks of levels
+at once, from the modal amplitudes the trajectory runner steps (see linalg
+and scheme): each trace column is a weighted sum over the modes, with the
+fixed weights of modal_trace_weights.  The runner stacks the rows and
+build_trace turns them into an EnergyTrace.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import Grid, State
-from .errors import DegenerateTrace
+from .errors import DegenerateTrace, InsufficientFitData
+from .linalg import difference_symbols
 from .model import MaterialParams
 
 #: relative slack for the per-step dissipation inequality
@@ -307,51 +311,100 @@ def fit_energy_decay_rate(trace: EnergyTrace, params: MaterialParams,
     excess = trace.E - e_eq
     mask = (trace.t >= t_window[0]) & (trace.t <= t_window[1]) & (excess > 0.0)
     if np.count_nonzero(mask) < 2:
-        raise ValueError("decay-rate window contains fewer than 2 usable points")
+        raise InsufficientFitData("decay-rate window contains fewer than 2 usable points")
     slope = np.polyfit(trace.t[mask], np.log(excess[mask]), 1)[0]
     return float(-slope)
 
 
-def split_trace_rows(params: MaterialParams, grid: Grid, m: float,
-                     e: np.ndarray, q: np.ndarray, first: int = 1) -> np.ndarray:
+@dataclass(frozen=True)
+class ModalTraceWeights:
+    """Fixed weights turning the modal amplitudes of a level into its trace.
+
+    A level is x = (a, b), a_m the cosine amplitudes of the fluctuation e of
+    T = m + e and b_m the sine amplitudes of q_1..q_J (m = 1..J); the
+    columns of square, linear and increment weight the flattened 2J-vector
+    x.  By orthonormality sum e^2 = sum a^2 and sum q^2 = sum b^2; A_q q
+    has the amplitudes s_m b_m; and the tail sum I_j = dx sum_{i>=j} T_i is
+    dx m (J+1-j) plus, per cosine mode m, -(dx/s_m) times sine mode m (0 at
+    j = 0).  That makes E, F and diss_rhs quadratic forms of x, the cross
+    term <q, I> of F a weighted sum of a_m b_m, and C_T/heat and F's part
+    proportional to m linear forms.
+    """
+
+    square: np.ndarray      # (2J, 3): E, F, diss_rhs per x_i^2
+    cross: np.ndarray       # (J,): F per a_m b_m
+    linear: np.ndarray      # (2J, 2): C_T/heat, F/m per x_i
+    increment: np.ndarray   # (2J,): diss_lhs per (x'_i - x_i)(x'_i + x_i)
+    E_mean: float           # E per m^2
+    F_mean: float           # F per m^2
+    heat_mean: float        # heat per m
+    boundary_mean: float    # C_T/heat per m
+    lyapunov_weight: float  # L = weight*E + F
+
+
+def modal_trace_weights(params: MaterialParams, grid: Grid) -> ModalTraceWeights:
+    """The weights of modal_trace_rows for one (params, grid) pair."""
+    J, dx, n = grid.J, grid.dx, grid.J + 1
+    k, mu2, tau_q, rc = params.k, params.mu2, params.tau_q, params.rho_c
+    w_T, w_q = rc * dx / 2.0, (tau_q / k) * (dx / 2.0)
+    s = difference_symbols(J)
+    half = 0.5 * np.pi * np.arange(1, n) / n          # s = 2 sin(half)
+    root = np.sqrt(2.0 / n)
+    # the cosine vectors at j = 0, the sine vectors at j = 1, and the sine
+    # amplitudes of the ramp n - j (j = 1..J): sum_j (n-j) sin(2 j half)
+    # = (n/2) cot(half)
+    at_T0, at_q1 = root * np.cos(half), root * np.sin(2.0 * half)
+    ramp = root * (n / 2.0) / np.tan(half)
+    zero = np.zeros(J)
+    energy = np.concatenate((np.full(J, w_T), np.full(J, w_q)))
+    square = np.column_stack((
+        energy,
+        np.concatenate(((rc / 2.0) * dx * (dx * dx / (s * s) + mu2), zero)),
+        np.concatenate((zero, -(dx / k) - (mu2 / (k * dx)) * s * s))))
+    linear = np.column_stack((
+        np.concatenate((-k * at_T0, (mu2 / dx) * at_q1)),
+        np.concatenate((-rc * dx**3 * ramp / s, tau_q * dx * dx * ramp))))
+    ramp_sq = n * (n + 1) * (2 * n + 1) / 6.0       # sum_{j=0..J} (n-j)^2
+    return ModalTraceWeights(
+        square=square, cross=-tau_q * dx * dx / s, linear=linear,
+        increment=energy / grid.dt, E_mean=w_T * n,
+        F_mean=(rc / 2.0) * dx * (dx * dx * ramp_sq + mu2 * n),
+        heat_mean=dx * n, boundary_mean=-k,
+        lyapunov_weight=2.0 * params.l**2 + 2.0 * mu2 + tau_q * k / rc)
+
+
+def modal_trace_rows(w: ModalTraceWeights, m: float, x: np.ndarray,
+                     increments: np.ndarray, first: int = 1) -> np.ndarray:
     """Trace rows of consecutive levels of a trajectory split as T = m + e.
 
-    e (K+1 x J+1 fluctuations) and q (K+1 x J interior fluxes) hold one
-    level per row.  Returns the rows of levels first..K with columns E,
-    diss_lhs, diss_rhs, heat, C_T, lyapunov; the dissipation sides pair
-    each level with the row before and are zero for row 0 (first=0).  Sums
-    that would subtract two O(E)-sized quantities are formed from e and the
-    per-step differences directly, keeping the dissipation lhs and heat
-    accurate at the 1e-12 scales the per-step checks use.
+    x (K+1 x 2 x J) holds the modal amplitudes (a, b) of one level per row,
+    increments (K x 2 x J) the change x[k] - x[k-1] as the step computed
+    it.  Returns the rows of levels first..K with columns E, diss_lhs,
+    diss_rhs, heat, C_T, lyapunov; the dissipation sides pair each level
+    with the row before and are zero for row 0 (first=0).  diss_lhs is
+    formed from the increments directly, sum (x' - x)(x' + x), so it is
+    neither drowned by cancellation near equilibrium nor limited by the
+    rounding of x' itself; the mean, never stepped, drops out of it and
+    keeps the heat exactly constant.
     """
-    dx, k, mu2, tau_q, rc = grid.dx, params.k, params.mu2, params.tau_q, params.rho_c
-    w_T, w_q = rc * dx / 2.0, (tau_q / k) * (dx / 2.0)
-
-    def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", a, b)
-
-    rows = np.zeros((e.shape[0] - first, 6))
-    e0, e1, q0, q1 = e[:-1], e[1:], q[:-1], q[1:]
-    rows[1 - first:, 1] = (w_T * dot(e1 - e0, 2.0 * m + e1 + e0)
-                           + w_q * dot(q1 - q0, q1 + q0)) / grid.dt
-    grad = np.diff(q1, axis=1, prepend=0.0, append=0.0) / dx
-    rows[1 - first:, 2] = -(1.0 / k) * dx * dot(q1, q1) - (mu2 / k) * dx * dot(grad, grad)
-    e, q, T = e[first:], q[first:], m + e[first:]
-    n_nodes, sum_e = e.shape[1], np.sum(e, axis=1)
-    rows[:, 0] = E = (w_T * np.maximum(n_nodes * m * m + 2.0 * m * sum_e + dot(e, e), 0.0)
-                      + w_q * dot(q, q))
-    rows[:, 3] = heat = dx * (n_nodes * m + sum_e)
-    rows[:, 4] = (mu2 * q[:, 0] / dx - k * T[:, 0]) * heat
-    tail = _tail_integral(T, dx)
-    F = ((rc / 2.0) * dx * dot(tail, tail) + (rc / 2.0) * mu2 * dx * dot(T, T)
-         + tau_q * dx * dot(tail[:, 1:], q))
-    rows[:, 5] = (2.0 * params.l**2 + 2.0 * mu2 + tau_q * k / rc) * E + F
+    X = x.reshape(x.shape[0], -1)
+    rows = np.zeros((X.shape[0] - first, 6))
+    rows[1 - first:, 1] = (increments.reshape(X.shape[0] - 1, -1)
+                           * (X[1:] + X[:-1])) @ w.increment
+    X, a, b = X[first:], x[first:, 0], x[first:, 1]
+    square, linear = (X * X) @ w.square, X @ w.linear
+    rows[:, 0] = E = w.E_mean * m * m + square[:, 0]
+    rows[1 - first:, 2] = square[1 - first:, 2]
+    rows[:, 3] = heat = w.heat_mean * m
+    rows[:, 4] = (w.boundary_mean * m + linear[:, 0]) * heat
+    F = w.F_mean * m * m + square[:, 1] + (a * b) @ w.cross + m * linear[:, 1]
+    rows[:, 5] = w.lyapunov_weight * E + F
     return rows
 
 
 def build_trace(params: MaterialParams, t: np.ndarray,
                 rows: np.ndarray) -> EnergyTrace:
-    """EnergyTrace from stacked split_trace_rows output at times t, with Z."""
+    """EnergyTrace from stacked modal_trace_rows output at times t, with Z."""
     trace = EnergyTrace(t=t.copy(), E=rows[:, 0], diss_lhs=rows[:, 1],
                         diss_rhs=rows[:, 2], heat=rows[:, 3], C_T=rows[:, 4],
                         lyapunov=rows[:, 5],

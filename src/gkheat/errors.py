@@ -21,7 +21,8 @@ class NonDivisibleMesh(GKHeatError):
 
 class MeshTooLarge(GKHeatError):
     """The mesh would have more time levels or nodes than
-    discretization.MAX_MESH_POINTS."""
+    discretization.MAX_MESH_POINTS, or a run on it would hold more than
+    scheme.MAX_RUN_BYTES."""
 
 
 class GridMismatch(GKHeatError):
@@ -32,12 +33,20 @@ class DimensionMismatch(GKHeatError):
     """Operand shapes are incompatible."""
 
 
-class SingularPivot(GKHeatError):
-    """A pivot underflowed during direct elimination."""
+class NumericalFailure(GKHeatError):
+    """A computation produced no usable number (the CLI exits 2)."""
 
 
-class SingularMatrix(GKHeatError):
+class SingularMatrix(NumericalFailure):
     """Dense factorization failed; matrix is singular to working precision."""
+
+
+class NonFiniteState(NumericalFailure):
+    """A time step produced a non-finite temperature or flux."""
+
+
+class InsufficientFitData(NumericalFailure):
+    """A decay-rate fit window holds fewer than 2 usable points."""
 
 
 class InvalidLimit(GKHeatError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gkheat import (NonPositiveCoefficient, ParseError, StepperKind, UnknownKey,
-                    build_grid, cosine_initial, run)
+                    build_grid, cosine_initial, run, scheme)
 from gkheat.cli import (TRACE_COLUMNS, _fmt, cmd_run, cmd_sweep, cmd_verify,
                         main, parse_config)
 
@@ -285,6 +285,28 @@ class TestMain:
         assert main(["run", "-c", str(cfg)]) == 1
         assert "mesh points" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_run_over_memory_cap_exits_one(self, tmp_path, capsys):
+        # J+2 = 100,001 and N+2 = 3,001 are both far under MAX_MESH_POINTS,
+        # but keeping all 3,001 states of 200,003 values (and writing them
+        # out) is estimated at ~9.6 GB
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("dx = 1e-6\nt_final = 36\nstride = 1\n"
+                       f"out_dir = {tmp_path / 'o'}\n")
+        assert main(["run", "-c", str(cfg)]) == 1
+        assert "MAX_RUN_BYTES" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_value_error_from_a_bug_propagates(self, tmp_path, monkeypatch):
+        # exit 2 is for numerical failures only, not for any ValueError
+        def broken(*args, **kwargs):
+            raise ValueError("a programming error")
+
+        monkeypatch.setattr(scheme, "run", broken)
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(FAST_CONFIG + f"out_dir = {tmp_path / 'o'}\n")
+        with pytest.raises(ValueError, match="a programming error"):
+            main(["run", "-c", str(cfg)])
 
     def test_duplicate_key_exits_one(self, tmp_path):
         cfg = tmp_path / "dup.cfg"

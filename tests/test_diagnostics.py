@@ -10,7 +10,9 @@ from gkheat import (DegenerateTrace, State, boundary_term, build_grid,
                     fit_energy_decay_rate, lyapunov, lyapunov_sandwich_check,
                     mode_decay_oracle, normalized_Z, run, total_heat,
                     zero_mean_initial)
-from gkheat.diagnostics import EnergyTrace, sandwich_bounds, split_trace_rows
+from gkheat import InsufficientFitData
+from gkheat.diagnostics import (EnergyTrace, modal_trace_rows,
+                                modal_trace_weights, sandwich_bounds)
 from gkheat.model import MaterialParams, SimulationConfig
 
 
@@ -256,7 +258,7 @@ class TestRateFit:
 
     def test_rejects_empty_window(self, ref_params):
         trace = make_trace([0.0, 10.0], [1.0, 0.5])
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientFitData):
             fit_energy_decay_rate(trace, ref_params)
 
 
@@ -281,7 +283,7 @@ class TestTraceChecksOnShortRun:
 
     @pytest.mark.parametrize("T_b", [15.0, 0.0])
     def test_split_trace_matches_state_functions(self, ref_params, T_b):
-        # the chunked trace on the m + e split against the state-level
+        # the modal trace on the m + e split against the state-level
         # formulas evaluated on the stored states T = m + e
         cfg = SimulationConfig(dx=2e-3, dt=1.2e-2, t_final=0.6, T_b=T_b,
                                T_f=30.0)
@@ -298,47 +300,66 @@ class TestTraceChecksOnShortRun:
                                    trace.lyapunov)):
             ref = by_state[:, col]
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), col
-        rhs = [dissipation_check(a, b, ref_params, dx, grid.dt).rhs
-               for a, b in zip(traj.states, traj.states[1:])]
-        np.testing.assert_allclose(trace.diss_rhs[1:], rhs, rtol=1e-13)
+        reports = [dissipation_check(a, b, ref_params, dx, grid.dt)
+                   for a, b in zip(traj.states, traj.states[1:])]
+        np.testing.assert_allclose(trace.diss_rhs[1:], [r.rhs for r in reports], rtol=1e-13)
+        lhs = np.array([r.lhs for r in reports])
+        assert np.max(np.abs(trace.diss_lhs[1:] - lhs)) <= 1e-12 * np.max(np.abs(lhs))
 
     @pytest.mark.parametrize("J", [1, 49])
-    def test_split_trace_rows_match_per_level_loop(self, ref_params, J):
-        # one level at a time with plain dot products, the per-step formulas
-        # that split_trace_rows evaluates on a whole stack
+    def test_modal_trace_rows_match_per_level_loop(self, ref_params, J):
+        # amplitudes from dense cosine/sine matrices, against one level at a
+        # time with plain dot products on the physical e and q
         cfg = SimulationConfig(dx=0.1 / (J + 1), dt=1.2e-2, t_final=0.24,
                                T_b=15.0, T_f=30.0)
         grid = build_grid(ref_params, cfg)
         traj = run(ref_params, cfg, cosine_initial(grid, 15.0, 30.0))
-        p, dx = ref_params, grid.dx
-        m = float(np.mean(traj.states[0].T))
-        e = np.array([s.T - m for s in traj.states])
-        q = np.array([s.q_interior for s in traj.states])
-        w_T, w_q = p.rho_c * dx / 2.0, (p.tau_q / p.k) * (dx / 2.0)
+        p, n = ref_params, J + 1
+        # the loop runs in longdouble (where available) so that its own
+        # rounding, e.g. in the 2m sum(e' - e) term, stays below the check's
+        # tolerance
+        ld = np.longdouble
+        m = ld(np.mean(traj.states[0].T))
+        e = np.array([s.T for s in traj.states], dtype=ld) - m
+        q = np.array([s.q_interior for s in traj.states], dtype=ld)
+        modes = np.arange(1, n)
+        # exact angle indices keep the dense matrices accurate
+        cosine = np.sqrt(ld(2) / n) * np.cos(
+            ld(np.pi) * (np.outer(2 * np.arange(n) + 1, modes) % (4 * n)) / (2 * n))
+        sine = np.sqrt(ld(2) / n) * np.sin(ld(np.pi) * (np.outer(modes, modes) % (2 * n)) / n)
+        x = np.stack((e @ cosine, q @ sine), axis=1).astype(float)
+        # the loop evaluates the very vectors x stands for
+        m = ld(float(m))
+        e, q = x[:, 0].astype(ld) @ cosine.T, x[:, 1].astype(ld) @ sine.T
+        dx, dt, k, mu2, tau_q, rc = (ld(v) for v in (grid.dx, grid.dt, p.k, p.mu2,
+                                                     p.tau_q, p.rho_c))
+        w_T, w_q = rc * dx / 2, (tau_q / k) * (dx / 2)
         expected = []
-        for n in range(len(e)):
-            en, qn = e[n], q[n]
-            lhs = rhs = 0.0
-            if n:
-                lhs = (w_T * np.sum((en - e[n - 1]) * (2.0 * m + en + e[n - 1]))
-                       + w_q * np.sum((qn - q[n - 1]) * (qn + q[n - 1]))) / grid.dt
-                grad = np.diff(np.concatenate(([0.0], qn, [0.0]))) / dx
-                rhs = -(dx / p.k) * (qn @ qn) - (p.mu2 / p.k) * dx * (grad @ grad)
+        for i in range(len(e)):
+            en, qn = e[i], q[i]
+            lhs = rhs = ld(0)
+            if i:
+                lhs = (w_T * np.sum((en - e[i - 1]) * (2 * m + en + e[i - 1]))
+                       + w_q * np.sum((qn - q[i - 1]) * (qn + q[i - 1]))) / dt
+                grad = np.diff(np.concatenate(([ld(0)], qn, [ld(0)]))) / dx
+                rhs = -(dx / k) * (qn @ qn) - (mu2 / k) * dx * (grad @ grad)
             T = m + en
             E = w_T * (T @ T) + w_q * (qn @ qn)
             heat = dx * np.sum(T)
             tail = dx * np.cumsum(T[::-1])[::-1]
-            F = (p.rho_c / 2.0) * dx * (tail @ tail + p.mu2 * (T @ T)) \
-                + p.tau_q * dx * (tail[1:] @ qn)
-            w_L = 2.0 * p.l**2 + 2.0 * p.mu2 + p.tau_q * p.k / p.rho_c
+            F = (rc / 2) * dx * (tail @ tail + mu2 * (T @ T)) + tau_q * dx * (tail[1:] @ qn)
+            w_L = 2 * ld(p.l)**2 + 2 * mu2 + tau_q * k / rc
             expected.append((E, lhs, rhs, heat,
-                             (p.mu2 * qn[0] / dx - p.k * T[0]) * heat, w_L * E + F))
-        expected = np.array(expected)
-        got = split_trace_rows(p, grid, m, e, q, first=0)
+                             (mu2 * qn[0] / dx - k * T[0]) * heat, w_L * E + F))
+        expected = np.array(expected, dtype=float)
+        weights = modal_trace_weights(p, grid)
+        got = modal_trace_rows(weights, float(m), x, np.diff(x, axis=0), first=0)
         assert got.shape == expected.shape
         scale = np.maximum(np.max(np.abs(expected), axis=0), 1e-300)
         assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)
-        np.testing.assert_array_equal(split_trace_rows(p, grid, m, e, q), got[1:])
+        # first=1 drops level 0's row
+        tail_rows = modal_trace_rows(weights, float(m), x, np.diff(x, axis=0))
+        assert np.all(np.max(np.abs(tail_rows - got[1:]), axis=0) <= 1e-15 * scale)
 
     def test_equilibrium_energy_helper(self, ref_params):
         assert equilibrium_energy(ref_params, 1.5) == pytest.approx(

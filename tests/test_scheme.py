@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gkheat import scheme
-from gkheat import (GridMismatch, InvalidLimit, SingularPivot, State,
-                    StepperKind, assemble, build_grid, cosine_initial, run,
-                    step_coupled, step_coupled_reference,
+from gkheat import (GridMismatch, InvalidLimit, MeshTooLarge, NonFiniteState,
+                    State, StepperKind, assemble, build_grid, cosine_initial,
+                    run, step_coupled, step_coupled_reference,
                     step_vectorial_as_printed, total_heat)
 from gkheat.checks import state_gap
 from gkheat.model import MaterialParams, SimulationConfig
@@ -42,11 +42,17 @@ def at_matrix(J):
     return np.eye(J, J + 1, k=1) - np.eye(J, J + 1)
 
 
-def from_factor(factor):
-    """The matrix L D L^T of a dpttrf factor (d, e), L unit lower bidiagonal."""
-    d, e = factor
-    unit_lower = np.eye(d.size) + np.diag(e[:d.size - 1], k=-1)
-    return unit_lower @ np.diag(d) @ unit_lower.T
+def sine_matrix(J):
+    """Dense orthonormal DST-I matrix, columns the sine vectors m = 1..J."""
+    n = J + 1
+    jm = np.outer(np.arange(1, n), np.arange(1, n)) % (2 * n)  # exact angle index
+    return np.sqrt(2.0 / n) * np.sin(np.pi * jm / n)
+
+
+def from_modes(ops, w):
+    """The matrix I - w L rebuilt from its sine eigenvectors and 1 + w s_m^2."""
+    S = sine_matrix(ops.J)
+    return S @ np.diag(1.0 + w * ops.s**2) @ S.T
 
 
 class TestAssemble:
@@ -58,15 +64,22 @@ class TestAssemble:
         grid = build_grid(p, cfg)
         ops = assemble(p, grid)
         assert ops.c_B == pytest.approx(0.1, rel=1e-15)
-        np.testing.assert_allclose(from_factor(ops.b_factor),
-                                   [[1.2, -0.1], [-0.1, 1.2]], rtol=1e-15)
+        # B = I - c_B L from its eigenpairs: s_m^2 = 2 -/+ 1 at J = 2
+        np.testing.assert_allclose(ops.s**2, [1.0, 3.0], rtol=1e-15)
+        np.testing.assert_allclose(from_modes(ops, ops.c_B),
+                                   [[1.2, -0.1], [-0.1, 1.2]], rtol=0.0, atol=1e-15)
 
     def test_fourier_limit_kills_factors(self):
+        # B = I: the printed flux weights lose beta; no step keeps flux history
         p, cfg, grid, ops = small_setup(tau_q=0.0, mu2=0.0)
-        np.testing.assert_array_equal(from_factor(ops.b_factor), np.eye(grid.J))
         assert ops.c_r == 0.0
         assert ops.c_B == 0.0
         assert ops.c_q == 0.0
+        # I + D has a zero flux column
+        for D in (ops.coupled, ops.printed):
+            assert np.all(D[0, 1] == 0.0) and np.all(D[1, 1] == -1.0)
+        np.testing.assert_array_equal(ops.printed[1, 0], ops.c_Q * ops.s)
+        np.testing.assert_allclose(ops.printed[0, 0], -ops.c_T * ops.s**2, rtol=1e-15)
 
     def test_reference_laplacian_weight(self, ref_params, ref_config):
         grid = build_grid(ref_params, ref_config)
@@ -76,20 +89,36 @@ class TestAssemble:
     def test_stencils(self):
         p, cfg, grid, ops = small_setup(J=5)
         L = second_difference(5)
-        # the two factors are of B = I - c_B L and I - (c_B + c_T dt) L
-        np.testing.assert_allclose(from_factor(ops.b_factor),
-                                   np.eye(5) - ops.c_B * L, rtol=1e-13)
-        np.testing.assert_allclose(from_factor(ops.reduced_factor),
-                                   np.eye(5) - (ops.c_B + ops.c_T * grid.dt) * L,
-                                   rtol=1e-13)
+        # the sine vectors with 1 + w s_m^2 rebuild B = I - c_B L and the
+        # reduced matrix I - (c_B + c_T dt) L
+        for w in (ops.c_B, ops.c_B + ops.c_T * grid.dt):
+            dense = np.eye(5) - w * L
+            assert np.max(np.abs(from_modes(ops, w) - dense)) <= 1e-14 * np.max(dense)
         # B is strictly diagonally dominant
-        B = from_factor(ops.b_factor)
+        B = from_modes(ops, ops.c_B)
         assert np.all(np.abs(np.diag(B)) > 2.0 * np.max(np.abs(np.diag(B, k=-1))))
 
-    def test_factor_rejects_indefinite_matrix(self):
-        # I - w L with w = -1/2 has a zero diagonal: not positive definite
-        with pytest.raises(SingularPivot):
-            scheme._factor(3, -0.5)
+    @pytest.mark.parametrize("tau_q,mu2", [(8e-3, 2.8e-3), (0.0, 0.0)])
+    def test_step_matrices(self, tau_q, mu2):
+        # the per-mode 2x2 updates written out: coupled b' first, then a';
+        # as-printed both from the old level, beta = 1/(1 + c_B s^2); the
+        # operators hold the increments D with (a', b') = (a, b) + D (a, b)
+        p, cfg, grid, ops = small_setup(J=31, tau_q=tau_q, mu2=mu2)
+        s, dt = ops.s, grid.dt
+        a, b = np.random.default_rng(5).normal(size=(2, 31))
+        b_new = (ops.c_r * b + ops.c_Q * s * a) / (1.0 + (ops.c_B + ops.c_T * dt) * s**2)
+        beta = 1.0 / (1.0 + ops.c_B * s**2)
+        expected = {"coupled": (a - ops.c_flux * s * b_new, b_new),
+                    "printed": ((1.0 - ops.c_T * s**2 * beta) * a - ops.c_q * s * beta * b,
+                                ops.c_r * beta * b + ops.c_Q * s * beta * a)}
+        for name, (a_new, b_new) in expected.items():
+            D = getattr(ops, name)
+            assert D.shape == (2, 2, 31)
+            # the increments themselves, not just the new amplitudes
+            np.testing.assert_allclose(D[0, 0] * a + D[0, 1] * b, a_new - a,
+                                       rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(D[1, 0] * a + D[1, 1] * b, b_new - b,
+                                       rtol=1e-13, atol=1e-15)
 
     def test_trapezoidal_maps(self):
         J = 6
@@ -306,53 +335,59 @@ class TestRun:
 
 
 class TestReducedSolve:
+    # the coupled step solves I - (c_B + c_T dt) L in the sine basis, where
+    # it is diagonal (1 + (c_B + c_T dt) s_m^2)
     @pytest.mark.parametrize("J", [2, 63, 499])
     @pytest.mark.parametrize("tau_q,mu2", [(8e-3, 2.8e-3), (0.0, 0.0)])
     def test_factored_solve_matches_dense(self, J, tau_q, mu2):
-        # the dpttrf factor made once in assemble against a dense LU solve
-        # of I - (c_B + c_T dt) L
+        # one modal step against a dense LU solve of the reduced system and
+        # the explicit temperature update
         p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
         dense = np.eye(J) - (ops.c_B + ops.c_T * grid.dt) * second_difference(J)
         rng = np.random.default_rng(J)
         for _ in range(5):
-            rhs = rng.normal(0.0, 1e4, J)
-            expected = np.linalg.solve(dense, rhs)
-            got = scheme._solve(ops.reduced_factor, rhs)
-            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+            prev = random_state(rng, J)
+            q = np.linalg.solve(dense, ops.c_r * prev.q_interior - ops.c_Q * np.diff(prev.T))
+            T = prev.T - ops.c_flux * (aq_matrix(J) @ q)
+            got = step_coupled(ops, p, grid, prev)
+            assert np.max(np.abs(got.q_interior - q)) <= 1e-13 * np.max(np.abs(q))
+            assert np.max(np.abs(got.T - T)) <= 1e-13 * np.max(np.abs(T))
 
     def test_single_flux_unknown(self):
+        # J = 1: s_1^2 = 2, so the reduced "matrix" is 1 + 2w
         p, cfg, grid, ops = small_setup(J=1)
         w = ops.c_B + ops.c_T * grid.dt
-        assert scheme._solve(ops.reduced_factor, np.array([3.0]))[0] == pytest.approx(
-            3.0 / (1.0 + 2.0 * w), rel=1e-15)
+        out = step_coupled(ops, p, grid, State(T=np.zeros(2), q=[0.0, 3.0, 0.0]))
+        assert out.q[1] == pytest.approx(3.0 * ops.c_r / (1.0 + 2.0 * w), rel=1e-15)
 
 
 class TestBFactor:
+    # the as-printed step applies B^-1 = (I - c_B L)^-1 in the sine basis,
+    # where it is diagonal 1/(1 + c_B s_m^2)
     @pytest.mark.parametrize("J", [1, 2, 63, 499])
     @pytest.mark.parametrize("tau_q,mu2", [(8e-3, 2.8e-3), (0.0, 0.0)])
     def test_factored_solve_matches_dense(self, J, tau_q, mu2):
-        # the dpttrf factor of B = I - c_B L made in assemble against a dense
-        # LU solve; in the Fourier limit B = I.  Two backward-stable solves
-        # can differ by ~eps*cond(B): 1.3e-13 at J = 499, where cond(B) is
-        # 6.3e4, so the forward tolerance grows with cond(B) beyond 1e-13 and
-        # the backward error is held to 2 eps at every J
+        # q^n = B^-1 (c_r q - c_Q A_T T) of one as-printed step against a
+        # dense LU solve with B; in the Fourier limit B = I.  Two
+        # backward-stable solves can differ by ~eps*cond(B) (6.3e4 at
+        # J = 499), so the tolerance grows with cond(B) beyond 1e-13
         p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
-        dense = np.eye(J) - ops.c_B * second_difference(J)
+        B = np.eye(J) - ops.c_B * second_difference(J)
         if mu2 == 0.0:
-            np.testing.assert_array_equal(dense, np.eye(J))
+            np.testing.assert_array_equal(B, np.eye(J))
         eps = np.finfo(float).eps
-        forward_tol = max(1e-13, 4.0 * eps * np.linalg.cond(dense))
-        norm = np.max(np.sum(np.abs(dense), axis=1))
+        tol = max(1e-13, 4.0 * eps * np.linalg.cond(B))
+        norm = np.max(np.sum(np.abs(B), axis=1))
         rng = np.random.default_rng(J)
         for _ in range(5):
-            rhs = rng.normal(0.0, 1e4, J)
-            expected = np.linalg.solve(dense, rhs)
-            got = scheme._solve(ops.b_factor, rhs)
-            scale = np.max(np.abs(expected))
-            assert np.max(np.abs(got - expected)) <= forward_tol * scale
-            residual = np.max(np.abs(dense @ got - rhs))
-            assert residual <= 2.0 * eps * (norm * np.max(np.abs(got))
-                                            + np.max(np.abs(rhs)))
+            prev = random_state(rng, J)
+            rhs = ops.c_r * prev.q_interior - ops.c_Q * np.diff(prev.T)
+            expected = np.linalg.solve(B, rhs)
+            got = step_vectorial_as_printed(ops, p, grid, prev).q_interior
+            assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected))
+            # and the backward error is held to 2 eps at every J
+            residual = np.max(np.abs(B @ got - rhs))
+            assert residual <= 2.0 * eps * (norm * np.max(np.abs(got)) + np.max(np.abs(rhs)))
 
     @pytest.mark.parametrize("tau_q,mu2", [(8e-3, 2.8e-3), (0.0, 0.0)])
     def test_as_printed_run_matches_dense_update(self, tau_q, mu2):
@@ -391,8 +426,8 @@ class TestTraceChunks:
     def test_trace_independent_of_chunk_budget(self, monkeypatch, J, steps):
         p, cfg, grid, ops = small_setup(J=J, t_final=steps * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
-        budgets = (1, scheme.TRACE_CHUNK_ELEMENTS, (grid.N + 3) * (J + 1))
-        assert max(1, scheme.TRACE_CHUNK_ELEMENTS // (J + 1)) < grid.N + 1
+        budgets = (1, scheme.TRACE_CHUNK_ELEMENTS, (grid.N + 3) * 2 * J)
+        assert max(1, scheme.TRACE_CHUNK_ELEMENTS // (2 * J)) < grid.N + 1
         trajs = []
         for budget in budgets:
             monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
@@ -412,11 +447,116 @@ class TestTraceChunks:
         p, cfg, grid, ops = small_setup(J=9, t_final=20 * 1.2e-2)
         cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
         init = cosine_initial(grid, 15.0, 30.0)
-        traces = []
+        trajs = []
         for budget in (1, 30, 10**6):
             monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
-            traces.append(run(p, cfg, init).trace)
-        for trace in traces[1:]:
+            trajs.append(run(p, cfg, init))
+        # the steps are elementwise, so states match bit for bit; the trace
+        # sums go through BLAS, whose rounding depends on the chunk's rows
+        for traj in trajs[1:]:
+            for a, b in zip(traj.states, trajs[0].states, strict=True):
+                np.testing.assert_array_equal(a.T, b.T)
+                np.testing.assert_array_equal(a.q, b.q)
             for name in TRACE_FIELDS:
-                np.testing.assert_array_equal(getattr(trace, name),
-                                              getattr(traces[0], name))
+                got, ref = getattr(traj.trace, name), getattr(trajs[0].trace, name)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+
+def longdouble_coupled_run(p, grid, init, steps):
+    """Coupled steps in np.longdouble: a Thomas loop for the reduced
+    tridiagonal solve, then the explicit temperature update."""
+    ld = np.longdouble
+    J = grid.J
+    dx, dt = ld(grid.dx), ld(grid.dt)
+    tau_q, mu2, k, rc = ld(p.tau_q), ld(p.mu2), ld(p.k), ld(p.rho) * ld(p.c)
+    s = tau_q + dt
+    c_B, c_T = mu2 * dt / (s * dx * dx), k * dt / (rc * s * dx * dx)
+    c_Q, c_r, c_flux = k * dt / (s * dx), tau_q / s, dt / (rc * dx)
+    w = c_B + c_T * dt
+    # elimination of tridiag(-w, 1 + 2w, -w): multipliers and pivots
+    pivots, multipliers = [1 + 2 * w], [ld(0)]
+    for _ in range(1, J):
+        multipliers.append(-w / pivots[-1])
+        pivots.append(1 + 2 * w + multipliers[-1] * w)
+    T, q = init.T.astype(ld), init.q_interior.astype(ld)
+    Ts, qs = [T], [q]
+    for _ in range(steps):
+        r = list(c_r * q - c_Q * np.diff(T))
+        for j in range(1, J):
+            r[j] -= multipliers[j] * r[j - 1]
+        x = [ld(0)] * J
+        x[-1] = r[-1] / pivots[-1]
+        for j in range(J - 2, -1, -1):
+            x[j] = (r[j] + w * x[j + 1]) / pivots[j]
+        q = np.array(x, dtype=ld)
+        T = T - c_flux * np.diff(np.concatenate(([ld(0)], q, [ld(0)])))
+        Ts.append(T)
+        qs.append(q)
+    return np.array(Ts), np.array(qs)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="longdouble is plain float64 here")
+class TestExtendedPrecision:
+    @pytest.mark.parametrize("J,steps", [(63, 2000), (499, 200)])
+    def test_run_matches_longdouble_reference(self, ref_params, J, steps):
+        cfg = SimulationConfig(dx=ref_params.l / (J + 1), dt=1.2e-2,
+                               t_final=steps * 1.2e-2, T_b=15.0, T_f=30.0)
+        grid = build_grid(ref_params, cfg)
+        init = cosine_initial(grid, 15.0, 30.0)
+        traj = run(ref_params, cfg, init)
+        T_ref, q_ref = longdouble_coupled_run(ref_params, grid, init, steps)
+        T = np.array([s.T for s in traj.states])
+        q = np.array([s.q_interior for s in traj.states])
+        assert np.max(np.abs(T - T_ref)) <= 1e-14 * np.max(np.abs(T_ref))
+        assert np.max(np.abs(q - q_ref)) <= 1e-14 * np.max(np.abs(q_ref))
+
+
+class TestRunMemory:
+    def test_estimate_counts_trace_and_kept_states(self):
+        p, cfg, grid, ops = small_setup(J=99, t_final=1000 * 1.2e-2)
+        one, all_levels = scheme.run_memory_bytes(grid, grid.N + 1), scheme.run_memory_bytes(grid, 1)
+        # stride 1 keeps N+2 states of 2J+3 values and writes them again
+        assert all_levels - one == 8 * grid.N * ((2 * 99 + 3) + 2 * 100)
+        longer = build_grid(p, dataclasses.replace(cfg, t_final=2000 * 1.2e-2))
+        per_level = (scheme.run_memory_bytes(longer, longer.N + 1) - one) / 1000
+        assert per_level == 8 * 23
+
+    def test_fine_mesh_estimate_is_far_under_the_cap(self, ref_params, ref_config):
+        # J = 7999, 2500 steps, every 25th level kept: about 26 MB
+        grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=1.25e-5))
+        need = scheme.run_memory_bytes(grid, 25)
+        assert 25e6 < need < 28e6
+        assert scheme.MAX_RUN_BYTES >= 20 * need
+
+    def test_run_refuses_before_assembling(self, monkeypatch):
+        p, cfg, grid, ops = small_setup(J=99, t_final=100 * 1.2e-2)
+        init = cosine_initial(grid, 15.0, 30.0)
+        monkeypatch.setattr(scheme, "MAX_RUN_BYTES", scheme.run_memory_bytes(grid, 1) - 1)
+
+        def fail(*args):
+            raise AssertionError("assembled past the memory check")
+
+        monkeypatch.setattr(scheme, "assemble", fail)
+        with pytest.raises(MeshTooLarge, match="MAX_RUN_BYTES"):
+            run(p, cfg, init)
+        with pytest.raises(AssertionError):
+            run(p, cfg, init, stride=2)
+
+
+class TestNonFinite:
+    def test_unstable_as_printed_run_raises_at_first_bad_step(self):
+        # the explicit correction blows up in the Fourier limit at this mesh
+        p, cfg, grid, ops = small_setup(J=49, tau_q=0.0, mu2=0.0,
+                                        t_final=200 * 1.2e-2)
+        cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
+        with pytest.raises(NonFiniteState, match=r"step \d+ produced"):
+            run(p, cfg, cosine_initial(grid, 15.0, 30.0))
+
+    def test_single_step_overflow(self):
+        # the transforms of this state stay finite; its high modes grow by
+        # about c_T s_m^2 ~ 8000 in one as-printed step and overflow
+        p, cfg, grid, ops = small_setup(J=99, tau_q=0.0, mu2=0.0)
+        huge = State(T=np.where(np.arange(100) % 2, 1e305, -1e305), q=np.zeros(101))
+        with pytest.raises(NonFiniteState):
+            step_vectorial_as_printed(ops, p, grid, huge)
