@@ -337,7 +337,11 @@ def main(argv: list[str] | None = None) -> int:
             sp.add_argument("--pair", action="append", type=_parse_pair,
                             metavar="TAU_Q,MU2", default=None,
                             help="sweep point; repeatable")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is exit 1 here; --help 0
+        return 1 if exc.code else 0
     try:
         text = args.config.read_text(encoding="utf-8") if args.config else ""
     except OSError as exc:

@@ -40,11 +40,13 @@ and an as-printed step, with beta = 1/(1 + c_B s^2), is
 
 one 2x2 update per mode.  The mean, mode 0, is a fixed point of both, so it
 is carried outside the step (T = m + e) and its heat is conserved exactly.
-assemble stores the per-mode 2x2 increment matrices (new minus old
-amplitudes); run transforms the initial state once, steps the amplitudes
-a chunk of levels at a time, computes the trace from them, and rebuilds
-physical states only at the stored levels.  The single-step functions take
-the same path for one step.
+assemble stores the per-mode 2x2 increment matrices D (new minus old
+amplitudes).  With G = I + D, level s + k is G^k times level s, so run
+builds one table of the powers G^k and G^(k-1) D (the step increments) per
+run; it transforms the initial state once, advances the amplitudes a chunk
+of levels at a time from that table, computes the trace from them, and
+rebuilds physical states only at the stored levels.  The single-step
+functions take the same path with one level.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ from .model import MaterialParams, SimulationConfig, StepperKind
 
 
 #: float64 values per chunk of modal levels (128 KiB, cache-sized); a level
-#: holds 2J amplitudes
+#: holds 2J amplitudes, and run's table of step powers 8J values per level
+#: of a chunk, 4x this budget
 TRACE_CHUNK_ELEMENTS = 2**14
 #: largest number of bytes run() and the run command's writers may hold
 #: (about 40x the 26 MB of a J=7999, 2500-step run storing every 25th
@@ -147,51 +150,52 @@ def _states(m: float, x: np.ndarray) -> list[State]:
     return [State(T=m + e, q=qn) for e, qn in zip(idct(cos), q)]
 
 
-def _kernel(D: np.ndarray) -> np.ndarray:
-    # (2, 2, J): row 0 the diagonal of D, row 1 its off-diagonal in swapped
-    # order, so that D (a, b) = k[0]*(a, b) + swap(k[1]*(a, b))
-    return np.array([[D[0, 0], D[1, 1]], [D[1, 0], D[0, 1]]])
+def _times(cols: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = M x per mode, broadcast: cols[j] is column j of the 2x2
+    matrices M and x[..., i, :] component i of the vectors."""
+    np.multiply(cols[0], x[..., :1, :], out=out)
+    out += cols[1] * x[..., 1:, :]
+    return out
 
 
-def _step_kernel(D: np.ndarray) -> np.ndarray:
-    kernel = _kernel(D)
-    kernel[0] += 1.0
-    return kernel
+def _chunk_table(D: np.ndarray, K: int) -> np.ndarray:
+    """(2, 2, K', 2, J) columns of the step powers for k = 1..K', G = I + D
+    per mode: [j, 0, k-1] is column j of G^k and [j, 1, k-1] column j of
+    G^(k-1) D.
 
-
-def _increments(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """D x for the (K, 2, J) levels x, kernel = _kernel(D)."""
-    return kernel[0] * x + kernel[1, ::-1] * x[:, ::-1]
-
-
-def _advance(kernel: np.ndarray, buf: np.ndarray, count: int,
-             first_step: int) -> None:
-    """Fill buf[1..count] with the levels after buf[0], two whole-array
-    operations per step.
-
-    The as-printed update can overflow, so the loop runs with overflow and
-    invalid-value warnings off and the levels are checked for non-finite
-    values afterwards; step first_step writes buf[1].
+    Built by applying the one-step update to the four columns K - 1 times,
+    not from an eigendecomposition: a mode's two eigenvalues meet where it
+    passes from over- to under-damped, and its eigenvectors are
+    ill-conditioned there.  K' is K cut at the first power with a
+    non-finite entry (at least 1), which an unstable stepper, such as the
+    as-printed one in the Fourier limit, reaches within a few dozen levels.
     """
-    levels = list(buf[:count + 1])
-    products = np.empty((2,) + buf.shape[1:])
-    diagonal, swapped = products[0], products[1, ::-1]
+    cols = D.swapaxes(0, 1)
+    table = np.empty((2, 2, K) + cols.shape[1:])
+    table[:, 0, 0] = np.eye(2)[:, :, None] + cols
+    table[:, 1, 0] = cols
     with np.errstate(over="ignore", invalid="ignore"):
-        for prev, cur in zip(levels, levels[1:]):
-            np.multiply(kernel, prev, out=products)
-            np.add(diagonal, swapped, out=cur)
-    finite = np.isfinite(buf[1:count + 1]).all(axis=(1, 2))
-    if not finite.all():
-        raise NonFiniteState(f"step {first_step + int(np.argmin(finite))} produced "
-                             "a non-finite temperature or flux")
+        for k in range(1, K):
+            _times(table[:, 0, 0], table[:, :, k - 1], out=table[:, :, k])
+    finite = np.isfinite(table).all(axis=(0, 1, 3, 4))
+    return table if finite.all() else table[:, :, :max(1, int(np.argmin(finite)))]
+
+
+def _require_finite(ok: np.ndarray, first_step: int) -> None:
+    """Raise NonFiniteState naming the first step whose flag in ok is False;
+    ok[0] belongs to step first_step."""
+    if not ok.all():
+        raise NonFiniteState(f"step {first_step + int(np.argmin(ok))} produced a "
+                             "non-finite temperature, flux or energy")
 
 
 def _step(D: np.ndarray, prev: State) -> State:
     m = float(np.mean(prev.T))
-    buf = np.empty((2, 2, D.shape[-1]))
-    buf[0] = _modes(prev, m)
-    _advance(_step_kernel(D), buf, 1, 1)
-    return _states(m, buf[1:])[0]
+    x = np.empty((1, 2, D.shape[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _times(_chunk_table(D, 1)[:, 0], _modes(prev, m), out=x)
+    _require_finite(np.isfinite(x).all(axis=(1, 2)), 1)
+    return _states(m, x)[0]
 
 
 def step_coupled(ops: AssembledOperators, params: MaterialParams, grid: Grid,
@@ -290,20 +294,27 @@ class Trajectory:
         return self.states[-1]
 
 
+def _chunk_length(grid: Grid) -> int:
+    # levels per chunk: TRACE_CHUNK_ELEMENTS amplitudes, at most the run
+    return min(max(1, TRACE_CHUNK_ELEMENTS // (2 * grid.J)), grid.N + 1)
+
+
 def run_memory_bytes(grid: Grid, stride: int) -> int:
     """Bytes run() and the run command's writers hold for grid and stride.
 
     Counts the time axis and its copy in the trace, the trace rows (as
     computed and once concatenated), Z, and the trace writer's table (8
     columns), all N+2 long; the states kept every stride steps, 2J+3 values
-    each, and the profiles writer's table of them; and the chunk buffer.
+    each, and the profiles writer's table of them; and, for a chunk of K
+    levels, the table of step powers (K x 2 x 4 x J) and the buffer of the
+    chunk's levels and increments (2 x (K+1) x 2 x J).
     """
     levels, J = grid.N + 2, grid.J
     kept = len(range(0, grid.N + 2, stride)) + ((grid.N + 1) % stride != 0)
-    chunk = max(1, TRACE_CHUNK_ELEMENTS // (2 * J))
+    K = _chunk_length(grid)
     values = (levels * (2 + 2 * 6 + 1 + 8)
               + kept * (2 * J + 3) + (J + 1) * (1 + 2 * kept)
-              + (chunk + 1) * 2 * J)
+              + K * 8 * J + (K + 1) * 4 * J)
     return 8 * values
 
 
@@ -315,9 +326,11 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     always included); energy diagnostics are recorded at every step
     regardless of stride, a chunk of levels at a time.  Every stepper
     advances the modal amplitudes of the fluctuation e of T = m + e around
-    the conserved mean m, and of the interior flux.  Raises MeshTooLarge,
-    before allocating, if run_memory_bytes exceeds MAX_RUN_BYTES, and
-    NonFiniteState if a step overflows.
+    the conserved mean m, and of the interior flux; a chunk of levels is
+    the run's table of step powers applied to the level before it.  Raises
+    MeshTooLarge, before allocating, if run_memory_bytes exceeds
+    MAX_RUN_BYTES, and NonFiniteState, naming the first bad step, if a
+    level or its trace row overflows.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -333,28 +346,33 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
                            f"MAX_RUN_BYTES = {MAX_RUN_BYTES}")
     ops = assemble(params, grid)
     D = ops.printed if kind == StepperKind.VECTORIAL_AS_PRINTED else ops.coupled
-    step, increment = _step_kernel(D), _kernel(D)
+    table = _chunk_table(D, _chunk_length(grid))
     weights = diagnostics.modal_trace_weights(params, grid)
-    J, last = grid.J, grid.N + 1
-    chunk = max(1, TRACE_CHUNK_ELEMENTS // (2 * J))
+    K, J, last = table.shape[2], grid.J, grid.N + 1
     m = float(np.mean(init.T))
-    # row 0 holds the level before the chunk
-    buf = np.empty((chunk + 1, 2, J))
-    buf[0] = _modes(init, m)
+    # [0] the levels, row 0 the one before the chunk; [1, 1:] their increments
+    work = np.empty((2, K + 1, 2, J))
+    work[0, 0] = _modes(init, m)
     states, stored, rows = [init], [0], []
-    for start in range(1, last + 1, chunk):
-        count = min(chunk, last + 1 - start)
-        _advance(step, buf, count, start)
+    for start in range(1, last + 1, K):
+        count = min(K, last + 1 - start)
         # the first chunk also gives level 0 its row
-        rows.append(diagnostics.modal_trace_rows(
-            weights, m, buf[:count + 1], _increments(increment, buf[:count]),
-            first=0 if start == 1 else 1))
+        first = 0 if start == 1 else 1
+        levels = work[0, :count + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _times(table[:, :, :count], levels[0], out=work[:, 1:count + 1])
+            chunk_rows = diagnostics.modal_trace_rows(
+                weights, m, levels, work[1, 1:count + 1], first=first)
+        ok = np.isfinite(chunk_rows).all(axis=1)
+        ok[-count:] &= np.isfinite(levels[1:]).all(axis=(1, 2))
+        _require_finite(ok, start - 1 + first)
+        rows.append(chunk_rows)
         keep = np.arange(start, start + count)
         keep = keep[(keep % stride == 0) | (keep == last)]
         if keep.size:
-            states.extend(_states(m, buf[keep - start + 1]))
+            states.extend(_states(m, levels[keep - start + 1]))
             stored.extend(keep.tolist())
-        buf[0] = buf[count]
+        work[0, 0] = levels[count]
     trace = diagnostics.build_trace(params, grid.t, np.concatenate(rows))
     return Trajectory(states=states, stored_steps=stored, grid=grid,
                       params=params, stepper_kind=kind, trace=trace)

@@ -259,7 +259,6 @@ class TestMain:
         cfg.write_text("warp = 9\n")
         assert main(["verify", "-c", str(cfg)]) == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_unstable_as_printed_run_exits_two(self, tmp_path):
         # the as-printed update is explicit in its temperature correction and
         # blows up in the Fourier limit; the overflow is a numerical failure
@@ -268,6 +267,26 @@ class TestMain:
                        "dx = 2e-3\nt_final = 2.4\n"
                        f"out_dir = {tmp_path / 'x'}\n")
         assert main(["run", "-c", str(cfg)]) == 2
+
+    def test_overflowing_energy_exits_two_without_warnings(self, tmp_path, capsys):
+        # at J = 999 a chunk holds 8 levels and can end on finite levels
+        # whose energy overflows; that is a numerical failure, not a warning
+        cfg = tmp_path / "blow.cfg"
+        cfg.write_text("tau_q = 0\nmu2 = 0\nstepper = vectorial_as_printed\n"
+                       "dx = 1e-4\nt_final = 2.4\n"
+                       f"out_dir = {tmp_path / 'x'}\n")
+        assert main(["run", "-c", str(cfg)]) == 2
+        assert "numerical failure: step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["run", "--nope"], ["frobnicate"],
+                                      ["sweep", "--pair", "1,2,3"]])
+    def test_usage_error_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage: gkheat" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: gkheat" in capsys.readouterr().out
 
     @pytest.mark.parametrize("line", ["T_b = nan", "T_f = inf"])
     def test_non_finite_config_exits_one(self, tmp_path, capsys, line):

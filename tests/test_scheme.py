@@ -418,6 +418,17 @@ class TestBFactor:
 
 
 TRACE_FIELDS = ("E", "diss_lhs", "diss_rhs", "heat", "C_T", "lyapunov", "Z")
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+def assert_states_close(states, T_ref, q_ref, rel=1e-14):
+    """Each field of states within rel of the reference field's maximum."""
+    T = np.array([s.T for s in states])
+    q = np.array([s.q_interior for s in states])
+    T_ref, q_ref = np.asarray(T_ref, dtype=float), np.asarray(q_ref, dtype=float)
+    assert T.shape == T_ref.shape and q.shape == q_ref.shape
+    assert np.max(np.abs(T - T_ref)) <= rel * np.max(np.abs(T_ref))
+    assert np.max(np.abs(q - q_ref)) <= rel * np.max(np.abs(q_ref))
 
 
 class TestTraceChunks:
@@ -433,11 +444,15 @@ class TestTraceChunks:
             monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
             trajs.append(run(p, cfg, init, stride=7))
         base = trajs[0]
+        if EXTENDED:
+            T_ref, q_ref = longdouble_coupled_run(p, grid, init, grid.N + 1)
+            for traj in trajs:
+                assert_states_close(traj.states, T_ref[traj.stored_steps],
+                                    q_ref[traj.stored_steps])
         for traj in trajs[1:]:
             assert traj.stored_steps == base.stored_steps
-            for a, b in zip(traj.states, base.states, strict=True):
-                np.testing.assert_array_equal(a.T, b.T)
-                np.testing.assert_array_equal(a.q, b.q)
+            assert_states_close(traj.states, [s.T for s in base.states],
+                                [s.q_interior for s in base.states])
             for name in TRACE_FIELDS:
                 got, ref = getattr(traj.trace, name), getattr(base.trace, name)
                 assert got.shape == ref.shape == (grid.N + 2,)
@@ -451,15 +466,71 @@ class TestTraceChunks:
         for budget in (1, 30, 10**6):
             monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
             trajs.append(run(p, cfg, init))
-        # the steps are elementwise, so states match bit for bit; the trace
-        # sums go through BLAS, whose rounding depends on the chunk's rows
+        # a level's rounding depends on its offset in its chunk (G^k is
+        # applied to the level before the chunk), and the trace sums go
+        # through BLAS, whose rounding depends on the chunk's rows
         for traj in trajs[1:]:
-            for a, b in zip(traj.states, trajs[0].states, strict=True):
-                np.testing.assert_array_equal(a.T, b.T)
-                np.testing.assert_array_equal(a.q, b.q)
+            assert_states_close(traj.states, [s.T for s in trajs[0].states],
+                                [s.q_interior for s in trajs[0].states])
             for name in TRACE_FIELDS:
                 got, ref = getattr(traj.trace, name), getattr(trajs[0].trace, name)
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+
+class TestChunkTable:
+    @pytest.mark.parametrize("tau_q,mu2", [(8e-3, 2.8e-3), (0.0, 0.0)])
+    @pytest.mark.parametrize("which", ["coupled", "printed"])
+    def test_table_matches_matrix_powers(self, tau_q, mu2, which):
+        J, K = 9, 40
+        p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
+        D = getattr(ops, which)
+        table = scheme._chunk_table(D, K)
+        assert table.shape == (2, 2, K, 2, J)
+        eps = np.finfo(float).eps
+        for m in range(J):
+            d = D[:, :, m]
+            G = np.eye(2) + d
+            for k in range(1, K + 1):
+                # the table holds columns: [j, .., i] is entry (i, j); each
+                # entry within the usual product bound k eps (|G|^k)_ij
+                for got, want, bound in (
+                        (table[:, 0, k - 1, :, m].T, np.linalg.matrix_power(G, k),
+                         np.linalg.matrix_power(np.abs(G), k)),
+                        (table[:, 1, k - 1, :, m].T,
+                         np.linalg.matrix_power(G, k - 1) @ d,
+                         np.linalg.matrix_power(np.abs(G), k - 1) @ np.abs(d))):
+                    assert np.all(np.abs(got - want) <= 4 * k * eps * bound), (m, k)
+
+    def test_table_cut_at_first_non_finite_power(self):
+        # the as-printed Fourier-limit step grows the top mode ~2000x per
+        # step at this mesh, so its powers leave the float range near k = 93
+        p, cfg, grid, ops = small_setup(J=49, tau_q=0.0, mu2=0.0)
+        table = scheme._chunk_table(ops.printed, 200)
+        K = table.shape[2]
+        assert 50 < K < 200
+        assert np.all(np.isfinite(table))
+        with np.errstate(over="ignore", invalid="ignore"):
+            next_power = scheme._times(table[:, 0, 0], table[:, :, K - 1],
+                                       out=np.empty_like(table[:, :, 0]))
+        assert not np.all(np.isfinite(next_power))
+
+    @pytest.mark.parametrize("kind,stepper", [
+        (StepperKind.COUPLED_IMPLICIT, step_coupled),
+        (StepperKind.VECTORIAL_AS_PRINTED, step_vectorial_as_printed)])
+    def test_run_matches_single_steps(self, monkeypatch, kind, stepper):
+        # chunks of 4 levels: boundaries after steps 4, 8, 12 and 16
+        J = 9
+        p, cfg, grid, ops = small_setup(J=J, t_final=18 * 1.2e-2)
+        cfg = dataclasses.replace(cfg, stepper_kind=kind)
+        monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", 4 * 2 * J)
+        init = cosine_initial(grid, 15.0, 30.0)
+        traj = run(p, cfg, init)
+        states = [init]
+        for _ in range(grid.N + 1):
+            states.append(stepper(ops, p, grid, states[-1]))
+        assert traj.stored_steps == list(range(grid.N + 2))
+        assert_states_close(traj.states, [s.T for s in states],
+                            [s.q_interior for s in states])
 
 
 def longdouble_coupled_run(p, grid, init, steps):
@@ -495,8 +566,7 @@ def longdouble_coupled_run(p, grid, init, steps):
     return np.array(Ts), np.array(qs)
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                    reason="longdouble is plain float64 here")
+@pytest.mark.skipif(not EXTENDED, reason="longdouble is plain float64 here")
 class TestExtendedPrecision:
     @pytest.mark.parametrize("J,steps", [(63, 2000), (499, 200)])
     def test_run_matches_longdouble_reference(self, ref_params, J, steps):
@@ -552,6 +622,21 @@ class TestNonFinite:
         cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
         with pytest.raises(NonFiniteState, match=r"step \d+ produced"):
             run(p, cfg, cosine_initial(grid, 15.0, 30.0))
+
+    def test_first_bad_step_independent_of_chunk_budget(self, monkeypatch):
+        # the energy of levels past ~1e154 overflows before the levels do;
+        # either is caught, without a warning, at the same step for one
+        # level per chunk and for the default chunk
+        p, cfg, grid, ops = small_setup(J=49, tau_q=0.0, mu2=0.0,
+                                        t_final=200 * 1.2e-2)
+        cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
+        messages = []
+        for budget in (1, scheme.TRACE_CHUNK_ELEMENTS):
+            monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
+            with pytest.raises(NonFiniteState, match=r"step \d+ produced") as err:
+                run(p, cfg, cosine_initial(grid, 15.0, 30.0))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
     def test_single_step_overflow(self):
         # the transforms of this state stay finite; its high modes grow by
