@@ -12,7 +12,8 @@ from .discretization import (Grid, State, build_grid, cosine_initial,
                              zero_mean_initial)
 from .errors import (DegenerateTrace, DimensionMismatch, GKHeatError,
                      GridMismatch, InsufficientFitData, InvalidLimit,
-                     MeshTooLarge, NonDivisibleMesh, NonFiniteState,
+                     MeshTooLarge, NonDivisibleMesh, NonFiniteInput,
+                     NonFiniteState,
                      NonPositiveCoefficient, NumericalFailure, ParseError,
                      SingularMatrix, UnknownKey)
 from .linalg import dense_solve
@@ -27,7 +28,7 @@ __all__ = [
     "DimensionMismatch", "DissipationReport", "EnergyTrace", "EnvelopeReport",
     "GKHeatError", "Grid", "GridMismatch", "InsufficientFitData",
     "InvalidLimit", "MaterialParams", "MeshTooLarge", "NonDivisibleMesh",
-    "NonFiniteState", "NonPositiveCoefficient", "NumericalFailure",
+    "NonFiniteInput", "NonFiniteState", "NonPositiveCoefficient", "NumericalFailure",
     "OnsagerCoefficients", "ParseError", "SandwichReport", "SimulationConfig",
     "SingularMatrix", "State", "StepperKind", "Trajectory",
     "UnknownKey", "assemble", "assemble_coupled_system", "boundary_term",

@@ -20,11 +20,17 @@ from .model import MaterialParams, SimulationConfig, StepperKind
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One check's outcome; detail is the text printed after PASS/FAIL."""
+    """One check's outcome; detail is the text printed after PASS/FAIL.
+
+    value is the check's worst case and bound the most it may be: ok is
+    value <= bound, so bound - value is the margin.
+    """
 
     name: str
     ok: bool
     detail: str
+    value: float
+    bound: float
 
 
 def state_gap(a: State, b: State) -> float:
@@ -42,33 +48,43 @@ def heat_drift(trace: diagnostics.EnergyTrace) -> float:
 def energy_monotone(trace: diagnostics.EnergyTrace) -> CheckResult:
     jumps = np.diff(trace.E)
     worst = float(np.max(jumps)) if jumps.size else 0.0
-    ok = bool(np.all(jumps <= 1e-12 * max(trace.E[0], 1.0)))
-    return CheckResult("energy_monotone", ok, f"max energy increase {worst:.3e}")
+    bound = 1e-12 * max(float(trace.E[0]), 1.0)
+    ok = bool(np.all(jumps <= bound))
+    return CheckResult("energy_monotone", ok, f"max energy increase {worst:.3e}",
+                       worst, bound)
 
 
 def dissipation_inequality(trace: diagnostics.EnergyTrace) -> CheckResult:
     lhs, rhs = trace.diss_lhs[1:], trace.diss_rhs[1:]
     if not lhs.size:
-        return CheckResult("dissipation_inequality", True, "no steps")
+        return CheckResult("dissipation_inequality", True, "no steps", 0.0, 0.0)
     slack = diagnostics.DISSIPATION_RTOL * np.maximum(1.0, np.abs(lhs))
-    margin = rhs + slack - lhs
-    return CheckResult("dissipation_inequality", bool(np.all(margin >= 0.0)),
-                       f"min margin {float(np.min(margin)):.3e}")
+    margin = float(np.min(rhs + slack - lhs))
+    # the value is the worst step's excess of lhs over rhs + slack
+    return CheckResult("dissipation_inequality", margin >= 0.0,
+                       f"min margin {margin:.3e}", -margin, 0.0)
 
 
 def heat_conservation(trace: diagnostics.EnergyTrace) -> CheckResult:
     h0, drift = trace.heat[0], heat_drift(trace)
     ok = drift <= 1e-12 * abs(h0) if h0 != 0.0 else drift == 0.0
     rel = drift / abs(h0) if h0 != 0.0 else drift
-    return CheckResult("heat_conservation", ok, f"max drift {rel:.3e} (relative)")
+    return CheckResult("heat_conservation", bool(ok),
+                       f"max drift {rel:.3e} (relative)", float(rel),
+                       1e-12 if h0 != 0.0 else 0.0)
 
 
 def lyapunov_sandwich(trace: diagnostics.EnergyTrace,
                       params: MaterialParams) -> CheckResult:
     rep = diagnostics.lyapunov_sandwich_check(trace, params)
+    # the value is how far past 1 the nearer ratio reaches; a zero trace,
+    # whose ratios read 0, has nothing to bound
+    value = (max(1.0 - rep.min_lower_ratio, rep.max_upper_ratio - 1.0)
+             if trace.E[0] > 0.0 else -1.0)
     return CheckResult("lyapunov_sandwich", rep.ok,
                        f"lower ratio >= {rep.min_lower_ratio:.4f}, "
-                       f"upper ratio <= {rep.max_upper_ratio:.4f}")
+                       f"upper ratio <= {rep.max_upper_ratio:.4f}",
+                       value, diagnostics.QUADRATURE_SLACK)
 
 
 def decay_envelope(trace: diagnostics.EnergyTrace, params: MaterialParams,
@@ -78,7 +94,7 @@ def decay_envelope(trace: diagnostics.EnergyTrace, params: MaterialParams,
     kind = "zero-mean bound" if zero_mean else "offset bound"
     return CheckResult("decay_envelope", rep.ok,
                        f"{kind}, max E/bound {rep.max_ratio:.4f}, "
-                       f"sup|C_T| {rep.sup_CT:.6g}")
+                       f"sup|C_T| {rep.sup_CT:.6g}", rep.max_ratio, 1.0 + 1e-12)
 
 
 def oracle_equivalence(params: MaterialParams, config: SimulationConfig,
@@ -97,7 +113,8 @@ def oracle_equivalence(params: MaterialParams, config: SimulationConfig,
             worst = max(worst, state_gap(scheme.step_coupled(ops, params, grid, prev),
                                          scheme.step_coupled_reference(params, grid, prev)))
     return CheckResult("oracle_equivalence", worst <= 1e-10,
-                       f"worst relative gap to dense reference {worst:.3e}")
+                       f"worst relative gap to dense reference {worst:.3e}",
+                       worst, 1e-10)
 
 
 def mode_rate_fit(params: MaterialParams, config: SimulationConfig) -> CheckResult:
@@ -111,7 +128,8 @@ def mode_rate_fit(params: MaterialParams, config: SimulationConfig) -> CheckResu
     traj = scheme.run(params, cfg, discretization.zero_mean_initial(grid, config.T_f),
                       stride=max(1, n_steps))
     if traj.trace.E[0] == 0.0:
-        return CheckResult("mode_rate_fit", True, "zero initial data, nothing to fit")
+        return CheckResult("mode_rate_fit", True, "zero initial data, nothing to fit",
+                           0.0, 0.02)
     hi = min(5.0, 0.9 * cfg.t_final)
     fitted = diagnostics.fit_energy_decay_rate(traj.trace, params,
                                                t_window=(hi / 10.0, hi))
@@ -120,7 +138,7 @@ def mode_rate_fit(params: MaterialParams, config: SimulationConfig) -> CheckResu
     rel = abs(fitted / target - 1.0)
     return CheckResult("mode_rate_fit", rel <= 0.02,
                        f"fitted {fitted:.6g} 1/s vs spectral {target:.6g} 1/s "
-                       f"({100 * rel:.3f}% off)")
+                       f"({100 * rel:.3f}% off)", rel, 0.02)
 
 
 def printed_gaps(params: MaterialParams,

@@ -12,11 +12,12 @@ which the coupled implicit scheme dissipates at the rate
 
 Everything here is a pure function of states or traces.  The state-level
 functions (discrete_energy, lyapunov, ...) evaluate one physical state.
-modal_trace_rows evaluates the same quantities for whole chunks of levels
-at once, from the modal amplitudes the trajectory runner steps (see linalg
-and scheme): each trace column is a weighted sum over the modes, with the
-fixed weights of modal_trace_weights.  The runner stacks the rows and
-build_trace turns them into an EnergyTrace.
+The trajectory runner (see linalg and scheme) gets them for every level
+from the modal amplitudes it steps: each trace column is a sum over the
+modes with the weights of modal_trace_weights, and is a quadratic or
+linear form in the level a chunk starts from.  modal_trace_table tabulates
+those forms for a block of modes, and trace_rows and build_trace turn the
+summed columns into an EnergyTrace.
 """
 
 from __future__ import annotations
@@ -320,21 +321,20 @@ def fit_energy_decay_rate(trace: EnergyTrace, params: MaterialParams,
 class ModalTraceWeights:
     """Fixed weights turning the modal amplitudes of a level into its trace.
 
-    A level is x = (a, b), a_m the cosine amplitudes of the fluctuation e of
-    T = m + e and b_m the sine amplitudes of q_1..q_J (m = 1..J); the
-    columns of square, linear and increment weight the flattened 2J-vector
-    x.  By orthonormality sum e^2 = sum a^2 and sum q^2 = sum b^2; A_q q
-    has the amplitudes s_m b_m; and the tail sum I_j = dx sum_{i>=j} T_i is
+    A level is y = (y_0, y_1) = (a_m, b_m) per mode, a_m the cosine
+    amplitudes of the fluctuation e of T = m + e and b_m the sine amplitudes
+    of q_1..q_J (m = 1..J); every array has the modes on its last axis.  By
+    orthonormality sum e^2 = sum a^2 and sum q^2 = sum b^2; A_q q has the
+    amplitudes s_m b_m; and the tail sum I_j = dx sum_{i>=j} T_i is
     dx m (J+1-j) plus, per cosine mode m, -(dx/s_m) times sine mode m (0 at
-    j = 0).  That makes E, F and diss_rhs quadratic forms of x, the cross
-    term <q, I> of F a weighted sum of a_m b_m, and C_T/heat and F's part
+    j = 0).  That makes E, F and diss_rhs quadratic forms of y (with the
+    cross term <q, I> of F on a_m b_m), and C_T/heat and F's part
     proportional to m linear forms.
     """
 
-    square: np.ndarray      # (2J, 3): E, F, diss_rhs per x_i^2
-    cross: np.ndarray       # (J,): F per a_m b_m
-    linear: np.ndarray      # (2J, 2): C_T/heat, F/m per x_i
-    increment: np.ndarray   # (2J,): diss_lhs per (x'_i - x_i)(x'_i + x_i)
+    quadratic: np.ndarray   # (3, 3, J): E, diss_rhs, F per y_0^2, y_1^2, y_0 y_1
+    increment: np.ndarray   # (2, J): diss_lhs per (y'_i - y_i)(y'_i + y_i)
+    linear: np.ndarray      # (2, 2, J): F/m, C_T/heat per y_i
     E_mean: float           # E per m^2
     F_mean: float           # F per m^2
     heat_mean: float        # heat per m
@@ -343,7 +343,7 @@ class ModalTraceWeights:
 
 
 def modal_trace_weights(params: MaterialParams, grid: Grid) -> ModalTraceWeights:
-    """The weights of modal_trace_rows for one (params, grid) pair."""
+    """The weights of modal_trace_table for one (params, grid) pair."""
     J, dx, n = grid.J, grid.dx, grid.J + 1
     k, mu2, tau_q, rc = params.k, params.mu2, params.tau_q, params.rho_c
     w_T, w_q = rc * dx / 2.0, (tau_q / k) * (dx / 2.0)
@@ -356,55 +356,89 @@ def modal_trace_weights(params: MaterialParams, grid: Grid) -> ModalTraceWeights
     at_T0, at_q1 = root * np.cos(half), root * np.sin(2.0 * half)
     ramp = root * (n / 2.0) / np.tan(half)
     zero = np.zeros(J)
-    energy = np.concatenate((np.full(J, w_T), np.full(J, w_q)))
-    square = np.column_stack((
-        energy,
-        np.concatenate(((rc / 2.0) * dx * (dx * dx / (s * s) + mu2), zero)),
-        np.concatenate((zero, -(dx / k) - (mu2 / (k * dx)) * s * s))))
-    linear = np.column_stack((
-        np.concatenate((-k * at_T0, (mu2 / dx) * at_q1)),
-        np.concatenate((-rc * dx**3 * ramp / s, tau_q * dx * dx * ramp))))
+    quadratic = np.array([
+        [np.full(J, w_T), np.full(J, w_q), zero],
+        [zero, -(dx / k) - (mu2 / (k * dx)) * s * s, zero],
+        [(rc / 2.0) * dx * (dx * dx / (s * s) + mu2), zero, -tau_q * dx * dx / s]])
+    linear = np.array([[-rc * dx**3 * ramp / s, tau_q * dx * dx * ramp],
+                       [-k * at_T0, (mu2 / dx) * at_q1]])
     ramp_sq = n * (n + 1) * (2 * n + 1) / 6.0       # sum_{j=0..J} (n-j)^2
     return ModalTraceWeights(
-        square=square, cross=-tau_q * dx * dx / s, linear=linear,
-        increment=energy / grid.dt, E_mean=w_T * n,
+        quadratic=quadratic, increment=quadratic[0, :2] / grid.dt,
+        linear=linear, E_mean=w_T * n,
         F_mean=(rc / 2.0) * dx * (dx * dx * ramp_sq + mu2 * n),
         heat_mean=dx * n, boundary_mean=-k,
         lyapunov_weight=2.0 * params.l**2 + 2.0 * mu2 + tau_q * k / rc)
 
 
-def modal_trace_rows(w: ModalTraceWeights, m: float, x: np.ndarray,
-                     increments: np.ndarray, first: int = 1) -> np.ndarray:
-    """Trace rows of consecutive levels of a trajectory split as T = m + e.
+def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
+                      modes: slice, out: np.ndarray | None = None) -> np.ndarray:
+    """Trace table of a block of modes, (L, 5, 5, n) for L levels.
 
-    x (K+1 x 2 x J) holds the modal amplitudes (a, b) of one level per row,
-    increments (K x 2 x J) the change x[k] - x[k-1] as the step computed
-    it.  Returns the rows of levels first..K with columns E, diss_lhs,
-    diss_rhs, heat, C_T, lyapunov; the dissipation sides pair each level
-    with the row before and are zero for row 0 (first=0).  diss_lhs is
-    formed from the increments directly, sum (x' - x)(x' + x), so it is
-    neither drowned by cancellation near equilibrium nor limited by the
-    rounding of x' itself; the mean, never stepped, drops out of it and
-    keeps the heat exactly constant.
+    powers (2, 2, L, 2, n) holds, for the n modes in `modes`, column j of
+    the matrix G_l mapping a base level x = (a, b) to level l at [j, 0, l],
+    and of P_l mapping it to the step's increment into level l at
+    [j, 1, l] (G^k and G^(k-1) D for level k; I and 0 for x itself).  With
+    the features phi(x) = (a^2, ab, b^2, a, b), table[l, c, f, i] weighs
+    feature f of mode i in column c of level l: E, diss_rhs and F less
+    their mean parts (F's term linear in y carries m), C_T/heat less its
+    mean part, and diss_lhs from the increment P_l x as the step computes
+    it and y + y_prev = (2 G_l - P_l) x.  Summed over the modes,
+    phi(x) @ table gives the sums trace_rows takes.
     """
-    X = x.reshape(x.shape[0], -1)
-    rows = np.zeros((X.shape[0] - first, 6))
-    rows[1 - first:, 1] = (increments.reshape(X.shape[0] - 1, -1)
-                           * (X[1:] + X[:-1])) @ w.increment
-    X, a, b = X[first:], x[first:, 0], x[first:, 1]
-    square, linear = (X * X) @ w.square, X @ w.linear
-    rows[:, 0] = E = w.E_mean * m * m + square[:, 0]
-    rows[1 - first:, 2] = square[1 - first:, 2]
+    G = powers[:, 0].transpose(1, 2, 0, 3)    # (L, row i, column j, n)
+    P = powers[:, 1].transpose(1, 2, 0, 3)
+    table = np.empty((G.shape[0], 5, 5, G.shape[3])) if out is None else out
+    # y_0^2, y_1^2 and y_0 y_1 on the features a^2, ab, b^2
+    left, right = G[:, [0, 1, 0]], G[:, [0, 1, 1]]
+    monomials = np.empty(left.shape[:2] + (3,) + left.shape[3:])
+    np.multiply(left[:, :, 0], right[:, :, 0], out=monomials[:, :, 0])
+    np.multiply(left[:, :, 0], right[:, :, 1], out=monomials[:, :, 1])
+    monomials[:, :, 1] += left[:, :, 1] * right[:, :, 0]
+    np.multiply(left[:, :, 1], right[:, :, 1], out=monomials[:, :, 2])
+    q = w.quadratic[..., modes]
+    np.multiply(monomials[:, None, 0], q[None, :, 0, None], out=table[:, :3, :3])
+    for u in (1, 2):
+        table[:, :3, :3] += monomials[:, None, u] * q[None, :, u, None]
+    # diss_lhs = sum_i w_i (P x)_i ((2 G - P) x)_i
+    weighted = P * w.increment[None, :, None, modes]
+    both = (weighted[:, :, :, None] * (2.0 * G - P)[:, :, None, :]).sum(axis=1)
+    table[:, 4, 0] = both[:, 0, 0]
+    np.add(both[:, 0, 1], both[:, 1, 0], out=table[:, 4, 1])
+    table[:, 4, 2] = both[:, 1, 1]
+    # F/m and C_T/heat: sum_i l_i y_i puts sum_i l_i G_ij on x_j
+    lin = w.linear[..., modes] * np.array([m, 1.0])[:, None, None]
+    np.sum(G[:, None] * lin[None, :, :, None], axis=2, out=table[:, 2:4, 3:])
+    table[:, :2, 3:] = 0.0
+    table[:, 4, 3:] = 0.0
+    table[:, 3, :3] = 0.0
+    return table
+
+
+def trace_rows(w: ModalTraceWeights, m: float, sums: np.ndarray) -> np.ndarray:
+    """Trace rows (columns E, diss_lhs, diss_rhs, heat, C_T, lyapunov) of
+    the levels of a trajectory split as T = m + e, from their sums over the
+    modes, in the column order of modal_trace_table; row 0 has no
+    predecessor and zeros for the dissipation sides.  diss_lhs comes from
+    the step increments, so it is neither drowned by cancellation near
+    equilibrium nor limited by the rounding of the levels themselves; the
+    mean, never stepped, drops out of it and keeps the heat exactly
+    constant.
+    """
+    rows = np.empty((sums.shape[0], 6))
+    rows[:, 0] = E = w.E_mean * m * m + sums[:, 0]
+    rows[:, 1] = sums[:, 4]
+    rows[:, 2] = sums[:, 1]
+    rows[0, 1:3] = 0.0
     rows[:, 3] = heat = w.heat_mean * m
-    rows[:, 4] = (w.boundary_mean * m + linear[:, 0]) * heat
-    F = w.F_mean * m * m + square[:, 1] + (a * b) @ w.cross + m * linear[:, 1]
-    rows[:, 5] = w.lyapunov_weight * E + F
+    rows[:, 4] = (w.boundary_mean * m + sums[:, 3]) * heat
+    rows[:, 5] = w.lyapunov_weight * E + (w.F_mean * m * m + sums[:, 2])
     return rows
 
 
 def build_trace(params: MaterialParams, t: np.ndarray,
                 rows: np.ndarray) -> EnergyTrace:
-    """EnergyTrace from stacked modal_trace_rows output at times t, with Z."""
+    """EnergyTrace from trace_rows output at times t, with Z."""
     trace = EnergyTrace(t=t.copy(), E=rows[:, 0], diss_lhs=rows[:, 1],
                         diss_rhs=rows[:, 2], heat=rows[:, 3], C_T=rows[:, 4],
                         lyapunov=rows[:, 5],

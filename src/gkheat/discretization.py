@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, MeshTooLarge, NonDivisibleMesh
+from .errors import GridMismatch, MeshTooLarge, NonDivisibleMesh, NonFiniteInput
 from .model import MaterialParams, SimulationConfig
 
 #: relative tolerance for the "step divides the interval" check
@@ -98,7 +98,7 @@ class State:
             raise GridMismatch(
                 f"need q.size == T.size + 1, got T{T.shape}, q{q.shape}")
         if not (np.all(np.isfinite(T)) and np.all(np.isfinite(q))):
-            raise ValueError("state contains non-finite entries")
+            raise NonFiniteInput("state contains non-finite entries")
         if q[0] != 0.0 or q[-1] != 0.0:
             raise ValueError("boundary flux entries must be exactly zero")
         object.__setattr__(self, "T", T)
@@ -117,9 +117,16 @@ def _require_on_grid(state: State, grid: Grid, name: str) -> None:
 
 
 def cosine_initial(grid: Grid, T_b: float, T_f: float) -> State:
-    """Initial profile T_j = T_b + (T_f/2) cos(pi x_j / l) with q = 0."""
+    """Initial profile T_j = T_b + (T_f/2) cos(pi x_j / l) with q = 0.
+
+    Raises NonFiniteInput if the profile overflows.
+    """
     xT = grid.x[:grid.J + 1]
-    T = T_b + 0.5 * T_f * np.cos(np.pi * xT / grid.length)
+    with np.errstate(over="ignore"):
+        T = T_b + 0.5 * T_f * np.cos(np.pi * xT / grid.length)
+    if not np.all(np.isfinite(T)):
+        raise NonFiniteInput(f"the initial profile overflows for T_b = {T_b!r}, "
+                             f"T_f = {T_f!r}")
     return State(T=T, q=np.zeros(grid.J + 2))
 
 

@@ -33,6 +33,11 @@ class DimensionMismatch(GKHeatError):
     """Operand shapes are incompatible."""
 
 
+class NonFiniteInput(GKHeatError, ValueError):
+    """A state holds a non-finite value, or initial data are so large that
+    their energy overflows (a configuration error; the CLI exits 1)."""
+
+
 class NumericalFailure(GKHeatError):
     """A computation produced no usable number (the CLI exits 2)."""
 

@@ -41,31 +41,37 @@ and an as-printed step, with beta = 1/(1 + c_B s^2), is
 one 2x2 update per mode.  The mean, mode 0, is a fixed point of both, so it
 is carried outside the step (T = m + e) and its heat is conserved exactly.
 assemble stores the per-mode 2x2 increment matrices D (new minus old
-amplitudes).  With G = I + D, level s + k is G^k times level s, so run
-builds one table of the powers G^k and G^(k-1) D (the step increments) per
-run; it transforms the initial state once, advances the amplitudes a chunk
-of levels at a time from that table, computes the trace from them, and
-rebuilds physical states only at the stored levels.  The single-step
-functions take the same path with one level.
+amplitudes).  With G = I + D, level s + k is G^k times level s, and each
+of its trace terms is a quadratic or linear form in level s.  So run
+transforms the initial state once and works through the modes a block at
+a time: from a block's powers G^k and G^(k-1) D (the step increments),
+k = 0..K, it builds one trace table (diagnostics.modal_trace_table), and
+every row of the run gets the block's share from one matrix product of
+the table with the features of the chunk bases, the levels 0, K, 2K, ...
+Only the stored levels are formed, and physical states are rebuilt from
+them after the last block.  The single-step functions apply the table of
+one power.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics
 from .discretization import Grid, State, _require_on_grid, build_grid
-from .errors import InvalidLimit, MeshTooLarge, NonFiniteState
+from .errors import InvalidLimit, MeshTooLarge, NonFiniteInput, NonFiniteState
 from .linalg import dct, dense_solve, difference_symbols, dst, idct
 from .model import MaterialParams, SimulationConfig, StepperKind
 
 
-#: float64 values per chunk of modal levels (128 KiB, cache-sized); a level
-#: holds 2J amplitudes, and run's table of step powers 8J values per level
-#: of a chunk, 4x this budget
-TRACE_CHUNK_ELEMENTS = 2**14
+#: float64 values in one block's trace table (256 KiB): run traces the
+#: modes a block at a time, each block's share of every trace row a matrix
+#: product with this table; it sets the shape of the blocks (_block_shape),
+#: and a block's buffers hold about 5x as many values in all
+TRACE_CHUNK_ELEMENTS = 2**15
 #: largest number of bytes run() and the run command's writers may hold
 #: (about 40x the 26 MB of a J=7999, 2500-step run storing every 25th
 #: level); checked by run() before anything is allocated
@@ -158,27 +164,35 @@ def _times(cols: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _power_table(cols: np.ndarray, K: int) -> np.ndarray:
+    """(2, c, K', 2, n): [j, i, k-1] = G^(k-1) cols[j, i], k = 1..K', per
+    mode; cols (2, c, 2, n) holds c vectors per column j, cols[:, 0] the
+    columns of G.  Built by doubling (G^p applied to the first p entries
+    gives the next p), not from an eigendecomposition: a mode's
+    eigenvectors are ill-conditioned where it passes from over- to
+    under-damped.  K' is K cut at the first non-finite entry (at least 1),
+    which the unstable as-printed Fourier-limit stepper reaches within a
+    few dozen levels.
+    """
+    table = np.empty(cols.shape[:2] + (K,) + cols.shape[2:])
+    table[:, :, 0] = cols
+    p = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while p < K:
+            count = min(p, K - p)
+            _times(table[:, 0, p - 1], table[:, :, :count],
+                   out=table[:, :, p:p + count])
+            p += count
+    finite = np.isfinite(table).all(axis=(0, 1, 3, 4))
+    return table if finite.all() else table[:, :, :max(1, int(np.argmin(finite)))]
+
+
 def _chunk_table(D: np.ndarray, K: int) -> np.ndarray:
     """(2, 2, K', 2, J) columns of the step powers for k = 1..K', G = I + D
     per mode: [j, 0, k-1] is column j of G^k and [j, 1, k-1] column j of
-    G^(k-1) D.
-
-    Built by applying the one-step update to the four columns K - 1 times,
-    not from an eigendecomposition: a mode's two eigenvalues meet where it
-    passes from over- to under-damped, and its eigenvectors are
-    ill-conditioned there.  K' is K cut at the first power with a
-    non-finite entry (at least 1), which an unstable stepper, such as the
-    as-printed one in the Fourier limit, reaches within a few dozen levels.
-    """
+    G^(k-1) D; cut as _power_table cuts."""
     cols = D.swapaxes(0, 1)
-    table = np.empty((2, 2, K) + cols.shape[1:])
-    table[:, 0, 0] = np.eye(2)[:, :, None] + cols
-    table[:, 1, 0] = cols
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, K):
-            _times(table[:, 0, 0], table[:, :, k - 1], out=table[:, :, k])
-    finite = np.isfinite(table).all(axis=(0, 1, 3, 4))
-    return table if finite.all() else table[:, :, :max(1, int(np.argmin(finite)))]
+    return _power_table(np.stack((np.eye(2)[:, :, None] + cols, cols), axis=1), K)
 
 
 def _require_finite(ok: np.ndarray, first_step: int) -> None:
@@ -294,28 +308,98 @@ class Trajectory:
         return self.states[-1]
 
 
-def _chunk_length(grid: Grid) -> int:
-    # levels per chunk: TRACE_CHUNK_ELEMENTS amplitudes, at most the run
-    return min(max(1, TRACE_CHUNK_ELEMENTS // (2 * grid.J)), grid.N + 1)
+def _block_shape(grid: Grid) -> tuple[int, int, int]:
+    """(K, n, M): levels per chunk, modes per block, chunks per group.
+
+    A block's trace table, 25 (K + 1) n <= TRACE_CHUNK_ELEMENTS values, is
+    32 times as wide in modes as in levels, n = 32 (K + 1), unless the mesh
+    has fewer modes; K then fills the budget, but is at most N + 1.  A
+    group's features, 5 M n values, are as many as the table's, M =
+    5 (K + 1), unless the run has fewer chunks.
+    """
+    n = min(grid.J, max(1, 32 * math.isqrt(TRACE_CHUNK_ELEMENTS // 800)))
+    K = min(grid.N + 1, max(1, TRACE_CHUNK_ELEMENTS // (25 * n) - 1))
+    return K, n, min(5 * (K + 1), -(-(grid.N + 1) // K))
 
 
 def run_memory_bytes(grid: Grid, stride: int) -> int:
     """Bytes run() and the run command's writers hold for grid and stride.
 
-    Counts the time axis and its copy in the trace, the trace rows (as
-    computed and once concatenated), Z, and the trace writer's table (8
-    columns), all N+2 long; the states kept every stride steps, 2J+3 values
-    each, and the profiles writer's table of them; and, for a chunk of K
-    levels, the table of step powers (K x 2 x 4 x J) and the buffer of the
-    chunk's levels and increments (2 x (K+1) x 2 x J).
+    Counts, per level, the time axis and its copy, the trace's modal sums
+    (5 columns), rows (6), a column of temporaries, Z and the trace
+    writer's table (8); per kept state 2J+3 values plus 112 for Python
+    objects (the State, its step and time, the profiles writer's labels
+    and row values: about 850 bytes measured) and the profiles writer's
+    table, which also covers run's buffer of the kept levels' amplitudes,
+    freed before the writers run; and per block the buffer of table and
+    features (25 (K + 1) n + 5 (M + 1) n), the power tables (16 (K + 1) n
+    and 4 M n), modal_trace_table's temporaries (40 (K + 1) n) and a
+    group's sums, stored levels and bases (5 K M + 2 M n).
     """
     levels, J = grid.N + 2, grid.J
     kept = len(range(0, grid.N + 2, stride)) + ((grid.N + 1) % stride != 0)
-    K = _chunk_length(grid)
-    values = (levels * (2 + 2 * 6 + 1 + 8)
-              + kept * (2 * J + 3) + (J + 1) * (1 + 2 * kept)
-              + K * 8 * J + (K + 1) * 4 * J)
+    K, n, M = _block_shape(grid)
+    values = (levels * (2 + 5 + 6 + 1 + 1 + 8)
+              + kept * (2 * J + 3 + 112) + (J + 1) * (1 + 2 * kept)
+              + (K + 1) * n * (25 + 16 + 40) + M * n * (5 + 4 + 2)
+              + 5 * n + 5 * K * M)
     return 8 * values
+
+
+def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
+                 modes: slice, m: float, x: np.ndarray, K: int, M: int,
+                 keep: np.ndarray, sums: np.ndarray, stored: np.ndarray,
+                 buffer: np.ndarray) -> None:
+    """Add one block of modes' share to every row of sums and write its
+    amplitudes of the levels keep into stored.
+
+    D (2, 2, n) are the block's increment matrices, x (2, n) its level 0.
+    The trace table of G^k, k = 0..K (K cut where a power or a table entry
+    is not finite), maps a chunk base's features to its chunk's sums.  The
+    bases of a group of M chunks are the powers of G^K applied to the
+    first, and one matrix product gives the group's rows.  buffer holds
+    (25 (K + 1) + 5 (M + 1)) n values: the table, then the features.
+    """
+    n, last = x.shape[1], sums.shape[0] - 1
+    powers = np.zeros((2, 2, K + 1, 2, n))
+    powers[0, 0, 0, 0] = powers[1, 0, 0, 1] = 1.0
+    chunk = _chunk_table(D, K)
+    K = chunk.shape[2]
+    powers[:, :, 1:K + 1] = chunk
+    table = diagnostics.modal_trace_table(
+        w, m, powers[:, :, :K + 1], modes,
+        out=buffer[:25 * (K + 1) * n].reshape(K + 1, 5, 5, n))
+    finite = np.isfinite(table).all(axis=(1, 2, 3))
+    if not finite.all():
+        K = max(1, int(np.argmin(finite)) - 1)
+        table = table[:K + 1]
+    table = table.reshape(5 * (K + 1), 5 * n)
+    hops = _power_table(powers[:, :1, K], M)[:, 0]
+    group = hops.shape[1]
+    # one row more than a group, for the base of the next group
+    features = buffer[25 * (K + 1) * n:][:5 * (group + 1) * n].reshape(group + 1, 5, n)
+    bases = features[:, 3:]
+    bases[0] = x
+    total = -(-last // K)
+    for c0 in range(0, total, group):
+        count = min(group, total - c0)
+        if c0:
+            bases[0] = bases[group]
+        _times(hops[:, :count], bases[0], out=bases[1:count + 1])
+        np.multiply(bases[:count], bases[:count, :1], out=features[:count, :2])
+        np.multiply(bases[:count, 1], bases[:count, 1], out=features[:count, 2])
+        flat = features[:count].reshape(count, 5 * n)
+        if c0 == 0:
+            sums[0] += table[:5] @ flat[0]
+        start = c0 * K + 1
+        levels = min(count * K, last + 1 - start)
+        sums[start:start + levels] += (flat @ table[5:].T).reshape(-1, 5)[:levels]
+        # the stored levels, at most a group's count at a time
+        lo, hi = np.searchsorted(keep, (start, start + levels))
+        for i in range(lo, hi, group):
+            offset = keep[i:min(i + group, hi)] - start
+            _times(powers[:, 0][:, offset % K + 1], bases[offset // K],
+                   out=stored[i:i + offset.size])
 
 
 def run(params: MaterialParams, config: SimulationConfig, init: State,
@@ -324,12 +408,12 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
 
     States are stored every `stride` steps (level 0 and the final level
     always included); energy diagnostics are recorded at every step
-    regardless of stride, a chunk of levels at a time.  Every stepper
-    advances the modal amplitudes of the fluctuation e of T = m + e around
-    the conserved mean m, and of the interior flux; a chunk of levels is
-    the run's table of step powers applied to the level before it.  Raises
+    regardless of stride.  Every stepper advances the modal amplitudes of
+    the fluctuation e of T = m + e around the conserved mean m, and of the
+    interior flux, a block of modes at a time (_trace_block).  Raises
     MeshTooLarge, before allocating, if run_memory_bytes exceeds
-    MAX_RUN_BYTES, and NonFiniteState, naming the first bad step, if a
+    MAX_RUN_BYTES; NonFiniteInput, before stepping, if the energy of init
+    is not finite; and NonFiniteState, naming the first bad step, if a
     level or its trace row overflows.
     """
     if stride < 1:
@@ -344,35 +428,36 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
         raise MeshTooLarge(f"a run on J={grid.J}, N={grid.N} with stride {stride} "
                            f"would hold {need:.3g} bytes, more than "
                            f"MAX_RUN_BYTES = {MAX_RUN_BYTES}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = diagnostics.discrete_energy(init, params, grid.dx)
+    if not np.isfinite(energy):
+        raise NonFiniteInput("the energy of the initial state overflows; "
+                             "T_b and T_f set its size")
     ops = assemble(params, grid)
     D = ops.printed if kind == StepperKind.VECTORIAL_AS_PRINTED else ops.coupled
-    table = _chunk_table(D, _chunk_length(grid))
     weights = diagnostics.modal_trace_weights(params, grid)
-    K, J, last = table.shape[2], grid.J, grid.N + 1
+    K, width, M = _block_shape(grid)
+    J, last = grid.J, grid.N + 1
     m = float(np.mean(init.T))
-    # [0] the levels, row 0 the one before the chunk; [1, 1:] their increments
-    work = np.empty((2, K + 1, 2, J))
-    work[0, 0] = _modes(init, m)
-    states, stored, rows = [init], [0], []
-    for start in range(1, last + 1, K):
-        count = min(K, last + 1 - start)
-        # the first chunk also gives level 0 its row
-        first = 0 if start == 1 else 1
-        levels = work[0, :count + 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            _times(table[:, :, :count], levels[0], out=work[:, 1:count + 1])
-            chunk_rows = diagnostics.modal_trace_rows(
-                weights, m, levels, work[1, 1:count + 1], first=first)
-        ok = np.isfinite(chunk_rows).all(axis=1)
-        ok[-count:] &= np.isfinite(levels[1:]).all(axis=(1, 2))
-        _require_finite(ok, start - 1 + first)
-        rows.append(chunk_rows)
-        keep = np.arange(start, start + count)
-        keep = keep[(keep % stride == 0) | (keep == last)]
-        if keep.size:
-            states.extend(_states(m, levels[keep - start + 1]))
-            stored.extend(keep.tolist())
-        work[0, 0] = levels[count]
-    trace = diagnostics.build_trace(params, grid.t, np.concatenate(rows))
-    return Trajectory(states=states, stored_steps=stored, grid=grid,
+    x = _modes(init, m)
+    keep = np.arange(stride, last + stride, stride)
+    keep[-1] = last
+    sums = np.zeros((last + 1, 5))
+    stored = np.empty((keep.size, 2, J))
+    buffer = np.empty((25 * (K + 1) + 5 * (M + 1)) * width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, J, width):
+            modes = slice(lo, min(lo + width, J))
+            _trace_block(D[..., modes], weights, modes, m, x[:, modes], K, M,
+                         keep, sums, stored[..., modes], buffer)
+        rows = diagnostics.trace_rows(weights, m, sums)
+    # only the rows and the stored levels outlive the blocks
+    del ops, D, weights, x, sums, buffer
+    ok = np.isfinite(rows).all(axis=1)
+    ok[keep] &= np.isfinite(stored).all(axis=(1, 2))
+    _require_finite(ok, 0)
+    states = [init] + [_states(m, stored[i:i + 1])[0] for i in range(keep.size)]
+    del stored
+    trace = diagnostics.build_trace(params, grid.t, rows)
+    return Trajectory(states=states, stored_steps=[0] + keep.tolist(), grid=grid,
                       params=params, stepper_kind=kind, trace=trace)

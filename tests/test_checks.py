@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gkheat import State, checks
+from gkheat import State, checks, discretization, scheme
+from gkheat.cli import parse_config
 from gkheat.diagnostics import EnergyTrace
 from gkheat.model import MaterialParams, SimulationConfig
 
@@ -79,3 +80,35 @@ class TestRunChecks:
     def test_rate_fit_zero_data(self):
         res = checks.mode_rate_fit(PARAMS, dataclasses.replace(CONFIG, T_f=0.0))
         assert res.ok and res.detail == "zero initial data, nothing to fit"
+
+
+class TestMargins:
+    @pytest.mark.parametrize("T_b,T_f", [(15.0, 30.0), (0.0, 0.0)])
+    def test_ok_is_value_within_bound(self, T_b, T_f):
+        # the seven verify checks on the reference config, and on zero data,
+        # where each holds trivially
+        manifest = parse_config(f"T_b = {T_b}\nT_f = {T_f}\n")
+        params, config = manifest.params, manifest.config
+        grid = discretization.build_grid(params, config)
+        trace = scheme.run(params, config,
+                           discretization.cosine_initial(grid, T_b, T_f),
+                           stride=grid.N + 1).trace
+        results = [
+            checks.energy_monotone(trace),
+            checks.dissipation_inequality(trace),
+            checks.heat_conservation(trace),
+            checks.lyapunov_sandwich(trace, params),
+            checks.decay_envelope(trace, params, zero_mean=T_b == 0.0),
+            checks.oracle_equivalence(params, config, np.random.default_rng(1729)),
+            checks.mode_rate_fit(params, config)]
+        for r in results:
+            assert np.isfinite(r.value) and np.isfinite(r.bound), r.name
+            assert r.ok == (r.value <= r.bound), r.name
+        assert all(r.ok for r in results)
+
+    def test_failures_exceed_their_bound(self):
+        for res in (checks.energy_monotone(make_trace(E=(0.5, 0.5 + 2e-12, 0.1))),
+                    checks.dissipation_inequality(make_trace(lhs=(0.0, -1.0, -1.0),
+                                                             rhs=(0.0, -2.0, -2.0))),
+                    checks.heat_conservation(make_trace(heat=(0.0, 1e-30, 0.0)))):
+            assert not res.ok and res.value > res.bound, res.name

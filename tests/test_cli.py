@@ -269,14 +269,29 @@ class TestMain:
         assert main(["run", "-c", str(cfg)]) == 2
 
     def test_overflowing_energy_exits_two_without_warnings(self, tmp_path, capsys):
-        # at J = 999 a chunk holds 8 levels and can end on finite levels
-        # whose energy overflows; that is a numerical failure, not a warning
+        # at J = 999 the levels' energy overflows while the levels are
+        # still finite; that is a numerical failure, not a warning
         cfg = tmp_path / "blow.cfg"
         cfg.write_text("tau_q = 0\nmu2 = 0\nstepper = vectorial_as_printed\n"
                        "dx = 1e-4\nt_final = 2.4\n"
                        f"out_dir = {tmp_path / 'x'}\n")
         assert main(["run", "-c", str(cfg)]) == 2
         assert "numerical failure: step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", [
+        "T_b = 1.5e308\nT_f = 1.5e308\n",    # the profile itself overflows
+        "dx = 2e-3\nT_f = 1e200\n",           # its energy overflows
+        "dx = 2e-3\nT_b = 1e160\n"])
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_overflowing_initial_data_exits_one(self, tmp_path, capsys, lines,
+                                                command):
+        # a configuration error, found before any step runs
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(lines + f"out_dir = {tmp_path / 'o'}\n")
+        assert main([command, "-c", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "T_b" in err and "T_f" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [["run", "--nope"], ["frobnicate"],
                                       ["sweep", "--pair", "1,2,3"]])

@@ -11,8 +11,10 @@ from gkheat import (DegenerateTrace, State, boundary_term, build_grid,
                     mode_decay_oracle, normalized_Z, run, total_heat,
                     zero_mean_initial)
 from gkheat import InsufficientFitData
-from gkheat.diagnostics import (EnergyTrace, modal_trace_rows,
-                                modal_trace_weights, sandwich_bounds)
+from gkheat import scheme
+from gkheat.diagnostics import (EnergyTrace, modal_trace_table,
+                                modal_trace_weights, sandwich_bounds,
+                                trace_rows)
 from gkheat.model import MaterialParams, SimulationConfig
 
 
@@ -307,30 +309,35 @@ class TestTraceChecksOnShortRun:
         assert np.max(np.abs(trace.diss_lhs[1:] - lhs)) <= 1e-12 * np.max(np.abs(lhs))
 
     @pytest.mark.parametrize("J", [1, 49])
-    def test_modal_trace_rows_match_per_level_loop(self, ref_params, J):
-        # amplitudes from dense cosine/sine matrices, against one level at a
-        # time with plain dot products on the physical e and q
+    def test_modal_trace_table_matches_per_level_loop(self, ref_params, J):
+        # the table's rows for the levels G^k x, k = 0..20, of one base
+        # level x, against one level at a time with plain dot products on
+        # the physical e and q, from dense cosine/sine matrices
         cfg = SimulationConfig(dx=0.1 / (J + 1), dt=1.2e-2, t_final=0.24,
                                T_b=15.0, T_f=30.0)
         grid = build_grid(ref_params, cfg)
-        traj = run(ref_params, cfg, cosine_initial(grid, 15.0, 30.0))
-        p, n = ref_params, J + 1
+        init = cosine_initial(grid, 15.0, 30.0)
+        p, n, K = ref_params, J + 1, grid.N + 1
         # the loop runs in longdouble (where available) so that its own
         # rounding, e.g. in the 2m sum(e' - e) term, stays below the check's
         # tolerance
         ld = np.longdouble
-        m = ld(np.mean(traj.states[0].T))
-        e = np.array([s.T for s in traj.states], dtype=ld) - m
-        q = np.array([s.q_interior for s in traj.states], dtype=ld)
         modes = np.arange(1, n)
         # exact angle indices keep the dense matrices accurate
         cosine = np.sqrt(ld(2) / n) * np.cos(
             ld(np.pi) * (np.outer(2 * np.arange(n) + 1, modes) % (4 * n)) / (2 * n))
         sine = np.sqrt(ld(2) / n) * np.sin(ld(np.pi) * (np.outer(modes, modes) % (2 * n)) / n)
-        x = np.stack((e @ cosine, q @ sine), axis=1).astype(float)
-        # the loop evaluates the very vectors x stands for
-        m = ld(float(m))
+        m = float(np.mean(init.T))
+        base = np.stack(((init.T - m) @ cosine, init.q_interior @ sine)).astype(float)
+        powers = np.zeros((2, 2, K + 1, 2, J))
+        powers[0, 0, 0, 0] = powers[1, 0, 0, 1] = 1.0
+        powers[:, :, 1:] = scheme._chunk_table(scheme.assemble(p, grid).coupled, K)
+        # levels and step increments as the table sees them
+        x = np.einsum("jkin,jn->kin", powers[:, 0], base)
+        d = np.einsum("jkin,jn->kin", powers[:, 1], base)
+        m = ld(m)
         e, q = x[:, 0].astype(ld) @ cosine.T, x[:, 1].astype(ld) @ sine.T
+        de, dq = d[:, 0].astype(ld) @ cosine.T, d[:, 1].astype(ld) @ sine.T
         dx, dt, k, mu2, tau_q, rc = (ld(v) for v in (grid.dx, grid.dt, p.k, p.mu2,
                                                      p.tau_q, p.rho_c))
         w_T, w_q = rc * dx / 2, (tau_q / k) * (dx / 2)
@@ -339,8 +346,8 @@ class TestTraceChecksOnShortRun:
             en, qn = e[i], q[i]
             lhs = rhs = ld(0)
             if i:
-                lhs = (w_T * np.sum((en - e[i - 1]) * (2 * m + en + e[i - 1]))
-                       + w_q * np.sum((qn - q[i - 1]) * (qn + q[i - 1]))) / dt
+                lhs = (w_T * np.sum(de[i] * (2 * m + 2 * en - de[i]))
+                       + w_q * np.sum(dq[i] * (2 * qn - dq[i]))) / dt
                 grad = np.diff(np.concatenate(([ld(0)], qn, [ld(0)]))) / dx
                 rhs = -(dx / k) * (qn @ qn) - (mu2 / k) * dx * (grad @ grad)
             T = m + en
@@ -353,13 +360,15 @@ class TestTraceChecksOnShortRun:
                              (mu2 * qn[0] / dx - k * T[0]) * heat, w_L * E + F))
         expected = np.array(expected, dtype=float)
         weights = modal_trace_weights(p, grid)
-        got = modal_trace_rows(weights, float(m), x, np.diff(x, axis=0), first=0)
+        table = modal_trace_table(weights, float(m), powers, slice(None))
+        assert table.shape == (K + 1, 5, 5, J)
+        a, b = base
+        features = np.concatenate((a * a, a * b, b * b, a, b))
+        sums = table.reshape(5 * (K + 1), 5 * J) @ features
+        got = trace_rows(weights, float(m), sums.reshape(K + 1, 5))
         assert got.shape == expected.shape
         scale = np.maximum(np.max(np.abs(expected), axis=0), 1e-300)
         assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)
-        # first=1 drops level 0's row
-        tail_rows = modal_trace_rows(weights, float(m), x, np.diff(x, axis=0))
-        assert np.all(np.max(np.abs(tail_rows - got[1:]), axis=0) <= 1e-15 * scale)
 
     def test_equilibrium_energy_helper(self, ref_params):
         assert equilibrium_energy(ref_params, 1.5) == pytest.approx(

@@ -1,14 +1,17 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gkheat import scheme
+from gkheat import diagnostics, scheme
 from gkheat import (GridMismatch, InvalidLimit, MeshTooLarge, NonFiniteState,
-                    State, StepperKind, assemble, build_grid, cosine_initial,
-                    run, step_coupled, step_coupled_reference,
+                    State, StepperKind, assemble, boundary_term, build_grid,
+                    cosine_initial, discrete_energy, dissipation_check,
+                    lyapunov, run, step_coupled, step_coupled_reference,
                     step_vectorial_as_printed, total_heat)
 from gkheat.checks import state_gap
+from gkheat.cli import write_profiles_csv, write_trace_csv
 from gkheat.model import MaterialParams, SimulationConfig
 
 
@@ -432,17 +435,24 @@ def assert_states_close(states, T_ref, q_ref, rel=1e-14):
 
 
 class TestTraceChunks:
-    # J=9999 gives one level per chunk at the default budget
+    # budget 1 gives one-mode blocks of one-level chunks, 800 blocks of 32
+    # modes (ragged unless 32 divides J), 2**17 up to 384 modes; one-mode
+    # blocks at J = 9999 would take 10^4 blocks, so that case skips them
     @pytest.mark.parametrize("J,steps", [(2, 6000), (63, 600), (9999, 5)])
     def test_trace_independent_of_chunk_budget(self, monkeypatch, J, steps):
         p, cfg, grid, ops = small_setup(J=J, t_final=steps * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
-        budgets = (1, scheme.TRACE_CHUNK_ELEMENTS, (grid.N + 3) * 2 * J)
-        assert max(1, scheme.TRACE_CHUNK_ELEMENTS // (2 * J)) < grid.N + 1
-        trajs = []
+        budgets = (1, 800, scheme.TRACE_CHUNK_ELEMENTS, 2**17)[J > 1000:]
+        trajs, shapes = [], []
         for budget in budgets:
             monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
+            shapes.append(scheme._block_shape(grid)[:2])
             trajs.append(run(p, cfg, init, stride=7))
+        K, width = zip(*shapes)
+        # chunks shorter than the run; one-mode, ragged and single blocks
+        assert min(K) < grid.N + 1
+        assert J == 2 or any(J % n for n in width)
+        assert J > 1000 or (1 in width and J in width)
         base = trajs[0]
         if EXTENDED:
             T_ref, q_ref = longdouble_coupled_run(p, grid, init, grid.N + 1)
@@ -463,18 +473,63 @@ class TestTraceChunks:
         cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
         init = cosine_initial(grid, 15.0, 30.0)
         trajs = []
-        for budget in (1, 30, 10**6):
+        # one-mode blocks of one-level chunks; one block, chunks of 2 levels;
+        # one block, one chunk
+        for budget in (1, 800, 10**6):
             monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
             trajs.append(run(p, cfg, init))
         # a level's rounding depends on its offset in its chunk (G^k is
         # applied to the level before the chunk), and the trace sums go
-        # through BLAS, whose rounding depends on the chunk's rows
+        # through BLAS, whose rounding depends on the block's shape
         for traj in trajs[1:]:
             assert_states_close(traj.states, [s.T for s in trajs[0].states],
                                 [s.q_interior for s in trajs[0].states])
             for name in TRACE_FIELDS:
                 got, ref = getattr(traj.trace, name), getattr(trajs[0].trace, name)
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+
+class TestTraceTable:
+    @pytest.mark.parametrize("tau_q,mu2", [(8e-3, 2.8e-3), (0.0, 0.0)])
+    @pytest.mark.parametrize("which,stepper", [
+        ("coupled", step_coupled), ("printed", step_vectorial_as_printed)])
+    def test_columns_match_state_oracles(self, tau_q, mu2, which, stepper):
+        # every column of the table's rows at every level k = 0..K of a
+        # chunk against the physical-space functions on states stepped one
+        # at a time; k = 20 keeps the as-printed Fourier-limit step stable
+        # (its top mode grows by about 4k/(rho c dx^2) - 1 otherwise), so
+        # that the oracles keep their precision
+        J, K = 9, 12
+        p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
+        p = dataclasses.replace(p, k=20.0)
+        ops = assemble(p, grid)
+        states = [random_state(np.random.default_rng(J), J)]
+        for _ in range(K):
+            states.append(stepper(ops, p, grid, states[-1]))
+        weights = diagnostics.modal_trace_weights(p, grid)
+        m = float(np.mean(states[0].T))
+        powers = np.zeros((2, 2, K + 1, 2, J))
+        powers[0, 0, 0, 0] = powers[1, 0, 0, 1] = 1.0
+        powers[:, :, 1:] = scheme._chunk_table(getattr(ops, which), K)
+        table = diagnostics.modal_trace_table(weights, m, powers, slice(None))
+        a, b = scheme._modes(states[0], m)
+        sums = table.reshape(5 * (K + 1), 5 * J) @ np.concatenate((a * a, a * b, b * b, a, b))
+        rows = diagnostics.trace_rows(weights, m, sums.reshape(K + 1, 5))
+        dx = grid.dx
+        reports = [dissipation_check(u, v, p, dx, grid.dt)
+                   for u, v in zip(states, states[1:])]
+        expected = np.array([
+            [discrete_energy(s, p, dx) for s in states],
+            [0.0] + [r.lhs for r in reports],
+            [0.0] + [r.rhs for r in reports],
+            [total_heat(s, dx) for s in states],
+            [boundary_term(s, p, dx) for s in states],
+            [lyapunov(s, p, dx)[1] for s in states]]).T
+        scale = np.max(np.abs(expected), axis=0)
+        # dissipation_check forms T^n - T^(n-1) from the rounded states,
+        # which costs it about 1e-11 of these slow steps' changes
+        tol = np.array([1e-13, 1e-11, 1e-13, 1e-13, 1e-13, 1e-13])
+        assert np.all(np.max(np.abs(rows - expected), axis=0) <= tol * scale)
 
 
 class TestChunkTable:
@@ -518,11 +573,12 @@ class TestChunkTable:
         (StepperKind.COUPLED_IMPLICIT, step_coupled),
         (StepperKind.VECTORIAL_AS_PRINTED, step_vectorial_as_printed)])
     def test_run_matches_single_steps(self, monkeypatch, kind, stepper):
-        # chunks of 4 levels: boundaries after steps 4, 8, 12 and 16
+        # one block of chunks of 4 levels: boundaries after steps 4, 8, 12
+        # and 16
         J = 9
         p, cfg, grid, ops = small_setup(J=J, t_final=18 * 1.2e-2)
         cfg = dataclasses.replace(cfg, stepper_kind=kind)
-        monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", 4 * 2 * J)
+        monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", 25 * 5 * J)
         init = cosine_initial(grid, 15.0, 30.0)
         traj = run(p, cfg, init)
         states = [init]
@@ -586,11 +642,28 @@ class TestRunMemory:
     def test_estimate_counts_trace_and_kept_states(self):
         p, cfg, grid, ops = small_setup(J=99, t_final=1000 * 1.2e-2)
         one, all_levels = scheme.run_memory_bytes(grid, grid.N + 1), scheme.run_memory_bytes(grid, 1)
-        # stride 1 keeps N+2 states of 2J+3 values and writes them again
-        assert all_levels - one == 8 * grid.N * ((2 * 99 + 3) + 2 * 100)
+        # stride 1 keeps N+2 states of 2J+3 values (and 112 values' worth of
+        # Python objects each) and writes them again
+        assert all_levels - one == 8 * grid.N * ((2 * 99 + 3 + 112) + 2 * 100)
         longer = build_grid(p, dataclasses.replace(cfg, t_final=2000 * 1.2e-2))
         per_level = (scheme.run_memory_bytes(longer, longer.N + 1) - one) / 1000
         assert per_level == 8 * 23
+
+    @pytest.mark.parametrize("J,steps,stride", [(499, 2500, 25), (63, 500, 1),
+                                                (255, 1000, 1001)])
+    def test_estimate_bounds_traced_peak(self, tmp_path, J, steps, stride):
+        # everything run() and both writers allocate, traced
+        p, cfg, grid, ops = small_setup(J=J, t_final=steps * 1.2e-2)
+        init = cosine_initial(grid, 15.0, 30.0)
+        tracemalloc.start()
+        try:
+            traj = run(p, cfg, init, stride=stride)
+            write_trace_csv(tmp_path / "trace.csv", traj.trace)
+            write_profiles_csv(tmp_path / "profiles.csv", traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= scheme.run_memory_bytes(grid, stride)
 
     def test_fine_mesh_estimate_is_far_under_the_cap(self, ref_params, ref_config):
         # J = 7999, 2500 steps, every 25th level kept: about 26 MB
@@ -625,18 +698,20 @@ class TestNonFinite:
 
     def test_first_bad_step_independent_of_chunk_budget(self, monkeypatch):
         # the energy of levels past ~1e154 overflows before the levels do;
-        # either is caught, without a warning, at the same step for one
-        # level per chunk and for the default chunk
+        # either is caught, without a warning, at the same step for
+        # one-mode blocks of one-level chunks, blocks of 32 modes (the last
+        # ragged), the default, one block, and one block whose chunks are
+        # cut where the table (k ~ 46) and the powers (k ~ 92) overflow
         p, cfg, grid, ops = small_setup(J=49, tau_q=0.0, mu2=0.0,
                                         t_final=200 * 1.2e-2)
         cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
         messages = []
-        for budget in (1, scheme.TRACE_CHUNK_ELEMENTS):
+        for budget in (1, 800, scheme.TRACE_CHUNK_ELEMENTS, 2**17):
             monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
             with pytest.raises(NonFiniteState, match=r"step \d+ produced") as err:
                 run(p, cfg, cosine_initial(grid, 15.0, 30.0))
             messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        assert len(set(messages)) == 1
 
     def test_single_step_overflow(self):
         # the transforms of this state stay finite; its high modes grow by
