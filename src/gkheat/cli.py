@@ -169,7 +169,7 @@ def write_profiles_csv(path: Path, traj: scheme.Trajectory) -> None:
 def _write_constants(path: Path, manifest: RunManifest,
                      traj: scheme.Trajectory) -> None:
     params = manifest.params
-    dc = diagnostics.decay_constants(params).with_sup_ct(traj.trace)
+    dc = diagnostics.decay_constants(params)
     trace = traj.trace
     closed = 0.5 * params.rho_c * params.l * manifest.config.T_b**2
     lines = {
@@ -178,7 +178,7 @@ def _write_constants(path: Path, manifest: RunManifest,
         "M0": dc.M,
         "gamma0": dc.gamma0,
         "M1": dc.M1,
-        "sup_CT": dc.sup_CT,
+        "sup_CT": diagnostics.supremum_boundary_term(trace),
         "E0": trace.E[0],
         "E_final": trace.E[-1],
         "heat_initial": trace.heat[0],
@@ -201,10 +201,11 @@ def _write_constants(path: Path, manifest: RunManifest,
 
 def _write_plot_script(path: Path, manifest: RunManifest,
                        traj: scheme.Trajectory) -> None:
-    dc = diagnostics.decay_constants(manifest.params).with_sup_ct(traj.trace)
+    dc = diagnostics.decay_constants(manifest.params)
+    sup_ct = diagnostics.supremum_boundary_term(traj.trace)
     n_profiles = len(traj.states)
     envelope = (f"envelope(t) = {_fmt(dc.M)}*{_fmt(traj.trace.E[0])}"
-                f"*exp(-{_fmt(dc.omega)}*t) + {_fmt(dc.M1 * dc.sup_CT)}")
+                f"*exp(-{_fmt(dc.omega)}*t) + {_fmt(dc.M1 * sup_ct)}")
     text = f"""\
 # generated by gkheat; feed to gnuplot from the output directory
 set datafile separator ','
@@ -344,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code else 0
     try:
         text = args.config.read_text(encoding="utf-8") if args.config else ""
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:

@@ -10,14 +10,14 @@ which the coupled implicit scheme dissipates at the rate
     (E^n - E^{n-1})/dt <= -(1/k) dx sum |q_j^n|^2
                           - (mu2/k) dx sum |(q_{j+1}^n - q_j^n)/dx|^2.
 
-Everything here is a pure function of states or traces.  The state-level
-functions (discrete_energy, lyapunov, ...) evaluate one physical state.
-The trajectory runner (see linalg and scheme) gets them for every level
-from the modal amplitudes it steps: each trace column is a sum over the
-modes with the weights of modal_trace_weights, and is a quadratic or
-linear form in the level a chunk starts from.  modal_trace_table tabulates
-those forms for a block of modes, and trace_rows and build_trace turn the
-summed columns into an EnergyTrace.
+Everything here is a pure function of states or traces.  discrete_energy
+evaluates one physical state (run() uses it to refuse initial data whose
+energy overflows).  The trajectory runner (see linalg and scheme) gets the
+trace of every level from the modal amplitudes it steps: each trace column
+is a sum over the modes with the weights of modal_trace_weights, and is a
+quadratic or linear form in the level a chunk starts from.
+modal_trace_table tabulates those forms for a block of modes, and
+trace_rows and build_trace turn the summed columns into an EnergyTrace.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .model import MaterialParams
 #: relative slack for the per-step dissipation inequality
 DISSIPATION_RTOL = 1e-12
 #: multiplicative slack absorbing O(dx) quadrature error in the
-#: continuum-functional checks (Lyapunov sandwich)
+#: continuum-functional check (checks.lyapunov_sandwich)
 QUADRATURE_SLACK = 0.01
 
 
@@ -75,7 +75,7 @@ class DecayConstants:
     M1     = 2 gamma0 / omega
 
     M plays the role of M0 in the bound E(t) <= M0 E(0) e^{-omega t}
-    + M1 sup|C_T|.  sup_CT is filled in from a computed trace.
+    + M1 sup|C_T|; supremum_boundary_term takes sup|C_T| from a trace.
     """
 
     beta: float
@@ -83,10 +83,6 @@ class DecayConstants:
     M: float
     gamma0: float
     M1: float
-    sup_CT: float | None = None
-
-    def with_sup_ct(self, trace: EnergyTrace) -> "DecayConstants":
-        return dataclasses.replace(self, sup_CT=supremum_boundary_term(trace))
 
 
 def decay_constants(params: MaterialParams) -> DecayConstants:
@@ -112,86 +108,11 @@ def discrete_energy(state: State, params: MaterialParams, dx: float) -> float:
                  + (params.tau_q / params.k) * (dx / 2.0) * (q @ q))
 
 
-def total_heat(state: State, dx: float) -> float:
-    """Total heat content H = dx * sum_{j=0..J} T_j, conserved by the scheme."""
-    return float(dx * np.sum(state.T))
-
-
-def boundary_term(state: State, params: MaterialParams, dx: float) -> float:
-    """C_T = (mu2 * q_x(0) - k * T_0) * total heat.
-
-    q_x(0) is the one-sided difference (q_1 - q_0)/dx, consistent with the
-    scheme's own stencil order.
-    """
-    qx0 = (state.q[1] - state.q[0]) / dx
-    return float((params.mu2 * qx0 - params.k * state.T[0])
-                 * total_heat(state, dx))
-
-
-def _tail_integral(T: np.ndarray, dx: float) -> np.ndarray:
-    # I_j = dx * sum_{i=j..J} T_i along the last axis, the right-endpoint
-    # realization of the inner integral from x_j to l
-    return dx * np.cumsum(T[..., ::-1], axis=-1)[..., ::-1]
-
-
-def lyapunov(state: State, params: MaterialParams,
-             dx: float) -> tuple[float, float]:
-    """Auxiliary functional F and Lyapunov functional L of one state.
-
-    F = (rho c/2)||I||^2 + (rho c/2) mu2 ||T||^2 + tau_q <q, I> with
-    I_j = dx*sum_{i=j..J} T_i; all norms are dx-weighted sums over
-    j = 0..J.  L = (2 l^2 + 2 mu2 + tau_q k/(rho c)) E + F.
-    """
-    rc = params.rho_c
-    T = state.T
-    I = _tail_integral(T, dx)
-    q_head = state.q[:-1]
-    F = float((rc / 2.0) * dx * (I @ I)
-              + (rc / 2.0) * params.mu2 * dx * (T @ T)
-              + params.tau_q * dx * np.sum(q_head * I))
-    weight = 2.0 * params.l**2 + 2.0 * params.mu2 + params.tau_q * params.k / rc
-    E = discrete_energy(state, params, dx)
-    return F, weight * E + F
-
-
 def sandwich_bounds(params: MaterialParams) -> tuple[float, float]:
     """Coefficients (low, high) with low*E <= L <= high*E."""
     low = params.l**2 + params.mu2
     high = 3.0 * params.l**2 + 3.0 * params.mu2 + 2.0 * params.tau_q * params.k / params.rho_c
     return low, high
-
-
-@dataclass(frozen=True)
-class DissipationReport:
-    lhs: float
-    rhs: float
-    slack: float
-    ok: bool
-
-
-def dissipation_check(prev: State, next: State, params: MaterialParams,
-                      dx: float, dt: float) -> DissipationReport:
-    """Check the per-step dissipation inequality between two states.
-
-    lhs = (E^n - E^{n-1})/dt is evaluated in difference-product form
-    sum (a-b)(a+b) rather than by subtracting two large energies, so the
-    check is not drowned by cancellation once the run sits near
-    equilibrium.
-    """
-    rc = params.rho_c
-    dT = next.T - prev.T
-    sT = next.T + prev.T
-    dq = next.q[:-1] - prev.q[:-1]
-    sq = next.q[:-1] + prev.q[:-1]
-    lhs = float(((rc * dx / 2.0) * (dT @ sT)
-                 + (params.tau_q / params.k) * (dx / 2.0) * (dq @ sq)) / dt)
-    qn = next.q
-    grad = np.diff(qn) / dx
-    rhs = float(-(1.0 / params.k) * dx * (qn[:-1] @ qn[:-1])
-                - (params.mu2 / params.k) * dx * (grad @ grad))
-    slack = DISSIPATION_RTOL * max(1.0, abs(lhs))
-    return DissipationReport(lhs=lhs, rhs=rhs, slack=slack,
-                             ok=lhs <= rhs + slack)
 
 
 def supremum_boundary_term(trace: EnergyTrace) -> float:
@@ -202,52 +123,6 @@ def supremum_boundary_term(trace: EnergyTrace) -> float:
     every envelope check.
     """
     return float(np.max(np.abs(trace.C_T)))
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    ok: bool
-    first_violation: int | None
-    sup_CT: float
-    zero_mean: bool
-    max_ratio: float  # max over n of E_n / bound_n
-
-
-def envelope_check(trace: EnergyTrace, constants: DecayConstants,
-                   zero_mean: bool = False) -> EnvelopeReport:
-    """Check E_n <= M*E_0*exp(-omega t_n) (+ M1*sup|C_T| unless zero_mean)."""
-    sup_ct = supremum_boundary_term(trace)
-    offset = 0.0 if zero_mean else constants.M1 * sup_ct
-    bound = constants.M * trace.E[0] * np.exp(-constants.omega * trace.t) + offset
-    ratio = trace.E / np.maximum(bound, 1e-300)
-    bad = np.nonzero(trace.E > bound * (1.0 + 1e-12))[0]
-    first = int(bad[0]) if bad.size else None
-    return EnvelopeReport(ok=first is None, first_violation=first,
-                          sup_CT=sup_ct, zero_mean=zero_mean,
-                          max_ratio=float(np.max(ratio)))
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    ok: bool
-    first_violation: int | None
-    min_lower_ratio: float  # min over n of L_n / (low*E_n)
-    max_upper_ratio: float  # max over n of L_n / (high*E_n)
-
-
-def lyapunov_sandwich_check(trace: EnergyTrace, params: MaterialParams,
-                            slack: float = QUADRATURE_SLACK) -> SandwichReport:
-    """Check low*E <= L <= high*E along a trace with multiplicative slack."""
-    low, high = sandwich_bounds(params)
-    L, E = trace.lyapunov, trace.E
-    lo_ok = L >= low * E * (1.0 - slack)
-    hi_ok = L <= high * E * (1.0 + slack)
-    bad = np.nonzero(~(lo_ok & hi_ok))[0]
-    first = int(bad[0]) if bad.size else None
-    safe_E = np.maximum(E, 1e-300)
-    return SandwichReport(ok=first is None, first_violation=first,
-                          min_lower_ratio=float(np.min(L / (low * safe_E))),
-                          max_upper_ratio=float(np.max(L / (high * safe_E))))
 
 
 def mode_decay_oracle(params: MaterialParams,

@@ -1,4 +1,4 @@
-"""Mesh construction, discrete initial data, and pointwise scheme residuals.
+"""Mesh construction and discrete initial data.
 
 Index conventions used throughout the package:
 
@@ -138,41 +138,3 @@ def zero_mean_initial(grid: Grid, T_f: float) -> State:
     exactly 1), small but nonzero.
     """
     return cosine_initial(grid, 0.0, T_f)
-
-
-def pointwise_residual(params: MaterialParams, grid: Grid, prev: State,
-                       next: State) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the implicit step equations at level `next`.
-
-    Returns (r1, r2) where
-
-        r1[j] = rho*c*(T_j^n - T_j^{n-1})/dt + (q_{j+1}^n - q_j^n)/dx,
-                j = 0 .. J,
-        r2[j] = tau_q*(q_j^n - q_j^{n-1})/dt + q_j^n
-                - mu2*(q_{j+1}^n - 2 q_j^n + q_{j-1}^n)/dx^2
-                + k*(T_j^n - T_{j-1}^n)/dx,        j = 1 .. J.
-
-    Both vanish exactly on solutions of the coupled implicit step.
-    """
-    _require_on_grid(prev, grid, "prev")
-    _require_on_grid(next, grid, "next")
-    dt, dx = grid.dt, grid.dx
-    r1 = params.rho_c * (next.T - prev.T) / dt + np.diff(next.q) / dx
-    qn = next.q
-    lap = (qn[2:] - 2.0 * qn[1:-1] + qn[:-2]) / dx**2
-    r2 = (params.tau_q * (qn[1:-1] - prev.q[1:-1]) / dt + qn[1:-1]
-          - params.mu2 * lap + params.k * np.diff(next.T) / dx)
-    return r1, r2
-
-
-def residual_scales(params: MaterialParams, dt: float, prev: State,
-                    next: State) -> tuple[float, float]:
-    """Per-equation magnitude scales for judging residual smallness.
-
-    The two equations differ by orders of magnitude in units, so tolerance
-    checks use rho*c*max|T|/dt for r1 and tau_q*max|q|/dt + max|q| for r2.
-    """
-    t_scale = max(np.max(np.abs(prev.T)), np.max(np.abs(next.T)), 1e-300)
-    q_scale = max(np.max(np.abs(prev.q)), np.max(np.abs(next.q)), 1e-300)
-    return (params.rho_c * t_scale / dt,
-            params.tau_q * q_scale / dt + q_scale)

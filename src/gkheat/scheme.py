@@ -80,9 +80,19 @@ MAX_RUN_BYTES = 2**30
 
 @dataclass(frozen=True)
 class AssembledOperators:
-    """Mesh-and-material dependent operators, immutable after assembly.
+    """The per-mode 2x2 increment matrices D of both steppers, shape
+    (2, 2, J): a step maps the cosine amplitude a_m and the sine amplitude
+    b_m of mode m = 1..J to (a, b) + D (a, b).  D is kept rather than
+    I + D so that the trace gets each step's change to full precision.
+    """
 
-    Scalar factors (s := tau_q + dt):
+    coupled: np.ndarray  # D of the coupled (and fourier_limit) stepper
+    printed: np.ndarray  # D of the as-printed stepper
+
+
+def assemble(params: MaterialParams, grid: Grid) -> AssembledOperators:
+    """Build the per-mode step matrices of both steppers for one
+    (params, grid) pair from the scalar factors (s := tau_q + dt)
 
         c_B = mu2*dt/(s*dx^2)          flux-Laplacian weight in B
         c_T = k*dt/(rho*c*s*dx^2)      printed temperature-correction factor
@@ -91,31 +101,9 @@ class AssembledOperators:
         c_r = tau_q/s                  flux relaxation weight
         c_flux = dt/(rho*c*dx)         flux-divergence weight of the T update
 
-    All factors use (tau_q + dt), so tau_q = 0 needs no special casing.
-    (The field s is not this s but the symbols s_m of linalg.)
-    coupled and printed are the per-mode 2x2 increment matrices D, shape
-    (2, 2, J): a step maps the cosine amplitude a_m and the sine amplitude
-    b_m of mode m = 1..J to (a, b) + D (a, b).  D is kept rather than
-    I + D so that the trace gets each step's change to full precision.
+    and the symbols s_m of linalg.difference_symbols (sm here).  All
+    factors use (tau_q + dt), so tau_q = 0 needs no special casing.
     """
-
-    J: int
-    dx: float
-    dt: float
-    c_B: float
-    c_T: float
-    c_q: float
-    c_Q: float
-    c_r: float
-    c_flux: float
-    s: np.ndarray        # s_m = 2 sin(pi m/(2(J+1))), m = 1..J
-    coupled: np.ndarray  # D of the coupled (and fourier_limit) stepper
-    printed: np.ndarray  # D of the as-printed stepper
-
-
-def assemble(params: MaterialParams, grid: Grid) -> AssembledOperators:
-    """Build the scalar weights and the per-mode step matrices of both
-    steppers for one (params, grid) pair."""
     J, dx, dt = grid.J, grid.dx, grid.dt
     s = params.tau_q + dt
     rc = params.rho_c
@@ -135,9 +123,7 @@ def assemble(params: MaterialParams, grid: Grid) -> AssembledOperators:
     beta = 1.0 / (1.0 + c_B * sm * sm)
     printed = np.array([[-c_T * sm * sm * beta, -c_q * sm * beta],
                         [c_Q * sm * beta, -(dt / s + c_B * sm * sm) * beta]])
-    return AssembledOperators(J=J, dx=dx, dt=dt, c_B=c_B, c_T=c_T, c_q=c_q,
-                              c_Q=c_Q, c_r=c_r, c_flux=c_flux, s=sm,
-                              coupled=coupled, printed=printed)
+    return AssembledOperators(coupled=coupled, printed=printed)
 
 
 def _modes(state: State, m: float) -> np.ndarray:
@@ -327,23 +313,26 @@ def run_memory_bytes(grid: Grid, stride: int) -> int:
 
     Counts, per level, the time axis and its copy, the trace's modal sums
     (5 columns), rows (6), a column of temporaries, Z and the trace
-    writer's table (8); per kept state 2J+3 values plus 112 for Python
-    objects (the State, its step and time, the profiles writer's labels
-    and row values: about 850 bytes measured) and the profiles writer's
-    table, which also covers run's buffer of the kept levels' amplitudes,
-    freed before the writers run; and per block the buffer of table and
-    features (25 (K + 1) n + 5 (M + 1) n), the power tables (16 (K + 1) n
-    and 4 M n), modal_trace_table's temporaries (40 (K + 1) n) and a
-    group's sums, stored levels and bases (5 K M + 2 M n).
+    writer's table (8); 10 J values of transform temporaries; and the
+    larger of two phases.  While the blocks run, run holds the kept levels'
+    amplitudes (2J values each), the operators (8J), the trace weights
+    (15J) and level 0's amplitudes (2J), and per block the buffer of table
+    and features (25 (K + 1) n + 5 (M + 1) n), the power tables
+    (16 (K + 1) n and 4 M n), modal_trace_table's temporaries
+    (40 (K + 1) n) and a group's sums, stored levels and bases
+    (5 K M + 2 M n).  From then on it holds, per kept state, 2J+3 values
+    plus 112 for Python objects (the State, its step and time, the profiles
+    writer's labels and row values: about 850 bytes measured), and the
+    profiles writer's table, which also covers the kept levels' amplitudes
+    while the states are built from them.
     """
     levels, J = grid.N + 2, grid.J
     kept = len(range(0, grid.N + 2, stride)) + ((grid.N + 1) % stride != 0)
     K, n, M = _block_shape(grid)
-    values = (levels * (2 + 5 + 6 + 1 + 1 + 8)
-              + kept * (2 * J + 3 + 112) + (J + 1) * (1 + 2 * kept)
-              + (K + 1) * n * (25 + 16 + 40) + M * n * (5 + 4 + 2)
-              + 5 * n + 5 * K * M)
-    return 8 * values
+    blocks = (kept * 2 * J + (8 + 15 + 2) * J + (K + 1) * n * (25 + 16 + 40)
+              + M * n * (5 + 4 + 2) + 5 * n + 5 * K * M)
+    states = kept * (2 * J + 3 + 112) + (J + 1) * (1 + 2 * kept)
+    return 8 * (levels * (2 + 5 + 6 + 1 + 1 + 8) + 10 * J + max(blocks, states))
 
 
 def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,

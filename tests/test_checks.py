@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gkheat import State, checks, discretization, scheme
+from gkheat import State, checks, diagnostics, discretization, scheme
 from gkheat.cli import parse_config
 from gkheat.diagnostics import EnergyTrace
 from gkheat.model import MaterialParams, SimulationConfig
@@ -13,12 +13,13 @@ CONFIG = SimulationConfig(dx=2e-3, dt=1.2e-2, t_final=1.2, T_b=15.0, T_f=30.0)
 
 
 def make_trace(E=(4.0, 3.0, 2.0), heat=(1.0, 1.0, 1.0), lhs=(0.0, -1.0, -1.0),
-               rhs=(0.0, -2.0, -1.0)):
+               rhs=(0.0, -2.0, -1.0), lyap=None):
     n = len(E)
     z = np.zeros(n)
     return EnergyTrace(t=np.arange(n, dtype=float), E=np.asarray(E, float),
                        diss_lhs=np.asarray(lhs, float), diss_rhs=np.asarray(rhs, float),
-                       heat=np.asarray(heat, float), C_T=z.copy(), lyapunov=z.copy(),
+                       heat=np.asarray(heat, float), C_T=z.copy(),
+                       lyapunov=z.copy() if lyap is None else np.asarray(lyap, float),
                        Z=z.copy())
 
 
@@ -107,8 +108,13 @@ class TestMargins:
         assert all(r.ok for r in results)
 
     def test_failures_exceed_their_bound(self):
+        # the sandwich trace's last level has E = L = 0, a lower ratio of 0
+        low, _ = diagnostics.sandwich_bounds(PARAMS)
+        two = dict(heat=(1.0, 1.0), lhs=(0.0, 0.0), rhs=(0.0, 0.0))
         for res in (checks.energy_monotone(make_trace(E=(0.5, 0.5 + 2e-12, 0.1))),
                     checks.dissipation_inequality(make_trace(lhs=(0.0, -1.0, -1.0),
                                                              rhs=(0.0, -2.0, -2.0))),
-                    checks.heat_conservation(make_trace(heat=(0.0, 1e-30, 0.0)))):
+                    checks.heat_conservation(make_trace(heat=(0.0, 1e-30, 0.0))),
+                    checks.lyapunov_sandwich(
+                        make_trace(E=(1.0, 0.0), lyap=(1.5 * low, 0.0), **two), PARAMS)):
             assert not res.ok and res.value > res.bound, res.name

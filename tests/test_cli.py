@@ -249,6 +249,12 @@ class TestMain:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "-c", str(tmp_path / "nope.cfg")]) == 1
 
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"T_b = 15 # caf\xe9\n")
+        assert main(["verify", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
     def test_invalid_coefficient_exits_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("tau_q = -1\n")

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -27,3 +28,63 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+#: documented model API (the paper's Onsager form of the flux law) that no
+#: command calls
+UNREACHED_BY_DESIGN = {"model.OnsagerCoefficients", "model.gk_to_onsager",
+                       "model.onsager_to_gk"}
+
+
+def reachable_definitions() -> tuple[set[str], set[str]]:
+    """The top-level functions and classes of gkheat's modules, as
+    "module.name", and those reachable from cli.main.
+
+    A definition reaches every name its body loads that is a top-level
+    definition of its module or one imported from a sibling module, and
+    every module.attr of an imported sibling module; the module-level
+    statements other than definitions are live.
+    """
+    package = Path(gkheat.__file__).resolve().parent
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(package.glob("*.py"))}
+    edges: dict[str, set[str]] = {}
+    live = {"cli.main"}
+    for mod, tree in modules.items():
+        scope = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    scope[alias.asname or alias.name] = (
+                        f"{node.module}.{alias.name}" if node.module else alias.name)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope[node.name] = f"{mod}.{node.name}"
+
+        def loads(node):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    target = scope.get(sub.id)
+                    if target is not None and target not in modules:
+                        yield target
+                elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                      and scope.get(sub.value.id) in modules):
+                    yield f"{scope[sub.value.id]}.{sub.attr}"
+
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                edges[f"{mod}.{node.name}"] = set(loads(node))
+            else:
+                live.update(loads(node))
+    todo = list(live)
+    while todo:
+        for target in edges.get(todo.pop(), ()):
+            if target not in live:
+                live.add(target)
+                todo.append(target)
+    return set(edges), live
+
+
+def test_every_definition_is_reached_from_the_cli():
+    # code that only the tests call belongs in tests/ (see tests/oracles.py)
+    defined, live = reachable_definitions()
+    assert sorted(defined - live) == sorted(UNREACHED_BY_DESIGN)

@@ -6,13 +6,14 @@ import pytest
 
 from gkheat import diagnostics, scheme
 from gkheat import (GridMismatch, InvalidLimit, MeshTooLarge, NonFiniteState,
-                    State, StepperKind, assemble, boundary_term, build_grid,
-                    cosine_initial, discrete_energy, dissipation_check,
-                    lyapunov, run, step_coupled, step_coupled_reference,
-                    step_vectorial_as_printed, total_heat)
+                    State, StepperKind, assemble, build_grid, cosine_initial,
+                    discrete_energy, run, step_coupled, step_coupled_reference,
+                    step_vectorial_as_printed)
 from gkheat.checks import state_gap
 from gkheat.cli import write_profiles_csv, write_trace_csv
 from gkheat.model import MaterialParams, SimulationConfig
+from oracles import (boundary_term, dissipation_check, longdouble_coupled_run,
+                     lyapunov, step_factors, total_heat)
 
 
 def small_setup(J=9, tau_q=8e-3, mu2=2.8e-3, dt=1.2e-2, t_final=None):
@@ -52,10 +53,10 @@ def sine_matrix(J):
     return np.sqrt(2.0 / n) * np.sin(np.pi * jm / n)
 
 
-def from_modes(ops, w):
+def from_modes(f, w):
     """The matrix I - w L rebuilt from its sine eigenvectors and 1 + w s_m^2."""
-    S = sine_matrix(ops.J)
-    return S @ np.diag(1.0 + w * ops.s**2) @ S.T
+    S = sine_matrix(f.s.size)
+    return S @ np.diag(1.0 + w * f.s**2) @ S.T
 
 
 class TestAssemble:
@@ -65,40 +66,41 @@ class TestAssemble:
         p = MaterialParams(rho=1.0, c=1.0, tau_q=0.0, mu2=0.1, k=1.0, l=3.0)
         cfg = SimulationConfig(dx=1.0, dt=1.0, t_final=1.0, T_b=0.0, T_f=1.0)
         grid = build_grid(p, cfg)
-        ops = assemble(p, grid)
-        assert ops.c_B == pytest.approx(0.1, rel=1e-15)
+        f = step_factors(p, grid)
+        assert f.c_B == pytest.approx(0.1, rel=1e-15)
         # B = I - c_B L from its eigenpairs: s_m^2 = 2 -/+ 1 at J = 2
-        np.testing.assert_allclose(ops.s**2, [1.0, 3.0], rtol=1e-15)
-        np.testing.assert_allclose(from_modes(ops, ops.c_B),
+        np.testing.assert_allclose(f.s**2, [1.0, 3.0], rtol=1e-15)
+        np.testing.assert_allclose(from_modes(f, f.c_B),
                                    [[1.2, -0.1], [-0.1, 1.2]], rtol=0.0, atol=1e-15)
 
     def test_fourier_limit_kills_factors(self):
         # B = I: the printed flux weights lose beta; no step keeps flux history
         p, cfg, grid, ops = small_setup(tau_q=0.0, mu2=0.0)
-        assert ops.c_r == 0.0
-        assert ops.c_B == 0.0
-        assert ops.c_q == 0.0
+        f = step_factors(p, grid)
+        assert f.c_r == 0.0
+        assert f.c_B == 0.0
+        assert f.c_q == 0.0
         # I + D has a zero flux column
         for D in (ops.coupled, ops.printed):
             assert np.all(D[0, 1] == 0.0) and np.all(D[1, 1] == -1.0)
-        np.testing.assert_array_equal(ops.printed[1, 0], ops.c_Q * ops.s)
-        np.testing.assert_allclose(ops.printed[0, 0], -ops.c_T * ops.s**2, rtol=1e-15)
+        np.testing.assert_array_equal(ops.printed[1, 0], f.c_Q * f.s)
+        np.testing.assert_allclose(ops.printed[0, 0], -f.c_T * f.s**2, rtol=1e-15)
 
     def test_reference_laplacian_weight(self, ref_params, ref_config):
         grid = build_grid(ref_params, ref_config)
-        ops = assemble(ref_params, grid)
-        assert ops.c_B == pytest.approx(42000.0, rel=1e-12)
+        assert step_factors(ref_params, grid).c_B == pytest.approx(42000.0, rel=1e-12)
 
     def test_stencils(self):
         p, cfg, grid, ops = small_setup(J=5)
+        f = step_factors(p, grid)
         L = second_difference(5)
         # the sine vectors with 1 + w s_m^2 rebuild B = I - c_B L and the
         # reduced matrix I - (c_B + c_T dt) L
-        for w in (ops.c_B, ops.c_B + ops.c_T * grid.dt):
+        for w in (f.c_B, f.c_B + f.c_T * grid.dt):
             dense = np.eye(5) - w * L
-            assert np.max(np.abs(from_modes(ops, w) - dense)) <= 1e-14 * np.max(dense)
+            assert np.max(np.abs(from_modes(f, w) - dense)) <= 1e-14 * np.max(dense)
         # B is strictly diagonally dominant
-        B = from_modes(ops, ops.c_B)
+        B = from_modes(f, f.c_B)
         assert np.all(np.abs(np.diag(B)) > 2.0 * np.max(np.abs(np.diag(B, k=-1))))
 
     @pytest.mark.parametrize("tau_q,mu2", [(8e-3, 2.8e-3), (0.0, 0.0)])
@@ -107,13 +109,14 @@ class TestAssemble:
         # as-printed both from the old level, beta = 1/(1 + c_B s^2); the
         # operators hold the increments D with (a', b') = (a, b) + D (a, b)
         p, cfg, grid, ops = small_setup(J=31, tau_q=tau_q, mu2=mu2)
-        s, dt = ops.s, grid.dt
+        f = step_factors(p, grid)
+        s, dt = f.s, grid.dt
         a, b = np.random.default_rng(5).normal(size=(2, 31))
-        b_new = (ops.c_r * b + ops.c_Q * s * a) / (1.0 + (ops.c_B + ops.c_T * dt) * s**2)
-        beta = 1.0 / (1.0 + ops.c_B * s**2)
-        expected = {"coupled": (a - ops.c_flux * s * b_new, b_new),
-                    "printed": ((1.0 - ops.c_T * s**2 * beta) * a - ops.c_q * s * beta * b,
-                                ops.c_r * beta * b + ops.c_Q * s * beta * a)}
+        b_new = (f.c_r * b + f.c_Q * s * a) / (1.0 + (f.c_B + f.c_T * dt) * s**2)
+        beta = 1.0 / (1.0 + f.c_B * s**2)
+        expected = {"coupled": (a - f.c_flux * s * b_new, b_new),
+                    "printed": ((1.0 - f.c_T * s**2 * beta) * a - f.c_q * s * beta * b,
+                                f.c_r * beta * b + f.c_Q * s * beta * a)}
         for name, (a_new, b_new) in expected.items():
             D = getattr(ops, name)
             assert D.shape == (2, 2, 31)
@@ -346,12 +349,13 @@ class TestReducedSolve:
         # one modal step against a dense LU solve of the reduced system and
         # the explicit temperature update
         p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
-        dense = np.eye(J) - (ops.c_B + ops.c_T * grid.dt) * second_difference(J)
+        f = step_factors(p, grid)
+        dense = np.eye(J) - (f.c_B + f.c_T * grid.dt) * second_difference(J)
         rng = np.random.default_rng(J)
         for _ in range(5):
             prev = random_state(rng, J)
-            q = np.linalg.solve(dense, ops.c_r * prev.q_interior - ops.c_Q * np.diff(prev.T))
-            T = prev.T - ops.c_flux * (aq_matrix(J) @ q)
+            q = np.linalg.solve(dense, f.c_r * prev.q_interior - f.c_Q * np.diff(prev.T))
+            T = prev.T - f.c_flux * (aq_matrix(J) @ q)
             got = step_coupled(ops, p, grid, prev)
             assert np.max(np.abs(got.q_interior - q)) <= 1e-13 * np.max(np.abs(q))
             assert np.max(np.abs(got.T - T)) <= 1e-13 * np.max(np.abs(T))
@@ -359,9 +363,10 @@ class TestReducedSolve:
     def test_single_flux_unknown(self):
         # J = 1: s_1^2 = 2, so the reduced "matrix" is 1 + 2w
         p, cfg, grid, ops = small_setup(J=1)
-        w = ops.c_B + ops.c_T * grid.dt
+        f = step_factors(p, grid)
+        w = f.c_B + f.c_T * grid.dt
         out = step_coupled(ops, p, grid, State(T=np.zeros(2), q=[0.0, 3.0, 0.0]))
-        assert out.q[1] == pytest.approx(3.0 * ops.c_r / (1.0 + 2.0 * w), rel=1e-15)
+        assert out.q[1] == pytest.approx(3.0 * f.c_r / (1.0 + 2.0 * w), rel=1e-15)
 
 
 class TestBFactor:
@@ -375,7 +380,8 @@ class TestBFactor:
         # backward-stable solves can differ by ~eps*cond(B) (6.3e4 at
         # J = 499), so the tolerance grows with cond(B) beyond 1e-13
         p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
-        B = np.eye(J) - ops.c_B * second_difference(J)
+        f = step_factors(p, grid)
+        B = np.eye(J) - f.c_B * second_difference(J)
         if mu2 == 0.0:
             np.testing.assert_array_equal(B, np.eye(J))
         eps = np.finfo(float).eps
@@ -384,7 +390,7 @@ class TestBFactor:
         rng = np.random.default_rng(J)
         for _ in range(5):
             prev = random_state(rng, J)
-            rhs = ops.c_r * prev.q_interior - ops.c_Q * np.diff(prev.T)
+            rhs = f.c_r * prev.q_interior - f.c_Q * np.diff(prev.T)
             expected = np.linalg.solve(B, rhs)
             got = step_vectorial_as_printed(ops, p, grid, prev).q_interior
             assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected))
@@ -400,17 +406,18 @@ class TestBFactor:
         J, steps = 9, 40
         p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2, dt=1.2e-3,
                                         t_final=steps * 1.2e-3)
+        f = step_factors(p, grid)
         cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
         init = cosine_initial(grid, 15.0, 30.0)
         traj = run(p, cfg, init)
-        B = np.eye(J) - ops.c_B * second_difference(J)
+        B = np.eye(J) - f.c_B * second_difference(J)
         aq, at = aq_matrix(J), at_matrix(J)
         T, q = init.T, init.q_interior
         Ts, qs = [T], [q]
         for _ in range(steps):
             binv_at_T, binv_q = np.linalg.solve(B, at @ T), np.linalg.solve(B, q)
-            T, q = (T + ops.c_T * (aq @ binv_at_T) - ops.c_q * (aq @ binv_q),
-                    ops.c_r * binv_q - ops.c_Q * binv_at_T)
+            T, q = (T + f.c_T * (aq @ binv_at_T) - f.c_q * (aq @ binv_q),
+                    f.c_r * binv_q - f.c_Q * binv_at_T)
             Ts.append(T)
             qs.append(q)
         T_got = np.array([s.T for s in traj.states])
@@ -516,12 +523,12 @@ class TestTraceTable:
         sums = table.reshape(5 * (K + 1), 5 * J) @ np.concatenate((a * a, a * b, b * b, a, b))
         rows = diagnostics.trace_rows(weights, m, sums.reshape(K + 1, 5))
         dx = grid.dx
-        reports = [dissipation_check(u, v, p, dx, grid.dt)
-                   for u, v in zip(states, states[1:])]
+        lhs, rhs = np.array([dissipation_check(u, v, p, dx, grid.dt)
+                             for u, v in zip(states, states[1:])]).T
         expected = np.array([
             [discrete_energy(s, p, dx) for s in states],
-            [0.0] + [r.lhs for r in reports],
-            [0.0] + [r.rhs for r in reports],
+            [0.0, *lhs],
+            [0.0, *rhs],
             [total_heat(s, dx) for s in states],
             [boundary_term(s, p, dx) for s in states],
             [lyapunov(s, p, dx)[1] for s in states]]).T
@@ -589,39 +596,6 @@ class TestChunkTable:
                             [s.q_interior for s in states])
 
 
-def longdouble_coupled_run(p, grid, init, steps):
-    """Coupled steps in np.longdouble: a Thomas loop for the reduced
-    tridiagonal solve, then the explicit temperature update."""
-    ld = np.longdouble
-    J = grid.J
-    dx, dt = ld(grid.dx), ld(grid.dt)
-    tau_q, mu2, k, rc = ld(p.tau_q), ld(p.mu2), ld(p.k), ld(p.rho) * ld(p.c)
-    s = tau_q + dt
-    c_B, c_T = mu2 * dt / (s * dx * dx), k * dt / (rc * s * dx * dx)
-    c_Q, c_r, c_flux = k * dt / (s * dx), tau_q / s, dt / (rc * dx)
-    w = c_B + c_T * dt
-    # elimination of tridiag(-w, 1 + 2w, -w): multipliers and pivots
-    pivots, multipliers = [1 + 2 * w], [ld(0)]
-    for _ in range(1, J):
-        multipliers.append(-w / pivots[-1])
-        pivots.append(1 + 2 * w + multipliers[-1] * w)
-    T, q = init.T.astype(ld), init.q_interior.astype(ld)
-    Ts, qs = [T], [q]
-    for _ in range(steps):
-        r = list(c_r * q - c_Q * np.diff(T))
-        for j in range(1, J):
-            r[j] -= multipliers[j] * r[j - 1]
-        x = [ld(0)] * J
-        x[-1] = r[-1] / pivots[-1]
-        for j in range(J - 2, -1, -1):
-            x[j] = (r[j] + w * x[j + 1]) / pivots[j]
-        q = np.array(x, dtype=ld)
-        T = T - c_flux * np.diff(np.concatenate(([ld(0)], q, [ld(0)])))
-        Ts.append(T)
-        qs.append(q)
-    return np.array(Ts), np.array(qs)
-
-
 @pytest.mark.skipif(not EXTENDED, reason="longdouble is plain float64 here")
 class TestExtendedPrecision:
     @pytest.mark.parametrize("J,steps", [(63, 2000), (499, 200)])
@@ -641,16 +615,23 @@ class TestExtendedPrecision:
 class TestRunMemory:
     def test_estimate_counts_trace_and_kept_states(self):
         p, cfg, grid, ops = small_setup(J=99, t_final=1000 * 1.2e-2)
-        one, all_levels = scheme.run_memory_bytes(grid, grid.N + 1), scheme.run_memory_bytes(grid, 1)
-        # stride 1 keeps N+2 states of 2J+3 values (and 112 values' worth of
-        # Python objects each) and writes them again
-        assert all_levels - one == 8 * grid.N * ((2 * 99 + 3 + 112) + 2 * 100)
+        one = scheme.run_memory_bytes(grid, grid.N + 1)
         longer = build_grid(p, dataclasses.replace(cfg, t_final=2000 * 1.2e-2))
         per_level = (scheme.run_memory_bytes(longer, longer.N + 1) - one) / 1000
         assert per_level == 8 * 23
+        # stride 1 keeps 1000 states more than stride 2, each of 2J+3 values
+        # (and 112 values' worth of Python objects), and writes them again;
+        # here the kept states outweigh the blocks at both strides
+        all_levels, half = (scheme.run_memory_bytes(longer, 1),
+                            scheme.run_memory_bytes(longer, 2))
+        assert all_levels - half == 8 * 1000 * ((2 * 99 + 3 + 112) + 2 * 100)
 
+    # the last two keep one state (stride N+1) of a fine mesh, and every
+    # state of a short run on a finer one: there the blocks' phase,
+    # operators and trace weights included, is the peak
     @pytest.mark.parametrize("J,steps,stride", [(499, 2500, 25), (63, 500, 1),
-                                                (255, 1000, 1001)])
+                                                (255, 1000, 1001),
+                                                (7999, 2500, 2500), (9999, 5, 1)])
     def test_estimate_bounds_traced_peak(self, tmp_path, J, steps, stride):
         # everything run() and both writers allocate, traced
         p, cfg, grid, ops = small_setup(J=J, t_final=steps * 1.2e-2)
