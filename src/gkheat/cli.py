@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, diagnostics, scheme
+from . import checks, csvtext, diagnostics, scheme
 from .discretization import State, build_grid, cosine_initial, zero_mean_initial
 from .errors import (GKHeatError, NonDivisibleMesh, NonPositiveCoefficient,
                      NumericalFailure, ParseError, UnknownKey)
@@ -60,15 +60,6 @@ _FLOAT_KEYS = ("rho", "c", "tau_q", "mu2", "k", "l", "dx", "dt", "t_final",
 def _fmt(x: float) -> str:
     """17 significant digits, '.' decimal separator, bit-faithful round trip."""
     return format(float(x), ".17g")
-
-
-def _write_rows(path: Path, header: str, template: str, rows) -> None:
-    """Write a header, then one `template % row` line per row ("%.17g" is
-    _fmt); streamed so that the file text is never held in memory whole."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(template % row)
 
 
 @dataclass(frozen=True)
@@ -143,27 +134,24 @@ def _initial_state(manifest: RunManifest, grid) -> State:
 
 
 def write_trace_csv(path: Path, trace: diagnostics.EnergyTrace) -> None:
-    table = np.column_stack((trace.t, trace.E, trace.diss_lhs, trace.diss_rhs,
-                             trace.heat, trace.C_T, trace.lyapunov, trace.Z))
-    _write_rows(path, ",".join(TRACE_COLUMNS),
-                "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1) + "\n",
-                ((n, *row.tolist()) for n, row in enumerate(table)))
+    """One row per level, every number (n too) as _fmt writes it."""
+    csvtext.write_csv(path, ",".join(TRACE_COLUMNS), [
+        np.arange(len(trace), dtype=float), trace.t, trace.E, trace.diss_lhs,
+        trace.diss_rhs, trace.heat, trace.C_T, trace.lyapunov, trace.Z])
 
 
 def write_profiles_csv(path: Path, traj: scheme.Trajectory) -> None:
-    """Strided T and q snapshots, wide format.
+    """Strided T and q snapshots, wide format, every number as _fmt writes it.
 
     Rows are nodes j = 0..J; the final flux node q_{J+1} = 0 is implied and
     not written, so temperature and flux columns share the x column.
     """
-    grid = traj.grid
     times = [traj.trace.t[n] for n in traj.stored_steps]
     header = (["x"] + [f"T_t{t:.6g}" for t in times]
               + [f"q_t{t:.6g}" for t in times])
-    table = np.column_stack([grid.x[:grid.J + 1], *(s.T for s in traj.states),
-                             *(s.q[:-1] for s in traj.states)])
-    _write_rows(path, ",".join(header), ",".join(["%.17g"] * len(header)) + "\n",
-                (tuple(row.tolist()) for row in table))
+    csvtext.write_csv(path, ",".join(header), [
+        traj.grid.x[:traj.grid.J + 1], *(s.T for s in traj.states),
+        *(s.q[:-1] for s in traj.states)])
 
 
 def _write_constants(path: Path, manifest: RunManifest,

@@ -49,8 +49,8 @@ k = 0..K, it builds one trace table (diagnostics.modal_trace_table), and
 every row of the run gets the block's share from one matrix product of
 the table with the features of the chunk bases, the levels 0, K, 2K, ...
 Only the stored levels are formed, and physical states are rebuilt from
-them after the last block.  The single-step functions apply the table of
-one power.
+them, a batch of levels per transform, after the last block.  The
+single-step functions apply the table of one power.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics
+from . import csvtext, diagnostics
 from .discretization import Grid, State, _require_on_grid, build_grid
 from .errors import InvalidLimit, MeshTooLarge, NonFiniteInput, NonFiniteState
 from .linalg import dct, dense_solve, difference_symbols, dst, idct
@@ -70,10 +70,11 @@ from .model import MaterialParams, SimulationConfig, StepperKind
 #: float64 values in one block's trace table (256 KiB): run traces the
 #: modes a block at a time, each block's share of every trace row a matrix
 #: product with this table; it sets the shape of the blocks (_block_shape),
-#: and a block's buffers hold about 5x as many values in all
+#: and a block's buffers hold about 5x as many values in all.  It also
+#: sets how many kept levels are rebuilt into states at a time
 TRACE_CHUNK_ELEMENTS = 2**15
 #: largest number of bytes run() and the run command's writers may hold
-#: (about 40x the 26 MB of a J=7999, 2500-step run storing every 25th
+#: (about 40x the 27 MB of a J=7999, 2500-step run storing every 25th
 #: level); checked by run() before anything is allocated
 MAX_RUN_BYTES = 2**30
 
@@ -308,31 +309,43 @@ def _block_shape(grid: Grid) -> tuple[int, int, int]:
     return K, n, min(5 * (K + 1), -(-(grid.N + 1) // K))
 
 
+def _state_batch(grid: Grid) -> int:
+    """Kept levels rebuilt into states at a time: their transforms'
+    temporaries, about 8 (J + 1) values per level, are at most
+    TRACE_CHUNK_ELEMENTS values unless one level is more."""
+    return max(1, TRACE_CHUNK_ELEMENTS // (8 * grid.J + 8))
+
+
 def run_memory_bytes(grid: Grid, stride: int) -> int:
     """Bytes run() and the run command's writers hold for grid and stride.
 
     Counts, per level, the time axis and its copy, the trace's modal sums
     (5 columns), rows (6), a column of temporaries, Z and the trace
-    writer's table (8); 10 J values of transform temporaries; and the
-    larger of two phases.  While the blocks run, run holds the kept levels'
-    amplitudes (2J values each), the operators (8J), the trace weights
-    (15J) and level 0's amplitudes (2J), and per block the buffer of table
-    and features (25 (K + 1) n + 5 (M + 1) n), the power tables
+    writer's step numbers (1); 10 J values of transform temporaries; and
+    the larger of two phases.  While the blocks run, run holds the kept
+    levels' amplitudes (2J values each), the operators (8J), the trace
+    weights (15J) and level 0's amplitudes (2J), and per block the buffer
+    of table and features (25 (K + 1) n + 5 (M + 1) n), the power tables
     (16 (K + 1) n and 4 M n), modal_trace_table's temporaries
     (40 (K + 1) n) and a group's sums, stored levels and bases
     (5 K M + 2 M n).  From then on it holds, per kept state, 2J+3 values
-    plus 112 for Python objects (the State, its step and time, the profiles
-    writer's labels and row values: about 850 bytes measured), and the
-    profiles writer's table, which also covers the kept levels' amplitudes
-    while the states are built from them.
+    plus 112 for Python objects (the State, its step and time, the
+    profiles writer's label and column slices: about 850 bytes measured),
+    and the larger of two things: the kept levels' amplitudes while the
+    states are rebuilt from them, with a batch's transform temporaries
+    (8 (J + 1) values per level), or a block of the CSV writers (see
+    csvtext.BYTES_PER_VALUE).
     """
     levels, J = grid.N + 2, grid.J
     kept = len(range(0, grid.N + 2, stride)) + ((grid.N + 1) % stride != 0)
     K, n, M = _block_shape(grid)
     blocks = (kept * 2 * J + (8 + 15 + 2) * J + (K + 1) * n * (25 + 16 + 40)
               + M * n * (5 + 4 + 2) + 5 * n + 5 * K * M)
-    states = kept * (2 * J + 3 + 112) + (J + 1) * (1 + 2 * kept)
-    return 8 * (levels * (2 + 5 + 6 + 1 + 1 + 8) + 10 * J + max(blocks, states))
+    batch = min(kept, _state_batch(grid))
+    writer = math.ceil(csvtext.BYTES_PER_VALUE
+                       * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1) / 8)
+    states = kept * (2 * J + 3 + 112) + max(kept * 2 * J + batch * 8 * (J + 1), writer)
+    return 8 * (levels * (2 + 5 + 6 + 1 + 1 + 1) + 10 * J + max(blocks, states))
 
 
 def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
@@ -445,7 +458,10 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     ok = np.isfinite(rows).all(axis=1)
     ok[keep] &= np.isfinite(stored).all(axis=(1, 2))
     _require_finite(ok, 0)
-    states = [init] + [_states(m, stored[i:i + 1])[0] for i in range(keep.size)]
+    batch = _state_batch(grid)
+    states = [init]
+    for lo in range(0, keep.size, batch):
+        states += _states(m, stored[lo:lo + batch])
     del stored
     trace = diagnostics.build_trace(params, grid.t, rows)
     return Trajectory(states=states, stored_steps=[0] + keep.tolist(), grid=grid,

@@ -152,10 +152,11 @@ class TestCmdRun:
         for name in ("trace.csv", "profiles.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    @pytest.mark.parametrize("T_b,T_f", [(15.0, 30.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("T_b,T_f", [(15.0, 30.0), (0.0, 0.0), (0.0, 1e-200)])
     def test_csv_text_matches_fmt(self, tmp_path, T_b, T_f):
         # the streamed files are byte for byte the _fmt-joined text; zero
-        # initial data puts nan in Z
+        # initial data puts nan in Z, and so does data whose energy
+        # underflows, which also writes -0 and numbers near 1e-203
         out = tmp_path / "o"
         manifest = parse_config(FAST_CONFIG + f"T_b = {T_b}\nT_f = {T_f}\n"
                                 f"out_dir = {out}\n")
@@ -169,7 +170,9 @@ class TestCmdRun:
         expected = [",".join(TRACE_COLUMNS)] + [
             ",".join([str(n)] + [_fmt(c[n]) for c in cols]) for n in range(len(tr))]
         assert (out / "trace.csv").read_text() == "\n".join(expected) + "\n"
-        assert ("nan" in expected[-1]) == (T_f == 0.0)
+        assert ("nan" in expected[-1]) == (T_b == 0.0)
+        if T_f == 1e-200:
+            assert ",-0," in expected[-1] and "e-203," in expected[-1]
         rows = ([_fmt(grid.x[j])] + [_fmt(s.T[j]) for s in traj.states]
                 + [_fmt(s.q[j]) for s in traj.states] for j in range(grid.J + 1))
         body = (out / "profiles.csv").read_text().split("\n", 1)[1]

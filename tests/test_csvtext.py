@@ -1,0 +1,85 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gkheat import csvtext
+
+
+def expected_text(values):
+    """The reference: each value through Python's own "%.17g"."""
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                   for row in np.atleast_2d(values).tolist()).encode()
+
+
+NAMED = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+         2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+         1e-4, 1e-5, 9.9999999999999991e-5, 1.0000000000000001e-4, 1e16, 1e17,
+         99999999999999984.0, 99999999999999999.0, 12345678901234567.0,
+         1e-284, 1e-285, 1e300, 1.3e300, 1.4e300, 1e-100, -1e100, 0.1, 0.5, 1.0,
+         -1.5, 100.0, 123456.0, 1.0000000000000039e-203, 1000000000000000.25]
+
+
+class TestFormatBlock:
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert csvtext.format_block(values[None, :]) == expected_text(values)
+
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, values):
+        values = np.array(values, dtype=np.float64)
+        assert csvtext.format_block(values[:, None]) == expected_text(values[:, None])
+
+    def test_named_cases(self):
+        values = np.array(NAMED)
+        assert csvtext.format_block(values[:, None]) == expected_text(values[:, None])
+
+    def test_powers_of_ten_and_neighbours(self):
+        # log10 is one off next to some powers of ten
+        p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.column_stack((p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p))
+        assert csvtext.format_block(values) == expected_text(values)
+
+    def test_integers_are_their_decimal_text(self):
+        n = np.arange(0.0, 30000.0).reshape(-1, 10)
+        assert csvtext.format_block(n) == "".join(
+            ",".join(str(int(v)) for v in row) + "\n" for row in n.tolist()).encode()
+
+    def test_only_undecided_values_take_format(self, monkeypatch):
+        # 1000000000000000.25 is a tie at the 17th digit ("%.17g" rounds it
+        # to even, ...0.2); non-finite and out-of-table values have no
+        # fast path; everything else must not reach format()
+        slow = [1000000000000000.25, np.nan, np.inf, 5e-324, 1.7976931348623157e308]
+        fast = [0.0, -0.0, 1e-4, 1e-5, 1e16, 1e17, 0.1, 1.0000000000000039e-203]
+        seen = []
+
+        def spy(value, spec):
+            seen.append(value)
+            return format(value, spec)
+
+        monkeypatch.setattr(csvtext, "format", spy, raising=False)
+        values = np.array([slow + fast])
+        text = csvtext.format_block(values)
+        assert text == expected_text(values)
+        assert text.startswith(b"1000000000000000.2,")
+        assert len(seen) == len(slow)
+        assert np.array_equal(np.array(seen), np.array(slow), equal_nan=True)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("budget", [1, 7, 200])
+    def test_bytes_do_not_depend_on_the_block_budget(self, tmp_path, monkeypatch, budget):
+        rng = np.random.default_rng(5)
+        columns = [rng.standard_normal(97) * 10.0 ** rng.integers(-30, 30, 97)
+                   for _ in range(11)]
+        columns[3][::7] = np.nan
+        columns[5][::5] = -0.0
+        csvtext.write_csv(tmp_path / "default.csv", "h", columns)
+        monkeypatch.setattr(csvtext, "WRITE_BLOCK_VALUES", budget)
+        csvtext.write_csv(tmp_path / "budget.csv", "h", columns)
+        text = (tmp_path / "default.csv").read_bytes()
+        assert (tmp_path / "budget.csv").read_bytes() == text
+        assert text == b"h\n" + expected_text(np.column_stack(columns))

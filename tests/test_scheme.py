@@ -618,13 +618,15 @@ class TestRunMemory:
         one = scheme.run_memory_bytes(grid, grid.N + 1)
         longer = build_grid(p, dataclasses.replace(cfg, t_final=2000 * 1.2e-2))
         per_level = (scheme.run_memory_bytes(longer, longer.N + 1) - one) / 1000
-        assert per_level == 8 * 23
-        # stride 1 keeps 1000 states more than stride 2, each of 2J+3 values
-        # (and 112 values' worth of Python objects), and writes them again;
-        # here the kept states outweigh the blocks at both strides
-        all_levels, half = (scheme.run_memory_bytes(longer, 1),
-                            scheme.run_memory_bytes(longer, 2))
-        assert all_levels - half == 8 * 1000 * ((2 * 99 + 3 + 112) + 2 * 100)
+        assert per_level == 8 * 16
+        # over 4000 steps stride 1 keeps 2000 states more than stride 2,
+        # each of 2J+3 values (and 112 values' worth of Python objects),
+        # rebuilt from their 2J amplitudes; here the kept states outweigh
+        # the blocks, and their amplitudes a writer block, at both strides
+        longest = build_grid(p, dataclasses.replace(cfg, t_final=4000 * 1.2e-2))
+        all_levels, half = (scheme.run_memory_bytes(longest, 1),
+                            scheme.run_memory_bytes(longest, 2))
+        assert all_levels - half == 8 * 2000 * ((2 * 99 + 3 + 112) + 2 * 99)
 
     # the last two keep one state (stride N+1) of a fine mesh, and every
     # state of a short run on a finer one: there the blocks' phase,
@@ -647,10 +649,12 @@ class TestRunMemory:
         assert peak <= scheme.run_memory_bytes(grid, stride)
 
     def test_fine_mesh_estimate_is_far_under_the_cap(self, ref_params, ref_config):
-        # J = 7999, 2500 steps, every 25th level kept: about 26 MB
+        # J = 7999, 2500 steps, every 25th level kept: 27.4 MB, mostly the
+        # 102 states and the 101 levels' amplitudes they are rebuilt from;
+        # the traced peak is 26.5 MB
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=1.25e-5))
         need = scheme.run_memory_bytes(grid, 25)
-        assert 25e6 < need < 28e6
+        assert 26.5e6 < need < 28e6
         assert scheme.MAX_RUN_BYTES >= 20 * need
 
     def test_run_refuses_before_assembling(self, monkeypatch):
