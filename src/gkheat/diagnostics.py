@@ -16,8 +16,9 @@ energy overflows).  The trajectory runner (see linalg and scheme) gets the
 trace of every level from the modal amplitudes it steps: each trace column
 is a sum over the modes with the weights of modal_trace_weights, and is a
 quadratic or linear form in the level a chunk starts from.
-modal_trace_table tabulates those forms for a block of modes, and
-trace_rows and build_trace turn the summed columns into an EnergyTrace.
+modal_trace_table tabulates those forms for a block of modes, all five of
+them or the energy's alone, and trace_rows and build_trace turn the summed
+columns into an EnergyTrace.
 """
 
 from __future__ import annotations
@@ -48,17 +49,18 @@ class EnergyTrace:
     diss_lhs/diss_rhs are the two sides of the dissipation inequality; row 0
     has no predecessor and carries zeros there.  Z is the normalized
     envelope quantity 1 + (M1*sup|C_T| / (M0*E0)) * exp(omega*t_n); it is
-    NaN when E0 = 0.
+    NaN when E0 = 0.  An energy-only trace (scheme.run's energy_only) has
+    t, E and heat, and None in the other columns.
     """
 
-    t: np.ndarray         # time [s]
-    E: np.ndarray         # discrete functional energy
-    diss_lhs: np.ndarray  # (E^n - E^{n-1})/dt
-    diss_rhs: np.ndarray  # dissipation bound
-    heat: np.ndarray      # total heat dx*sum(T_j)
-    C_T: np.ndarray       # boundary-times-mean term
-    lyapunov: np.ndarray  # weighted Lyapunov functional
-    Z: np.ndarray         # normalized envelope quantity
+    t: np.ndarray                # time [s]
+    E: np.ndarray                # discrete functional energy
+    diss_lhs: np.ndarray | None  # (E^n - E^{n-1})/dt
+    diss_rhs: np.ndarray | None  # dissipation bound
+    heat: np.ndarray             # total heat dx*sum(T_j)
+    C_T: np.ndarray | None       # boundary-times-mean term
+    lyapunov: np.ndarray | None  # weighted Lyapunov functional
+    Z: np.ndarray | None         # normalized envelope quantity
 
     def __len__(self) -> int:
         return self.t.size
@@ -247,8 +249,10 @@ def modal_trace_weights(params: MaterialParams, grid: Grid) -> ModalTraceWeights
 
 
 def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
-                      modes: slice, out: np.ndarray | None = None) -> np.ndarray:
-    """Trace table of a block of modes, (L, 5, 5, n) for L levels.
+                      modes: slice, out: np.ndarray | None = None,
+                      energy_only: bool = False) -> np.ndarray:
+    """Trace table of a block of modes, (L, 5, 5, n) for L levels, or with
+    energy_only E's weights on the features a^2, ab, b^2 alone, (L, 1, 3, n).
 
     powers (2, 2, L, 2, n) holds, for the n modes in `modes`, column j of
     the matrix G_l mapping a base level x = (a, b) to level l at [j, 0, l],
@@ -259,22 +263,28 @@ def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
     their mean parts (F's term linear in y carries m), C_T/heat less its
     mean part, and diss_lhs from the increment P_l x as the step computes
     it and y + y_prev = (2 G_l - P_l) x.  Summed over the modes,
-    phi(x) @ table gives the sums trace_rows takes.
+    phi(x) @ table gives the sums trace_rows takes.  E's table alone is
+    the first column's first three features; it reads no increments, so
+    its powers may hold the G_l alone, (2, 1, L, 2, n).
     """
     G = powers[:, 0].transpose(1, 2, 0, 3)    # (L, row i, column j, n)
-    P = powers[:, 1].transpose(1, 2, 0, 3)
-    table = np.empty((G.shape[0], 5, 5, G.shape[3])) if out is None else out
+    columns, features = (1, 3) if energy_only else (5, 5)
+    table = (np.empty((G.shape[0], columns, features, G.shape[3]))
+             if out is None else out)
     # y_0^2, y_1^2 and y_0 y_1 on the features a^2, ab, b^2
-    left, right = G[:, [0, 1, 0]], G[:, [0, 1, 1]]
-    monomials = np.empty(left.shape[:2] + (3,) + left.shape[3:])
-    np.multiply(left[:, :, 0], right[:, :, 0], out=monomials[:, :, 0])
-    np.multiply(left[:, :, 0], right[:, :, 1], out=monomials[:, :, 1])
-    monomials[:, :, 1] += left[:, :, 1] * right[:, :, 0]
-    np.multiply(left[:, :, 1], right[:, :, 1], out=monomials[:, :, 2])
-    q = w.quadratic[..., modes]
+    monomials = np.empty((G.shape[0], 3, 3, G.shape[3]))
+    for u, (i, k) in enumerate(((0, 0), (1, 1), (0, 1))):
+        np.multiply(G[:, i, 0], G[:, k, 0], out=monomials[:, u, 0])
+        np.multiply(G[:, i, 0], G[:, k, 1], out=monomials[:, u, 1])
+        monomials[:, u, 1] += G[:, i, 1] * G[:, k, 0]
+        np.multiply(G[:, i, 1], G[:, k, 1], out=monomials[:, u, 2])
+    q = w.quadratic[:1 if energy_only else 3, :, modes]
     np.multiply(monomials[:, None, 0], q[None, :, 0, None], out=table[:, :3, :3])
     for u in (1, 2):
         table[:, :3, :3] += monomials[:, None, u] * q[None, :, u, None]
+    if energy_only:
+        return table
+    P = powers[:, 1].transpose(1, 2, 0, 3)
     # diss_lhs = sum_i w_i (P x)_i ((2 G - P) x)_i
     weighted = P * w.increment[None, :, None, modes]
     both = (weighted[:, :, :, None] * (2.0 * G - P)[:, :, None, :]).sum(axis=1)
@@ -298,14 +308,17 @@ def trace_rows(w: ModalTraceWeights, m: float, sums: np.ndarray) -> np.ndarray:
     the step increments, so it is neither drowned by cancellation near
     equilibrium nor limited by the rounding of the levels themselves; the
     mean, never stepped, drops out of it and keeps the heat exactly
-    constant.
+    constant.  From E's sums alone (one column) the rows are E and heat.
     """
+    E, heat = w.E_mean * m * m + sums[:, 0], w.heat_mean * m
+    if sums.shape[1] == 1:
+        return np.column_stack((E, np.full_like(E, heat)))
     rows = np.empty((sums.shape[0], 6))
-    rows[:, 0] = E = w.E_mean * m * m + sums[:, 0]
+    rows[:, 0] = E
     rows[:, 1] = sums[:, 4]
     rows[:, 2] = sums[:, 1]
     rows[0, 1:3] = 0.0
-    rows[:, 3] = heat = w.heat_mean * m
+    rows[:, 3] = heat
     rows[:, 4] = (w.boundary_mean * m + sums[:, 3]) * heat
     rows[:, 5] = w.lyapunov_weight * E + (w.F_mean * m * m + sums[:, 2])
     return rows
@@ -313,7 +326,11 @@ def trace_rows(w: ModalTraceWeights, m: float, sums: np.ndarray) -> np.ndarray:
 
 def build_trace(params: MaterialParams, t: np.ndarray,
                 rows: np.ndarray) -> EnergyTrace:
-    """EnergyTrace from trace_rows output at times t, with Z."""
+    """EnergyTrace from trace_rows output at times t, with Z; rows of E and
+    heat alone give a trace with None in the other columns."""
+    if rows.shape[1] == 2:
+        return EnergyTrace(t=t.copy(), E=rows[:, 0], diss_lhs=None, diss_rhs=None,
+                           heat=rows[:, 1], C_T=None, lyapunov=None, Z=None)
     trace = EnergyTrace(t=t.copy(), E=rows[:, 0], diss_lhs=rows[:, 1],
                         diss_rhs=rows[:, 2], heat=rows[:, 3], C_T=rows[:, 4],
                         lyapunov=rows[:, 5],

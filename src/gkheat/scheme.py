@@ -48,9 +48,13 @@ a time: from a block's powers G^k and G^(k-1) D (the step increments),
 k = 0..K, it builds one trace table (diagnostics.modal_trace_table), and
 every row of the run gets the block's share from one matrix product of
 the table with the features of the chunk bases, the levels 0, K, 2K, ...
-Only the stored levels are formed, and physical states are rebuilt from
-them, a batch of levels per transform, after the last block.  The
-single-step functions apply the table of one power.
+A run with energy_only (the decay-rate fits of sweep and verify) traces E
+and heat alone: its table is E's weights on the quadratic features, 3
+values per level and mode instead of 25, built from the powers G^k
+alone, and its blocks are longer and wider (_block_shape).  Only the
+stored levels are formed, and physical states are rebuilt from them, a
+batch of levels per transform, after the last block.  The single-step
+functions apply the table of one power.
 """
 
 from __future__ import annotations
@@ -70,8 +74,11 @@ from .model import MaterialParams, SimulationConfig, StepperKind
 #: float64 values in one block's trace table (256 KiB): run traces the
 #: modes a block at a time, each block's share of every trace row a matrix
 #: product with this table; it sets the shape of the blocks (_block_shape),
-#: and a block's buffers hold about 5x as many values in all.  It also
-#: sets how many kept levels are rebuilt into states at a time
+#: and a block's buffers hold about 4x as many values in all.  An
+#: energy-only block is shaped from the same budget, with the 9 values per
+#: level and mode of the products that form E's table in place of the 25
+#: of the full table.  It also sets how many kept levels are rebuilt into
+#: states at a time
 TRACE_CHUNK_ELEMENTS = 2**15
 #: largest number of bytes run() and the run command's writers may hold
 #: (about 40x the 27 MB of a J=7999, 2500-step run storing every 25th
@@ -174,12 +181,13 @@ def _power_table(cols: np.ndarray, K: int) -> np.ndarray:
     return table if finite.all() else table[:, :, :max(1, int(np.argmin(finite)))]
 
 
-def _chunk_table(D: np.ndarray, K: int) -> np.ndarray:
-    """(2, 2, K', 2, J) columns of the step powers for k = 1..K', G = I + D
-    per mode: [j, 0, k-1] is column j of G^k and [j, 1, k-1] column j of
-    G^(k-1) D; cut as _power_table cuts."""
+def _chunk_table(D: np.ndarray, K: int, increments: bool = True) -> np.ndarray:
+    """(2, c, K', 2, J) columns of the step powers for k = 1..K', G = I + D
+    per mode: [j, 0, k-1] is column j of G^k and, with increments (c = 2),
+    [j, 1, k-1] column j of G^(k-1) D; cut as _power_table cuts."""
     cols = D.swapaxes(0, 1)
-    return _power_table(np.stack((np.eye(2)[:, :, None] + cols, cols), axis=1), K)
+    steps = np.eye(2)[:, :, None] + cols
+    return _power_table(np.stack((steps, cols) if increments else (steps,), axis=1), K)
 
 
 def _require_finite(ok: np.ndarray, first_step: int) -> None:
@@ -295,18 +303,28 @@ class Trajectory:
         return self.states[-1]
 
 
-def _block_shape(grid: Grid) -> tuple[int, int, int]:
+def _block_shape(grid: Grid, energy_only: bool = False) -> tuple[int, int, int]:
     """(K, n, M): levels per chunk, modes per block, chunks per group.
 
     A block's trace table, 25 (K + 1) n <= TRACE_CHUNK_ELEMENTS values, is
     32 times as wide in modes as in levels, n = 32 (K + 1), unless the mesh
     has fewer modes; K then fills the budget, but is at most N + 1.  A
     group's features, 5 M n values, are as many as the table's, M =
-    5 (K + 1), unless the run has fewer chunks.
+    5 (K + 1), unless the run has fewer chunks.  These shapes fix the
+    order of the trace's sums, and so the bytes of trace.csv.
+
+    With energy_only the table is E's alone, 3 (K + 1) n values, and its
+    largest array is the 9 (K + 1) n monomials it is formed from: the
+    budget bounds those, and n and K follow as above.  A group's features
+    in the product, 3 M n values, are as many as the table's, M = K + 1.
+    At J = 499 and 7999 over 2,500 steps that is (10, 320, 11) against
+    (5, 192, 30), and an energy-only block holds fewer buffer values than
+    a full one on the same mesh (the tests measure both).
     """
-    n = min(grid.J, max(1, 32 * math.isqrt(TRACE_CHUNK_ELEMENTS // 800)))
-    K = min(grid.N + 1, max(1, TRACE_CHUNK_ELEMENTS // (25 * n) - 1))
-    return K, n, min(5 * (K + 1), -(-(grid.N + 1) // K))
+    columns, per_level = (1, 9) if energy_only else (5, 25)
+    n = min(grid.J, max(1, 32 * math.isqrt(TRACE_CHUNK_ELEMENTS // (32 * per_level))))
+    K = min(grid.N + 1, max(1, TRACE_CHUNK_ELEMENTS // (per_level * n) - 1))
+    return K, n, min(columns * (K + 1), -(-(grid.N + 1) // K))
 
 
 def _state_batch(grid: Grid) -> int:
@@ -327,14 +345,16 @@ def run_memory_bytes(grid: Grid, stride: int) -> int:
     weights (15J) and level 0's amplitudes (2J), and per block the buffer
     of table and features (25 (K + 1) n + 5 (M + 1) n), the power tables
     (16 (K + 1) n and 4 M n), modal_trace_table's temporaries
-    (40 (K + 1) n) and a group's sums, stored levels and bases
+    (at most 40 (K + 1) n) and a group's sums, stored levels and bases
     (5 K M + 2 M n).  From then on it holds, per kept state, 2J+3 values
     plus 112 for Python objects (the State, its step and time, the
     profiles writer's label and column slices: about 850 bytes measured),
     and the larger of two things: the kept levels' amplitudes while the
     states are rebuilt from them, with a batch's transform temporaries
     (8 (J + 1) values per level), or a block of the CSV writers (see
-    csvtext.BYTES_PER_VALUE).
+    csvtext.BYTES_PER_VALUE).  It bounds an energy-only run too: its blocks
+    hold no more than the full trace's (see _block_shape), and its trace
+    fewer columns.
     """
     levels, J = grid.N + 2, grid.J
     kept = len(range(0, grid.N + 2, stride)) + ((grid.N + 1) % stride != 0)
@@ -355,31 +375,38 @@ def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
     """Add one block of modes' share to every row of sums and write its
     amplitudes of the levels keep into stored.
 
-    D (2, 2, n) are the block's increment matrices, x (2, n) its level 0.
-    The trace table of G^k, k = 0..K (K cut where a power or a table entry
-    is not finite), maps a chunk base's features to its chunk's sums.  The
-    bases of a group of M chunks are the powers of G^K applied to the
-    first, and one matrix product gives the group's rows.  buffer holds
-    (25 (K + 1) + 5 (M + 1)) n values: the table, then the features.
+    D (2, 2, n) are the block's increment matrices, x (2, n) its level 0,
+    and sums has 5 columns, or 1 for E's alone.  The trace table of G^k,
+    k = 0..K (K cut where a power or a table entry is not finite), maps a
+    chunk base's features to its chunk's sums.  The bases of a group of M
+    chunks are the powers of G^K applied to the first, and one matrix
+    product gives the group's rows.  buffer holds (c f (K + 1) + 5 (M + 1)) n
+    values: the table of c columns on f features (5 on 5, or 1 on 3), then
+    the features.
     """
-    n, last = x.shape[1], sums.shape[0] - 1
-    powers = np.zeros((2, 2, K + 1, 2, n))
+    n, last, columns = x.shape[1], sums.shape[0] - 1, sums.shape[1]
+    energy_only = columns == 1
+    f = 3 if energy_only else 5
+    # E's table reads no increments G^(k-1) D
+    powers = np.zeros((2, 1 if energy_only else 2, K + 1, 2, n))
     powers[0, 0, 0, 0] = powers[1, 0, 0, 1] = 1.0
-    chunk = _chunk_table(D, K)
+    chunk = _chunk_table(D, K, increments=not energy_only)
     K = chunk.shape[2]
     powers[:, :, 1:K + 1] = chunk
+    del chunk
     table = diagnostics.modal_trace_table(
-        w, m, powers[:, :, :K + 1], modes,
-        out=buffer[:25 * (K + 1) * n].reshape(K + 1, 5, 5, n))
+        w, m, powers[:, :, :K + 1], modes, energy_only=energy_only,
+        out=buffer[:columns * f * (K + 1) * n].reshape(K + 1, columns, f, n))
     finite = np.isfinite(table).all(axis=(1, 2, 3))
     if not finite.all():
         K = max(1, int(np.argmin(finite)) - 1)
         table = table[:K + 1]
-    table = table.reshape(5 * (K + 1), 5 * n)
+    table = table.reshape(columns * (K + 1), f * n)
     hops = _power_table(powers[:, :1, K], M)[:, 0]
     group = hops.shape[1]
-    # one row more than a group, for the base of the next group
-    features = buffer[25 * (K + 1) * n:][:5 * (group + 1) * n].reshape(group + 1, 5, n)
+    # one row more than a group, for the base of the next group; the
+    # features (a^2, ab, b^2, a, b) end in the bases
+    features = buffer[table.size:][:5 * (group + 1) * n].reshape(group + 1, 5, n)
     bases = features[:, 3:]
     bases[0] = x
     total = -(-last // K)
@@ -390,12 +417,13 @@ def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
         _times(hops[:, :count], bases[0], out=bases[1:count + 1])
         np.multiply(bases[:count], bases[:count, :1], out=features[:count, :2])
         np.multiply(bases[:count, 1], bases[:count, 1], out=features[:count, 2])
-        flat = features[:count].reshape(count, 5 * n)
+        flat = features[:count, :f].reshape(count, f * n)
         if c0 == 0:
-            sums[0] += table[:5] @ flat[0]
+            sums[0] += table[:columns] @ flat[0]
         start = c0 * K + 1
         levels = min(count * K, last + 1 - start)
-        sums[start:start + levels] += (flat @ table[5:].T).reshape(-1, 5)[:levels]
+        sums[start:start + levels] += (flat @ table[columns:].T).reshape(
+            -1, columns)[:levels]
         # the stored levels, at most a group's count at a time
         lo, hi = np.searchsorted(keep, (start, start + levels))
         for i in range(lo, hi, group):
@@ -405,18 +433,19 @@ def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
 
 
 def run(params: MaterialParams, config: SimulationConfig, init: State,
-        stride: int = 1) -> Trajectory:
+        stride: int = 1, energy_only: bool = False) -> Trajectory:
     """Advance init over the full time mesh with the configured stepper.
 
     States are stored every `stride` steps (level 0 and the final level
     always included); energy diagnostics are recorded at every step
-    regardless of stride.  Every stepper advances the modal amplitudes of
-    the fluctuation e of T = m + e around the conserved mean m, and of the
-    interior flux, a block of modes at a time (_trace_block).  Raises
-    MeshTooLarge, before allocating, if run_memory_bytes exceeds
-    MAX_RUN_BYTES; NonFiniteInput, before stepping, if the energy of init
-    is not finite; and NonFiniteState, naming the first bad step, if a
-    level or its trace row overflows.
+    regardless of stride, all of them or, with energy_only, E and heat
+    alone (the other trace columns are None).  Every stepper advances the
+    modal amplitudes of the fluctuation e of T = m + e around the conserved
+    mean m, and of the interior flux, a block of modes at a time
+    (_trace_block).  Raises MeshTooLarge, before allocating, if
+    run_memory_bytes exceeds MAX_RUN_BYTES; NonFiniteInput, before
+    stepping, if the energy of init is not finite; and NonFiniteState,
+    naming the first bad step, if a level or its trace row overflows.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -438,15 +467,15 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     ops = assemble(params, grid)
     D = ops.printed if kind == StepperKind.VECTORIAL_AS_PRINTED else ops.coupled
     weights = diagnostics.modal_trace_weights(params, grid)
-    K, width, M = _block_shape(grid)
+    K, width, M = _block_shape(grid, energy_only)
     J, last = grid.J, grid.N + 1
     m = float(np.mean(init.T))
     x = _modes(init, m)
     keep = np.arange(stride, last + stride, stride)
     keep[-1] = last
-    sums = np.zeros((last + 1, 5))
+    sums = np.zeros((last + 1, 1 if energy_only else 5))
     stored = np.empty((keep.size, 2, J))
-    buffer = np.empty((25 * (K + 1) + 5 * (M + 1)) * width)
+    buffer = np.empty(((3 if energy_only else 25) * (K + 1) + 5 * (M + 1)) * width)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, J, width):
             modes = slice(lo, min(lo + width, J))

@@ -3,6 +3,8 @@
 They evaluate the trace quantities and step residuals directly on physical
 states, as the scheme's equations write them; longdouble_coupled_run steps
 the coupled scheme in extended precision without gkheat.scheme.
+discrete_decay_rate is the exact decay rate of the assembled step matrix,
+against which a rate fitted to a trace is checked.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from gkheat.diagnostics import discrete_energy
 from gkheat.discretization import Grid, State, _require_on_grid
 from gkheat.linalg import difference_symbols
 from gkheat.model import MaterialParams
+from gkheat.scheme import assemble
 
 
 def total_heat(state: State, dx: float) -> float:
@@ -166,3 +169,11 @@ def longdouble_coupled_run(p: MaterialParams, grid: Grid, init: State,
         Ts.append(T)
         qs.append(q)
     return np.array(Ts), np.array(qs)
+
+
+def discrete_decay_rate(p: MaterialParams, grid: Grid) -> float:
+    """r_d = -2 ln rho(I + D_1) / dt: the rate at which the energy of the
+    coupled scheme's slowest mode decays, with D_1 the mode-1 increment
+    matrix of scheme.assemble and rho the spectral radius."""
+    step = np.eye(2) + assemble(p, grid).coupled[..., 0]
+    return float(-2.0 * np.log(np.max(np.abs(np.linalg.eigvals(step)))) / grid.dt)

@@ -1,10 +1,11 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gkheat import diagnostics, scheme
+from gkheat import checks, diagnostics, scheme
 from gkheat import (GridMismatch, InvalidLimit, MeshTooLarge, NonFiniteState,
                     State, StepperKind, assemble, build_grid, cosine_initial,
                     discrete_energy, run, step_coupled, step_coupled_reference,
@@ -329,6 +330,20 @@ class TestRun:
         with pytest.raises(GridMismatch):
             run(p, cfg, State(T=np.zeros(4), q=np.zeros(5)))
 
+    def test_energy_only_trace_has_no_other_columns(self):
+        p, cfg, grid, ops = small_setup(J=9, t_final=20 * 1.2e-2)
+        init = cosine_initial(grid, 15.0, 30.0)
+        full = run(p, cfg, init).trace
+        trace = run(p, cfg, init, energy_only=True).trace
+        assert np.array_equal(trace.t, full.t)
+        assert np.array_equal(trace.heat, full.heat)
+        assert np.max(np.abs(trace.E - full.E)) <= 1e-14 * np.max(full.E)
+        for name in ("diss_lhs", "diss_rhs", "C_T", "lyapunov", "Z"):
+            assert getattr(trace, name) is None, name
+        # a check of a column the run did not trace fails instead of passing
+        with pytest.raises(TypeError):
+            checks.dissipation_inequality(trace)
+
     def test_zero_mean_run_decays_four_orders(self, ref_params, ref_config):
         # slow-mode rate ~1.05/s: by t = 30 s only the tiny discrete-mean
         # equilibrium floor remains
@@ -450,11 +465,12 @@ class TestTraceChunks:
         p, cfg, grid, ops = small_setup(J=J, t_final=steps * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
         budgets = (1, 800, scheme.TRACE_CHUNK_ELEMENTS, 2**17)[J > 1000:]
-        trajs, shapes = [], []
+        trajs, shapes, energies = [], [], []
         for budget in budgets:
             monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
             shapes.append(scheme._block_shape(grid)[:2])
             trajs.append(run(p, cfg, init, stride=7))
+            energies.append(run(p, cfg, init, stride=7, energy_only=True))
         K, width = zip(*shapes)
         # chunks shorter than the run; one-mode, ragged and single blocks
         assert min(K) < grid.N + 1
@@ -474,6 +490,15 @@ class TestTraceChunks:
                 got, ref = getattr(traj.trace, name), getattr(base.trace, name)
                 assert got.shape == ref.shape == (grid.N + 2,)
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+        # E's table alone, on its own (longer, wider) blocks
+        for traj in energies:
+            assert traj.stored_steps == base.stored_steps
+            assert_states_close(traj.states, [s.T for s in base.states],
+                                [s.q_interior for s in base.states])
+            assert traj.trace.E.shape == (grid.N + 2,)
+            assert np.max(np.abs(traj.trace.E - base.trace.E)) <= \
+                1e-14 * np.max(np.abs(base.trace.E))
+            assert np.array_equal(traj.trace.heat, base.trace.heat)
 
     def test_as_printed_trace_independent_of_chunk_budget(self, monkeypatch):
         p, cfg, grid, ops = small_setup(J=9, t_final=20 * 1.2e-2)
@@ -628,21 +653,28 @@ class TestRunMemory:
                             scheme.run_memory_bytes(longest, 2))
         assert all_levels - half == 8 * 2000 * ((2 * 99 + 3 + 112) + 2 * 99)
 
-    # the last two keep one state (stride N+1) of a fine mesh, and every
-    # state of a short run on a finer one: there the blocks' phase,
-    # operators and trace weights included, is the peak
-    @pytest.mark.parametrize("J,steps,stride", [(499, 2500, 25), (63, 500, 1),
-                                                (255, 1000, 1001),
-                                                (7999, 2500, 2500), (9999, 5, 1)])
-    def test_estimate_bounds_traced_peak(self, tmp_path, J, steps, stride):
-        # everything run() and both writers allocate, traced
+    # the fourth and fifth keep one state (stride N+1) of a fine mesh, and
+    # every state of a short run on a finer one: there the blocks' phase,
+    # operators and trace weights included, is the peak; the last two are
+    # energy-only runs (stride N+1, as sweep makes them), whose blocks hold
+    # no more than the full trace's (TestBlockShape)
+    @pytest.mark.parametrize("J,steps,stride,energy_only", [
+        (499, 2500, 25, False), (63, 500, 1, False), (255, 1000, 1001, False),
+        (7999, 2500, 2500, False), (9999, 5, 1, False),
+        (7999, 2500, 2500, True), (499, 4000, 4000, True)], ids=[
+        "499-2500-25", "63-500-1", "255-1000-1001", "7999-2500-2500", "9999-5-1",
+        "7999-2500-2500-energy_only", "499-4000-4000-energy_only"])
+    def test_estimate_bounds_traced_peak(self, tmp_path, J, steps, stride, energy_only):
+        # everything run() and both writers allocate, traced; the writers
+        # need the full trace, so an energy-only run is traced alone
         p, cfg, grid, ops = small_setup(J=J, t_final=steps * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
         tracemalloc.start()
         try:
-            traj = run(p, cfg, init, stride=stride)
-            write_trace_csv(tmp_path / "trace.csv", traj.trace)
-            write_profiles_csv(tmp_path / "profiles.csv", traj)
+            traj = run(p, cfg, init, stride=stride, energy_only=energy_only)
+            if not energy_only:
+                write_trace_csv(tmp_path / "trace.csv", traj.trace)
+                write_profiles_csv(tmp_path / "profiles.csv", traj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -672,6 +704,54 @@ class TestRunMemory:
             run(p, cfg, init, stride=2)
 
 
+def block_peak(params, grid, energy_only):
+    """Bytes that one block of the first modes of grid allocates in
+    run's kernel at its peak, its table-and-features buffer included."""
+    K, n, M = scheme._block_shape(grid, energy_only)
+    D = assemble(params, grid).coupled[..., :n]
+    weights = diagnostics.modal_trace_weights(params, grid)
+    init = cosine_initial(grid, 15.0, 30.0)
+    m = float(np.mean(init.T))
+    x = scheme._modes(init, m)[:, :n]
+    sums = np.zeros((grid.N + 2, 1 if energy_only else 5))
+    stored = np.empty((1, 2, n))
+    table = 3 if energy_only else 25
+    tracemalloc.start()
+    try:
+        buffer = np.empty((table * (K + 1) + 5 * (M + 1)) * n)
+        scheme._trace_block(D, weights, slice(0, n), m, x, K, M,
+                            np.array([grid.N + 1]), sums, stored, buffer)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockShape:
+    # the benchmark meshes and a small one; the full trace's shape fixes
+    # the order of its sums, and so the bytes of trace.csv
+    MESHES = ["reference", "fine_mesh", "long_horizon", "small"]
+
+    @pytest.mark.parametrize("dx,t_final,full,energy_only", [
+        (2e-4, 30.0, (5, 192, 30), (10, 320, 11)),
+        (1.25e-5, 30.0, (5, 192, 30), (10, 320, 11)),
+        (1.5625e-3, 240.0, (19, 63, 100), (56, 63, 57)),
+        (2e-3, 6.0, (25, 49, 20), (73, 49, 7))], ids=MESHES)
+    def test_shapes(self, ref_params, ref_config, dx, t_final, full, energy_only):
+        grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=dx,
+                                                          t_final=t_final))
+        assert scheme._block_shape(grid) == full
+        assert scheme._block_shape(grid, energy_only=True) == energy_only
+
+    @pytest.mark.parametrize("dx,t_final", [(2e-4, 30.0), (1.25e-5, 30.0),
+                                            (1.5625e-3, 240.0), (2e-3, 6.0)],
+                             ids=MESHES)
+    def test_energy_only_block_holds_no_more_than_a_full_block(
+            self, ref_params, ref_config, dx, t_final):
+        grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=dx,
+                                                          t_final=t_final))
+        assert block_peak(ref_params, grid, True) <= block_peak(ref_params, grid, False)
+
+
 class TestNonFinite:
     def test_unstable_as_printed_run_raises_at_first_bad_step(self):
         # the explicit correction blows up in the Fourier limit at this mesh
@@ -690,13 +770,18 @@ class TestNonFinite:
         p, cfg, grid, ops = small_setup(J=49, tau_q=0.0, mu2=0.0,
                                         t_final=200 * 1.2e-2)
         cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
-        messages = []
+        messages, energy = [], []
         for budget in (1, 800, scheme.TRACE_CHUNK_ELEMENTS, 2**17):
             monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
-            with pytest.raises(NonFiniteState, match=r"step \d+ produced") as err:
-                run(p, cfg, cosine_initial(grid, 15.0, 30.0))
-            messages.append(str(err.value))
+            for found, energy_only in ((messages, False), (energy, True)):
+                with pytest.raises(NonFiniteState, match=r"step \d+ produced") as err:
+                    run(p, cfg, cosine_initial(grid, 15.0, 30.0), energy_only=energy_only)
+                found.append(str(err.value))
         assert len(set(messages)) == 1
+        # E's trace alone overflows no later than the whole trace
+        assert len(set(energy)) == 1
+        step = re.compile(r"step (\d+)")
+        assert int(step.search(energy[0])[1]) <= int(step.search(messages[0])[1])
 
     def test_single_step_overflow(self):
         # the transforms of this state stay finite; its high modes grow by
