@@ -198,14 +198,20 @@ def format_block(values: np.ndarray) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
-def write_csv(path: Path, header: str, columns) -> None:
+def write_csv(path: Path, header: str, parts) -> None:
     """Write header, then one row of format_block text per index of the
-    equally long 1-D arrays columns, streamed in blocks of about
-    WRITE_BLOCK_VALUES values."""
-    count = len(columns[0])
-    step = max(1, WRITE_BLOCK_VALUES // len(columns))
+    columns of parts, in order: a 1-D part is one column and a 2-D part
+    one column per row, all of one length.  Streamed in blocks of about
+    WRITE_BLOCK_VALUES values, each part sliced once per block."""
+    parts = [np.atleast_2d(p) for p in parts]
+    count = parts[0].shape[1]
+    width = sum(p.shape[0] for p in parts)
+    step = max(1, WRITE_BLOCK_VALUES // width)
     with open(path, "wb") as f:
         f.write(header.encode() + b"\n")
         for lo in range(0, count, step):
             hi = min(lo + step, count)
-            f.write(format_block(np.column_stack([c[lo:hi] for c in columns])))
+            # C order, which format_block ravels without a copy
+            block = np.concatenate([p[:, lo:hi].T for p in parts], axis=1,
+                                   out=np.empty((hi - lo, width)))
+            f.write(format_block(block))

@@ -43,10 +43,6 @@ class Grid:
         """Domain length l = (J+1)*dx."""
         return float(self.x[-1])
 
-    @property
-    def t_final(self) -> float:
-        return float(self.t[-1])
-
 
 def _integer_ratio(total: float, step: float, what: str) -> int:
     ratio = total / step

@@ -52,9 +52,9 @@ A run with energy_only (the decay-rate fits of sweep and verify) traces E
 and heat alone: its table is E's weights on the quadratic features, 3
 values per level and mode instead of 25, built from the powers G^k
 alone, and its blocks are longer and wider (_block_shape).  Only the
-stored levels are formed, and physical states are rebuilt from them, a
-batch of levels per transform, after the last block.  The single-step
-functions apply the table of one power.
+stored levels are formed, and their T and q are rebuilt from them into
+two arrays, a batch of levels per transform, after the last block.  The
+single-step functions apply the table of one power.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ from .model import MaterialParams, SimulationConfig, StepperKind
 #: and a block's buffers hold about 4x as many values in all.  An
 #: energy-only block is shaped from the same budget, with the 9 values per
 #: level and mode of the products that form E's table in place of the 25
-#: of the full table.  It also sets how many kept levels are rebuilt into
-#: states at a time
+#: of the full table.  It also sets how many kept levels are rebuilt from
+#: their amplitudes at a time
 TRACE_CHUNK_ELEMENTS = 2**15
 #: largest number of bytes run() and the run command's writers may hold
 #: (about 40x the 27 MB of a J=7999, 2500-step run storing every 25th
@@ -140,14 +140,14 @@ def _modes(state: State, m: float) -> np.ndarray:
     return np.stack((dct(state.T - m)[1:], dst(state.q_interior)))
 
 
-def _states(m: float, x: np.ndarray) -> list[State]:
-    """States T = m + e of the (P, 2, J) amplitudes x."""
+def _levels(m: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T = m + e (P, J + 1) and q (P, J + 2) of the (P, 2, J) amplitudes x."""
     P, _, J = x.shape
     cos = np.zeros((P, J + 1))
     cos[:, 1:] = x[:, 0]
     q = np.zeros((P, J + 2))
     q[:, 1:-1] = dst(x[:, 1])
-    return [State(T=m + e, q=qn) for e, qn in zip(idct(cos), q)]
+    return m + idct(cos), q
 
 
 def _times(cols: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -204,7 +204,8 @@ def _step(D: np.ndarray, prev: State) -> State:
     with np.errstate(over="ignore", invalid="ignore"):
         _times(_chunk_table(D, 1)[:, 0], _modes(prev, m), out=x)
     _require_finite(np.isfinite(x).all(axis=(1, 2)), 1)
-    return _states(m, x)[0]
+    T, q = _levels(m, x)
+    return State(T=T[0], q=q[0])
 
 
 def step_coupled(ops: AssembledOperators, params: MaterialParams, grid: Grid,
@@ -289,18 +290,13 @@ def step_coupled_reference(params: MaterialParams, grid: Grid,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A completed run: strided state snapshots plus per-step diagnostics."""
+    """A completed run: the kept levels, a row each, and per-step diagnostics."""
 
-    states: list[State]
-    stored_steps: list[int]   # time indices of the stored states
+    T: np.ndarray             # (S, J+1) temperatures of the kept levels
+    q: np.ndarray             # (S, J+2) fluxes, q[:, 0] = q[:, -1] = 0
+    stored_steps: list[int]   # time indices of the S kept levels
     grid: Grid
-    params: MaterialParams
-    stepper_kind: StepperKind
     trace: diagnostics.EnergyTrace
-
-    @property
-    def final_state(self) -> State:
-        return self.states[-1]
 
 
 def _block_shape(grid: Grid, energy_only: bool = False) -> tuple[int, int, int]:
@@ -327,9 +323,9 @@ def _block_shape(grid: Grid, energy_only: bool = False) -> tuple[int, int, int]:
     return K, n, min(columns * (K + 1), -(-(grid.N + 1) // K))
 
 
-def _state_batch(grid: Grid) -> int:
-    """Kept levels rebuilt into states at a time: their transforms'
-    temporaries, about 8 (J + 1) values per level, are at most
+def _level_batch(grid: Grid) -> int:
+    """Kept levels rebuilt from their amplitudes at a time: their
+    transforms' temporaries, about 8 (J + 1) values per level, are at most
     TRACE_CHUNK_ELEMENTS values unless one level is more."""
     return max(1, TRACE_CHUNK_ELEMENTS // (8 * grid.J + 8))
 
@@ -346,26 +342,26 @@ def run_memory_bytes(grid: Grid, stride: int) -> int:
     of table and features (25 (K + 1) n + 5 (M + 1) n), the power tables
     (16 (K + 1) n and 4 M n), modal_trace_table's temporaries
     (at most 40 (K + 1) n) and a group's sums, stored levels and bases
-    (5 K M + 2 M n).  From then on it holds, per kept state, 2J+3 values
-    plus 112 for Python objects (the State, its step and time, the
-    profiles writer's label and column slices: about 850 bytes measured),
-    and the larger of two things: the kept levels' amplitudes while the
-    states are rebuilt from them, with a batch's transform temporaries
-    (8 (J + 1) values per level), or a block of the CSV writers (see
-    csvtext.BYTES_PER_VALUE).  It bounds an energy-only run too: its blocks
-    hold no more than the full trace's (see _block_shape), and its trace
-    fewer columns.
+    (5 K M + 2 M n).  From then on it holds, per kept level, its 2J+3
+    values of T and q plus 32 for Python objects (its entry in
+    stored_steps and the profiles writer's two labels, its time and its
+    share of the header's text: about 220 bytes measured), and the larger
+    of two things: the kept levels' amplitudes while T and q are rebuilt
+    from them, with a batch's transform temporaries (8 (J + 1) values per
+    level), or a block of the CSV writers (see csvtext.BYTES_PER_VALUE).
+    It bounds an energy-only run too: its blocks hold no more than the
+    full trace's (see _block_shape), and its trace fewer columns.
     """
     levels, J = grid.N + 2, grid.J
     kept = len(range(0, grid.N + 2, stride)) + ((grid.N + 1) % stride != 0)
     K, n, M = _block_shape(grid)
     blocks = (kept * 2 * J + (8 + 15 + 2) * J + (K + 1) * n * (25 + 16 + 40)
               + M * n * (5 + 4 + 2) + 5 * n + 5 * K * M)
-    batch = min(kept, _state_batch(grid))
+    batch = min(kept, _level_batch(grid))
     writer = math.ceil(csvtext.BYTES_PER_VALUE
                        * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1) / 8)
-    states = kept * (2 * J + 3 + 112) + max(kept * 2 * J + batch * 8 * (J + 1), writer)
-    return 8 * (levels * (2 + 5 + 6 + 1 + 1 + 1) + 10 * J + max(blocks, states))
+    later = kept * (2 * J + 3 + 32) + max(kept * 2 * J + batch * 8 * (J + 1), writer)
+    return 8 * (levels * (2 + 5 + 6 + 1 + 1 + 1) + 10 * J + max(blocks, later))
 
 
 def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
@@ -436,13 +432,13 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
         stride: int = 1, energy_only: bool = False) -> Trajectory:
     """Advance init over the full time mesh with the configured stepper.
 
-    States are stored every `stride` steps (level 0 and the final level
-    always included); energy diagnostics are recorded at every step
-    regardless of stride, all of them or, with energy_only, E and heat
-    alone (the other trace columns are None).  Every stepper advances the
-    modal amplitudes of the fluctuation e of T = m + e around the conserved
-    mean m, and of the interior flux, a block of modes at a time
-    (_trace_block).  Raises MeshTooLarge, before allocating, if
+    Levels are kept every `stride` steps (level 0 and the final level
+    always included), a row each of the Trajectory's T and q; energy
+    diagnostics are recorded at every step regardless of stride, all of
+    them or, with energy_only, E and heat alone (the other trace columns
+    are None).  Every stepper advances the modal amplitudes of the
+    fluctuation e of T = m + e around the conserved mean m, and of the
+    interior flux, a block of modes at a time (_trace_block).  Raises MeshTooLarge, before allocating, if
     run_memory_bytes exceeds MAX_RUN_BYTES; NonFiniteInput, before
     stepping, if the energy of init is not finite; and NonFiniteState,
     naming the first bad step, if a level or its trace row overflows.
@@ -482,16 +478,18 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
             _trace_block(D[..., modes], weights, modes, m, x[:, modes], K, M,
                          keep, sums, stored[..., modes], buffer)
         rows = diagnostics.trace_rows(weights, m, sums)
-    # only the rows and the stored levels outlive the blocks
-    del ops, D, weights, x, sums, buffer
-    ok = np.isfinite(rows).all(axis=1)
-    ok[keep] &= np.isfinite(stored).all(axis=(1, 2))
-    _require_finite(ok, 0)
-    batch = _state_batch(grid)
-    states = [init]
-    for lo in range(0, keep.size, batch):
-        states += _states(m, stored[lo:lo + batch])
+        # only the rows and the stored levels outlive the blocks
+        del ops, D, weights, x, sums, buffer
+        T, q = np.empty((keep.size + 1, J + 1)), np.empty((keep.size + 1, J + 2))
+        T[0], q[0] = init.T, init.q
+        batch = _level_batch(grid)
+        for lo in range(0, keep.size, batch):
+            T[lo + 1:lo + 1 + batch], q[lo + 1:lo + 1 + batch] = _levels(
+                m, stored[lo:lo + batch])
     del stored
+    ok = np.isfinite(rows).all(axis=1)
+    ok[keep] &= np.isfinite(T[1:]).all(axis=1) & np.isfinite(q[1:]).all(axis=1)
+    _require_finite(ok, 0)
     trace = diagnostics.build_trace(params, grid.t, rows)
-    return Trajectory(states=states, stored_steps=[0] + keep.tolist(), grid=grid,
-                      params=params, stepper_kind=kind, trace=trace)
+    return Trajectory(T=T, q=q, stored_steps=[0] + keep.tolist(), grid=grid,
+                      trace=trace)

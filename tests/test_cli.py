@@ -175,8 +175,8 @@ class TestCmdRun:
         assert ("nan" in expected[-1]) == (T_b == 0.0)
         if T_f == 1e-200:
             assert ",-0," in expected[-1] and "e-203," in expected[-1]
-        rows = ([_fmt(grid.x[j])] + [_fmt(s.T[j]) for s in traj.states]
-                + [_fmt(s.q[j]) for s in traj.states] for j in range(grid.J + 1))
+        rows = ([_fmt(grid.x[j])] + [_fmt(T) for T in traj.T[:, j]]
+                + [_fmt(q) for q in traj.q[:, j]] for j in range(grid.J + 1))
         body = (out / "profiles.csv").read_text().split("\n", 1)[1]
         assert body == "".join(",".join(r) + "\n" for r in rows)
 
@@ -275,6 +275,18 @@ class TestMain:
         cfg.write_bytes(b"T_b = 15 # caf\xe9\n")
         assert main(["verify", "-c", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+    @pytest.mark.parametrize("line,message", [
+        ("dx 2e-3", "line 1: expected 'key = value'"),           # ParseError
+        ("warp = 9", "unknown configuration key 'warp'"),        # UnknownKey
+        ("k = -1", "coefficient 'k' violates"),                  # NonPositiveCoefficient
+        ("dx = 3e-4", "l/dx: 0.1 is not an integer multiple")])  # NonDivisibleMesh
+    def test_config_error_exits_one(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + f"\nout_dir = {tmp_path / 'o'}\n")
+        assert main(["run", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_coefficient_exits_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -77,9 +77,25 @@ class TestWriteCsv:
                    for _ in range(11)]
         columns[3][::7] = np.nan
         columns[5][::5] = -0.0
+        # the same columns as a mix of 1-D parts and 2-D parts (a row each)
+        parts = [columns[0], np.array(columns[1:6]), columns[6], np.array(columns[7:])]
         csvtext.write_csv(tmp_path / "default.csv", "h", columns)
         monkeypatch.setattr(csvtext, "WRITE_BLOCK_VALUES", budget)
         csvtext.write_csv(tmp_path / "budget.csv", "h", columns)
+        csvtext.write_csv(tmp_path / "parts.csv", "h", parts)
         text = (tmp_path / "default.csv").read_bytes()
         assert (tmp_path / "budget.csv").read_bytes() == text
+        assert (tmp_path / "parts.csv").read_bytes() == text
         assert text == b"h\n" + expected_text(np.column_stack(columns))
+
+    @pytest.mark.parametrize("budget", [1, 7, 200])
+    def test_wide_parts(self, tmp_path, monkeypatch, budget):
+        # fewer rows than columns, as profiles.csv of a long run on a coarse
+        # mesh; the second 2-D part is a strided view, as q[:, :-1] is
+        rng = np.random.default_rng(6)
+        x, T = rng.standard_normal(3), rng.standard_normal((1000, 3))
+        q = rng.standard_normal((999, 4))[:, :-1]
+        monkeypatch.setattr(csvtext, "WRITE_BLOCK_VALUES", budget)
+        csvtext.write_csv(tmp_path / "wide.csv", "h", [x, T, q])
+        assert (tmp_path / "wide.csv").read_bytes() == b"h\n" + expected_text(
+            np.column_stack([x, T.T, q.T]))

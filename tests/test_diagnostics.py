@@ -291,16 +291,17 @@ class TestTraceChecksOnShortRun:
         trace, dx = traj.trace, grid.dx
         assert traj.stored_steps == list(range(grid.N + 2))
         # lyapunov() returns (F, L); L = weight*E + F carries F
+        states = [State(T=T, q=q) for T, q in zip(traj.T, traj.q)]
         by_state = np.array([
             (discrete_energy(s, ref_params, dx), total_heat(s, dx),
              boundary_term(s, ref_params, dx), lyapunov(s, ref_params, dx)[1])
-            for s in traj.states])
+            for s in states])
         for col, got in enumerate((trace.E, trace.heat, trace.C_T,
                                    trace.lyapunov)):
             ref = by_state[:, col]
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), col
         lhs, rhs = np.array([dissipation_check(a, b, ref_params, dx, grid.dt)
-                             for a, b in zip(traj.states, traj.states[1:])]).T
+                             for a, b in zip(states, states[1:])]).T
         np.testing.assert_allclose(trace.diss_rhs[1:], rhs, rtol=1e-13)
         assert np.max(np.abs(trace.diss_lhs[1:] - lhs)) <= 1e-12 * np.max(np.abs(lhs))
 

@@ -38,18 +38,33 @@ UNREACHED_BY_DESIGN = {"model.OnsagerCoefficients", "model.gk_to_onsager",
 
 def reachable_definitions() -> tuple[set[str], set[str]]:
     """The top-level functions and classes of gkheat's modules, as
-    "module.name", and those reachable from cli.main.
+    "module.name", and the non-dunder functions in those classes' bodies
+    (methods and properties), as "module.Class.name", and those reachable
+    from cli.main.
 
     A definition reaches every name its body loads that is a top-level
     definition of its module or one imported from a sibling module, and
     every module.attr of an imported sibling module; the module-level
-    statements other than definitions are live.
+    statements other than definitions are live.  A method is reached when
+    its class is and its name is loaded as an attribute (x.name) in live
+    code; a class's dunder methods belong to the class.
     """
     package = Path(gkheat.__file__).resolve().parent
     modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
                for path in sorted(package.glob("*.py"))}
     edges: dict[str, set[str]] = {}
+    attrs: dict[str, set[str]] = {}
+    methods: dict[str, tuple[str, str]] = {}
     live = {"cli.main"}
+    loaded: set[str] = set()
+
+    def walk(nodes):
+        return (sub for node in nodes for sub in ast.walk(node))
+
+    def attr_names(nodes):
+        return {sub.attr for sub in walk(nodes)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
     for mod, tree in modules.items():
         scope = {}
         for node in tree.body:
@@ -60,8 +75,8 @@ def reachable_definitions() -> tuple[set[str], set[str]]:
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 scope[node.name] = f"{mod}.{node.name}"
 
-        def loads(node):
-            for sub in ast.walk(node):
+        def loads(nodes):
+            for sub in walk(nodes):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                     target = scope.get(sub.id)
                     if target is not None and target not in modules:
@@ -71,16 +86,34 @@ def reachable_definitions() -> tuple[set[str], set[str]]:
                     yield f"{scope[sub.value.id]}.{sub.attr}"
 
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                edges[f"{mod}.{node.name}"] = set(loads(node))
-            else:
-                live.update(loads(node))
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                live.update(loads([node]))
+                loaded |= attr_names([node])
+                continue
+            name, parts = f"{mod}.{node.name}", [node]
+            if isinstance(node, ast.ClassDef):
+                parts = node.decorator_list + node.bases + node.keywords
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not (
+                            item.name.startswith("__") and item.name.endswith("__")):
+                        method = f"{name}.{item.name}"
+                        methods[method] = (name, item.name)
+                        edges[method], attrs[method] = set(loads([item])), attr_names([item])
+                    else:
+                        parts.append(item)
+            edges[name], attrs[name] = set(loads(parts)), attr_names(parts)
     todo = list(live)
     while todo:
-        for target in edges.get(todo.pop(), ()):
-            if target not in live:
-                live.add(target)
-                todo.append(target)
+        while todo:
+            name = todo.pop()
+            loaded |= attrs.get(name, set())
+            for target in edges.get(name, ()):
+                if target not in live:
+                    live.add(target)
+                    todo.append(target)
+        todo = [method for method, (cls, name) in methods.items()
+                if method not in live and cls in live and name in loaded]
+        live.update(todo)
     return set(edges), live
 
 

@@ -227,11 +227,11 @@ class TestFourierStepper:
         s = cosine_initial(grid, 15.0, 30.0)
         a = run(p, dataclasses.replace(cfg, stepper_kind=StepperKind.FOURIER_LIMIT), s)
         b = run(p, cfg, s)
-        for sa, sb in zip(a.states, b.states, strict=True):
-            np.testing.assert_array_equal(sa.T, sb.T)
-            np.testing.assert_array_equal(sa.q, sb.q)
+        np.testing.assert_array_equal(a.T, b.T)
+        np.testing.assert_array_equal(a.q, b.q)
         np.testing.assert_array_equal(a.trace.E, b.trace.E)
-        assert state_gap(a.states[1], step_coupled(ops, p, grid, s)) <= 1e-14
+        assert state_gap(State(T=a.T[1], q=a.q[1]),
+                         step_coupled(ops, p, grid, s)) <= 1e-14
 
     def test_cosine_mode_amplification(self, ref_params, ref_config):
         # implicit Euler damps the fundamental mode by 1/(1 + (k/rho c) kappa^2 dt);
@@ -282,7 +282,7 @@ class TestRun:
     def test_single_step_horizon(self):
         p, cfg, grid, ops = small_setup(J=9)  # t_final == dt, so N = 0
         traj = run(p, cfg, cosine_initial(grid, 15.0, 30.0))
-        assert len(traj.states) == 2
+        assert traj.T.shape == (2, grid.J + 1) and traj.q.shape == (2, grid.J + 2)
         assert len(traj.trace) == 2
         assert traj.stored_steps == [0, 1]
 
@@ -290,17 +290,16 @@ class TestRun:
         p, cfg, grid, ops = small_setup(J=19, t_final=10 * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
         traj = run(p, cfg, init)
-        assert len(traj.states) == grid.N + 2
+        assert len(traj.T) == len(traj.q) == grid.N + 2
         manual = init
         for n in range(1, grid.N + 2):
             manual = step_coupled(ops, p, grid, manual)
-            assert state_gap(traj.states[n], manual) <= 1e-12
+            assert state_gap(State(T=traj.T[n], q=traj.q[n]), manual) <= 1e-12
 
     def test_zero_initial_data(self):
         p, cfg, grid, ops = small_setup(J=9, t_final=5 * 1.2e-2)
         traj = run(p, cfg, State(T=np.zeros(10), q=np.zeros(11)))
-        for s in traj.states:
-            assert np.all(s.T == 0.0) and np.all(s.q == 0.0)
+        assert np.all(traj.T == 0.0) and np.all(traj.q == 0.0)
         assert np.all(traj.trace.E == 0.0)
         assert np.all(np.isnan(traj.trace.Z))
 
@@ -317,7 +316,7 @@ class TestRun:
         init = cosine_initial(grid, 15.0, 30.0)
         traj = run(p, cfg_printed, init)
         manual = step_vectorial_as_printed(ops, p, grid, init)
-        assert state_gap(traj.states[1], manual) == 0.0
+        assert state_gap(State(T=traj.T[1], q=traj.q[1]), manual) == 0.0
 
     def test_fourier_kind_needs_fourier_params(self):
         p, cfg, grid, ops = small_setup(J=9)
@@ -435,8 +434,7 @@ class TestBFactor:
                     f.c_r * binv_q - f.c_Q * binv_at_T)
             Ts.append(T)
             qs.append(q)
-        T_got = np.array([s.T for s in traj.states])
-        q_got = np.array([s.q_interior for s in traj.states])
+        T_got, q_got = traj.T, traj.q[:, 1:-1]
         Ts, qs = np.array(Ts), np.array(qs)
         assert np.max(np.abs(T_got - Ts)) <= 1e-13 * np.max(np.abs(Ts))
         assert np.max(np.abs(q_got - qs)) <= 1e-13 * np.max(np.abs(qs))
@@ -446,10 +444,10 @@ TRACE_FIELDS = ("E", "diss_lhs", "diss_rhs", "heat", "C_T", "lyapunov", "Z")
 EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
 
 
-def assert_states_close(states, T_ref, q_ref, rel=1e-14):
-    """Each field of states within rel of the reference field's maximum."""
-    T = np.array([s.T for s in states])
-    q = np.array([s.q_interior for s in states])
+def assert_levels_close(traj, T_ref, q_ref, rel=1e-14):
+    """traj's kept T and interior q within rel of the reference field's
+    maximum."""
+    T, q = traj.T, traj.q[:, 1:-1]
     T_ref, q_ref = np.asarray(T_ref, dtype=float), np.asarray(q_ref, dtype=float)
     assert T.shape == T_ref.shape and q.shape == q_ref.shape
     assert np.max(np.abs(T - T_ref)) <= rel * np.max(np.abs(T_ref))
@@ -480,12 +478,11 @@ class TestTraceChunks:
         if EXTENDED:
             T_ref, q_ref = longdouble_coupled_run(p, grid, init, grid.N + 1)
             for traj in trajs:
-                assert_states_close(traj.states, T_ref[traj.stored_steps],
+                assert_levels_close(traj, T_ref[traj.stored_steps],
                                     q_ref[traj.stored_steps])
         for traj in trajs[1:]:
             assert traj.stored_steps == base.stored_steps
-            assert_states_close(traj.states, [s.T for s in base.states],
-                                [s.q_interior for s in base.states])
+            assert_levels_close(traj, base.T, base.q[:, 1:-1])
             for name in TRACE_FIELDS:
                 got, ref = getattr(traj.trace, name), getattr(base.trace, name)
                 assert got.shape == ref.shape == (grid.N + 2,)
@@ -493,8 +490,7 @@ class TestTraceChunks:
         # E's table alone, on its own (longer, wider) blocks
         for traj in energies:
             assert traj.stored_steps == base.stored_steps
-            assert_states_close(traj.states, [s.T for s in base.states],
-                                [s.q_interior for s in base.states])
+            assert_levels_close(traj, base.T, base.q[:, 1:-1])
             assert traj.trace.E.shape == (grid.N + 2,)
             assert np.max(np.abs(traj.trace.E - base.trace.E)) <= \
                 1e-14 * np.max(np.abs(base.trace.E))
@@ -514,8 +510,7 @@ class TestTraceChunks:
         # applied to the level before the chunk), and the trace sums go
         # through BLAS, whose rounding depends on the block's shape
         for traj in trajs[1:]:
-            assert_states_close(traj.states, [s.T for s in trajs[0].states],
-                                [s.q_interior for s in trajs[0].states])
+            assert_levels_close(traj, trajs[0].T, trajs[0].q[:, 1:-1])
             for name in TRACE_FIELDS:
                 got, ref = getattr(traj.trace, name), getattr(trajs[0].trace, name)
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), name
@@ -617,7 +612,7 @@ class TestChunkTable:
         for _ in range(grid.N + 1):
             states.append(stepper(ops, p, grid, states[-1]))
         assert traj.stored_steps == list(range(grid.N + 2))
-        assert_states_close(traj.states, [s.T for s in states],
+        assert_levels_close(traj, [s.T for s in states],
                             [s.q_interior for s in states])
 
 
@@ -631,8 +626,7 @@ class TestExtendedPrecision:
         init = cosine_initial(grid, 15.0, 30.0)
         traj = run(ref_params, cfg, init)
         T_ref, q_ref = longdouble_coupled_run(ref_params, grid, init, steps)
-        T = np.array([s.T for s in traj.states])
-        q = np.array([s.q_interior for s in traj.states])
+        T, q = traj.T, traj.q[:, 1:-1]
         assert np.max(np.abs(T - T_ref)) <= 1e-14 * np.max(np.abs(T_ref))
         assert np.max(np.abs(q - q_ref)) <= 1e-14 * np.max(np.abs(q_ref))
 
@@ -644,14 +638,14 @@ class TestRunMemory:
         longer = build_grid(p, dataclasses.replace(cfg, t_final=2000 * 1.2e-2))
         per_level = (scheme.run_memory_bytes(longer, longer.N + 1) - one) / 1000
         assert per_level == 8 * 16
-        # over 4000 steps stride 1 keeps 2000 states more than stride 2,
-        # each of 2J+3 values (and 112 values' worth of Python objects),
-        # rebuilt from their 2J amplitudes; here the kept states outweigh
+        # over 4000 steps stride 1 keeps 2000 levels more than stride 2,
+        # each of 2J+3 values (and 32 values' worth of Python objects),
+        # rebuilt from their 2J amplitudes; here the kept levels outweigh
         # the blocks, and their amplitudes a writer block, at both strides
         longest = build_grid(p, dataclasses.replace(cfg, t_final=4000 * 1.2e-2))
         all_levels, half = (scheme.run_memory_bytes(longest, 1),
                             scheme.run_memory_bytes(longest, 2))
-        assert all_levels - half == 8 * 2000 * ((2 * 99 + 3 + 112) + 2 * 99)
+        assert all_levels - half == 8 * 2000 * ((2 * 99 + 3 + 32) + 2 * 99)
 
     # the fourth and fifth keep one state (stride N+1) of a fine mesh, and
     # every state of a short run on a finer one: there the blocks' phase,
