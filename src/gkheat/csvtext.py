@@ -44,6 +44,8 @@ WRITE_BLOCK_VALUES = 2**13
 #: fields (25), their bytes with and without padding (2 * 25) and a dozen
 #: float64/int64 temporaries (8 * 12); 380 measured with tracemalloc
 BYTES_PER_VALUE = 8 + 32 + 8 * 25 + 25 + 2 * 25 + 8 * 12
+#: bytes _tables takes while it is built, 782,540 measured with tracemalloc
+TABLE_BYTES = 800_000
 #: a fraction this close to 1/2 is left to format(), far above the
 #: double-double's error
 TIE_BAND = 1e-6
@@ -144,9 +146,10 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return whole.astype(np.int64) + carry.astype(np.int64), f, ok
 
 
-def format_block(values: np.ndarray) -> bytes:
+def format_block(values: np.ndarray, index: np.ndarray | None = None) -> bytes:
     """The CSV text of a 2-D float64 block: each value as format(v, ".17g"),
-    the fields of a row joined by ',' and each row ended by a newline."""
+    the fields of a row joined by ',' and each row ended by a newline;
+    index, intp (values.size, _WIDTH), takes the gather index if given."""
     cols = values.shape[1]
     v = values.ravel()
     _, quads, last, exponents, templates = _tables()
@@ -188,7 +191,9 @@ def format_block(values: np.ndarray) -> bytes:
     source[:, 20:23] = exponents.take(np.abs(X), axis=0)
     form = np.where((X >= -4) & (X < 17), X + 4,
                     21 + 2 * (X > 0) + (np.abs(X) >= 100))
-    index = templates.take((np.signbit(v) * _FORMS + form) * 17 + count - 1, axis=0)
+    # a writer reuses one index, not mapping fresh memory per block; "clip" fills it in place
+    index = templates.take((np.signbit(v) * _FORMS + form) * 17 + count - 1,
+                           axis=0, out=index, mode="clip")
     index += np.arange(0, v.size * _ROW, _ROW)[:, None]
     text = source.ravel().take(index)
     for i in np.flatnonzero(~fast & ~zero).tolist():
@@ -207,6 +212,7 @@ def write_csv(path: Path, header: str, parts) -> None:
     count = parts[0].shape[1]
     width = sum(p.shape[0] for p in parts)
     step = max(1, WRITE_BLOCK_VALUES // width)
+    index = np.empty((step * width, _WIDTH), dtype=np.intp)
     with open(path, "wb") as f:
         f.write(header.encode() + b"\n")
         for lo in range(0, count, step):
@@ -214,4 +220,4 @@ def write_csv(path: Path, header: str, parts) -> None:
             # C order, which format_block ravels without a copy
             block = np.concatenate([p[:, lo:hi].T for p in parts], axis=1,
                                    out=np.empty((hi - lo, width)))
-            f.write(format_block(block))
+            f.write(format_block(block, index[:block.size]))

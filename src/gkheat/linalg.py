@@ -22,6 +22,8 @@ dense_solve is the independent check the modal path is tested against.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -32,8 +34,11 @@ def difference_symbols(J: int) -> np.ndarray:
     return 2.0 * np.sin(0.5 * np.pi * np.arange(1, J + 1) / (J + 1))
 
 
+@functools.cache
 def _half_shift(n: int, sign: float) -> np.ndarray:
-    return np.exp(sign * 0.5j * np.pi * np.arange(n) / n)
+    shift = np.exp(sign * 0.5j * np.pi * np.arange(n) / n)
+    shift.flags.writeable = False
+    return shift
 
 
 def dct(x: np.ndarray) -> np.ndarray:

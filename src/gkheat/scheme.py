@@ -51,10 +51,9 @@ the table with the features of the chunk bases, the levels 0, K, 2K, ...
 A run with energy_only (the decay-rate fits of sweep and verify) traces E
 and heat alone: its table is E's weights on the quadratic features, 3
 values per level and mode instead of 25, built from the powers G^k
-alone, and its blocks are longer and wider (_block_shape).  Only the
-stored levels are formed, and their T and q are rebuilt from them into
-two arrays, a batch of levels per transform, after the last block.  The
-single-step functions apply the table of one power.
+alone, and its blocks are longer and wider.  Only the kept levels'
+amplitudes are formed, in the rows of T and q rebuilt from them in
+place after the last block.  Single steps apply the table of one power.
 """
 
 from __future__ import annotations
@@ -71,17 +70,12 @@ from .linalg import dct, dense_solve, difference_symbols, dst, idct
 from .model import MaterialParams, SimulationConfig, StepperKind
 
 
-#: float64 values in one block's trace table (256 KiB): run traces the
-#: modes a block at a time, each block's share of every trace row a matrix
-#: product with this table; it sets the shape of the blocks (_block_shape),
-#: and a block's buffers hold about 4x as many values in all.  An
-#: energy-only block is shaped from the same budget, with the 9 values per
-#: level and mode of the products that form E's table in place of the 25
-#: of the full table.  It also sets how many kept levels are rebuilt from
-#: their amplitudes at a time
+#: float64 values in one block's trace table (256 KiB), from which _plan
+#: shapes the blocks of modes that run traces at a time (each block's share
+#: of every trace row a matrix product with the table) and its rebuilds
 TRACE_CHUNK_ELEMENTS = 2**15
 #: largest number of bytes run() and the run command's writers may hold
-#: (about 40x the 27 MB of a J=7999, 2500-step run storing every 25th
+#: (about 60x the 18 MB of a J=7999, 2500-step run keeping every 25th
 #: level); checked by run() before anything is allocated
 MAX_RUN_BYTES = 2**30
 
@@ -140,14 +134,17 @@ def _modes(state: State, m: float) -> np.ndarray:
     return np.stack((dct(state.T - m)[1:], dst(state.q_interior)))
 
 
-def _levels(m: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T = m + e (P, J + 1) and q (P, J + 2) of the (P, 2, J) amplitudes x."""
-    P, _, J = x.shape
-    cos = np.zeros((P, J + 1))
-    cos[:, 1:] = x[:, 0]
-    q = np.zeros((P, J + 2))
-    q[:, 1:-1] = dst(x[:, 1])
-    return m + idct(cos), q
+def _amplitudes(levels: np.ndarray) -> np.ndarray:
+    """View (P, 2, J) of the amplitudes in levels' rows: cosine i at T[i], sine i at q[i]."""
+    P, width = levels.shape
+    return levels[:, 1:].reshape(P, 2, width // 2)[..., :-1]
+
+
+def _levels(m: float, levels: np.ndarray) -> None:
+    """Rebuild rows of levels in place from their amplitudes; T[0], q[0], q[-1] must be 0."""
+    J = levels.shape[1] // 2 - 1
+    levels[:, :J + 1] = m + idct(levels[:, :J + 1])
+    levels[:, J + 2:-1] = dst(levels[:, J + 2:-1])
 
 
 def _times(cols: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -199,13 +196,13 @@ def _require_finite(ok: np.ndarray, first_step: int) -> None:
 
 
 def _step(D: np.ndarray, prev: State) -> State:
-    m = float(np.mean(prev.T))
-    x = np.empty((1, 2, D.shape[-1]))
+    m, J = float(np.mean(prev.T)), D.shape[-1]
+    level = np.zeros((1, 2 * J + 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        _times(_chunk_table(D, 1)[:, 0], _modes(prev, m), out=x)
-    _require_finite(np.isfinite(x).all(axis=(1, 2)), 1)
-    T, q = _levels(m, x)
-    return State(T=T[0], q=q[0])
+        _times(_chunk_table(D, 1)[:, 0], _modes(prev, m), out=_amplitudes(level))
+    _require_finite(np.isfinite(level).all(axis=1), 1)
+    _levels(m, level)
+    return State(T=level[0, :J + 1], q=level[0, J + 1:])
 
 
 def step_coupled(ops: AssembledOperators, params: MaterialParams, grid: Grid,
@@ -299,8 +296,20 @@ class Trajectory:
     trace: diagnostics.EnergyTrace
 
 
-def _block_shape(grid: Grid, energy_only: bool = False) -> tuple[int, int, int]:
-    """(K, n, M): levels per chunk, modes per block, chunks per group.
+@dataclass(frozen=True)
+class RunPlan:
+    """The layout of one run (see _plan)."""
+
+    keep: np.ndarray  # steps of the kept levels after level 0; the last is N + 1
+    K: int            # levels per chunk
+    n: int            # modes per block
+    M: int            # chunks per group
+    buffer: int       # float64 values of a block's table and features
+    batch: int        # kept levels rebuilt per transform, 8 (J + 1) values each
+
+
+def _plan(grid: Grid, stride: int, energy_only: bool = False) -> RunPlan:
+    """The layout of a run on grid keeping every stride-th level.
 
     A block's trace table, 25 (K + 1) n <= TRACE_CHUNK_ELEMENTS values, is
     32 times as wide in modes as in levels, n = 32 (K + 1), unless the mesh
@@ -317,72 +326,57 @@ def _block_shape(grid: Grid, energy_only: bool = False) -> tuple[int, int, int]:
     (5, 192, 30), and an energy-only block holds fewer buffer values than
     a full one on the same mesh (the tests measure both).
     """
-    columns, per_level = (1, 9) if energy_only else (5, 25)
+    last = grid.N + 1
+    keep = np.append(np.arange(stride, last, stride), last)
+    columns, per_level, table = (1, 9, 3) if energy_only else (5, 25, 25)
     n = min(grid.J, max(1, 32 * math.isqrt(TRACE_CHUNK_ELEMENTS // (32 * per_level))))
-    K = min(grid.N + 1, max(1, TRACE_CHUNK_ELEMENTS // (per_level * n) - 1))
-    return K, n, min(columns * (K + 1), -(-(grid.N + 1) // K))
-
-
-def _level_batch(grid: Grid) -> int:
-    """Kept levels rebuilt from their amplitudes at a time: their
-    transforms' temporaries, about 8 (J + 1) values per level, are at most
-    TRACE_CHUNK_ELEMENTS values unless one level is more."""
-    return max(1, TRACE_CHUNK_ELEMENTS // (8 * grid.J + 8))
+    K = min(last, max(1, TRACE_CHUNK_ELEMENTS // (per_level * n) - 1))
+    M = min(columns * (K + 1), -(-last // K))
+    return RunPlan(keep=keep, K=K, n=n, M=M, buffer=(table * (K + 1) + 5 * (M + 1)) * n,
+                   batch=min(keep.size, max(1, TRACE_CHUNK_ELEMENTS // (8 * grid.J + 8))))
 
 
 def run_memory_bytes(grid: Grid, stride: int) -> int:
     """Bytes run() and the run command's writers hold for grid and stride.
 
     Counts, per level, the time axis and its copy, the trace's modal sums
-    (5 columns), rows (6), a column of temporaries, Z and the trace
-    writer's step numbers (1); 10 J values of transform temporaries; and
-    the larger of two phases.  While the blocks run, run holds the kept
-    levels' amplitudes (2J values each), the operators (8J), the trace
-    weights (15J) and level 0's amplitudes (2J), and per block the buffer
-    of table and features (25 (K + 1) n + 5 (M + 1) n), the power tables
-    (16 (K + 1) n and 4 M n), modal_trace_table's temporaries
-    (at most 40 (K + 1) n) and a group's sums, stored levels and bases
-    (5 K M + 2 M n).  From then on it holds, per kept level, its 2J+3
-    values of T and q plus 32 for Python objects (its entry in
-    stored_steps and the profiles writer's two labels, its time and its
-    share of the header's text: about 220 bytes measured), and the larger
-    of two things: the kept levels' amplitudes while T and q are rebuilt
-    from them, with a batch's transform temporaries (8 (J + 1) values per
-    level), or a block of the CSV writers (see csvtext.BYTES_PER_VALUE).
-    It bounds an energy-only run too: its blocks hold no more than the
-    full trace's (see _block_shape), and its trace fewer columns.
+    (5), rows (6), temporaries, Z and the trace writer's step numbers; 10 J
+    values of transform temporaries; per kept level, its 2J+3 values plus
+    32 for its Python objects (about 220 bytes measured); and the larger of
+    two phases.  The blocks hold the operators (8J), the trace weights
+    (15J), level 0's amplitudes (2J), and per block the plan's buffer, the
+    power tables (16 (K + 1) n, 4 M n), modal_trace_table's temporaries
+    (40 (K + 1) n) and a group's sums, kept levels and bases (5 K M + 2 M n).
+    Then a batch of levels is rebuilt, or the CSV writers hold a block and
+    csvtext's tables.  An energy-only run holds no more.
     """
-    levels, J = grid.N + 2, grid.J
-    kept = len(range(0, grid.N + 2, stride)) + ((grid.N + 1) % stride != 0)
-    K, n, M = _block_shape(grid)
-    blocks = (kept * 2 * J + (8 + 15 + 2) * J + (K + 1) * n * (25 + 16 + 40)
-              + M * n * (5 + 4 + 2) + 5 * n + 5 * K * M)
-    batch = min(kept, _level_batch(grid))
-    writer = math.ceil(csvtext.BYTES_PER_VALUE
-                       * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1) / 8)
-    later = kept * (2 * J + 3 + 32) + max(kept * 2 * J + batch * 8 * (J + 1), writer)
-    return 8 * (levels * (2 + 5 + 6 + 1 + 1 + 1) + 10 * J + max(blocks, later))
+    plan, J = _plan(grid, stride), grid.J
+    K, n, M, kept = plan.K, plan.n, plan.M, plan.keep.size + 1
+    blocks = ((8 + 15 + 2) * J + plan.buffer + (K + 1) * n * (16 + 40)
+              + M * n * (4 + 2) + 5 * K * M)
+    writer = math.ceil((csvtext.TABLE_BYTES + csvtext.BYTES_PER_VALUE
+                        * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1)) / 8)
+    return 8 * ((grid.N + 2) * (2 + 5 + 6 + 1 + 1 + 1) + 10 * J
+                + kept * (2 * J + 3 + 32) + max(blocks, plan.batch * 8 * (J + 1), writer))
 
 
 def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
-                 modes: slice, m: float, x: np.ndarray, K: int, M: int,
-                 keep: np.ndarray, sums: np.ndarray, stored: np.ndarray,
-                 buffer: np.ndarray) -> None:
+                 modes: slice, m: float, x: np.ndarray, plan: RunPlan,
+                 sums: np.ndarray, kept: np.ndarray) -> None:
     """Add one block of modes' share to every row of sums and write its
-    amplitudes of the levels keep into stored.
+    amplitudes of the levels plan.keep into kept.
 
     D (2, 2, n) are the block's increment matrices, x (2, n) its level 0,
-    and sums has 5 columns, or 1 for E's alone.  The trace table of G^k,
-    k = 0..K (K cut where a power or a table entry is not finite), maps a
-    chunk base's features to its chunk's sums.  The bases of a group of M
-    chunks are the powers of G^K applied to the first, and one matrix
-    product gives the group's rows.  buffer holds (c f (K + 1) + 5 (M + 1)) n
-    values: the table of c columns on f features (5 on 5, or 1 on 3), then
-    the features.
+    and sums has 5 columns on 5 features, or 1 on 3 for E's alone.  The
+    trace table of G^k, k = 0..K (K cut where a power or a table entry is
+    not finite), maps a chunk base's features to its chunk's sums.  The
+    bases of a group of M chunks are the powers of G^K applied to the
+    first, and one matrix product gives the group's rows.
     """
     n, last, columns = x.shape[1], sums.shape[0] - 1, sums.shape[1]
     energy_only = columns == 1
     f = 3 if energy_only else 5
+    K, M, keep, buffer = plan.K, plan.M, plan.keep, np.empty(plan.buffer)
     # E's table reads no increments G^(k-1) D
     powers = np.zeros((2, 1 if energy_only else 2, K + 1, 2, n))
     powers[0, 0, 0, 0] = powers[1, 0, 0, 1] = 1.0
@@ -420,12 +414,12 @@ def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
         levels = min(count * K, last + 1 - start)
         sums[start:start + levels] += (flat @ table[columns:].T).reshape(
             -1, columns)[:levels]
-        # the stored levels, at most a group's count at a time
+        # the kept levels, at most a group's count at a time
         lo, hi = np.searchsorted(keep, (start, start + levels))
         for i in range(lo, hi, group):
             offset = keep[i:min(i + group, hi)] - start
             _times(powers[:, 0][:, offset % K + 1], bases[offset // K],
-                   out=stored[i:i + offset.size])
+                   out=kept[i:i + offset.size])
 
 
 def run(params: MaterialParams, config: SimulationConfig, init: State,
@@ -438,10 +432,11 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     them or, with energy_only, E and heat alone (the other trace columns
     are None).  Every stepper advances the modal amplitudes of the
     fluctuation e of T = m + e around the conserved mean m, and of the
-    interior flux, a block of modes at a time (_trace_block).  Raises MeshTooLarge, before allocating, if
-    run_memory_bytes exceeds MAX_RUN_BYTES; NonFiniteInput, before
-    stepping, if the energy of init is not finite; and NonFiniteState,
-    naming the first bad step, if a level or its trace row overflows.
+    interior flux, a block of modes at a time (_trace_block).  Raises
+    MeshTooLarge, before allocating, if run_memory_bytes exceeds
+    MAX_RUN_BYTES; NonFiniteInput, before stepping, if init's energy is
+    not finite; NonFiniteState, naming the first bad step, if a level or
+    its trace row overflows.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -463,33 +458,27 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     ops = assemble(params, grid)
     D = ops.printed if kind == StepperKind.VECTORIAL_AS_PRINTED else ops.coupled
     weights = diagnostics.modal_trace_weights(params, grid)
-    K, width, M = _block_shape(grid, energy_only)
-    J, last = grid.J, grid.N + 1
+    plan = _plan(grid, stride, energy_only)
+    J, S = grid.J, plan.keep.size + 1
     m = float(np.mean(init.T))
     x = _modes(init, m)
-    keep = np.arange(stride, last + stride, stride)
-    keep[-1] = last
-    sums = np.zeros((last + 1, 1 if energy_only else 5))
-    stored = np.empty((keep.size, 2, J))
-    buffer = np.empty(((3 if energy_only else 25) * (K + 1) + 5 * (M + 1)) * width)
+    sums = np.zeros((grid.N + 2, 1 if energy_only else 5))
+    levels = np.zeros((S, 2 * J + 3))
+    levels[0] = np.concatenate((init.T, init.q))
+    kept = _amplitudes(levels[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, J, width):
-            modes = slice(lo, min(lo + width, J))
-            _trace_block(D[..., modes], weights, modes, m, x[:, modes], K, M,
-                         keep, sums, stored[..., modes], buffer)
+        for lo in range(0, J, plan.n):
+            modes = slice(lo, min(lo + plan.n, J))
+            _trace_block(D[..., modes], weights, modes, m, x[:, modes], plan,
+                         sums, kept[..., modes])
         rows = diagnostics.trace_rows(weights, m, sums)
-        # only the rows and the stored levels outlive the blocks
-        del ops, D, weights, x, sums, buffer
-        T, q = np.empty((keep.size + 1, J + 1)), np.empty((keep.size + 1, J + 2))
-        T[0], q[0] = init.T, init.q
-        batch = _level_batch(grid)
-        for lo in range(0, keep.size, batch):
-            T[lo + 1:lo + 1 + batch], q[lo + 1:lo + 1 + batch] = _levels(
-                m, stored[lo:lo + batch])
-    del stored
+        # only the rows and the kept levels outlive the blocks
+        del ops, D, weights, x, sums
+        for lo in range(1, S, plan.batch):
+            _levels(m, levels[lo:lo + plan.batch])
     ok = np.isfinite(rows).all(axis=1)
-    ok[keep] &= np.isfinite(T[1:]).all(axis=1) & np.isfinite(q[1:]).all(axis=1)
+    ok[plan.keep] &= np.isfinite(levels[1:]).all(axis=1)
     _require_finite(ok, 0)
     trace = diagnostics.build_trace(params, grid.t, rows)
-    return Trajectory(T=T, q=q, stored_steps=[0] + keep.tolist(), grid=grid,
-                      trace=trace)
+    return Trajectory(T=levels[:, :J + 1], q=levels[:, J + 1:],
+                      stored_steps=[0] + plan.keep.tolist(), grid=grid, trace=trace)

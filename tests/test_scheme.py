@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gkheat import checks, diagnostics, scheme
+from gkheat import checks, csvtext, diagnostics, linalg, scheme
 from gkheat import (GridMismatch, InvalidLimit, MeshTooLarge, NonFiniteState,
                     State, StepperKind, assemble, build_grid, cosine_initial,
                     discrete_energy, run, step_coupled, step_coupled_reference,
@@ -466,7 +466,8 @@ class TestTraceChunks:
         trajs, shapes, energies = [], [], []
         for budget in budgets:
             monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
-            shapes.append(scheme._block_shape(grid)[:2])
+            plan = scheme._plan(grid, 7)
+            shapes.append((plan.K, plan.n))
             trajs.append(run(p, cfg, init, stride=7))
             energies.append(run(p, cfg, init, stride=7, energy_only=True))
         K, width = zip(*shapes)
@@ -640,29 +641,35 @@ class TestRunMemory:
         assert per_level == 8 * 16
         # over 4000 steps stride 1 keeps 2000 levels more than stride 2,
         # each of 2J+3 values (and 32 values' worth of Python objects),
-        # rebuilt from their 2J amplitudes; here the kept levels outweigh
-        # the blocks, and their amplitudes a writer block, at both strides
+        # rebuilt in place from the amplitudes written into them
         longest = build_grid(p, dataclasses.replace(cfg, t_final=4000 * 1.2e-2))
         all_levels, half = (scheme.run_memory_bytes(longest, 1),
                             scheme.run_memory_bytes(longest, 2))
-        assert all_levels - half == 8 * 2000 * ((2 * 99 + 3 + 32) + 2 * 99)
+        assert all_levels - half == 8 * 2000 * (2 * 99 + 3 + 32)
 
     # the fourth and fifth keep one state (stride N+1) of a fine mesh, and
     # every state of a short run on a finer one: there the blocks' phase,
-    # operators and trace weights included, is the peak; the last two are
-    # energy-only runs (stride N+1, as sweep makes them), whose blocks hold
-    # no more than the full trace's (TestBlockShape)
+    # operators and trace weights included, is the peak; the sixth and
+    # seventh are energy-only runs (stride N+1, as sweep makes them), whose
+    # blocks hold no more than the full trace's (TestBlockShape); the last
+    # keeps every 25th level of the finest benchmark mesh, where a second
+    # copy of the kept levels would not fit under the estimate
     @pytest.mark.parametrize("J,steps,stride,energy_only", [
         (499, 2500, 25, False), (63, 500, 1, False), (255, 1000, 1001, False),
         (7999, 2500, 2500, False), (9999, 5, 1, False),
-        (7999, 2500, 2500, True), (499, 4000, 4000, True)], ids=[
+        (7999, 2500, 2500, True), (499, 4000, 4000, True),
+        (7999, 2500, 25, False)], ids=[
         "499-2500-25", "63-500-1", "255-1000-1001", "7999-2500-2500", "9999-5-1",
-        "7999-2500-2500-energy_only", "499-4000-4000-energy_only"])
+        "7999-2500-2500-energy_only", "499-4000-4000-energy_only", "7999-2500-25"])
     def test_estimate_bounds_traced_peak(self, tmp_path, J, steps, stride, energy_only):
         # everything run() and both writers allocate, traced; the writers
-        # need the full trace, so an energy-only run is traced alone
+        # need the full trace, so an energy-only run is traced alone.  The
+        # caches a fresh process builds are cleared, so that each case
+        # traces them whatever ran before it
         p, cfg, grid, ops = small_setup(J=J, t_final=steps * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
+        csvtext._tables.cache_clear()
+        linalg._half_shift.cache_clear()
         tracemalloc.start()
         try:
             traj = run(p, cfg, init, stride=stride, energy_only=energy_only)
@@ -675,12 +682,11 @@ class TestRunMemory:
         assert peak <= scheme.run_memory_bytes(grid, stride)
 
     def test_fine_mesh_estimate_is_far_under_the_cap(self, ref_params, ref_config):
-        # J = 7999, 2500 steps, every 25th level kept: 27.4 MB, mostly the
-        # 102 states and the 101 levels' amplitudes they are rebuilt from;
-        # the traced peak is 26.5 MB
+        # J = 7999, 2500 steps, every 25th level kept: 18.1 MB, mostly the
+        # 101 kept levels; the traced peak is 16.9 MB
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=1.25e-5))
         need = scheme.run_memory_bytes(grid, 25)
-        assert 26.5e6 < need < 28e6
+        assert 16.9e6 < need < 18.5e6
         assert scheme.MAX_RUN_BYTES >= 20 * need
 
     def test_run_refuses_before_assembling(self, monkeypatch):
@@ -701,20 +707,18 @@ class TestRunMemory:
 def block_peak(params, grid, energy_only):
     """Bytes that one block of the first modes of grid allocates in
     run's kernel at its peak, its table-and-features buffer included."""
-    K, n, M = scheme._block_shape(grid, energy_only)
+    plan = scheme._plan(grid, grid.N + 1, energy_only)
+    n = plan.n
     D = assemble(params, grid).coupled[..., :n]
     weights = diagnostics.modal_trace_weights(params, grid)
     init = cosine_initial(grid, 15.0, 30.0)
     m = float(np.mean(init.T))
     x = scheme._modes(init, m)[:, :n]
     sums = np.zeros((grid.N + 2, 1 if energy_only else 5))
-    stored = np.empty((1, 2, n))
-    table = 3 if energy_only else 25
+    kept = np.empty((1, 2, n))
     tracemalloc.start()
     try:
-        buffer = np.empty((table * (K + 1) + 5 * (M + 1)) * n)
-        scheme._trace_block(D, weights, slice(0, n), m, x, K, M,
-                            np.array([grid.N + 1]), sums, stored, buffer)
+        scheme._trace_block(D, weights, slice(0, n), m, x, plan, sums, kept)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -733,8 +737,9 @@ class TestBlockShape:
     def test_shapes(self, ref_params, ref_config, dx, t_final, full, energy_only):
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=dx,
                                                           t_final=t_final))
-        assert scheme._block_shape(grid) == full
-        assert scheme._block_shape(grid, energy_only=True) == energy_only
+        for plan, shape in ((scheme._plan(grid, 25), full),
+                            (scheme._plan(grid, 25, energy_only=True), energy_only)):
+            assert (plan.K, plan.n, plan.M) == shape
 
     @pytest.mark.parametrize("dx,t_final", [(2e-4, 30.0), (1.25e-5, 30.0),
                                             (1.5625e-3, 240.0), (2e-3, 6.0)],
