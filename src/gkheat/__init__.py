@@ -16,8 +16,7 @@ from .linalg import dense_solve
 from .model import (MaterialParams, OnsagerCoefficients, SimulationConfig,
                     StepperKind, gk_to_onsager, onsager_to_gk, validate)
 from .scheme import (AssembledOperators, Trajectory, assemble,
-                     assemble_coupled_system, run, step_coupled,
-                     step_coupled_reference, step_vectorial_as_printed)
+                     assemble_coupled_system, run, step_coupled_reference)
 
 __all__ = [
     "AssembledOperators", "DecayConstants", "DegenerateTrace",
@@ -31,6 +30,5 @@ __all__ = [
     "build_grid", "cosine_initial", "decay_constants", "dense_solve",
     "discrete_energy", "equilibrium_energy", "fit_energy_decay_rate",
     "gk_to_onsager", "mode_decay_oracle", "normalized_Z", "onsager_to_gk",
-    "run", "step_coupled", "step_coupled_reference",
-    "step_vectorial_as_printed", "validate", "zero_mean_initial",
+    "run", "step_coupled_reference", "validate", "zero_mean_initial",
 ]

@@ -105,21 +105,26 @@ def decay_envelope(trace: diagnostics.EnergyTrace, params: MaterialParams,
                        ratio, bound)
 
 
+def _kept_states(traj: scheme.Trajectory) -> list[State]:
+    return [State(T=T, q=q) for T, q in zip(traj.T, traj.q)]
+
+
 def oracle_equivalence(params: MaterialParams, config: SimulationConfig,
                        rng: np.random.Generator) -> CheckResult:
-    """step_coupled against the dense solve of the interleaved system, on
-    ten random states at each J = 2..8 and one step of config.dt."""
+    """run's coupled stepper against the dense solve of the interleaved
+    system: at each J = 2..8, one run of 10 steps of config.dt from one
+    random state, every kept level k+1 against the dense step of level k."""
     worst = 0.0
     for J in range(2, 9):
-        cfg = dataclasses.replace(config, dx=params.l / (J + 1), t_final=config.dt)
-        grid = discretization.build_grid(params, cfg)
-        ops = scheme.assemble(params, grid)
-        for _ in range(10):
-            q = np.zeros(J + 2)
-            q[1:-1] = rng.normal(0.0, 1e4, J)
-            prev = State(T=rng.normal(15.0, 10.0, J + 1), q=q)
-            worst = max(worst, state_gap(scheme.step_coupled(ops, params, grid, prev),
-                                         scheme.step_coupled_reference(params, grid, prev)))
+        cfg = dataclasses.replace(config, dx=params.l / (J + 1), t_final=10 * config.dt,
+                                  stepper_kind=StepperKind.COUPLED_IMPLICIT)
+        q = np.zeros(J + 2)
+        q[1:-1] = rng.normal(0.0, 1e4, J)
+        traj = scheme.run(params, cfg, State(T=rng.normal(15.0, 10.0, J + 1), q=q))
+        levels = _kept_states(traj)
+        for prev, level in zip(levels, levels[1:]):
+            worst = max(worst, state_gap(
+                level, scheme.step_coupled_reference(params, traj.grid, prev)))
     return CheckResult("oracle_equivalence", worst <= 1e-10,
                        f"worst relative gap to dense reference {worst:.3e}",
                        worst, 1e-10)
@@ -162,15 +167,16 @@ def mode_rate_fit(params: MaterialParams, config: SimulationConfig) -> CheckResu
 
 def printed_gaps(params: MaterialParams,
                  config: SimulationConfig) -> list[tuple[float, float]]:
-    """(dt, gap) of one as-printed step to one coupled step from the cosine
-    initial state, at dt = config.dt, config.dt/2 and config.dt/4."""
+    """(dt, gap) of one as-printed step to one coupled step, each a
+    one-step run from the cosine initial state, at dt = config.dt,
+    config.dt/2 and config.dt/4."""
     gaps = []
     for dt in config.dt / 2.0**np.arange(3):
         cfg = dataclasses.replace(config, dt=dt, t_final=dt)
-        grid = discretization.build_grid(params, cfg)
-        ops = scheme.assemble(params, grid)
-        init = discretization.cosine_initial(grid, config.T_b, config.T_f)
-        gaps.append((float(dt), state_gap(
-            scheme.step_vectorial_as_printed(ops, params, grid, init),
-            scheme.step_coupled(ops, params, grid, init))))
+        init = discretization.cosine_initial(discretization.build_grid(params, cfg),
+                                             config.T_b, config.T_f)
+        printed, coupled = (_kept_states(scheme.run(
+            params, dataclasses.replace(cfg, stepper_kind=kind), init))[1]
+            for kind in (StepperKind.VECTORIAL_AS_PRINTED, StepperKind.COUPLED_IMPLICIT))
+        gaps.append((float(dt), state_gap(printed, coupled)))
     return gaps

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, csvtext, diagnostics, scheme
-from .discretization import State, build_grid, cosine_initial
+from .discretization import build_grid, cosine_initial
 from .errors import GKHeatError, NumericalFailure, ParseError, UnknownKey
 from .model import MaterialParams, SimulationConfig, StepperKind
 
@@ -70,10 +70,6 @@ class RunManifest:
     case_label: str
     out_dir: Path
     stride: int
-
-    def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
 
 
 def parse_config(text: str) -> RunManifest:
@@ -126,10 +122,6 @@ def parse_config(text: str) -> RunManifest:
     return RunManifest(params=params, config=config, case_label=label,
                        out_dir=Path(str(values["out_dir"])),
                        stride=int(values["stride"]))
-
-
-def _initial_state(manifest: RunManifest, grid) -> State:
-    return cosine_initial(grid, manifest.config.T_b, manifest.config.T_f)
 
 
 def write_trace_csv(path: Path, trace: diagnostics.EnergyTrace) -> None:
@@ -219,9 +211,10 @@ unset logscale y
 
 def cmd_run(manifest: RunManifest) -> int:
     """Simulate, then write trace.csv, profiles.csv, constants.txt, plot.gp."""
-    grid = build_grid(manifest.params, manifest.config)
-    traj = scheme.run(manifest.params, manifest.config,
-                      _initial_state(manifest, grid), stride=manifest.stride)
+    params, config = manifest.params, manifest.config
+    grid = build_grid(params, config)
+    traj = scheme.run(params, config, cosine_initial(grid, config.T_b, config.T_f),
+                      stride=manifest.stride)
     out = manifest.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / "trace.csv", traj.trace)
@@ -248,7 +241,7 @@ def cmd_verify(manifest: RunManifest) -> int:
     params, config = manifest.params, manifest.config
     grid = build_grid(params, config)
     cfg = dataclasses.replace(config, stepper_kind=StepperKind.COUPLED_IMPLICIT)
-    trace = scheme.run(params, cfg, _initial_state(manifest, grid),
+    trace = scheme.run(params, cfg, cosine_initial(grid, config.T_b, config.T_f),
                        stride=grid.N + 1).trace
     results = [
         checks.energy_monotone(trace),

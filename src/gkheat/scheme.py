@@ -12,10 +12,12 @@ tridiagonal system
 
     [I - (c_B + c_T dt) L] q^n = c_r q^{n-1} - c_Q A_T T^{n-1}
 
-per step; the temperature update is then explicit.  (The interleaved
-assembly is retained, solved densely, as the brute-force reference.)
+per step; the temperature update is then explicit.  With tau_q = mu2 = 0
+this is implicit Euler for rho*c*T_t = -q_x, q = -k*T_x, the fourier_limit
+stepper.  (The interleaved assembly is retained, solved densely, as the
+brute-force reference.)
 
-step_vectorial_as_printed instead applies the closed-form update
+The vectorial_as_printed stepper instead applies the closed-form update
 
     T^n = C T^{n-1} - c_q A_q B^{-1} q^{n-1},
     q^n = c_r B^{-1} q^{n-1} - c_Q B^{-1} A_T T^{n-1},
@@ -53,7 +55,8 @@ and heat alone: its table is E's weights on the quadratic features, 3
 values per level and mode instead of 25, built from the powers G^k
 alone, and its blocks are longer and wider.  Only the kept levels'
 amplitudes are formed, in the rows of T and q rebuilt from them in
-place after the last block.  Single steps apply the table of one power.
+place after the last block.  run is the only stepping path: a single step
+is a run with t_final = dt.
 """
 
 from __future__ import annotations
@@ -195,40 +198,6 @@ def _require_finite(ok: np.ndarray, first_step: int) -> None:
                              "non-finite temperature, flux or energy")
 
 
-def _step(D: np.ndarray, prev: State) -> State:
-    m, J = float(np.mean(prev.T)), D.shape[-1]
-    level = np.zeros((1, 2 * J + 3))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _times(_chunk_table(D, 1)[:, 0], _modes(prev, m), out=_amplitudes(level))
-    _require_finite(np.isfinite(level).all(axis=1), 1)
-    _levels(m, level)
-    return State(T=level[0, :J + 1], q=level[0, J + 1:])
-
-
-def step_coupled(ops: AssembledOperators, params: MaterialParams, grid: Grid,
-                 prev: State) -> State:
-    """Advance one step by the exact coupled solve; the default stepper.
-
-    With tau_q = mu2 = 0 this is implicit Euler for rho*c*T_t = -q_x,
-    q = -k*T_x, the fourier_limit stepper.
-    """
-    _require_on_grid(prev, grid, "prev")
-    return _step(ops.coupled, prev)
-
-
-def step_vectorial_as_printed(ops: AssembledOperators, params: MaterialParams,
-                              grid: Grid, prev: State) -> State:
-    """Advance one step by the closed-form vectorial update, verbatim.
-
-    Both updates read level n-1 only.  Not equivalent to step_coupled at
-    finite dt; use for gap measurement.  In the Fourier limit the explicit
-    temperature correction is unstable at practical meshes, so long runs
-    can overflow (NonFiniteState).
-    """
-    _require_on_grid(prev, grid, "prev")
-    return _step(ops.printed, prev)
-
-
 def assemble_coupled_system(params: MaterialParams, grid: Grid,
                             prev: State) -> tuple[np.ndarray, np.ndarray]:
     """Verbatim interleaved assembly of the implicit step equations.
@@ -236,7 +205,7 @@ def assemble_coupled_system(params: MaterialParams, grid: Grid,
     Unknowns are ordered (T_0, q_1, T_1, q_2, ..., T_J); rows are the
     untransformed step equations (bandwidth 2), returned as a dense
     (2J+1) x (2J+1) matrix and right-hand side: the brute-force route
-    that step_coupled is checked against.
+    that run's coupled stepper is checked against.
     """
     _require_on_grid(prev, grid, "prev")
     J, dx, dt = grid.J, grid.dx, grid.dt
@@ -276,7 +245,8 @@ def step_coupled_reference(params: MaterialParams, grid: Grid,
                            prev: State) -> State:
     """Brute-force coupled step: dense solve of the interleaved system.
 
-    O(J^3); intended for small J cross-checks of step_coupled.
+    O(J^3); intended for small J cross-checks of run's coupled stepper
+    (checks.oracle_equivalence).
     """
     system, b = assemble_coupled_system(params, grid, prev)
     x = dense_solve(system, b)

@@ -4,7 +4,8 @@ They evaluate the trace quantities and step residuals directly on physical
 states, as the scheme's equations write them; longdouble_coupled_run steps
 the coupled scheme in extended precision without gkheat.scheme.
 discrete_decay_rate is the exact decay rate of the assembled step matrix,
-against which a rate fitted to a trace is checked.
+against which a rate fitted to a trace is checked.  one_step is not an
+oracle: it takes the single steps the tests compare, through scheme.run.
 """
 
 from __future__ import annotations
@@ -13,11 +14,20 @@ from collections import namedtuple
 
 import numpy as np
 
+from gkheat import scheme
 from gkheat.diagnostics import discrete_energy
 from gkheat.discretization import Grid, State, _require_on_grid
 from gkheat.linalg import difference_symbols
-from gkheat.model import MaterialParams
-from gkheat.scheme import assemble
+from gkheat.model import MaterialParams, SimulationConfig, StepperKind
+
+
+def one_step(p: MaterialParams, grid: Grid, prev: State,
+             kind: StepperKind = StepperKind.COUPLED_IMPLICIT) -> State:
+    """prev advanced one step of grid.dt by a scheme.run of the stepper kind."""
+    cfg = SimulationConfig(dx=grid.dx, dt=grid.dt, t_final=grid.dt, T_b=0.0, T_f=0.0,
+                           stepper_kind=kind)
+    traj = scheme.run(p, cfg, prev)
+    return State(T=traj.T[1], q=traj.q[1])
 
 
 def total_heat(state: State, dx: float) -> float:
@@ -175,5 +185,5 @@ def discrete_decay_rate(p: MaterialParams, grid: Grid) -> float:
     """r_d = -2 ln rho(I + D_1) / dt: the rate at which the energy of the
     coupled scheme's slowest mode decays, with D_1 the mode-1 increment
     matrix of scheme.assemble and rho the spectral radius."""
-    step = np.eye(2) + assemble(p, grid).coupled[..., 0]
+    step = np.eye(2) + scheme.assemble(p, grid).coupled[..., 0]
     return float(-2.0 * np.log(np.max(np.abs(np.linalg.eigvals(step)))) / grid.dt)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gkheat import State, checks, diagnostics, discretization, scheme
-from gkheat.cli import parse_config
+from gkheat.cli import main, parse_config
 from gkheat.diagnostics import EnergyTrace
 from gkheat.model import MaterialParams, SimulationConfig
 
@@ -72,6 +72,21 @@ class TestRunChecks:
         a = checks.oracle_equivalence(PARAMS, CONFIG, np.random.default_rng(5))
         b = checks.oracle_equivalence(PARAMS, CONFIG, np.random.default_rng(5))
         assert a == b and a.ok
+
+    def test_lagging_kept_levels_fail_the_oracle(self, monkeypatch, capsys):
+        # every kept level written from the step before it: the trace is
+        # untouched, so only the oracle, which reads run's levels, sees it
+        trace_block = scheme._trace_block
+
+        def lagging(D, w, modes, m, x, plan, sums, kept):
+            trace_block(D, w, modes, m, x, dataclasses.replace(plan, keep=plan.keep - 1),
+                        sums, kept)
+
+        monkeypatch.setattr(scheme, "_trace_block", lagging)
+        assert not checks.oracle_equivalence(PARAMS, CONFIG, np.random.default_rng(5)).ok
+        assert main(["verify"]) == 3
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 6 and "FAIL oracle_equivalence" in out
 
     def test_printed_gaps_halve_dt(self):
         gaps = checks.printed_gaps(PARAMS, CONFIG)

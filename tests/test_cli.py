@@ -218,6 +218,15 @@ class TestCmdVerify:
         assert "printed-vs-coupled gap" in out
         assert "halving ratios" in out
 
+    def test_as_printed_gap_lines_at_the_defaults(self, capsys):
+        assert cmd_verify(parse_config("stepper = vectorial_as_printed\n")) == 0
+        info = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("INFO")]
+        assert info == ["INFO printed-vs-coupled gap at dt=0.012: 2.213438e-01",
+                        "INFO printed-vs-coupled gap at dt=0.006: 1.933221e-01",
+                        "INFO printed-vs-coupled gap at dt=0.003: 1.536787e-01",
+                        "INFO gap halving ratios: 0.8734, 0.7949"]
+
 
 class TestCmdSweep:
     def test_reference_pairs(self, tmp_path, capsys):

@@ -8,13 +8,14 @@ import pytest
 from gkheat import checks, csvtext, diagnostics, linalg, scheme
 from gkheat import (GridMismatch, InvalidLimit, MeshTooLarge, NonFiniteState,
                     State, StepperKind, assemble, build_grid, cosine_initial,
-                    discrete_energy, run, step_coupled, step_coupled_reference,
-                    step_vectorial_as_printed)
+                    discrete_energy, run, step_coupled_reference)
 from gkheat.checks import state_gap
 from gkheat.cli import write_profiles_csv, write_trace_csv
 from gkheat.model import MaterialParams, SimulationConfig
 from oracles import (boundary_term, dissipation_check, longdouble_coupled_run,
-                     lyapunov, step_factors, total_heat)
+                     lyapunov, one_step, step_factors, total_heat)
+
+PRINTED = StepperKind.VECTORIAL_AS_PRINTED
 
 
 def small_setup(J=9, tau_q=8e-3, mu2=2.8e-3, dt=1.2e-2, t_final=None):
@@ -150,14 +151,14 @@ class TestSteppers:
     def test_uniform_fixed_point_coupled(self, tau_q, mu2):
         p, cfg, grid, ops = small_setup(tau_q=tau_q, mu2=mu2)
         s = cosine_initial(grid, T_b=15.0, T_f=0.0)
-        out = step_coupled(ops, p, grid, s)
+        out = one_step(p, grid, s)
         np.testing.assert_allclose(out.T, s.T, rtol=1e-13)
         assert np.all(out.q == 0.0)
 
     def test_uniform_fixed_point_as_printed(self):
         p, cfg, grid, ops = small_setup()
         s = cosine_initial(grid, T_b=15.0, T_f=0.0)
-        out = step_vectorial_as_printed(ops, p, grid, s)
+        out = one_step(p, grid, s, PRINTED)
         np.testing.assert_allclose(out.T, s.T, rtol=1e-13)
         np.testing.assert_allclose(out.q, 0.0, atol=1e-20)
 
@@ -169,7 +170,7 @@ class TestSteppers:
             p, cfg, grid, ops = small_setup(J=J)
             for _ in range(10):
                 prev = random_state(rng, J)
-                worst = max(worst, state_gap(step_coupled(ops, p, grid, prev),
+                worst = max(worst, state_gap(one_step(p, grid, prev),
                                              step_coupled_reference(p, grid, prev)))
         assert worst <= 1e-10
 
@@ -179,39 +180,39 @@ class TestSteppers:
         s = random_state(rng, 49)
         h0 = total_heat(s, grid.dx)
         for _ in range(20):
-            s = step_coupled(ops, p, grid, s)
+            s = one_step(p, grid, s)
             assert total_heat(s, grid.dx) == pytest.approx(h0, rel=1e-12)
 
     def test_boundary_fluxes_stay_zero(self):
         rng = np.random.default_rng(10)
         p, cfg, grid, ops = small_setup(J=12)
         s = random_state(rng, 12)
-        for stepper in (step_coupled, step_vectorial_as_printed):
-            out = stepper(ops, p, grid, s)
+        for kind in (StepperKind.COUPLED_IMPLICIT, PRINTED):
+            out = one_step(p, grid, s, kind)
             assert out.q[0] == 0.0 and out.q[-1] == 0.0
 
-    @pytest.mark.parametrize("stepper", [step_coupled, step_vectorial_as_printed])
-    def test_linearity(self, stepper):
+    @pytest.mark.parametrize("kind", [StepperKind.COUPLED_IMPLICIT, PRINTED])
+    def test_linearity(self, kind):
         rng = np.random.default_rng(11)
         p, cfg, grid, ops = small_setup(J=15)
         s1, s2 = random_state(rng, 15), random_state(rng, 15)
         a, b = 0.6, -1.4
         combo = State(T=a * s1.T + b * s2.T, q=a * s1.q + b * s2.q)
-        out_combo = stepper(ops, p, grid, combo)
-        out_sum_T = a * stepper(ops, p, grid, s1).T + b * stepper(ops, p, grid, s2).T
-        out_sum_q = a * stepper(ops, p, grid, s1).q + b * stepper(ops, p, grid, s2).q
+        out_combo = one_step(p, grid, combo, kind)
+        out_sum_T = a * one_step(p, grid, s1, kind).T + b * one_step(p, grid, s2, kind).T
+        out_sum_q = a * one_step(p, grid, s1, kind).q + b * one_step(p, grid, s2, kind).q
         np.testing.assert_allclose(out_combo.T, out_sum_T, rtol=1e-11, atol=1e-11)
         np.testing.assert_allclose(out_combo.q, out_sum_q, rtol=1e-11, atol=1e-7)
 
     def test_zero_state_maps_to_zero(self):
         p, cfg, grid, ops = small_setup(J=7)
         z = State(T=np.zeros(8), q=np.zeros(9))
-        out = step_coupled(ops, p, grid, z)
+        out = one_step(p, grid, z)
         assert np.all(out.T == 0.0) and np.all(out.q == 0.0)
 
 
 class TestFourierStepper:
-    # the fourier_limit stepper is step_coupled, with run() checking that
+    # the fourier_limit stepper is the coupled one, with run() checking that
     # the parameters are in the limit
     def test_requires_fourier_params(self):
         # both parameters must vanish, not just one of them
@@ -231,7 +232,7 @@ class TestFourierStepper:
         np.testing.assert_array_equal(a.q, b.q)
         np.testing.assert_array_equal(a.trace.E, b.trace.E)
         assert state_gap(State(T=a.T[1], q=a.q[1]),
-                         step_coupled(ops, p, grid, s)) <= 1e-14
+                         one_step(p, grid, s)) <= 1e-14
 
     def test_cosine_mode_amplification(self, ref_params, ref_config):
         # implicit Euler damps the fundamental mode by 1/(1 + (k/rho c) kappa^2 dt);
@@ -239,11 +240,10 @@ class TestFourierStepper:
         # sampled at x_j + dx/2 (the forward/backward difference staggering)
         p = dataclasses.replace(ref_params, tau_q=0.0, mu2=0.0)
         grid = build_grid(p, dataclasses.replace(ref_config, t_final=ref_config.dt))
-        ops = assemble(p, grid)
         kappa = np.pi / p.l
         mode = np.cos(kappa * (grid.x[:grid.J + 1] + grid.dx / 2.0))
         s = State(T=15.0 * mode, q=np.zeros(grid.J + 2))
-        out = step_coupled(ops, p, grid, s)
+        out = one_step(p, grid, s)
         g = float((out.T @ s.T) / (s.T @ s.T))
         # eigenvector to solver precision
         assert np.max(np.abs(out.T - g * s.T)) <= 1e-12 * np.max(np.abs(s.T))
@@ -257,25 +257,13 @@ class TestAsPrintedCharacterization:
         # T^n = T^{n-1} + (k/(rho c dx^2)) AqAt T^{n-1},  q^n = -(k/dx) At T^{n-1}
         p, cfg, grid, ops = small_setup(J=9, tau_q=0.0, mu2=0.0)
         s = cosine_initial(grid, 15.0, 30.0)
-        out = step_vectorial_as_printed(ops, p, grid, s)
+        out = one_step(p, grid, s, PRINTED)
         aq, at = aq_matrix(grid.J), at_matrix(grid.J)
         factor = p.k / (p.rho_c * grid.dx**2)
         np.testing.assert_allclose(out.T, s.T + factor * (aq @ (at @ s.T)),
                                    rtol=1e-12)
         np.testing.assert_allclose(out.q[1:-1], -(p.k / grid.dx) * (at @ s.T),
                                    rtol=1e-12)
-
-    def test_gap_shrinks_with_dt(self):
-        # per-step distance to the coupled solve decreases as dt halves
-        gaps = []
-        for dt in (1e-4, 5e-5, 2.5e-5):
-            p, cfg, grid, ops = small_setup(J=499, dt=dt)
-            init = cosine_initial(grid, 15.0, 30.0)
-            gaps.append(state_gap(step_vectorial_as_printed(ops, p, grid, init),
-                                  step_coupled(ops, p, grid, init)))
-        assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
-        assert gaps[1] / gaps[0] <= 0.56
-        assert gaps[2] / gaps[1] <= 0.56
 
 
 class TestRun:
@@ -293,7 +281,7 @@ class TestRun:
         assert len(traj.T) == len(traj.q) == grid.N + 2
         manual = init
         for n in range(1, grid.N + 2):
-            manual = step_coupled(ops, p, grid, manual)
+            manual = one_step(p, grid, manual)
             assert state_gap(State(T=traj.T[n], q=traj.q[n]), manual) <= 1e-12
 
     def test_zero_initial_data(self):
@@ -315,8 +303,10 @@ class TestRun:
             cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
         init = cosine_initial(grid, 15.0, 30.0)
         traj = run(p, cfg_printed, init)
-        manual = step_vectorial_as_printed(ops, p, grid, init)
-        assert state_gap(State(T=traj.T[1], q=traj.q[1]), manual) == 0.0
+        level = State(T=traj.T[1], q=traj.q[1])
+        assert state_gap(level, one_step(p, grid, init, PRINTED)) == 0.0
+        # and not the coupled step
+        assert state_gap(level, one_step(p, grid, init)) > 1e-2
 
     def test_fourier_kind_needs_fourier_params(self):
         p, cfg, grid, ops = small_setup(J=9)
@@ -370,7 +360,7 @@ class TestReducedSolve:
             prev = random_state(rng, J)
             q = np.linalg.solve(dense, f.c_r * prev.q_interior - f.c_Q * np.diff(prev.T))
             T = prev.T - f.c_flux * (aq_matrix(J) @ q)
-            got = step_coupled(ops, p, grid, prev)
+            got = one_step(p, grid, prev)
             assert np.max(np.abs(got.q_interior - q)) <= 1e-13 * np.max(np.abs(q))
             assert np.max(np.abs(got.T - T)) <= 1e-13 * np.max(np.abs(T))
 
@@ -379,7 +369,7 @@ class TestReducedSolve:
         p, cfg, grid, ops = small_setup(J=1)
         f = step_factors(p, grid)
         w = f.c_B + f.c_T * grid.dt
-        out = step_coupled(ops, p, grid, State(T=np.zeros(2), q=[0.0, 3.0, 0.0]))
+        out = one_step(p, grid, State(T=np.zeros(2), q=[0.0, 3.0, 0.0]))
         assert out.q[1] == pytest.approx(3.0 * f.c_r / (1.0 + 2.0 * w), rel=1e-15)
 
 
@@ -406,7 +396,7 @@ class TestBFactor:
             prev = random_state(rng, J)
             rhs = f.c_r * prev.q_interior - f.c_Q * np.diff(prev.T)
             expected = np.linalg.solve(B, rhs)
-            got = step_vectorial_as_printed(ops, p, grid, prev).q_interior
+            got = one_step(p, grid, prev, PRINTED).q_interior
             assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected))
             # and the backward error is held to 2 eps at every J
             residual = np.max(np.abs(B @ got - rhs))
@@ -519,9 +509,8 @@ class TestTraceChunks:
 
 class TestTraceTable:
     @pytest.mark.parametrize("tau_q,mu2", [(8e-3, 2.8e-3), (0.0, 0.0)])
-    @pytest.mark.parametrize("which,stepper", [
-        ("coupled", step_coupled), ("printed", step_vectorial_as_printed)])
-    def test_columns_match_state_oracles(self, tau_q, mu2, which, stepper):
+    @pytest.mark.parametrize("which", ["coupled", "printed"])
+    def test_columns_match_state_oracles(self, tau_q, mu2, which):
         # every column of the table's rows at every level k = 0..K of a
         # chunk against the physical-space functions on states stepped one
         # at a time; k = 20 keeps the as-printed Fourier-limit step stable
@@ -532,8 +521,9 @@ class TestTraceTable:
         p = dataclasses.replace(p, k=20.0)
         ops = assemble(p, grid)
         states = [random_state(np.random.default_rng(J), J)]
+        kind = PRINTED if which == "printed" else StepperKind.COUPLED_IMPLICIT
         for _ in range(K):
-            states.append(stepper(ops, p, grid, states[-1]))
+            states.append(one_step(p, grid, states[-1], kind))
         weights = diagnostics.modal_trace_weights(p, grid)
         m = float(np.mean(states[0].T))
         powers = np.zeros((2, 2, K + 1, 2, J))
@@ -597,10 +587,8 @@ class TestChunkTable:
                                        out=np.empty_like(table[:, :, 0]))
         assert not np.all(np.isfinite(next_power))
 
-    @pytest.mark.parametrize("kind,stepper", [
-        (StepperKind.COUPLED_IMPLICIT, step_coupled),
-        (StepperKind.VECTORIAL_AS_PRINTED, step_vectorial_as_printed)])
-    def test_run_matches_single_steps(self, monkeypatch, kind, stepper):
+    @pytest.mark.parametrize("kind", [StepperKind.COUPLED_IMPLICIT, PRINTED])
+    def test_run_matches_single_steps(self, monkeypatch, kind):
         # one block of chunks of 4 levels: boundaries after steps 4, 8, 12
         # and 16
         J = 9
@@ -611,7 +599,7 @@ class TestChunkTable:
         traj = run(p, cfg, init)
         states = [init]
         for _ in range(grid.N + 1):
-            states.append(stepper(ops, p, grid, states[-1]))
+            states.append(one_step(p, grid, states[-1], kind))
         assert traj.stored_steps == list(range(grid.N + 2))
         assert_levels_close(traj, [s.T for s in states],
                             [s.q_interior for s in states])
@@ -783,9 +771,10 @@ class TestNonFinite:
         assert int(step.search(energy[0])[1]) <= int(step.search(messages[0])[1])
 
     def test_single_step_overflow(self):
-        # the transforms of this state stay finite; its high modes grow by
+        # this state's energy, 5.0e304, is finite; its high modes grow by
         # about c_T s_m^2 ~ 8000 in one as-printed step and overflow
         p, cfg, grid, ops = small_setup(J=99, tau_q=0.0, mu2=0.0)
-        huge = State(T=np.where(np.arange(100) % 2, 1e305, -1e305), q=np.zeros(101))
-        with pytest.raises(NonFiniteState):
-            step_vectorial_as_printed(ops, p, grid, huge)
+        huge = State(T=np.where(np.arange(100) % 2, 1e150, -1e150), q=np.zeros(101))
+        assert discrete_energy(huge, p, grid.dx) == pytest.approx(5.0e304, rel=1e-12)
+        with pytest.raises(NonFiniteState, match="step 1 produced"):
+            one_step(p, grid, huge, PRINTED)
