@@ -2,14 +2,12 @@
 
 from .diagnostics import (DecayConstants, EnergyTrace, decay_constants,
                           discrete_energy, equilibrium_energy,
-                          fit_energy_decay_rate, mode_decay_oracle,
-                          normalized_Z)
+                          fit_energy_decay_rate, mode_decay_oracle)
 from .discretization import (Grid, State, build_grid, cosine_initial,
                              zero_mean_initial)
-from .errors import (DegenerateTrace, DimensionMismatch, GKHeatError,
-                     GridMismatch, InsufficientFitData, InvalidLimit,
-                     MeshTooLarge, NonDivisibleMesh, NonFiniteInput,
-                     NonFiniteState,
+from .errors import (DimensionMismatch, GKHeatError, GridMismatch,
+                     InsufficientFitData, InvalidLimit, MeshTooLarge,
+                     NonDivisibleMesh, NonFiniteInput, NonFiniteState,
                      NonPositiveCoefficient, NumericalFailure, ParseError,
                      SingularMatrix, UnknownKey)
 from .linalg import dense_solve
@@ -19,8 +17,7 @@ from .scheme import (AssembledOperators, Trajectory, assemble,
                      assemble_coupled_system, run, step_coupled_reference)
 
 __all__ = [
-    "AssembledOperators", "DecayConstants", "DegenerateTrace",
-    "DimensionMismatch", "EnergyTrace",
+    "AssembledOperators", "DecayConstants", "DimensionMismatch", "EnergyTrace",
     "GKHeatError", "Grid", "GridMismatch", "InsufficientFitData",
     "InvalidLimit", "MaterialParams", "MeshTooLarge", "NonDivisibleMesh",
     "NonFiniteInput", "NonFiniteState", "NonPositiveCoefficient", "NumericalFailure",
@@ -29,6 +26,6 @@ __all__ = [
     "UnknownKey", "assemble", "assemble_coupled_system",
     "build_grid", "cosine_initial", "decay_constants", "dense_solve",
     "discrete_energy", "equilibrium_energy", "fit_energy_decay_rate",
-    "gk_to_onsager", "mode_decay_oracle", "normalized_Z", "onsager_to_gk",
+    "gk_to_onsager", "mode_decay_oracle", "onsager_to_gk",
     "run", "step_coupled_reference", "validate", "zero_mean_initial",
 ]

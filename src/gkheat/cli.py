@@ -105,13 +105,12 @@ def parse_config(text: str) -> RunManifest:
                 raise ParseError(lineno, f"stride needs an integer, got {val!r}")
             if values[key] < 1:
                 raise ParseError(lineno, "stride must be >= 1")
+        elif key == "stepper" and val not in {k.value for k in StepperKind}:
+            choices = ", ".join(k.value for k in StepperKind)
+            raise ParseError(lineno, f"stepper must be one of: {choices}")
         else:
             values[key] = val
-    try:
-        kind = StepperKind(values["stepper"])
-    except ValueError:
-        choices = ", ".join(k.value for k in StepperKind)
-        raise ParseError(0, f"stepper must be one of: {choices}")
+    kind = StepperKind(values["stepper"])
     params = MaterialParams(rho=values["rho"], c=values["c"],
                             tau_q=values["tau_q"], mu2=values["mu2"],
                             k=values["k"], l=values["l"])

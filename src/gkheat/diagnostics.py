@@ -17,21 +17,20 @@ trace of every level from the modal amplitudes it steps: each trace column
 is a sum over the modes with the weights of modal_trace_weights, and is a
 quadratic or linear form in the level a chunk starts from.
 modal_trace_table tabulates those forms for a block of modes, all five of
-them or the energy's alone, and trace_rows and build_trace turn the summed
-columns into an EnergyTrace.
+them or the energy's alone, and build_trace turns the summed columns
+into an EnergyTrace: the trace columns, and Z from the decay constants.
 """
 
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretization import Grid, State
-from .errors import DegenerateTrace, InsufficientFitData
+from .errors import InsufficientFitData
 from .linalg import difference_symbols
 from .model import MaterialParams
 
@@ -49,8 +48,9 @@ class EnergyTrace:
     diss_lhs/diss_rhs are the two sides of the dissipation inequality; row 0
     has no predecessor and carries zeros there.  Z is the normalized
     envelope quantity 1 + (M1*sup|C_T| / (M0*E0)) * exp(omega*t_n); it is
-    NaN when E0 = 0.  An energy-only trace (scheme.run's energy_only) has
-    t, E and heat, and None in the other columns.
+    NaN when E0 = 0, and inf where exp(omega*t_n) overflows.  An
+    energy-only trace (scheme.run's energy_only) has t, E and heat, and
+    None in the other columns.
     """
 
     t: np.ndarray                # time [s]
@@ -89,11 +89,9 @@ class DecayConstants:
 
 def decay_constants(params: MaterialParams) -> DecayConstants:
     """Evaluate the decay constants for the given material."""
-    rc = params.rho_c
-    l2mu = params.l**2 + params.mu2
+    l2mu, denom = sandwich_bounds(params)
     relax_bound = math.inf if params.tau_q == 0.0 else 4.0 * l2mu / params.tau_q
-    beta = min(2.0 * params.k / rc, relax_bound)
-    denom = 3.0 * params.l**2 + 3.0 * params.mu2 + 2.0 * params.tau_q * params.k / rc
+    beta = min(2.0 * params.k / params.rho_c, relax_bound)
     omega = beta / denom
     M = denom / l2mu
     gamma0 = 1.0 / l2mu
@@ -156,16 +154,6 @@ def mode_decay_oracle(params: MaterialParams,
     roots = sorted(((tr + sq) / 2.0, (tr - sq) / 2.0),
                    key=lambda z: (abs(z.real), abs(z.imag)))
     return roots[0], roots[1]
-
-
-def normalized_Z(trace: EnergyTrace, constants: DecayConstants) -> np.ndarray:
-    """Z_n = 1 + (M1*sup|C_T| / (M*E_0)) * exp(omega*t_n)."""
-    E0 = trace.E[0]
-    if E0 <= 0.0:
-        raise DegenerateTrace("normalized_Z requires E0 > 0")
-    sup_ct = supremum_boundary_term(trace)
-    return 1.0 + (constants.M1 * sup_ct / (constants.M * E0)) * np.exp(
-        constants.omega * trace.t)
 
 
 def equilibrium_energy(params: MaterialParams, heat: float) -> float:
@@ -263,7 +251,7 @@ def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
     their mean parts (F's term linear in y carries m), C_T/heat less its
     mean part, and diss_lhs from the increment P_l x as the step computes
     it and y + y_prev = (2 G_l - P_l) x.  Summed over the modes,
-    phi(x) @ table gives the sums trace_rows takes.  E's table alone is
+    phi(x) @ table gives the sums build_trace takes.  E's table alone is
     the first column's first three features; it reads no increments, so
     its powers may hold the G_l alone, (2, 1, L, 2, n).
     """
@@ -300,41 +288,35 @@ def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
     return table
 
 
-def trace_rows(w: ModalTraceWeights, m: float, sums: np.ndarray) -> np.ndarray:
-    """Trace rows (columns E, diss_lhs, diss_rhs, heat, C_T, lyapunov) of
-    the levels of a trajectory split as T = m + e, from their sums over the
-    modes, in the column order of modal_trace_table; row 0 has no
-    predecessor and zeros for the dissipation sides.  diss_lhs comes from
-    the step increments, so it is neither drowned by cancellation near
-    equilibrium nor limited by the rounding of the levels themselves; the
-    mean, never stepped, drops out of it and keeps the heat exactly
-    constant.  From E's sums alone (one column) the rows are E and heat.
+def build_trace(w: ModalTraceWeights, params: MaterialParams, m: float,
+                t: np.ndarray, sums: np.ndarray) -> EnergyTrace:
+    """EnergyTrace at times t of the levels of a trajectory split as
+    T = m + e, from their sums over the modes in the column order of
+    modal_trace_table.  Row 0 has no predecessor and zeros for the
+    dissipation sides.  diss_lhs comes from the step increments, so it is
+    neither drowned by cancellation near equilibrium nor limited by the
+    rounding of the levels themselves; the mean, never stepped, drops out
+    of it and keeps the heat exactly constant.  From E's sums alone (one
+    column) the trace has t, E and heat, and None in the other columns.
+    Z is NaN when E0 = 0, and inf where exp(omega t_n) overflows (run
+    silences that warning).
     """
-    E, heat = w.E_mean * m * m + sums[:, 0], w.heat_mean * m
+    E = w.E_mean * m * m + sums[:, 0]
+    heat = np.full_like(E, w.heat_mean * m)
     if sums.shape[1] == 1:
-        return np.column_stack((E, np.full_like(E, heat)))
-    rows = np.empty((sums.shape[0], 6))
-    rows[:, 0] = E
-    rows[:, 1] = sums[:, 4]
-    rows[:, 2] = sums[:, 1]
-    rows[0, 1:3] = 0.0
-    rows[:, 3] = heat
-    rows[:, 4] = (w.boundary_mean * m + sums[:, 3]) * heat
-    rows[:, 5] = w.lyapunov_weight * E + (w.F_mean * m * m + sums[:, 2])
-    return rows
-
-
-def build_trace(params: MaterialParams, t: np.ndarray,
-                rows: np.ndarray) -> EnergyTrace:
-    """EnergyTrace from trace_rows output at times t, with Z; rows of E and
-    heat alone give a trace with None in the other columns."""
-    if rows.shape[1] == 2:
-        return EnergyTrace(t=t.copy(), E=rows[:, 0], diss_lhs=None, diss_rhs=None,
-                           heat=rows[:, 1], C_T=None, lyapunov=None, Z=None)
-    trace = EnergyTrace(t=t.copy(), E=rows[:, 0], diss_lhs=rows[:, 1],
-                        diss_rhs=rows[:, 2], heat=rows[:, 3], C_T=rows[:, 4],
-                        lyapunov=rows[:, 5],
-                        Z=np.full(t.size, np.nan))
-    if trace.E[0] > 0.0:
-        trace = dataclasses.replace(trace, Z=normalized_Z(trace, decay_constants(params)))
+        return EnergyTrace(t=t.copy(), E=E, diss_lhs=None, diss_rhs=None,
+                           heat=heat, C_T=None, lyapunov=None, Z=None)
+    diss_lhs, diss_rhs = sums[:, 4].copy(), sums[:, 1].copy()
+    diss_lhs[0] = diss_rhs[0] = 0.0
+    trace = EnergyTrace(
+        t=t.copy(), E=E, diss_lhs=diss_lhs, diss_rhs=diss_rhs,
+        heat=heat, C_T=(w.boundary_mean * m + sums[:, 3]) * heat,
+        lyapunov=w.lyapunov_weight * E + (w.F_mean * m * m + sums[:, 2]),
+        Z=np.full(t.size, np.nan))
+    if E[0] > 0.0:
+        # Z = 1 + (M1 sup|C_T| / (M E0)) exp(omega t), formed in place
+        dc, Z = decay_constants(params), trace.Z
+        np.exp(np.multiply(dc.omega, trace.t, out=Z), out=Z)
+        Z *= dc.M1 * supremum_boundary_term(trace) / (dc.M * E[0])
+        Z += 1.0
     return trace

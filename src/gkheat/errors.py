@@ -58,10 +58,6 @@ class InvalidLimit(GKHeatError):
     """Fourier-limit stepper called with tau_q != 0 or mu2 != 0."""
 
 
-class DegenerateTrace(GKHeatError):
-    """A trace quantity that requires E0 > 0 was requested for E0 = 0."""
-
-
 class ParseError(GKHeatError):
     """Malformed line in a key = value configuration file."""
 

@@ -190,14 +190,6 @@ def _chunk_table(D: np.ndarray, K: int, increments: bool = True) -> np.ndarray:
     return _power_table(np.stack((steps, cols) if increments else (steps,), axis=1), K)
 
 
-def _require_finite(ok: np.ndarray, first_step: int) -> None:
-    """Raise NonFiniteState naming the first step whose flag in ok is False;
-    ok[0] belongs to step first_step."""
-    if not ok.all():
-        raise NonFiniteState(f"step {first_step + int(np.argmin(ok))} produced a "
-                             "non-finite temperature, flux or energy")
-
-
 def assemble_coupled_system(params: MaterialParams, grid: Grid,
                             prev: State) -> tuple[np.ndarray, np.ndarray]:
     """Verbatim interleaved assembly of the implicit step equations.
@@ -310,7 +302,8 @@ def run_memory_bytes(grid: Grid, stride: int) -> int:
     """Bytes run() and the run command's writers hold for grid and stride.
 
     Counts, per level, the time axis and its copy, the trace's modal sums
-    (5), rows (6), temporaries, Z and the trace writer's step numbers; 10 J
+    (5), the six trace columns (E, diss_lhs, diss_rhs, heat, C_T,
+    lyapunov), temporaries, Z and the trace writer's step numbers; 10 J
     values of transform temporaries; per kept level, its 2J+3 values plus
     32 for its Python objects (about 220 bytes measured); and the larger of
     two phases.  The blocks hold the operators (8J), the trace weights
@@ -406,7 +399,8 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     MeshTooLarge, before allocating, if run_memory_bytes exceeds
     MAX_RUN_BYTES; NonFiniteInput, before stepping, if init's energy is
     not finite; NonFiniteState, naming the first bad step, if a level or
-    its trace row overflows.
+    its trace row overflows (Z, which is inf from where exp(omega t)
+    overflows, aside).
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -441,14 +435,17 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
             modes = slice(lo, min(lo + plan.n, J))
             _trace_block(D[..., modes], weights, modes, m, x[:, modes], plan,
                          sums, kept[..., modes])
-        rows = diagnostics.trace_rows(weights, m, sums)
-        # only the rows and the kept levels outlive the blocks
+        trace = diagnostics.build_trace(weights, params, m, grid.t, sums)
+        # only the trace and the kept levels outlive the blocks
         del ops, D, weights, x, sums
         for lo in range(1, S, plan.batch):
             _levels(m, levels[lo:lo + plan.batch])
-    ok = np.isfinite(rows).all(axis=1)
+    ok = np.logical_and.reduce([np.isfinite(c) for c in (
+        trace.E, trace.diss_lhs, trace.diss_rhs, trace.heat, trace.C_T,
+        trace.lyapunov) if c is not None])
     ok[plan.keep] &= np.isfinite(levels[1:]).all(axis=1)
-    _require_finite(ok, 0)
-    trace = diagnostics.build_trace(params, grid.t, rows)
+    if not ok.all():
+        raise NonFiniteState(f"step {int(np.argmin(ok))} produced a non-finite "
+                             "temperature, flux or energy")
     return Trajectory(T=levels[:, :J + 1], q=levels[:, J + 1:],
                       stored_steps=[0] + plan.keep.tolist(), grid=grid, trace=trace)

@@ -194,6 +194,15 @@ class TestCmdRun:
         with pytest.raises(ParseError):
             parse_config("stride = 0\n")
 
+    def test_long_horizon_z_overflows_to_inf_without_warnings(self, tmp_path):
+        # omega is about 0.104 1/s, so exp(omega t) overflows from t = 6811 s
+        # on; Z is then inf, silently (warnings are errors here)
+        out = tmp_path / "long"
+        assert cmd_run(parse_config(f"dx = 5e-3\ndt = 1\nt_final = 8000\n"
+                                    f"out_dir = {out}\n")) == 0
+        Z = read_trace(out / "trace.csv")["Z"]
+        assert np.all(np.isfinite(Z[:6811])) and np.all(Z[6811:] == np.inf)
+
 
 class TestCmdVerify:
     def test_all_properties_pass(self, tmp_path, capsys):
@@ -289,7 +298,8 @@ class TestMain:
         ("dx 2e-3", "line 1: expected 'key = value'"),           # ParseError
         ("warp = 9", "unknown configuration key 'warp'"),        # UnknownKey
         ("k = -1", "coefficient 'k' violates"),                  # NonPositiveCoefficient
-        ("dx = 3e-4", "l/dx: 0.1 is not an integer multiple")])  # NonDivisibleMesh
+        ("dx = 3e-4", "l/dx: 0.1 is not an integer multiple"),   # NonDivisibleMesh
+        ("stepper = implicit", "line 1: stepper must be one of")])  # ParseError
     def test_config_error_exits_one(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + f"\nout_dir = {tmp_path / 'o'}\n")

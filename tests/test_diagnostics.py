@@ -4,15 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from gkheat import (DegenerateTrace, State, build_grid, cosine_initial,
-                    decay_constants, discrete_energy, equilibrium_energy,
-                    fit_energy_decay_rate, mode_decay_oracle, normalized_Z, run,
-                    zero_mean_initial)
+from gkheat import (State, build_grid, cosine_initial, decay_constants,
+                    discrete_energy, equilibrium_energy, fit_energy_decay_rate,
+                    mode_decay_oracle, run, zero_mean_initial)
 from gkheat import InsufficientFitData
 from gkheat import checks, scheme
-from gkheat.diagnostics import (DISSIPATION_RTOL, EnergyTrace, modal_trace_table,
-                                modal_trace_weights, sandwich_bounds,
-                                trace_rows)
+from gkheat.diagnostics import (DISSIPATION_RTOL, EnergyTrace, ModalTraceWeights,
+                                build_trace, modal_trace_table,
+                                modal_trace_weights, sandwich_bounds)
 from gkheat.model import MaterialParams, SimulationConfig
 from oracles import boundary_term, dissipation_check, lyapunov, total_heat
 
@@ -210,23 +209,27 @@ class TestModeDecayOracle:
             mode_decay_oracle(ref_params, 0)
 
 
+def built_z(params, t, E, C_T):
+    """build_trace's Z for energies E and boundary terms C_T at times t,
+    from weights that make E and C_T their sums at m = 1."""
+    w = ModalTraceWeights(quadratic=None, increment=None, linear=None, E_mean=0.0,
+                          F_mean=0.0, heat_mean=1.0, boundary_mean=0.0,
+                          lyapunov_weight=0.0)
+    sums = np.zeros((len(t), 5))
+    sums[:, 0], sums[:, 3] = E, C_T
+    return build_trace(w, params, 1.0, np.asarray(t, float), sums).Z
+
+
 class TestEnvelopeAndZ:
     def test_z_at_t0(self, ref_params):
         dc = decay_constants(ref_params)
-        trace = make_trace([0.0, 1.0], [4.0, 3.0], C_T=[2.0, -5.0])
-        z = normalized_Z(trace, dc)
+        z = built_z(ref_params, [0.0, 1.0], [4.0, 3.0], [2.0, -5.0])
         assert z[0] == pytest.approx(1.0 + dc.M1 * 5.0 / (dc.M * 4.0), rel=1e-13)
         assert z[1] > z[0]  # monotone since omega > 0
 
     def test_z_is_one_when_boundary_term_vanishes(self, ref_params):
-        dc = decay_constants(ref_params)
-        trace = make_trace([0.0, 1.0, 2.0], [4.0, 3.0, 2.0])
-        np.testing.assert_array_equal(normalized_Z(trace, dc), np.ones(3))
-
-    def test_z_degenerate(self, ref_params):
-        dc = decay_constants(ref_params)
-        with pytest.raises(DegenerateTrace):
-            normalized_Z(make_trace([0.0], [0.0]), dc)
+        z = built_z(ref_params, [0.0, 1.0, 2.0], [4.0, 3.0, 2.0], 0.0)
+        np.testing.assert_array_equal(z, np.ones(3))
 
     def test_envelope_zero_trajectory(self, ref_params):
         res = checks.decay_envelope(make_trace([0.0, 1.0], [0.0, 0.0]), ref_params,
@@ -362,7 +365,9 @@ class TestTraceChecksOnShortRun:
         a, b = base
         features = np.concatenate((a * a, a * b, b * b, a, b))
         sums = table.reshape(5 * (K + 1), 5 * J) @ features
-        got = trace_rows(weights, float(m), sums.reshape(K + 1, 5))
+        tr = build_trace(weights, p, float(m), grid.t, sums.reshape(K + 1, 5))
+        got = np.column_stack((tr.E, tr.diss_lhs, tr.diss_rhs, tr.heat, tr.C_T,
+                               tr.lyapunov))
         assert got.shape == expected.shape
         scale = np.maximum(np.max(np.abs(expected), axis=0), 1e-300)
         assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,15 @@ def test_star_import():
     namespace = {}
     exec("from gkheat import *", namespace)
     assert set(gkheat.__all__) <= set(namespace)
+
+
+def test_readme_library_snippet_runs():
+    # the README's one python block, run in process so that a warning fails it
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_cli_import_loads_no_scipy():

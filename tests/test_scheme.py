@@ -532,7 +532,10 @@ class TestTraceTable:
         table = diagnostics.modal_trace_table(weights, m, powers, slice(None))
         a, b = scheme._modes(states[0], m)
         sums = table.reshape(5 * (K + 1), 5 * J) @ np.concatenate((a * a, a * b, b * b, a, b))
-        rows = diagnostics.trace_rows(weights, m, sums.reshape(K + 1, 5))
+        tr = diagnostics.build_trace(weights, p, m, grid.dt * np.arange(K + 1),
+                                     sums.reshape(K + 1, 5))
+        rows = np.column_stack((tr.E, tr.diss_lhs, tr.diss_rhs, tr.heat, tr.C_T,
+                                tr.lyapunov))
         dx = grid.dx
         lhs, rhs = np.array([dissipation_check(u, v, p, dx, grid.dt)
                              for u, v in zip(states, states[1:])]).T
