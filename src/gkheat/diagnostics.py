@@ -165,17 +165,17 @@ def equilibrium_energy(params: MaterialParams, heat: float) -> float:
     return 0.5 * params.rho_c * heat * heat / params.l
 
 
-def fit_energy_decay_rate(trace: EnergyTrace, params: MaterialParams,
-                          t_window: tuple[float, float] = (0.5, 5.0)) -> float:
+def fit_energy_decay_rate(trace: EnergyTrace, params: MaterialParams) -> float:
     """Least-squares exponential decay rate of the excess energy.
 
-    Fits log(E_n - E_eq) over the time window, with E_eq the conserved-heat
-    equilibrium energy; subtracting it removes the equilibrium floor so the
-    fit is meaningful for nonzero-mean data too.
+    Fits log(E_n - E_eq) over t in [hi/10, hi], hi = min(5, 0.9 t[-1]),
+    with E_eq the conserved-heat equilibrium energy; subtracting it removes
+    the equilibrium floor so the fit is meaningful for nonzero-mean data too.
     """
+    hi = min(5.0, 0.9 * float(trace.t[-1]))
     e_eq = equilibrium_energy(params, float(trace.heat[0]))
     excess = trace.E - e_eq
-    mask = (trace.t >= t_window[0]) & (trace.t <= t_window[1]) & (excess > 0.0)
+    mask = (trace.t >= hi / 10.0) & (trace.t <= hi) & (excess > 0.0)
     if np.count_nonzero(mask) < 2:
         raise InsufficientFitData("decay-rate window contains fewer than 2 usable points")
     slope = np.polyfit(trace.t[mask], np.log(excess[mask]), 1)[0]
@@ -237,10 +237,9 @@ def modal_trace_weights(params: MaterialParams, grid: Grid) -> ModalTraceWeights
 
 
 def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
-                      modes: slice, out: np.ndarray | None = None,
-                      energy_only: bool = False) -> np.ndarray:
-    """Trace table of a block of modes, (L, 5, 5, n) for L levels, or with
-    energy_only E's weights on the features a^2, ab, b^2 alone, (L, 1, 3, n).
+                      modes: slice, out: np.ndarray | None = None) -> np.ndarray:
+    """Trace table of a block of modes, (L, 5, 5, n) for L levels, or, from
+    powers without increments, E's table alone, (L, 1, 3, n).
 
     powers (2, 2, L, 2, n) holds, for the n modes in `modes`, column j of
     the matrix G_l mapping a base level x = (a, b) to level l at [j, 0, l],
@@ -252,10 +251,11 @@ def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
     mean part, and diss_lhs from the increment P_l x as the step computes
     it and y + y_prev = (2 G_l - P_l) x.  Summed over the modes,
     phi(x) @ table gives the sums build_trace takes.  E's table alone is
-    the first column's first three features; it reads no increments, so
-    its powers may hold the G_l alone, (2, 1, L, 2, n).
+    the first column's first three features; it reads no increments, and
+    powers holding the G_l alone, (2, 1, L, 2, n), ask for it.
     """
     G = powers[:, 0].transpose(1, 2, 0, 3)    # (L, row i, column j, n)
+    energy_only = powers.shape[1] == 1
     columns, features = (1, 3) if energy_only else (5, 5)
     table = (np.empty((G.shape[0], columns, features, G.shape[3]))
              if out is None else out)

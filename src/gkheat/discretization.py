@@ -125,12 +125,3 @@ def cosine_initial(grid: Grid, T_b: float, T_f: float) -> State:
                              f"T_f = {T_f!r}")
     return State(T=T, q=np.zeros(grid.J + 2))
 
-
-def zero_mean_initial(grid: Grid, T_f: float) -> State:
-    """Cosine profile with zero base temperature.
-
-    The continuous profile integrates to zero over [0, l]; the discrete sum
-    dx*sum(T_j) equals dx*T_f/2 (the cosine sample sum over j = 0 .. J is
-    exactly 1), small but nonzero.
-    """
-    return cosine_initial(grid, 0.0, T_f)

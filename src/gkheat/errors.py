@@ -65,10 +65,3 @@ class ParseError(GKHeatError):
         self.line = line
         super().__init__(f"line {line}: {message}")
 
-
-class UnknownKey(GKHeatError):
-    """Configuration key not in the documented schema."""
-
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"unknown configuration key {name!r}")

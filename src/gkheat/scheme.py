@@ -159,32 +159,34 @@ def _times(cols: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _power_table(cols: np.ndarray, K: int) -> np.ndarray:
-    """(2, c, K', 2, n): [j, i, k-1] = G^(k-1) cols[j, i], k = 1..K', per
-    mode; cols (2, c, 2, n) holds c vectors per column j, cols[:, 0] the
-    columns of G.  Built by doubling (G^p applied to the first p entries
-    gives the next p), not from an eigendecomposition: a mode's
-    eigenvectors are ill-conditioned where it passes from over- to
-    under-damped.  K' is K cut at the first non-finite entry (at least 1),
-    which the unstable as-printed Fourier-limit stepper reaches within a
-    few dozen levels.
+    """(2, c, K' + 1, 2, n): [j, i, k] = G^(k-1) cols[j, i], k = 1..K',
+    per mode, and entry 0 column j of I for i = 0 and 0 for the others;
+    cols (2, c, 2, n) holds c vectors per column j, cols[:, 0] the columns
+    of G, so that [:, 0, k] holds G^k.  Built by doubling (G^p applied to
+    entries 1..p gives entries p+1..2p), not from an eigendecomposition:
+    a mode's eigenvectors are ill-conditioned where it passes from over-
+    to under-damped.  K' is K cut at the first non-finite entry (at least
+    1), which the unstable as-printed Fourier-limit stepper reaches within
+    a few dozen levels.
     """
-    table = np.empty(cols.shape[:2] + (K,) + cols.shape[2:])
-    table[:, :, 0] = cols
+    table = np.zeros(cols.shape[:2] + (K + 1,) + cols.shape[2:])
+    table[0, 0, 0, 0] = table[1, 0, 0, 1] = 1.0
+    table[:, :, 1] = cols
     p = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while p < K:
             count = min(p, K - p)
-            _times(table[:, 0, p - 1], table[:, :, :count],
-                   out=table[:, :, p:p + count])
+            _times(table[:, 0, p], table[:, :, 1:count + 1],
+                   out=table[:, :, p + 1:p + count + 1])
             p += count
     finite = np.isfinite(table).all(axis=(0, 1, 3, 4))
-    return table if finite.all() else table[:, :, :max(1, int(np.argmin(finite)))]
+    return table if finite.all() else table[:, :, :max(2, int(np.argmin(finite)))]
 
 
 def _chunk_table(D: np.ndarray, K: int, increments: bool = True) -> np.ndarray:
-    """(2, c, K', 2, J) columns of the step powers for k = 1..K', G = I + D
-    per mode: [j, 0, k-1] is column j of G^k and, with increments (c = 2),
-    [j, 1, k-1] column j of G^(k-1) D; cut as _power_table cuts."""
+    """(2, c, K' + 1, 2, J) columns of the step powers for k = 0..K', G = I + D
+    per mode: [j, 0, k] is column j of G^k and, with increments (c = 2),
+    [j, 1, k] column j of G^(k-1) D (0 at k = 0); cut as _power_table cuts."""
     cols = D.swapaxes(0, 1)
     steps = np.eye(2)[:, :, None] + cols
     return _power_table(np.stack((steps, cols) if increments else (steps,), axis=1), K)
@@ -308,15 +310,15 @@ def run_memory_bytes(grid: Grid, stride: int) -> int:
     32 for its Python objects (about 220 bytes measured); and the larger of
     two phases.  The blocks hold the operators (8J), the trace weights
     (15J), level 0's amplitudes (2J), and per block the plan's buffer, the
-    power tables (16 (K + 1) n, 4 M n), modal_trace_table's temporaries
+    power tables (8 (K + 1) n, 4 (M + 1) n), modal_trace_table's temporaries
     (40 (K + 1) n) and a group's sums, kept levels and bases (5 K M + 2 M n).
     Then a batch of levels is rebuilt, or the CSV writers hold a block and
     csvtext's tables.  An energy-only run holds no more.
     """
     plan, J = _plan(grid, stride), grid.J
     K, n, M, kept = plan.K, plan.n, plan.M, plan.keep.size + 1
-    blocks = ((8 + 15 + 2) * J + plan.buffer + (K + 1) * n * (16 + 40)
-              + M * n * (4 + 2) + 5 * K * M)
+    blocks = ((8 + 15 + 2) * J + plan.buffer + (K + 1) * n * (8 + 40)
+              + (4 * (M + 1) + 2 * M) * n + 5 * K * M)
     writer = math.ceil((csvtext.TABLE_BYTES + csvtext.BYTES_PER_VALUE
                         * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1)) / 8)
     return 8 * ((grid.N + 2) * (2 + 5 + 6 + 1 + 1 + 1) + 10 * J
@@ -341,21 +343,17 @@ def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
     f = 3 if energy_only else 5
     K, M, keep, buffer = plan.K, plan.M, plan.keep, np.empty(plan.buffer)
     # E's table reads no increments G^(k-1) D
-    powers = np.zeros((2, 1 if energy_only else 2, K + 1, 2, n))
-    powers[0, 0, 0, 0] = powers[1, 0, 0, 1] = 1.0
-    chunk = _chunk_table(D, K, increments=not energy_only)
-    K = chunk.shape[2]
-    powers[:, :, 1:K + 1] = chunk
-    del chunk
+    powers = _chunk_table(D, K, increments=not energy_only)
+    K = powers.shape[2] - 1
     table = diagnostics.modal_trace_table(
-        w, m, powers[:, :, :K + 1], modes, energy_only=energy_only,
+        w, m, powers, modes,
         out=buffer[:columns * f * (K + 1) * n].reshape(K + 1, columns, f, n))
     finite = np.isfinite(table).all(axis=(1, 2, 3))
     if not finite.all():
         K = max(1, int(np.argmin(finite)) - 1)
         table = table[:K + 1]
     table = table.reshape(columns * (K + 1), f * n)
-    hops = _power_table(powers[:, :1, K], M)[:, 0]
+    hops = _power_table(powers[:, :1, K], M)[:, 0, 1:]
     group = hops.shape[1]
     # one row more than a group, for the base of the next group; the
     # features (a^2, ab, b^2, a, b) end in the bases

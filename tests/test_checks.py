@@ -114,7 +114,7 @@ class TestMargins:
             checks.dissipation_inequality(trace),
             checks.heat_conservation(trace),
             checks.lyapunov_sandwich(trace, params),
-            checks.decay_envelope(trace, params, zero_mean=T_b == 0.0),
+            checks.decay_envelope(trace, params),
             checks.oracle_equivalence(params, config, np.random.default_rng(1729)),
             checks.mode_rate_fit(params, config)]
         for r in results:

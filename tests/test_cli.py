@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from gkheat import (NonPositiveCoefficient, ParseError, StepperKind, UnknownKey,
-                    build_grid, cosine_initial, run, scheme)
+from gkheat import (NonPositiveCoefficient, ParseError, StepperKind, build_grid,
+                    cosine_initial, run, scheme)
 from gkheat.cli import (TRACE_COLUMNS, _fmt, cmd_run, cmd_sweep, cmd_verify,
                         main, parse_config)
 from oracles import discrete_decay_rate
@@ -38,12 +38,10 @@ class TestParseConfig:
         assert m.config.T_b == 15.0 and m.config.T_f == 30.0
         assert m.config.stepper_kind is StepperKind.COUPLED_IMPLICIT
         assert m.stride == 25
-        assert m.case_label == "gk"
 
     def test_fourier_manifest(self):
         m = parse_config("tau_q = 0\nmu2 = 0\n")
         assert m.params.is_fourier
-        assert m.case_label == "fourier"
 
     def test_comments_and_blank_lines(self):
         m = parse_config("\n# a comment\nT_b = 0  # inline comment\n\n")
@@ -54,8 +52,9 @@ class TestParseConfig:
             parse_config("tau_q = -1\n")
 
     def test_unknown_key(self):
-        with pytest.raises(UnknownKey):
-            parse_config("conductivity = 3\n")
+        with pytest.raises(ParseError) as exc:
+            parse_config("rho = 2e3\nconductivity = 3\n")
+        assert exc.value.line == 2
 
     def test_malformed_line(self):
         with pytest.raises(ParseError) as exc:
@@ -147,6 +146,12 @@ class TestCmdRun:
         assert "trace.csv" in text and "profiles.csv" in text
         assert "envelope" in text
 
+    @pytest.mark.parametrize("lines,case", [("", "gk"), ("tau_q = 0\nmu2 = 0\n", "fourier")])
+    def test_prints_the_case(self, tmp_path, capsys, lines, case):
+        manifest = parse_config(FAST_CONFIG + lines + f"out_dir = {tmp_path}\n")
+        assert cmd_run(manifest) == 0
+        assert capsys.readouterr().out.endswith(f"(100 steps, J=49, case={case})\n")
+
     def test_deterministic_output(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         cmd_run(parse_config(FAST_CONFIG + f"out_dir = {out_a}\n"))
@@ -215,6 +220,15 @@ class TestCmdVerify:
         manifest = parse_config(
             FAST_CONFIG + f"T_b = 0\nT_f = 0\nout_dir = {tmp_path}\n")
         assert cmd_verify(manifest) == 0
+
+    def test_zero_base_temperature_gets_the_offset_bound(self, tmp_path, capsys):
+        # T_b = 0 leaves the discrete heat dx*T_f/2, so C_T and the
+        # envelope's offset are not 0: the pure zero-mean bound does not
+        # hold over a long horizon, and the offset bound does
+        cfg = tmp_path / "zero_base.cfg"
+        cfg.write_text("T_b = 0\nt_final = 300\ndx = 5e-3\n")
+        assert main(["verify", "-c", str(cfg)]) == 0
+        assert "PASS decay_envelope: offset bound" in capsys.readouterr().out
 
     def test_as_printed_reports_gap(self, tmp_path, capsys):
         manifest = parse_config(
@@ -296,7 +310,7 @@ class TestMain:
 
     @pytest.mark.parametrize("line,message", [
         ("dx 2e-3", "line 1: expected 'key = value'"),           # ParseError
-        ("warp = 9", "unknown configuration key 'warp'"),        # UnknownKey
+        ("warp = 9", "line 1: unknown configuration key 'warp'"),  # ParseError
         ("k = -1", "coefficient 'k' violates"),                  # NonPositiveCoefficient
         ("dx = 3e-4", "l/dx: 0.1 is not an integer multiple"),   # NonDivisibleMesh
         ("stepper = implicit", "line 1: stepper must be one of")])  # ParseError

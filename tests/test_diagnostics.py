@@ -6,7 +6,7 @@ import pytest
 
 from gkheat import (State, build_grid, cosine_initial, decay_constants,
                     discrete_energy, equilibrium_energy, fit_energy_decay_rate,
-                    mode_decay_oracle, run, zero_mean_initial)
+                    mode_decay_oracle, run)
 from gkheat import InsufficientFitData
 from gkheat import checks, scheme
 from gkheat.diagnostics import (DISSIPATION_RTOL, EnergyTrace, ModalTraceWeights,
@@ -79,7 +79,7 @@ class TestTotalHeatAndBoundaryTerm:
             -45000.0, rel=1e-12)
 
     def test_zero_mean_magnitude_bound(self, ref_params, ref_grid):
-        s = zero_mean_initial(ref_grid, T_f=30.0)
+        s = cosine_initial(ref_grid, T_b=0.0, T_f=30.0)
         h = total_heat(s, ref_grid.dx)
         ct = boundary_term(s, ref_params, ref_grid.dx)
         qx0 = (s.q[1] - s.q[0]) / ref_grid.dx
@@ -141,7 +141,7 @@ class TestLyapunov:
     def test_sandwich_on_initial_states(self, ref_params, ref_grid):
         low, high = sandwich_bounds(ref_params)
         for s in (cosine_initial(ref_grid, 15.0, 30.0),
-                  zero_mean_initial(ref_grid, 30.0)):
+                  cosine_initial(ref_grid, 0.0, 30.0)):
             E = discrete_energy(s, ref_params, ref_grid.dx)
             _, L = lyapunov(s, ref_params, ref_grid.dx)
             assert low * E * 0.99 <= L <= high * E * 1.01
@@ -232,15 +232,14 @@ class TestEnvelopeAndZ:
         np.testing.assert_array_equal(z, np.ones(3))
 
     def test_envelope_zero_trajectory(self, ref_params):
-        res = checks.decay_envelope(make_trace([0.0, 1.0], [0.0, 0.0]), ref_params,
-                                    zero_mean=False)
+        res = checks.decay_envelope(make_trace([0.0, 1.0], [0.0, 0.0]), ref_params)
         assert res.ok
 
     def test_envelope_flags_violation(self, ref_params):
         dc = decay_constants(ref_params)
         # energy that grows above M*E0 must be caught by the pure bound
         trace = make_trace([0.0, 1.0], [1.0, 2.0 * dc.M])
-        res = checks.decay_envelope(trace, ref_params, zero_mean=True)
+        res = checks.decay_envelope(trace, ref_params)
         assert not res.ok and res.value > res.bound
 
 
@@ -276,7 +275,7 @@ class TestTraceChecksOnShortRun:
         trace = traj.trace
         assert np.all(np.diff(trace.E) <= 1e-12 * trace.E[0])
         assert checks.lyapunov_sandwich(trace, ref_params).ok
-        assert checks.decay_envelope(trace, ref_params, zero_mean=False).ok
+        assert checks.decay_envelope(trace, ref_params).ok
         slack = 1e-12 * np.maximum(1.0, np.abs(trace.diss_lhs[1:]))
         assert np.all(trace.diss_lhs[1:] <= trace.diss_rhs[1:] + slack)
         assert np.all(np.abs(trace.heat - trace.heat[0])
@@ -329,9 +328,7 @@ class TestTraceChecksOnShortRun:
         sine = np.sqrt(ld(2) / n) * np.sin(ld(np.pi) * (np.outer(modes, modes) % (2 * n)) / n)
         m = float(np.mean(init.T))
         base = np.stack(((init.T - m) @ cosine, init.q_interior @ sine)).astype(float)
-        powers = np.zeros((2, 2, K + 1, 2, J))
-        powers[0, 0, 0, 0] = powers[1, 0, 0, 1] = 1.0
-        powers[:, :, 1:] = scheme._chunk_table(scheme.assemble(p, grid).coupled, K)
+        powers = scheme._chunk_table(scheme.assemble(p, grid).coupled, K)
         # levels and step increments as the table sees them
         x = np.einsum("jkin,jn->kin", powers[:, 0], base)
         d = np.einsum("jkin,jn->kin", powers[:, 1], base)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gkheat import (GridMismatch, MeshTooLarge, NonDivisibleMesh, State,
-                    build_grid, cosine_initial, zero_mean_initial)
+                    build_grid, cosine_initial)
 from gkheat import discretization
 from gkheat.model import MaterialParams, SimulationConfig
 from oracles import one_step, pointwise_residual, residual_scales
@@ -104,17 +104,11 @@ class TestInitialData:
         s = cosine_initial(grid, T_b=7.5, T_f=0.0)
         assert np.all(s.T == 7.5)
 
-    def test_zero_mean_is_base_zero_cosine(self, ref_params, ref_config):
-        grid = build_grid(ref_params, ref_config)
-        assert np.array_equal(zero_mean_initial(grid, 30.0).T,
-                              cosine_initial(grid, 0.0, 30.0).T)
-        assert zero_mean_initial(grid, 30.0).T[0] == pytest.approx(15.0)
-
     def test_cosine_sample_sum_is_exactly_one(self, ref_params, ref_config):
         # geometric-sum identity: sum_{j=0..J} cos(pi j/(J+1)) = 1, hence the
         # discrete heat of the zero-mean profile is dx*T_f/2, not zero
         grid = build_grid(ref_params, ref_config)
-        s = zero_mean_initial(grid, T_f=30.0)
+        s = cosine_initial(grid, T_b=0.0, T_f=30.0)
         direct = grid.dx * float(np.sum(s.T))
         assert float(np.sum(np.cos(np.pi * np.arange(500) / 500))) == pytest.approx(
             1.0, abs=1e-11)
@@ -124,7 +118,7 @@ class TestInitialData:
         # analytic integral of cos(pi x/l) over [0, l] is zero; the trapezoid
         # quadrature (which sees both endpoints) reproduces that to O(dx^2)
         grid = build_grid(ref_params, ref_config)
-        s = zero_mean_initial(grid, T_f=30.0)
+        s = cosine_initial(grid, T_b=0.0, T_f=30.0)
         full = np.append(s.T, 0.0 + 15.0 * np.cos(np.pi))  # profile at x = l
         assert np.trapezoid(full, dx=grid.dx) == pytest.approx(0.0, abs=1e-12)
 

@@ -336,10 +336,9 @@ class TestRun:
     def test_zero_mean_run_decays_four_orders(self, ref_params, ref_config):
         # slow-mode rate ~1.05/s: by t = 30 s only the tiny discrete-mean
         # equilibrium floor remains
-        from gkheat import zero_mean_initial
         cfg = dataclasses.replace(ref_config, T_b=0.0)
         grid = build_grid(ref_params, cfg)
-        traj = run(ref_params, cfg, zero_mean_initial(grid, cfg.T_f),
+        traj = run(ref_params, cfg, cosine_initial(grid, 0.0, cfg.T_f),
                    stride=grid.N + 1)
         assert traj.trace.E[-1] <= 1e-4 * traj.trace.E[0]
 
@@ -526,9 +525,7 @@ class TestTraceTable:
             states.append(one_step(p, grid, states[-1], kind))
         weights = diagnostics.modal_trace_weights(p, grid)
         m = float(np.mean(states[0].T))
-        powers = np.zeros((2, 2, K + 1, 2, J))
-        powers[0, 0, 0, 0] = powers[1, 0, 0, 1] = 1.0
-        powers[:, :, 1:] = scheme._chunk_table(getattr(ops, which), K)
+        powers = scheme._chunk_table(getattr(ops, which), K)
         table = diagnostics.modal_trace_table(weights, m, powers, slice(None))
         a, b = scheme._modes(states[0], m)
         sums = table.reshape(5 * (K + 1), 5 * J) @ np.concatenate((a * a, a * b, b * b, a, b))
@@ -560,8 +557,12 @@ class TestChunkTable:
         J, K = 9, 40
         p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
         D = getattr(ops, which)
-        table = scheme._chunk_table(D, K)
-        assert table.shape == (2, 2, K, 2, J)
+        full = scheme._chunk_table(D, K)
+        assert full.shape == (2, 2, K + 1, 2, J)
+        # entry 0 is I, with a zero increment
+        assert np.array_equal(full[:, 0, 0], np.eye(2)[:, :, None].repeat(J, axis=2))
+        assert not full[:, 1, 0].any()
+        table = full[:, :, 1:]
         eps = np.finfo(float).eps
         for m in range(J):
             d = D[:, :, m]
@@ -581,7 +582,7 @@ class TestChunkTable:
         # the as-printed Fourier-limit step grows the top mode ~2000x per
         # step at this mesh, so its powers leave the float range near k = 93
         p, cfg, grid, ops = small_setup(J=49, tau_q=0.0, mu2=0.0)
-        table = scheme._chunk_table(ops.printed, 200)
+        table = scheme._chunk_table(ops.printed, 200)[:, :, 1:]
         K = table.shape[2]
         assert 50 < K < 200
         assert np.all(np.isfinite(table))
