@@ -11,9 +11,9 @@ from .errors import (DimensionMismatch, GKHeatError, GridMismatch,
                      SingularMatrix)
 from .linalg import dense_solve
 from .model import (MaterialParams, OnsagerCoefficients, SimulationConfig,
-                    StepperKind, gk_to_onsager, onsager_to_gk, validate)
-from .scheme import (AssembledOperators, Trajectory, assemble,
-                     assemble_coupled_system, run, step_coupled_reference)
+                    StepperKind, gk_to_onsager, onsager_to_gk)
+from .scheme import (AssembledOperators, Trajectory, assemble, run,
+                     step_coupled_reference)
 
 __all__ = [
     "AssembledOperators", "DecayConstants", "DimensionMismatch", "EnergyTrace",
@@ -21,10 +21,9 @@ __all__ = [
     "InvalidLimit", "MaterialParams", "MeshTooLarge", "NonDivisibleMesh",
     "NonFiniteInput", "NonFiniteState", "NonPositiveCoefficient", "NumericalFailure",
     "OnsagerCoefficients", "ParseError", "SimulationConfig",
-    "SingularMatrix", "State", "StepperKind", "Trajectory",
-    "assemble", "assemble_coupled_system",
+    "SingularMatrix", "State", "StepperKind", "Trajectory", "assemble",
     "build_grid", "cosine_initial", "decay_constants", "dense_solve",
     "discrete_energy", "equilibrium_energy", "fit_energy_decay_rate",
     "gk_to_onsager", "mode_decay_oracle", "onsager_to_gk",
-    "run", "step_coupled_reference", "validate",
+    "run", "step_coupled_reference",
 ]

@@ -17,8 +17,8 @@ trace of every level from the modal amplitudes it steps: each trace column
 is a sum over the modes with the weights of modal_trace_weights, and is a
 quadratic or linear form in the level a chunk starts from.
 modal_trace_table tabulates those forms for a block of modes, all five of
-them or the energy's alone, and build_trace turns the summed columns
-into an EnergyTrace: the trace columns, and Z from the decay constants.
+them or the energy's alone, and build_trace completes the summed columns
+in place into an EnergyTrace's columns, and adds Z from the decay constants.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class EnergyTrace:
     envelope quantity 1 + (M1*sup|C_T| / (M0*E0)) * exp(omega*t_n); it is
     NaN when E0 = 0, and inf where exp(omega*t_n) overflows.  An
     energy-only trace (scheme.run's energy_only) has t, E and heat, and
-    None in the other columns.
+    None in the other columns.  build_trace's E, diss_lhs, diss_rhs, C_T
+    and lyapunov are the columns of one (N+2, 5) array.
     """
 
     t: np.ndarray                # time [s]
@@ -237,9 +238,9 @@ def modal_trace_weights(params: MaterialParams, grid: Grid) -> ModalTraceWeights
 
 
 def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
-                      modes: slice, out: np.ndarray | None = None) -> np.ndarray:
-    """Trace table of a block of modes, (L, 5, 5, n) for L levels, or, from
-    powers without increments, E's table alone, (L, 1, 3, n).
+                      modes: slice) -> np.ndarray:
+    """New trace table of a block of modes, (L, 5, 5, n) for L levels, or,
+    from powers without increments, E's table alone, (L, 1, 3, n).
 
     powers (2, 2, L, 2, n) holds, for the n modes in `modes`, column j of
     the matrix G_l mapping a base level x = (a, b) to level l at [j, 0, l],
@@ -257,8 +258,7 @@ def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
     G = powers[:, 0].transpose(1, 2, 0, 3)    # (L, row i, column j, n)
     energy_only = powers.shape[1] == 1
     columns, features = (1, 3) if energy_only else (5, 5)
-    table = (np.empty((G.shape[0], columns, features, G.shape[3]))
-             if out is None else out)
+    table = np.empty((G.shape[0], columns, features, G.shape[3]))
     # y_0^2, y_1^2 and y_0 y_1 on the features a^2, ab, b^2
     monomials = np.empty((G.shape[0], 3, 3, G.shape[3]))
     for u, (i, k) in enumerate(((0, 0), (1, 1), (0, 1))):
@@ -299,20 +299,23 @@ def build_trace(w: ModalTraceWeights, params: MaterialParams, m: float,
     of it and keeps the heat exactly constant.  From E's sums alone (one
     column) the trace has t, E and heat, and None in the other columns.
     Z is NaN when E0 = 0, and inf where exp(omega t_n) overflows (run
-    silences that warning).
+    silences that warning).  The sums are completed in place: every column
+    but t, heat and Z is a view of them.
     """
-    E = w.E_mean * m * m + sums[:, 0]
+    E = sums[:, 0]
+    E += w.E_mean * m * m
     heat = np.full_like(E, w.heat_mean * m)
     if sums.shape[1] == 1:
         return EnergyTrace(t=t.copy(), E=E, diss_lhs=None, diss_rhs=None,
                            heat=heat, C_T=None, lyapunov=None, Z=None)
-    diss_lhs, diss_rhs = sums[:, 4].copy(), sums[:, 1].copy()
-    diss_lhs[0] = diss_rhs[0] = 0.0
+    sums[:, 2] += w.F_mean * m * m
+    sums[:, 2] += w.lyapunov_weight * E
+    sums[:, 3] += w.boundary_mean * m
+    sums[:, 3] *= heat
+    sums[0, [1, 4]] = 0.0
     trace = EnergyTrace(
-        t=t.copy(), E=E, diss_lhs=diss_lhs, diss_rhs=diss_rhs,
-        heat=heat, C_T=(w.boundary_mean * m + sums[:, 3]) * heat,
-        lyapunov=w.lyapunov_weight * E + (w.F_mean * m * m + sums[:, 2]),
-        Z=np.full(t.size, np.nan))
+        t=t.copy(), E=E, diss_lhs=sums[:, 4], diss_rhs=sums[:, 1], heat=heat,
+        C_T=sums[:, 3], lyapunov=sums[:, 2], Z=np.full(t.size, np.nan))
     if E[0] > 0.0:
         # Z = 1 + (M1 sup|C_T| / (M E0)) exp(omega t), formed in place
         dc, Z = decay_constants(params), trace.Z

@@ -45,7 +45,12 @@ class MaterialParams:
     l: float      # domain length [m]
 
     def __post_init__(self):
-        validate(self)
+        _check_sign("rho", self.rho, strict=True)
+        _check_sign("c", self.c, strict=True)
+        _check_sign("tau_q", self.tau_q, strict=False)
+        _check_sign("mu2", self.mu2, strict=False)
+        _check_sign("k", self.k, strict=True)
+        _check_sign("l", self.l, strict=True)
 
     @property
     def rho_c(self) -> float:
@@ -55,21 +60,6 @@ class MaterialParams:
     @property
     def is_fourier(self) -> bool:
         return self.tau_q == 0.0 and self.mu2 == 0.0
-
-
-def validate(params: MaterialParams) -> MaterialParams:
-    """Check the sign constraints, reporting the first violated field.
-
-    rho, c, k, l must be strictly positive; tau_q, mu2 must be
-    non-negative.  Returns the parameters unchanged when all hold.
-    """
-    _check_sign("rho", params.rho, strict=True)
-    _check_sign("c", params.c, strict=True)
-    _check_sign("tau_q", params.tau_q, strict=False)
-    _check_sign("mu2", params.mu2, strict=False)
-    _check_sign("k", params.k, strict=True)
-    _check_sign("l", params.l, strict=True)
-    return params
 
 
 @dataclass(frozen=True)

@@ -192,14 +192,15 @@ def _chunk_table(D: np.ndarray, K: int, increments: bool = True) -> np.ndarray:
     return _power_table(np.stack((steps, cols) if increments else (steps,), axis=1), K)
 
 
-def assemble_coupled_system(params: MaterialParams, grid: Grid,
-                            prev: State) -> tuple[np.ndarray, np.ndarray]:
-    """Verbatim interleaved assembly of the implicit step equations.
+def step_coupled_reference(params: MaterialParams, grid: Grid,
+                           prev: State) -> State:
+    """Brute-force coupled step: dense solve of the interleaved system.
 
     Unknowns are ordered (T_0, q_1, T_1, q_2, ..., T_J); rows are the
-    untransformed step equations (bandwidth 2), returned as a dense
-    (2J+1) x (2J+1) matrix and right-hand side: the brute-force route
-    that run's coupled stepper is checked against.
+    untransformed step equations (bandwidth 2), assembled verbatim as a
+    dense (2J+1) x (2J+1) matrix and solved with linalg.dense_solve.
+    O(J^3); intended for small J cross-checks of run's coupled stepper
+    (checks.oracle_equivalence).
     """
     _require_on_grid(prev, grid, "prev")
     J, dx, dt = grid.J, grid.dx, grid.dt
@@ -232,19 +233,8 @@ def assemble_coupled_system(params: MaterialParams, grid: Grid,
         a[r, i_T(j)] += params.k / dx
         a[r, i_T(j - 1)] -= params.k / dx
         b[r] = params.tau_q / dt * prev.q[j]
-    return a, b
-
-
-def step_coupled_reference(params: MaterialParams, grid: Grid,
-                           prev: State) -> State:
-    """Brute-force coupled step: dense solve of the interleaved system.
-
-    O(J^3); intended for small J cross-checks of run's coupled stepper
-    (checks.oracle_equivalence).
-    """
-    system, b = assemble_coupled_system(params, grid, prev)
-    x = dense_solve(system, b)
-    q = np.zeros(grid.J + 2)
+    x = dense_solve(a, b)
+    q = np.zeros(J + 2)
     q[1:-1] = x[1::2]
     return State(T=x[0::2], q=q)
 
@@ -262,18 +252,17 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class RunPlan:
-    """The layout of one run (see _plan)."""
+    """The shapes of one run (see _plan)."""
 
     keep: np.ndarray  # steps of the kept levels after level 0; the last is N + 1
     K: int            # levels per chunk
     n: int            # modes per block
     M: int            # chunks per group
-    buffer: int       # float64 values of a block's table and features
     batch: int        # kept levels rebuilt per transform, 8 (J + 1) values each
 
 
 def _plan(grid: Grid, stride: int, energy_only: bool = False) -> RunPlan:
-    """The layout of a run on grid keeping every stride-th level.
+    """The shapes of a run on grid keeping every stride-th level.
 
     A block's trace table, 25 (K + 1) n <= TRACE_CHUNK_ELEMENTS values, is
     32 times as wide in modes as in levels, n = 32 (K + 1), unless the mesh
@@ -287,16 +276,16 @@ def _plan(grid: Grid, stride: int, energy_only: bool = False) -> RunPlan:
     budget bounds those, and n and K follow as above.  A group's features
     in the product, 3 M n values, are as many as the table's, M = K + 1.
     At J = 499 and 7999 over 2,500 steps that is (10, 320, 11) against
-    (5, 192, 30), and an energy-only block holds fewer buffer values than
-    a full one on the same mesh (the tests measure both).
+    (5, 192, 30), and an energy-only block holds no more than a full one
+    on the same mesh (the tests measure both).
     """
     last = grid.N + 1
     keep = np.append(np.arange(stride, last, stride), last)
-    columns, per_level, table = (1, 9, 3) if energy_only else (5, 25, 25)
+    columns, per_level = (1, 9) if energy_only else (5, 25)
     n = min(grid.J, max(1, 32 * math.isqrt(TRACE_CHUNK_ELEMENTS // (32 * per_level))))
     K = min(last, max(1, TRACE_CHUNK_ELEMENTS // (per_level * n) - 1))
     M = min(columns * (K + 1), -(-last // K))
-    return RunPlan(keep=keep, K=K, n=n, M=M, buffer=(table * (K + 1) + 5 * (M + 1)) * n,
+    return RunPlan(keep=keep, K=K, n=n, M=M,
                    batch=min(keep.size, max(1, TRACE_CHUNK_ELEMENTS // (8 * grid.J + 8))))
 
 
@@ -304,24 +293,25 @@ def run_memory_bytes(grid: Grid, stride: int) -> int:
     """Bytes run() and the run command's writers hold for grid and stride.
 
     Counts, per level, the time axis and its copy, the trace's modal sums
-    (5), the six trace columns (E, diss_lhs, diss_rhs, heat, C_T,
-    lyapunov), temporaries, Z and the trace writer's step numbers; 10 J
-    values of transform temporaries; per kept level, its 2J+3 values plus
-    32 for its Python objects (about 220 bytes measured); and the larger of
-    two phases.  The blocks hold the operators (8J), the trace weights
-    (15J), level 0's amplitudes (2J), and per block the plan's buffer, the
-    power tables (8 (K + 1) n, 4 (M + 1) n), modal_trace_table's temporaries
+    (5, which build_trace completes in place into E, diss_lhs, diss_rhs,
+    C_T and lyapunov), heat, Z, temporaries and the trace writer's step
+    numbers; 10 J values of transform temporaries; per kept level, its
+    2J+3 values plus 32 for its Python objects (about 220 bytes measured);
+    and the largest of three phases.  The blocks hold the operators (8J),
+    the trace weights (15J), level 0's amplitudes (2J), and per block its
+    table (25 (K + 1) n) and features (5 (M + 1) n), the power tables
+    (8 (K + 1) n, 4 (M + 1) n), modal_trace_table's temporaries
     (40 (K + 1) n) and a group's sums, kept levels and bases (5 K M + 2 M n).
     Then a batch of levels is rebuilt, or the CSV writers hold a block and
     csvtext's tables.  An energy-only run holds no more.
     """
     plan, J = _plan(grid, stride), grid.J
     K, n, M, kept = plan.K, plan.n, plan.M, plan.keep.size + 1
-    blocks = ((8 + 15 + 2) * J + plan.buffer + (K + 1) * n * (8 + 40)
-              + (4 * (M + 1) + 2 * M) * n + 5 * K * M)
+    blocks = ((8 + 15 + 2) * J + (K + 1) * n * (25 + 8 + 40)
+              + (5 + 4) * (M + 1) * n + 2 * M * n + 5 * K * M)
     writer = math.ceil((csvtext.TABLE_BYTES + csvtext.BYTES_PER_VALUE
                         * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1)) / 8)
-    return 8 * ((grid.N + 2) * (2 + 5 + 6 + 1 + 1 + 1) + 10 * J
+    return 8 * ((grid.N + 2) * (2 + 5 + 1 + 1 + 1 + 1) + 10 * J
                 + kept * (2 * J + 3 + 32) + max(blocks, plan.batch * 8 * (J + 1), writer))
 
 
@@ -341,13 +331,15 @@ def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
     n, last, columns = x.shape[1], sums.shape[0] - 1, sums.shape[1]
     energy_only = columns == 1
     f = 3 if energy_only else 5
-    K, M, keep, buffer = plan.K, plan.M, plan.keep, np.empty(plan.buffer)
+    K, M, keep = plan.K, plan.M, plan.keep
     # E's table reads no increments G^(k-1) D
     powers = _chunk_table(D, K, increments=not energy_only)
     K = powers.shape[2] - 1
-    table = diagnostics.modal_trace_table(
-        w, m, powers, modes,
-        out=buffer[:columns * f * (K + 1) * n].reshape(K + 1, columns, f, n))
+    # one row more than a group, for the base of the next group; the
+    # features (a^2, ab, b^2, a, b) end in the bases.  Allocated before
+    # the table, which keeps an energy-only block's peak under a full one's
+    features = np.empty((M + 1, 5, n))
+    table = diagnostics.modal_trace_table(w, m, powers, modes)
     finite = np.isfinite(table).all(axis=(1, 2, 3))
     if not finite.all():
         K = max(1, int(np.argmin(finite)) - 1)
@@ -355,9 +347,6 @@ def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
     table = table.reshape(columns * (K + 1), f * n)
     hops = _power_table(powers[:, :1, K], M)[:, 0, 1:]
     group = hops.shape[1]
-    # one row more than a group, for the base of the next group; the
-    # features (a^2, ab, b^2, a, b) end in the bases
-    features = buffer[table.size:][:5 * (group + 1) * n].reshape(group + 1, 5, n)
     bases = features[:, 3:]
     bases[0] = x
     total = -(-last // K)
@@ -394,14 +383,14 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     are None).  Every stepper advances the modal amplitudes of the
     fluctuation e of T = m + e around the conserved mean m, and of the
     interior flux, a block of modes at a time (_trace_block).  Raises
-    MeshTooLarge, before allocating, if run_memory_bytes exceeds
-    MAX_RUN_BYTES; NonFiniteInput, before stepping, if init's energy is
-    not finite; NonFiniteState, naming the first bad step, if a level or
-    its trace row overflows (Z, which is inf from where exp(omega t)
-    overflows, aside).
+    ValueError if stride is not an integer >= 1; MeshTooLarge, before
+    allocating, if run_memory_bytes exceeds MAX_RUN_BYTES; NonFiniteInput,
+    before stepping, if init's energy is not finite; NonFiniteState, naming
+    the first bad step, if a level or its trace row overflows (Z, which is
+    inf from where exp(omega t) overflows, aside).
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    if not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     grid = build_grid(params, config)
     _require_on_grid(init, grid, "init")
     kind = config.stepper_kind
@@ -434,14 +423,14 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
             _trace_block(D[..., modes], weights, modes, m, x[:, modes], plan,
                          sums, kept[..., modes])
         trace = diagnostics.build_trace(weights, params, m, grid.t, sums)
+        # sums now holds every trace column but heat and Z
+        ok = np.isfinite(sums).all(axis=1) & np.isfinite(trace.heat)
         # only the trace and the kept levels outlive the blocks
-        del ops, D, weights, x, sums
+        del ops, D, weights, x
         for lo in range(1, S, plan.batch):
-            _levels(m, levels[lo:lo + plan.batch])
-    ok = np.logical_and.reduce([np.isfinite(c) for c in (
-        trace.E, trace.diss_lhs, trace.diss_rhs, trace.heat, trace.C_T,
-        trace.lyapunov) if c is not None])
-    ok[plan.keep] &= np.isfinite(levels[1:]).all(axis=1)
+            batch = levels[lo:lo + plan.batch]
+            _levels(m, batch)
+            ok[plan.keep[lo - 1:lo - 1 + len(batch)]] &= np.isfinite(batch).all(axis=1)
     if not ok.all():
         raise NonFiniteState(f"step {int(np.argmin(ok))} produced a non-finite "
                              "temperature, flux or energy")

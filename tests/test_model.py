@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkheat import (MaterialParams, NonPositiveCoefficient, OnsagerCoefficients,
-                    SimulationConfig, StepperKind, gk_to_onsager, onsager_to_gk,
-                    validate)
+                    SimulationConfig, StepperKind, gk_to_onsager, onsager_to_gk)
 
 
 class TestMaterialParams:
     def test_reference_values_valid(self, ref_params):
-        assert validate(ref_params) is ref_params
         assert ref_params.rho_c == 1e6
 
     def test_fourier_limit_admitted(self):

@@ -314,6 +314,22 @@ class TestRun:
         with pytest.raises(InvalidLimit):
             run(p, cfg_f, cosine_initial(grid, 15.0, 30.0))
 
+    @pytest.mark.parametrize("stride", [0, -1, 2.0, 2.5])
+    def test_rejects_a_stride_that_is_not_a_positive_integer(self, monkeypatch, stride):
+        p, cfg, grid, ops = small_setup(J=9, t_final=10 * 1.2e-2)
+
+        def fail(*args):
+            raise AssertionError("built past the stride check")
+
+        monkeypatch.setattr(scheme, "build_grid", fail)
+        with pytest.raises(ValueError, match="stride must be an integer >= 1"):
+            run(p, cfg, cosine_initial(grid, 15.0, 30.0), stride=stride)
+
+    def test_accepts_a_numpy_integer_stride(self):
+        p, cfg, grid, ops = small_setup(J=9, t_final=10 * 1.2e-2)
+        traj = run(p, cfg, cosine_initial(grid, 15.0, 30.0), stride=np.int64(4))
+        assert traj.stored_steps == [0, 4, 8, grid.N + 1]
+
     def test_mismatched_initial_state(self):
         p, cfg, grid, ops = small_setup(J=9)
         with pytest.raises(GridMismatch):
@@ -630,7 +646,7 @@ class TestRunMemory:
         one = scheme.run_memory_bytes(grid, grid.N + 1)
         longer = build_grid(p, dataclasses.replace(cfg, t_final=2000 * 1.2e-2))
         per_level = (scheme.run_memory_bytes(longer, longer.N + 1) - one) / 1000
-        assert per_level == 8 * 16
+        assert per_level == 8 * 11
         # over 4000 steps stride 1 keeps 2000 levels more than stride 2,
         # each of 2J+3 values (and 32 values' worth of Python objects),
         # rebuilt in place from the amplitudes written into them
@@ -643,16 +659,20 @@ class TestRunMemory:
     # every state of a short run on a finer one: there the blocks' phase,
     # operators and trace weights included, is the peak; the sixth and
     # seventh are energy-only runs (stride N+1, as sweep makes them), whose
-    # blocks hold no more than the full trace's (TestBlockShape); the last
-    # keeps every 25th level of the finest benchmark mesh, where a second
-    # copy of the kept levels would not fit under the estimate
+    # blocks hold no more than the full trace's (TestBlockShape); the
+    # eighth keeps every 25th level of the finest benchmark mesh, where a
+    # second copy of the kept levels would not fit under the estimate; the
+    # ninth keeps every level of an energy-only run, where a mask of the
+    # kept levels' finiteness would not fit either; the last is a case
+    # whose blocks' phase is the largest of the estimate's three
     @pytest.mark.parametrize("J,steps,stride,energy_only", [
         (499, 2500, 25, False), (63, 500, 1, False), (255, 1000, 1001, False),
         (7999, 2500, 2500, False), (9999, 5, 1, False),
         (7999, 2500, 2500, True), (499, 4000, 4000, True),
-        (7999, 2500, 25, False)], ids=[
+        (7999, 2500, 25, False), (9999, 250, 1, True), (19999, 10, 11, False)], ids=[
         "499-2500-25", "63-500-1", "255-1000-1001", "7999-2500-2500", "9999-5-1",
-        "7999-2500-2500-energy_only", "499-4000-4000-energy_only", "7999-2500-25"])
+        "7999-2500-2500-energy_only", "499-4000-4000-energy_only", "7999-2500-25",
+        "9999-250-1-energy_only", "19999-10-11"])
     def test_estimate_bounds_traced_peak(self, tmp_path, J, steps, stride, energy_only):
         # everything run() and both writers allocate, traced; the writers
         # need the full trace, so an energy-only run is traced alone.  The
@@ -698,7 +718,7 @@ class TestRunMemory:
 
 def block_peak(params, grid, energy_only):
     """Bytes that one block of the first modes of grid allocates in
-    run's kernel at its peak, its table-and-features buffer included."""
+    run's kernel at its peak, its table and features included."""
     plan = scheme._plan(grid, grid.N + 1, energy_only)
     n = plan.n
     D = assemble(params, grid).coupled[..., :n]
