@@ -12,11 +12,10 @@ from .errors import (DimensionMismatch, GKHeatError, GridMismatch,
 from .linalg import dense_solve
 from .model import (MaterialParams, OnsagerCoefficients, SimulationConfig,
                     StepperKind, gk_to_onsager, onsager_to_gk)
-from .scheme import (AssembledOperators, Trajectory, assemble, run,
-                     step_coupled_reference)
+from .scheme import Trajectory, assemble, run, step_coupled_reference
 
 __all__ = [
-    "AssembledOperators", "DecayConstants", "DimensionMismatch", "EnergyTrace",
+    "DecayConstants", "DimensionMismatch", "EnergyTrace",
     "GKHeatError", "Grid", "GridMismatch", "InsufficientFitData",
     "InvalidLimit", "MaterialParams", "MeshTooLarge", "NonDivisibleMesh",
     "NonFiniteInput", "NonFiniteState", "NonPositiveCoefficient", "NumericalFailure",

@@ -3,13 +3,14 @@
 Config files are UTF-8 ``key = value`` lines ('#' starts a comment).  Keys:
 rho, c, tau_q, mu2, k, l, dx, dt, t_final, T_b, T_f, stepper, stride,
 out_dir.  Missing keys fall back to the reference case defaults below; a
-repeated key or a non-finite number is a ParseError.
+repeated key, a non-finite number or a fourier_limit stepper with a
+nonzero tau_q or mu2 is a ParseError.
 
 Exit codes: 0 success / all checks pass, 1 usage or configuration error
 (a mesh over discretization.MAX_MESH_POINTS, or a run over
 scheme.MAX_RUN_BYTES, included), 2 numerical failure (errors.NumericalFailure:
-a non-finite state, a singular matrix, a rate fit without data), 3
-verification failure.
+a non-finite state, a singular matrix, a rate fit without data, a decay
+rate omega that underflows to 0), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -113,6 +114,9 @@ def parse_config(text: str) -> RunManifest:
     params = MaterialParams(rho=values["rho"], c=values["c"],
                             tau_q=values["tau_q"], mu2=values["mu2"],
                             k=values["k"], l=values["l"])
+    if kind == StepperKind.FOURIER_LIMIT and not params.is_fourier:
+        raise ParseError(seen["stepper"], "stepper fourier_limit needs tau_q = mu2 = 0, "
+                         f"got tau_q = {params.tau_q:g}, mu2 = {params.mu2:g}")
     config = SimulationConfig(dx=values["dx"], dt=values["dt"],
                               t_final=values["t_final"], T_b=values["T_b"],
                               T_f=values["T_f"], stepper_kind=kind)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import Grid, State
-from .errors import InsufficientFitData
+from .errors import InsufficientFitData, NumericalFailure
 from .linalg import difference_symbols
 from .model import MaterialParams
 
@@ -89,16 +89,18 @@ class DecayConstants:
 
 
 def decay_constants(params: MaterialParams) -> DecayConstants:
-    """Evaluate the decay constants for the given material."""
+    """The decay constants of the material; NumericalFailure if omega is 0."""
     l2mu, denom = sandwich_bounds(params)
     relax_bound = math.inf if params.tau_q == 0.0 else 4.0 * l2mu / params.tau_q
     beta = min(2.0 * params.k / params.rho_c, relax_bound)
     omega = beta / denom
+    if not omega > 0.0:
+        raise NumericalFailure(f"decay rate omega = {beta:.3g}/{denom:.3g} underflows to 0")
     M = denom / l2mu
     gamma0 = 1.0 / l2mu
     constants = DecayConstants(beta=beta, omega=omega, M=M, gamma0=gamma0,
                                M1=2.0 * gamma0 / omega)
-    assert constants.M > 1.0 and constants.beta > 0.0 and constants.omega > 0.0
+    assert constants.M > 1.0 and constants.beta > 0.0
     return constants
 
 
@@ -151,7 +153,11 @@ def mode_decay_oracle(params: MaterialParams,
         return complex(rate), None
     tr = -(1.0 + params.mu2 * kappa**2) / params.tau_q
     det = params.k * kappa**2 / (rc * params.tau_q)
-    sq = cmath.sqrt(complex(tr * tr - 4.0 * det))
+    disc = tr * tr - 4.0 * det
+    if disc > 0.0:  # real roots: slow = det/fast, as tr + sqrt(disc) cancels
+        fast = (tr - math.sqrt(disc)) / 2.0
+        return complex(det / fast), complex(fast)
+    sq = cmath.sqrt(complex(disc))
     roots = sorted(((tr + sq) / 2.0, (tr - sq) / 2.0),
                    key=lambda z: (abs(z.real), abs(z.imag)))
     return roots[0], roots[1]
@@ -238,25 +244,25 @@ def modal_trace_weights(params: MaterialParams, grid: Grid) -> ModalTraceWeights
 
 
 def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
-                      modes: slice) -> np.ndarray:
+                      modes: slice, D: np.ndarray | None = None) -> np.ndarray:
     """New trace table of a block of modes, (L, 5, 5, n) for L levels, or,
-    from powers without increments, E's table alone, (L, 1, 3, n).
+    without D, E's table alone, (L, 1, 3, n).
 
-    powers (2, 2, L, 2, n) holds, for the n modes in `modes`, column j of
-    the matrix G_l mapping a base level x = (a, b) to level l at [j, 0, l],
-    and of P_l mapping it to the step's increment into level l at
-    [j, 1, l] (G^k and G^(k-1) D for level k; I and 0 for x itself).  With
-    the features phi(x) = (a^2, ab, b^2, a, b), table[l, c, f, i] weighs
-    feature f of mode i in column c of level l: E, diss_rhs and F less
-    their mean parts (F's term linear in y carries m), C_T/heat less its
-    mean part, and diss_lhs from the increment P_l x as the step computes
-    it and y + y_prev = (2 G_l - P_l) x.  Summed over the modes,
+    powers (2, L, 2, n) holds, for the n modes in `modes`, column j of the
+    matrix G_l = G^l mapping a base level x = (a, b) to level l at [j, l];
+    D (2, 2, n) are the step's increments, G = I + D, and P_l = D G^(l-1)
+    (0 for x itself) maps x to the increment into level l, formed as a
+    product (G^l - G^(l-1) loses about eps/|D| relative on slow modes).
+    With the features phi(x) = (a^2, ab, b^2, a, b), table[l, c, f, i]
+    weighs feature f of mode i in column c of level l: E, diss_rhs and F
+    less their mean parts (F's term linear in y carries m), C_T/heat less
+    its mean part, and diss_lhs from the increment P_l x as the step
+    computes it and y + y_prev = (2 G_l - P_l) x.  Summed over the modes,
     phi(x) @ table gives the sums build_trace takes.  E's table alone is
-    the first column's first three features; it reads no increments, and
-    powers holding the G_l alone, (2, 1, L, 2, n), ask for it.
+    the first column's first three features; it reads no increments.
     """
-    G = powers[:, 0].transpose(1, 2, 0, 3)    # (L, row i, column j, n)
-    energy_only = powers.shape[1] == 1
+    G = powers.transpose(1, 2, 0, 3)    # (L, row i, column j, n)
+    energy_only = D is None
     columns, features = (1, 3) if energy_only else (5, 5)
     table = np.empty((G.shape[0], columns, features, G.shape[3]))
     # y_0^2, y_1^2 and y_0 y_1 on the features a^2, ab, b^2
@@ -272,18 +278,19 @@ def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
         table[:, :3, :3] += monomials[:, None, u] * q[None, :, u, None]
     if energy_only:
         return table
-    P = powers[:, 1].transpose(1, 2, 0, 3)
-    # diss_lhs = sum_i w_i (P x)_i ((2 G - P) x)_i
+    # P_l = D G^(l-1) for l >= 1, laid out as G: column j is D (G^(l-1))_:j
+    P = (D[:, 0] * powers[:, :-1, :1] + D[:, 1] * powers[:, :-1, 1:]).transpose(1, 2, 0, 3)
+    # diss_lhs = sum_i w_i (P x)_i ((2 G - P) x)_i, 0 at level 0
     weighted = P * w.increment[None, :, None, modes]
-    both = (weighted[:, :, :, None] * (2.0 * G - P)[:, :, None, :]).sum(axis=1)
-    table[:, 4, 0] = both[:, 0, 0]
-    np.add(both[:, 0, 1], both[:, 1, 0], out=table[:, 4, 1])
-    table[:, 4, 2] = both[:, 1, 1]
+    both = (weighted[:, :, :, None] * (2.0 * G[1:] - P)[:, :, None, :]).sum(axis=1)
+    table[1:, 4, 0] = both[:, 0, 0]
+    np.add(both[:, 0, 1], both[:, 1, 0], out=table[1:, 4, 1])
+    table[1:, 4, 2] = both[:, 1, 1]
     # F/m and C_T/heat: sum_i l_i y_i puts sum_i l_i G_ij on x_j
     lin = w.linear[..., modes] * np.array([m, 1.0])[:, None, None]
     np.sum(G[:, None] * lin[None, :, :, None], axis=2, out=table[:, 2:4, 3:])
     table[:, :2, 3:] = 0.0
-    table[:, 4, 3:] = 0.0
+    table[:, 4, 3:] = table[0, 4] = 0.0
     table[:, 3, :3] = 0.0
     return table
 
@@ -300,13 +307,13 @@ def build_trace(w: ModalTraceWeights, params: MaterialParams, m: float,
     column) the trace has t, E and heat, and None in the other columns.
     Z is NaN when E0 = 0, and inf where exp(omega t_n) overflows (run
     silences that warning).  The sums are completed in place: every column
-    but t, heat and Z is a view of them.
+    but t (t itself), heat and Z is a view of them.
     """
     E = sums[:, 0]
     E += w.E_mean * m * m
     heat = np.full_like(E, w.heat_mean * m)
     if sums.shape[1] == 1:
-        return EnergyTrace(t=t.copy(), E=E, diss_lhs=None, diss_rhs=None,
+        return EnergyTrace(t=t, E=E, diss_lhs=None, diss_rhs=None,
                            heat=heat, C_T=None, lyapunov=None, Z=None)
     sums[:, 2] += w.F_mean * m * m
     sums[:, 2] += w.lyapunov_weight * E
@@ -314,7 +321,7 @@ def build_trace(w: ModalTraceWeights, params: MaterialParams, m: float,
     sums[:, 3] *= heat
     sums[0, [1, 4]] = 0.0
     trace = EnergyTrace(
-        t=t.copy(), E=E, diss_lhs=sums[:, 4], diss_rhs=sums[:, 1], heat=heat,
+        t=t, E=E, diss_lhs=sums[:, 4], diss_rhs=sums[:, 1], heat=heat,
         C_T=sums[:, 3], lyapunov=sums[:, 2], Z=np.full(t.size, np.nan))
     if E[0] > 0.0:
         # Z = 1 + (M1 sup|C_T| / (M E0)) exp(omega t), formed in place

@@ -42,18 +42,18 @@ and an as-printed step, with beta = 1/(1 + c_B s^2), is
 
 one 2x2 update per mode.  The mean, mode 0, is a fixed point of both, so it
 is carried outside the step (T = m + e) and its heat is conserved exactly.
-assemble stores the per-mode 2x2 increment matrices D (new minus old
-amplitudes).  With G = I + D, level s + k is G^k times level s, and each
-of its trace terms is a quadratic or linear form in level s.  So run
-transforms the initial state once and works through the modes a block at
-a time: from a block's powers G^k and G^(k-1) D (the step increments),
-k = 0..K, it builds one trace table (diagnostics.modal_trace_table), and
-every row of the run gets the block's share from one matrix product of
-the table with the features of the chunk bases, the levels 0, K, 2K, ...
-A run with energy_only (the decay-rate fits of sweep and verify) traces E
-and heat alone: its table is E's weights on the quadratic features, 3
-values per level and mode instead of 25, built from the powers G^k
-alone, and its blocks are longer and wider.  Only the kept levels'
+assemble builds one stepper's per-mode 2x2 increment matrices D (new
+minus old amplitudes).  With G = I + D, level s + k is G^k times level s,
+and each of its trace terms is a quadratic or linear form in level s.  So
+run transforms the initial state once and works through the modes a block
+at a time: from a block's powers G^k, k = 0..K, and D it builds one trace
+table (diagnostics.modal_trace_table, which forms the step increments
+D G^(k-1) in it), and every row of the run gets the block's share from one
+matrix product of the table with the features of the chunk bases, the
+levels 0, K, 2K, ...  A run with energy_only (the decay-rate fits of sweep
+and verify) traces E and heat alone: its table is E's weights on the
+quadratic features, 3 values per level and mode instead of 25, built
+without D, and its blocks are longer and wider.  Only the kept levels'
 amplitudes are formed, in the rows of T and q rebuilt from them in
 place after the last block.  run is the only stepping path: a single step
 is a run with t_final = dt.
@@ -83,21 +83,14 @@ TRACE_CHUNK_ELEMENTS = 2**15
 MAX_RUN_BYTES = 2**30
 
 
-@dataclass(frozen=True)
-class AssembledOperators:
-    """The per-mode 2x2 increment matrices D of both steppers, shape
-    (2, 2, J): a step maps the cosine amplitude a_m and the sine amplitude
-    b_m of mode m = 1..J to (a, b) + D (a, b).  D is kept rather than
-    I + D so that the trace gets each step's change to full precision.
-    """
-
-    coupled: np.ndarray  # D of the coupled (and fourier_limit) stepper
-    printed: np.ndarray  # D of the as-printed stepper
-
-
-def assemble(params: MaterialParams, grid: Grid) -> AssembledOperators:
-    """Build the per-mode step matrices of both steppers for one
-    (params, grid) pair from the scalar factors (s := tau_q + dt)
+def assemble(params: MaterialParams, grid: Grid,
+             kind: StepperKind = StepperKind.COUPLED_IMPLICIT) -> np.ndarray:
+    """The per-mode 2x2 increment matrices D of the stepper kind, shape
+    (2, 2, J), for one (params, grid) pair: a step maps the cosine
+    amplitude a_m and the sine amplitude b_m of mode m = 1..J to
+    (a, b) + D (a, b).  D is kept rather than I + D so that the trace gets
+    each step's change to full precision.  fourier_limit steps with the
+    coupled matrices.  Built from the scalar factors (s := tau_q + dt)
 
         c_B = mu2*dt/(s*dx^2)          flux-Laplacian weight in B
         c_T = k*dt/(rho*c*s*dx^2)      printed temperature-correction factor
@@ -119,16 +112,16 @@ def assemble(params: MaterialParams, grid: Grid) -> AssembledOperators:
     c_r = params.tau_q / s
     c_flux = dt / (rc * dx)
     sm = difference_symbols(J)
+    if kind == StepperKind.VECTORIAL_AS_PRINTED:
+        beta = 1.0 / (1.0 + c_B * sm * sm)
+        return np.array([[-c_T * sm * sm * beta, -c_q * sm * beta],
+                         [c_Q * sm * beta, -(dt / s + c_B * sm * sm) * beta]])
     # coupled: b' = g_ba a + g_bb b, then a' = a - c_flux s b'; 1 - c_r = dt/s
     w = c_B + c_T * dt
     reduced = 1.0 + w * sm * sm
     g_ba, g_bb = c_Q * sm / reduced, c_r / reduced
-    coupled = np.array([[-c_flux * sm * g_ba, -c_flux * sm * g_bb],
-                        [g_ba, -(dt / s + w * sm * sm) / reduced]])
-    beta = 1.0 / (1.0 + c_B * sm * sm)
-    printed = np.array([[-c_T * sm * sm * beta, -c_q * sm * beta],
-                        [c_Q * sm * beta, -(dt / s + c_B * sm * sm) * beta]])
-    return AssembledOperators(coupled=coupled, printed=printed)
+    return np.array([[-c_flux * sm * g_ba, -c_flux * sm * g_bb],
+                     [g_ba, -(dt / s + w * sm * sm) / reduced]])
 
 
 def _modes(state: State, m: float) -> np.ndarray:
@@ -159,37 +152,25 @@ def _times(cols: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _power_table(cols: np.ndarray, K: int) -> np.ndarray:
-    """(2, c, K' + 1, 2, n): [j, i, k] = G^(k-1) cols[j, i], k = 1..K',
-    per mode, and entry 0 column j of I for i = 0 and 0 for the others;
-    cols (2, c, 2, n) holds c vectors per column j, cols[:, 0] the columns
-    of G, so that [:, 0, k] holds G^k.  Built by doubling (G^p applied to
+    """(2, K' + 1, 2, n): [j, k] is column j of G^k per mode, k = 0..K',
+    for cols (2, 2, n) the columns of G.  Built by doubling (G^p applied to
     entries 1..p gives entries p+1..2p), not from an eigendecomposition:
     a mode's eigenvectors are ill-conditioned where it passes from over-
     to under-damped.  K' is K cut at the first non-finite entry (at least
     1), which the unstable as-printed Fourier-limit stepper reaches within
     a few dozen levels.
     """
-    table = np.zeros(cols.shape[:2] + (K + 1,) + cols.shape[2:])
-    table[0, 0, 0, 0] = table[1, 0, 0, 1] = 1.0
-    table[:, :, 1] = cols
+    table = np.zeros((2, K + 1) + cols.shape[1:])
+    table[0, 0, 0] = table[1, 0, 1] = 1.0
+    table[:, 1] = cols
     p = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while p < K:
             count = min(p, K - p)
-            _times(table[:, 0, p], table[:, :, 1:count + 1],
-                   out=table[:, :, p + 1:p + count + 1])
+            _times(table[:, p], table[:, 1:count + 1], out=table[:, p + 1:p + count + 1])
             p += count
-    finite = np.isfinite(table).all(axis=(0, 1, 3, 4))
-    return table if finite.all() else table[:, :, :max(2, int(np.argmin(finite)))]
-
-
-def _chunk_table(D: np.ndarray, K: int, increments: bool = True) -> np.ndarray:
-    """(2, c, K' + 1, 2, J) columns of the step powers for k = 0..K', G = I + D
-    per mode: [j, 0, k] is column j of G^k and, with increments (c = 2),
-    [j, 1, k] column j of G^(k-1) D (0 at k = 0); cut as _power_table cuts."""
-    cols = D.swapaxes(0, 1)
-    steps = np.eye(2)[:, :, None] + cols
-    return _power_table(np.stack((steps, cols) if increments else (steps,), axis=1), K)
+    finite = np.isfinite(table).all(axis=(0, 2, 3))
+    return table if finite.all() else table[:, :max(2, int(np.argmin(finite)))]
 
 
 def step_coupled_reference(params: MaterialParams, grid: Grid,
@@ -292,26 +273,26 @@ def _plan(grid: Grid, stride: int, energy_only: bool = False) -> RunPlan:
 def run_memory_bytes(grid: Grid, stride: int) -> int:
     """Bytes run() and the run command's writers hold for grid and stride.
 
-    Counts, per level, the time axis and its copy, the trace's modal sums
+    Counts, per level, the time axis, the trace's modal sums
     (5, which build_trace completes in place into E, diss_lhs, diss_rhs,
     C_T and lyapunov), heat, Z, temporaries and the trace writer's step
     numbers; 10 J values of transform temporaries; per kept level, its
     2J+3 values plus 32 for its Python objects (about 220 bytes measured);
-    and the largest of three phases.  The blocks hold the operators (8J),
+    and the largest of three phases.  The blocks hold the operators (4J),
     the trace weights (15J), level 0's amplitudes (2J), and per block its
     table (25 (K + 1) n) and features (5 (M + 1) n), the power tables
-    (8 (K + 1) n, 4 (M + 1) n), modal_trace_table's temporaries
+    (4 (K + 1) n, 4 (M + 1) n), modal_trace_table's temporaries
     (40 (K + 1) n) and a group's sums, kept levels and bases (5 K M + 2 M n).
     Then a batch of levels is rebuilt, or the CSV writers hold a block and
     csvtext's tables.  An energy-only run holds no more.
     """
     plan, J = _plan(grid, stride), grid.J
     K, n, M, kept = plan.K, plan.n, plan.M, plan.keep.size + 1
-    blocks = ((8 + 15 + 2) * J + (K + 1) * n * (25 + 8 + 40)
+    blocks = ((4 + 15 + 2) * J + (K + 1) * n * (25 + 4 + 40)
               + (5 + 4) * (M + 1) * n + 2 * M * n + 5 * K * M)
     writer = math.ceil((csvtext.TABLE_BYTES + csvtext.BYTES_PER_VALUE
                         * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1)) / 8)
-    return 8 * ((grid.N + 2) * (2 + 5 + 1 + 1 + 1 + 1) + 10 * J
+    return 8 * ((grid.N + 2) * (1 + 5 + 1 + 1 + 1 + 1) + 10 * J
                 + kept * (2 * J + 3 + 32) + max(blocks, plan.batch * 8 * (J + 1), writer))
 
 
@@ -323,29 +304,29 @@ def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
 
     D (2, 2, n) are the block's increment matrices, x (2, n) its level 0,
     and sums has 5 columns on 5 features, or 1 on 3 for E's alone.  The
-    trace table of G^k, k = 0..K (K cut where a power or a table entry is
-    not finite), maps a chunk base's features to its chunk's sums.  The
-    bases of a group of M chunks are the powers of G^K applied to the
-    first, and one matrix product gives the group's rows.
+    trace table of G^k = (I + D)^k, k = 0..K (K cut where a power or a
+    table entry is not finite), maps a chunk base's features to its
+    chunk's sums.  The bases of a group of M chunks are the powers of G^K
+    applied to the first, and one matrix product gives the group's rows.
     """
     n, last, columns = x.shape[1], sums.shape[0] - 1, sums.shape[1]
     energy_only = columns == 1
     f = 3 if energy_only else 5
     K, M, keep = plan.K, plan.M, plan.keep
-    # E's table reads no increments G^(k-1) D
-    powers = _chunk_table(D, K, increments=not energy_only)
-    K = powers.shape[2] - 1
+    powers = _power_table(np.eye(2)[:, :, None] + D.swapaxes(0, 1), K)
+    K = powers.shape[1] - 1
     # one row more than a group, for the base of the next group; the
     # features (a^2, ab, b^2, a, b) end in the bases.  Allocated before
     # the table, which keeps an energy-only block's peak under a full one's
     features = np.empty((M + 1, 5, n))
-    table = diagnostics.modal_trace_table(w, m, powers, modes)
+    # E's table reads no increments D G^(k-1)
+    table = diagnostics.modal_trace_table(w, m, powers, modes, None if energy_only else D)
     finite = np.isfinite(table).all(axis=(1, 2, 3))
     if not finite.all():
         K = max(1, int(np.argmin(finite)) - 1)
         table = table[:K + 1]
     table = table.reshape(columns * (K + 1), f * n)
-    hops = _power_table(powers[:, :1, K], M)[:, 0, 1:]
+    hops = _power_table(powers[:, K], M)[:, 1:]
     group = hops.shape[1]
     bases = features[:, 3:]
     bases[0] = x
@@ -368,7 +349,7 @@ def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
         lo, hi = np.searchsorted(keep, (start, start + levels))
         for i in range(lo, hi, group):
             offset = keep[i:min(i + group, hi)] - start
-            _times(powers[:, 0][:, offset % K + 1], bases[offset // K],
+            _times(powers[:, offset % K + 1], bases[offset // K],
                    out=kept[i:i + offset.size])
 
 
@@ -406,8 +387,7 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     if not np.isfinite(energy):
         raise NonFiniteInput("the energy of the initial state overflows; "
                              "T_b and T_f set its size")
-    ops = assemble(params, grid)
-    D = ops.printed if kind == StepperKind.VECTORIAL_AS_PRINTED else ops.coupled
+    D = assemble(params, grid, kind)
     weights = diagnostics.modal_trace_weights(params, grid)
     plan = _plan(grid, stride, energy_only)
     J, S = grid.J, plan.keep.size + 1
@@ -426,7 +406,7 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
         # sums now holds every trace column but heat and Z
         ok = np.isfinite(sums).all(axis=1) & np.isfinite(trace.heat)
         # only the trace and the kept levels outlive the blocks
-        del ops, D, weights, x
+        del D, weights, x
         for lo in range(1, S, plan.batch):
             batch = levels[lo:lo + plan.batch]
             _levels(m, batch)

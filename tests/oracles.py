@@ -185,5 +185,5 @@ def discrete_decay_rate(p: MaterialParams, grid: Grid) -> float:
     """r_d = -2 ln rho(I + D_1) / dt: the rate at which the energy of the
     coupled scheme's slowest mode decays, with D_1 the mode-1 increment
     matrix of scheme.assemble and rho the spectral radius."""
-    step = np.eye(2) + scheme.assemble(p, grid).coupled[..., 0]
+    step = np.eye(2) + scheme.assemble(p, grid)[..., 0]
     return float(-2.0 * np.log(np.max(np.abs(np.linalg.eigvals(step)))) / grid.dt)

@@ -230,6 +230,14 @@ class TestCmdVerify:
         assert main(["verify", "-c", str(cfg)]) == 0
         assert "PASS decay_envelope: offset bound" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tau_q", ["1e-15", "1e-16"])
+    def test_tiny_relaxation_time_passes(self, tmp_path, capsys, tau_q):
+        # the slow continuum root, which the rate fit is held to, is about
+        # 1e15 times smaller than the fast one here
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(f"tau_q = {tau_q}\ndx = 2e-3\nout_dir = {tmp_path}\n")
+        assert main(["verify", "-c", str(cfg)]) == 0, capsys.readouterr().out
+
     def test_as_printed_reports_gap(self, tmp_path, capsys):
         manifest = parse_config(
             "dx = 2e-3\ndt = 1.2e-2\nt_final = 1.2\n"
@@ -413,6 +421,23 @@ class TestMain:
         cfg.write_text(FAST_CONFIG + f"out_dir = {tmp_path / 'o'}\n")
         with pytest.raises(ValueError, match="a programming error"):
             main(["run", "-c", str(cfg)])
+
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+    def test_underflowing_decay_rate_exits_two(self, tmp_path, capsys, command):
+        # omega = beta/(... + 2 tau_q k/(rho c)) is 0 in floating point
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text(f"tau_q = 1e300\ndx = 2e-3\nout_dir = {tmp_path / 'o'}\n")
+        assert main([command, "-c", str(cfg)]) == 2
+        assert "omega" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+    def test_fourier_limit_with_relaxation_exits_one(self, tmp_path, capsys, command):
+        cfg = tmp_path / "limit.cfg"
+        cfg.write_text(f"dx = 2e-3\nstepper = fourier_limit\nout_dir = {tmp_path / 'o'}\n")
+        assert main([command, "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: stepper fourier_limit needs tau_q = mu2 = 0")
+        assert not (tmp_path / "o").exists()
 
     def test_duplicate_key_exits_one(self, tmp_path):
         cfg = tmp_path / "dup.cfg"

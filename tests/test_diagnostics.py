@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -208,6 +209,24 @@ class TestModeDecayOracle:
         with pytest.raises(ValueError):
             mode_decay_oracle(ref_params, 0)
 
+    @pytest.mark.parametrize("tau_q", [1e-12, 1e-15])
+    def test_far_apart_real_roots_keep_the_slow_one(self, ref_params, tau_q):
+        # the roots (tr -/+ sqrt(tr^2 - 4 det))/2 are real and about 1e12
+        # and 1e15 apart here, so the slow one must not come from tr + sqrt;
+        # against the product form slow = det/fast evaluated in 50 digits
+        p = dataclasses.replace(ref_params, tau_q=tau_q)
+        kappa = decimal.Decimal(math.pi / p.l)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            tau, k2 = decimal.Decimal(tau_q), kappa * kappa
+            tr = -(1 + decimal.Decimal(p.mu2) * k2) / tau
+            det = decimal.Decimal(p.k) * k2 / (decimal.Decimal(p.rho_c) * tau)
+            fast = (tr - (tr * tr - 4 * det).sqrt()) / 2
+            expected = float(det / fast)
+        slow, _ = mode_decay_oracle(p, 1)
+        assert slow.imag == 0.0
+        assert slow.real == pytest.approx(expected, rel=1e-12)
+
 
 def built_z(params, t, E, C_T):
     """build_trace's Z for energies E and boundary terms C_T at times t,
@@ -328,13 +347,16 @@ class TestTraceChecksOnShortRun:
         sine = np.sqrt(ld(2) / n) * np.sin(ld(np.pi) * (np.outer(modes, modes) % (2 * n)) / n)
         m = float(np.mean(init.T))
         base = np.stack(((init.T - m) @ cosine, init.q_interior @ sine)).astype(float)
-        powers = scheme._chunk_table(scheme.assemble(p, grid).coupled, K)
-        # levels and step increments as the table sees them
-        x = np.einsum("jkin,jn->kin", powers[:, 0], base)
-        d = np.einsum("jkin,jn->kin", powers[:, 1], base)
+        D = scheme.assemble(p, grid)
+        powers = scheme._power_table(np.eye(2)[:, :, None] + D.swapaxes(0, 1), K)
+        # levels as the table sees them, and their step increments D x from
+        # assemble's D, formed apart from the table's
+        x = np.einsum("jkin,jn->kin", powers, base).astype(ld)
+        d = np.zeros_like(x)
+        d[1:] = np.einsum("irn,krn->kin", D.astype(ld), x[:-1])
         m = ld(m)
-        e, q = x[:, 0].astype(ld) @ cosine.T, x[:, 1].astype(ld) @ sine.T
-        de, dq = d[:, 0].astype(ld) @ cosine.T, d[:, 1].astype(ld) @ sine.T
+        e, q = x[:, 0] @ cosine.T, x[:, 1] @ sine.T
+        de, dq = d[:, 0] @ cosine.T, d[:, 1] @ sine.T
         dx, dt, k, mu2, tau_q, rc = (ld(v) for v in (grid.dx, grid.dt, p.k, p.mu2,
                                                      p.tau_q, p.rho_c))
         w_T, w_q = rc * dx / 2, (tau_q / k) * (dx / 2)
@@ -357,7 +379,7 @@ class TestTraceChecksOnShortRun:
                              (mu2 * qn[0] / dx - k * T[0]) * heat, w_L * E + F))
         expected = np.array(expected, dtype=float)
         weights = modal_trace_weights(p, grid)
-        table = modal_trace_table(weights, float(m), powers, slice(None))
+        table = modal_trace_table(weights, float(m), powers, slice(None), D)
         assert table.shape == (K + 1, 5, 5, J)
         a, b = base
         features = np.concatenate((a * a, a * b, b * b, a, b))

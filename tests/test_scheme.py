@@ -24,7 +24,12 @@ def small_setup(J=9, tau_q=8e-3, mu2=2.8e-3, dt=1.2e-2, t_final=None):
                            t_final=t_final if t_final is not None else dt,
                            T_b=15.0, T_f=30.0)
     grid = build_grid(p, cfg)
-    return p, cfg, grid, assemble(p, grid)
+    return p, cfg, grid, {"coupled": assemble(p, grid), "printed": assemble(p, grid, PRINTED)}
+
+
+def step_powers(D, K):
+    """_power_table of the step matrices G = I + D: [j, k] column j of G^k."""
+    return scheme._power_table(np.eye(2)[:, :, None] + D.swapaxes(0, 1), K)
 
 
 def random_state(rng, J, t_scale=10.0, q_scale=1e4):
@@ -83,10 +88,10 @@ class TestAssemble:
         assert f.c_B == 0.0
         assert f.c_q == 0.0
         # I + D has a zero flux column
-        for D in (ops.coupled, ops.printed):
+        for D in ops.values():
             assert np.all(D[0, 1] == 0.0) and np.all(D[1, 1] == -1.0)
-        np.testing.assert_array_equal(ops.printed[1, 0], f.c_Q * f.s)
-        np.testing.assert_allclose(ops.printed[0, 0], -f.c_T * f.s**2, rtol=1e-15)
+        np.testing.assert_array_equal(ops["printed"][1, 0], f.c_Q * f.s)
+        np.testing.assert_allclose(ops["printed"][0, 0], -f.c_T * f.s**2, rtol=1e-15)
 
     def test_reference_laplacian_weight(self, ref_params, ref_config):
         grid = build_grid(ref_params, ref_config)
@@ -120,7 +125,7 @@ class TestAssemble:
                     "printed": ((1.0 - f.c_T * s**2 * beta) * a - f.c_q * s * beta * b,
                                 f.c_r * beta * b + f.c_Q * s * beta * a)}
         for name, (a_new, b_new) in expected.items():
-            D = getattr(ops, name)
+            D = ops[name]
             assert D.shape == (2, 2, 31)
             # the increments themselves, not just the new amplitudes
             np.testing.assert_allclose(D[0, 0] * a + D[0, 1] * b, a_new - a,
@@ -534,15 +539,15 @@ class TestTraceTable:
         J, K = 9, 12
         p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
         p = dataclasses.replace(p, k=20.0)
-        ops = assemble(p, grid)
         states = [random_state(np.random.default_rng(J), J)]
         kind = PRINTED if which == "printed" else StepperKind.COUPLED_IMPLICIT
+        D = assemble(p, grid, kind)
         for _ in range(K):
             states.append(one_step(p, grid, states[-1], kind))
         weights = diagnostics.modal_trace_weights(p, grid)
         m = float(np.mean(states[0].T))
-        powers = scheme._chunk_table(getattr(ops, which), K)
-        table = diagnostics.modal_trace_table(weights, m, powers, slice(None))
+        table = diagnostics.modal_trace_table(weights, m, step_powers(D, K),
+                                              slice(None), D)
         a, b = scheme._modes(states[0], m)
         sums = table.reshape(5 * (K + 1), 5 * J) @ np.concatenate((a * a, a * b, b * b, a, b))
         tr = diagnostics.build_trace(weights, p, m, grid.dt * np.arange(K + 1),
@@ -572,39 +577,33 @@ class TestChunkTable:
     def test_table_matches_matrix_powers(self, tau_q, mu2, which):
         J, K = 9, 40
         p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
-        D = getattr(ops, which)
-        full = scheme._chunk_table(D, K)
-        assert full.shape == (2, 2, K + 1, 2, J)
-        # entry 0 is I, with a zero increment
-        assert np.array_equal(full[:, 0, 0], np.eye(2)[:, :, None].repeat(J, axis=2))
-        assert not full[:, 1, 0].any()
-        table = full[:, :, 1:]
+        D = ops[which]
+        full = step_powers(D, K)
+        assert full.shape == (2, K + 1, 2, J)
+        # entry 0 is I
+        assert np.array_equal(full[:, 0], np.eye(2)[:, :, None].repeat(J, axis=2))
+        table = full[:, 1:]
         eps = np.finfo(float).eps
         for m in range(J):
-            d = D[:, :, m]
-            G = np.eye(2) + d
+            G = np.eye(2) + D[:, :, m]
             for k in range(1, K + 1):
                 # the table holds columns: [j, .., i] is entry (i, j); each
                 # entry within the usual product bound k eps (|G|^k)_ij
-                for got, want, bound in (
-                        (table[:, 0, k - 1, :, m].T, np.linalg.matrix_power(G, k),
-                         np.linalg.matrix_power(np.abs(G), k)),
-                        (table[:, 1, k - 1, :, m].T,
-                         np.linalg.matrix_power(G, k - 1) @ d,
-                         np.linalg.matrix_power(np.abs(G), k - 1) @ np.abs(d))):
-                    assert np.all(np.abs(got - want) <= 4 * k * eps * bound), (m, k)
+                got, want = table[:, k - 1, :, m].T, np.linalg.matrix_power(G, k)
+                bound = np.linalg.matrix_power(np.abs(G), k)
+                assert np.all(np.abs(got - want) <= 4 * k * eps * bound), (m, k)
 
     def test_table_cut_at_first_non_finite_power(self):
         # the as-printed Fourier-limit step grows the top mode ~2000x per
         # step at this mesh, so its powers leave the float range near k = 93
         p, cfg, grid, ops = small_setup(J=49, tau_q=0.0, mu2=0.0)
-        table = scheme._chunk_table(ops.printed, 200)[:, :, 1:]
-        K = table.shape[2]
+        table = step_powers(ops["printed"], 200)[:, 1:]
+        K = table.shape[1]
         assert 50 < K < 200
         assert np.all(np.isfinite(table))
         with np.errstate(over="ignore", invalid="ignore"):
-            next_power = scheme._times(table[:, 0, 0], table[:, :, K - 1],
-                                       out=np.empty_like(table[:, :, 0]))
+            next_power = scheme._times(table[:, 0], table[:, K - 1],
+                                       out=np.empty_like(table[:, 0]))
         assert not np.all(np.isfinite(next_power))
 
     @pytest.mark.parametrize("kind", [StepperKind.COUPLED_IMPLICIT, PRINTED])
@@ -646,7 +645,7 @@ class TestRunMemory:
         one = scheme.run_memory_bytes(grid, grid.N + 1)
         longer = build_grid(p, dataclasses.replace(cfg, t_final=2000 * 1.2e-2))
         per_level = (scheme.run_memory_bytes(longer, longer.N + 1) - one) / 1000
-        assert per_level == 8 * 11
+        assert per_level == 8 * 10
         # over 4000 steps stride 1 keeps 2000 levels more than stride 2,
         # each of 2J+3 values (and 32 values' worth of Python objects),
         # rebuilt in place from the amplitudes written into them
@@ -694,7 +693,7 @@ class TestRunMemory:
         assert peak <= scheme.run_memory_bytes(grid, stride)
 
     def test_fine_mesh_estimate_is_far_under_the_cap(self, ref_params, ref_config):
-        # J = 7999, 2500 steps, every 25th level kept: 18.1 MB, mostly the
+        # J = 7999, 2500 steps, every 25th level kept: 18.0 MB, mostly the
         # 101 kept levels; the traced peak is 16.9 MB
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=1.25e-5))
         need = scheme.run_memory_bytes(grid, 25)
@@ -721,7 +720,7 @@ def block_peak(params, grid, energy_only):
     run's kernel at its peak, its table and features included."""
     plan = scheme._plan(grid, grid.N + 1, energy_only)
     n = plan.n
-    D = assemble(params, grid).coupled[..., :n]
+    D = assemble(params, grid)[..., :n]
     weights = diagnostics.modal_trace_weights(params, grid)
     init = cosine_initial(grid, 15.0, 30.0)
     m = float(np.mean(init.T))
