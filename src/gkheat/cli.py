@@ -7,10 +7,10 @@ repeated key, a non-finite number or a fourier_limit stepper with a
 nonzero tau_q or mu2 is a ParseError.
 
 Exit codes: 0 success / all checks pass, 1 usage or configuration error
-(a mesh over discretization.MAX_MESH_POINTS, or a run over
-scheme.MAX_RUN_BYTES, included), 2 numerical failure (errors.NumericalFailure:
-a non-finite state, a singular matrix, a rate fit without data, a decay
-rate omega that underflows to 0), 3 verification failure.
+(a mesh over discretization.MAX_MESH_POINTS or with l outside [1e-50, 1e50],
+or a run over scheme.MAX_RUN_BYTES, included), 2 numerical failure
+(errors.NumericalFailure: a non-finite state, a singular matrix, a rate fit
+without data, a decay rate omega that underflows to 0), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import checks, csvtext, diagnostics, scheme
 from .discretization import build_grid, cosine_initial
-from .errors import GKHeatError, NumericalFailure, ParseError
+from .errors import GKHeatError, MeshTooLarge, NumericalFailure, ParseError
 from .model import MaterialParams, SimulationConfig, StepperKind
 
 #: reference case: cosine initial profile on a 0.1 m conductor
@@ -124,11 +124,19 @@ def parse_config(text: str) -> RunManifest:
                        out_dir=Path(str(values["out_dir"])), stride=int(values["stride"]))
 
 
-def write_trace_csv(path: Path, trace: diagnostics.EnergyTrace) -> None:
-    """One row per level, every number (n too) as _fmt writes it."""
+def write_trace_csv(path: Path, trace: diagnostics.EnergyTrace,
+                    dc: diagnostics.DecayConstants, sup_ct: float) -> None:
+    """One row per level, every number (n too) as _fmt writes it.  The last,
+    Z, is plot.gp's envelope over its decaying term (NaN when E0 = 0)."""
+    Z = np.full(len(trace), np.nan)
+    if trace.E[0] > 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(np.multiply(dc.omega, trace.t, out=Z), out=Z)
+            Z *= dc.M1 * sup_ct / (dc.M * trace.E[0])
+            Z += 1.0
     csvtext.write_csv(path, ",".join(TRACE_COLUMNS), [
         np.arange(len(trace), dtype=float), trace.t, trace.E, trace.diss_lhs,
-        trace.diss_rhs, trace.heat, trace.C_T, trace.lyapunov, trace.Z])
+        trace.diss_rhs, trace.heat, trace.C_T, trace.lyapunov, Z])
 
 
 def write_profiles_csv(path: Path, traj: scheme.Trajectory) -> None:
@@ -144,11 +152,9 @@ def write_profiles_csv(path: Path, traj: scheme.Trajectory) -> None:
                       [traj.grid.x[:traj.grid.J + 1], traj.T, traj.q[:, :-1]])
 
 
-def _write_constants(path: Path, manifest: RunManifest,
-                     traj: scheme.Trajectory) -> None:
-    params = manifest.params
-    dc = diagnostics.decay_constants(params)
-    trace = traj.trace
+def _write_constants(path: Path, manifest: RunManifest, traj: scheme.Trajectory,
+                     dc: diagnostics.DecayConstants, sup_ct: float) -> None:
+    params, trace = manifest.params, traj.trace
     closed = 0.5 * params.rho_c * params.l * manifest.config.T_b**2
     lines = {
         "beta": dc.beta,
@@ -156,7 +162,7 @@ def _write_constants(path: Path, manifest: RunManifest,
         "M0": dc.M,
         "gamma0": dc.gamma0,
         "M1": dc.M1,
-        "sup_CT": diagnostics.supremum_boundary_term(trace),
+        "sup_CT": sup_ct,
         "E0": trace.E[0],
         "E_final": trace.E[-1],
         "heat_initial": trace.heat[0],
@@ -177,11 +183,8 @@ def _write_constants(path: Path, manifest: RunManifest,
         "".join(f"{k} = {_fmt(v)}\n" for k, v in lines.items()), encoding="utf-8")
 
 
-def _write_plot_script(path: Path, manifest: RunManifest,
-                       traj: scheme.Trajectory) -> None:
-    dc = diagnostics.decay_constants(manifest.params)
-    sup_ct = diagnostics.supremum_boundary_term(traj.trace)
-    n_profiles = len(traj.stored_steps)
+def _write_plot_script(path: Path, traj: scheme.Trajectory,
+                       dc: diagnostics.DecayConstants, sup_ct: float) -> None:
     envelope = (f"envelope(t) = {_fmt(dc.M)}*{_fmt(traj.trace.E[0])}"
                 f"*exp(-{_fmt(dc.omega)}*t) + {_fmt(dc.M1 * sup_ct)}")
     text = f"""\
@@ -192,7 +195,7 @@ set terminal pngcairo size 960,640
 set output 'temperature_waterfall.png'
 set xlabel 'x [m]'
 set ylabel 'T [degC]'
-plot for [i=2:{n_profiles + 1}] 'profiles.csv' skip 1 using 1:i with lines notitle
+plot for [i=2:{len(traj.stored_steps) + 1}] 'profiles.csv' skip 1 using 1:i with lines notitle
 
 set output 'energy.png'
 set xlabel 't [s]'
@@ -215,12 +218,14 @@ def cmd_run(manifest: RunManifest) -> int:
     grid = build_grid(params, config)
     traj = scheme.run(params, config, cosine_initial(grid, config.T_b, config.T_f),
                       stride=manifest.stride)
+    dc = diagnostics.decay_constants(params)
+    sup_ct = diagnostics.supremum_boundary_term(traj.trace)
     out = manifest.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(out / "trace.csv", traj.trace)
+    write_trace_csv(out / "trace.csv", traj.trace, dc, sup_ct)
     write_profiles_csv(out / "profiles.csv", traj)
-    _write_constants(out / "constants.txt", manifest, traj)
-    _write_plot_script(out / "plot.gp", manifest, traj)
+    _write_constants(out / "constants.txt", manifest, traj, dc, sup_ct)
+    _write_plot_script(out / "plot.gp", traj, dc, sup_ct)
     print(f"wrote {out}/trace.csv profiles.csv constants.txt plot.gp ({grid.N + 1} "
           f"steps, J={grid.J}, case={'fourier' if params.is_fourier else 'gk'})")
     return 0
@@ -240,6 +245,10 @@ def cmd_verify(manifest: RunManifest) -> int:
     """
     params, config = manifest.params, manifest.config
     grid = build_grid(params, config)
+    try:  # refuse the rate fit's mesh before the first run
+        build_grid(params, checks.rate_fit_config(config))
+    except MeshTooLarge as exc:
+        raise MeshTooLarge(f"mode_rate_fit's mesh at dt/8 = {config.dt / 8:.6g}: {exc}") from None
     cfg = dataclasses.replace(config, stepper_kind=StepperKind.COUPLED_IMPLICIT)
     trace = scheme.run(params, cfg, cosine_initial(grid, config.T_b, config.T_f),
                        stride=grid.N + 1).trace

@@ -16,9 +16,8 @@ energy overflows).  The trajectory runner (see linalg and scheme) gets the
 trace of every level from the modal amplitudes it steps: each trace column
 is a sum over the modes with the weights of modal_trace_weights, and is a
 quadratic or linear form in the level a chunk starts from.
-modal_trace_table tabulates those forms for a block of modes, all five of
-them or the energy's alone, and build_trace completes the summed columns
-in place into an EnergyTrace's columns, and adds Z from the decay constants.
+modal_trace_table tabulates those forms for a block of modes, all five or
+the energy's alone, and build_trace completes their sums into an EnergyTrace.
 """
 
 from __future__ import annotations
@@ -46,12 +45,10 @@ class EnergyTrace:
     """Per-step diagnostics of one trajectory (arrays of length N+2).
 
     diss_lhs/diss_rhs are the two sides of the dissipation inequality; row 0
-    has no predecessor and carries zeros there.  Z is the normalized
-    envelope quantity 1 + (M1*sup|C_T| / (M0*E0)) * exp(omega*t_n); it is
-    NaN when E0 = 0, and inf where exp(omega*t_n) overflows.  An
-    energy-only trace (scheme.run's energy_only) has t, E and heat, and
-    None in the other columns.  build_trace's E, diss_lhs, diss_rhs, C_T
-    and lyapunov are the columns of one (N+2, 5) array.
+    has no predecessor and carries zeros there.  An energy-only trace
+    (scheme.run's energy_only) has t, E and heat, and None in the other
+    four columns.  build_trace's E, diss_lhs, diss_rhs, C_T and lyapunov
+    are the columns of one (N+2, 5) array.
     """
 
     t: np.ndarray                # time [s]
@@ -61,7 +58,6 @@ class EnergyTrace:
     heat: np.ndarray             # total heat dx*sum(T_j)
     C_T: np.ndarray | None       # boundary-times-mean term
     lyapunov: np.ndarray | None  # weighted Lyapunov functional
-    Z: np.ndarray | None         # normalized envelope quantity
 
     def __len__(self) -> int:
         return self.t.size
@@ -295,8 +291,8 @@ def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
     return table
 
 
-def build_trace(w: ModalTraceWeights, params: MaterialParams, m: float,
-                t: np.ndarray, sums: np.ndarray) -> EnergyTrace:
+def build_trace(w: ModalTraceWeights, m: float, t: np.ndarray,
+                sums: np.ndarray) -> EnergyTrace:
     """EnergyTrace at times t of the levels of a trajectory split as
     T = m + e, from their sums over the modes in the column order of
     modal_trace_table.  Row 0 has no predecessor and zeros for the
@@ -304,29 +300,19 @@ def build_trace(w: ModalTraceWeights, params: MaterialParams, m: float,
     neither drowned by cancellation near equilibrium nor limited by the
     rounding of the levels themselves; the mean, never stepped, drops out
     of it and keeps the heat exactly constant.  From E's sums alone (one
-    column) the trace has t, E and heat, and None in the other columns.
-    Z is NaN when E0 = 0, and inf where exp(omega t_n) overflows (run
-    silences that warning).  The sums are completed in place: every column
-    but t (t itself), heat and Z is a view of them.
+    column) the trace has t, E and heat, and None in the other four.  The
+    sums are completed in place: every column but t and heat is a view of them.
     """
     E = sums[:, 0]
     E += w.E_mean * m * m
     heat = np.full_like(E, w.heat_mean * m)
     if sums.shape[1] == 1:
         return EnergyTrace(t=t, E=E, diss_lhs=None, diss_rhs=None,
-                           heat=heat, C_T=None, lyapunov=None, Z=None)
+                           heat=heat, C_T=None, lyapunov=None)
     sums[:, 2] += w.F_mean * m * m
     sums[:, 2] += w.lyapunov_weight * E
     sums[:, 3] += w.boundary_mean * m
     sums[:, 3] *= heat
     sums[0, [1, 4]] = 0.0
-    trace = EnergyTrace(
-        t=t, E=E, diss_lhs=sums[:, 4], diss_rhs=sums[:, 1], heat=heat,
-        C_T=sums[:, 3], lyapunov=sums[:, 2], Z=np.full(t.size, np.nan))
-    if E[0] > 0.0:
-        # Z = 1 + (M1 sup|C_T| / (M E0)) exp(omega t), formed in place
-        dc, Z = decay_constants(params), trace.Z
-        np.exp(np.multiply(dc.omega, trace.t, out=Z), out=Z)
-        Z *= dc.M1 * supremum_boundary_term(trace) / (dc.M * E[0])
-        Z += 1.0
-    return trace
+    return EnergyTrace(t=t, E=E, diss_lhs=sums[:, 4], diss_rhs=sums[:, 1],
+                       heat=heat, C_T=sums[:, 3], lyapunov=sums[:, 2])

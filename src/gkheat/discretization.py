@@ -61,15 +61,17 @@ def build_grid(params: MaterialParams, config: SimulationConfig) -> Grid:
     """Construct the mesh, requiring dx | l and dt | t_final.
 
     Raises NonDivisibleMesh when either ratio deviates from an integer by
-    more than 1e-9 relative, and MeshTooLarge when N+2 or J+2 would exceed
-    MAX_MESH_POINTS.
+    more than 1e-9 relative, MeshTooLarge when N+2 or J+2 would exceed
+    MAX_MESH_POINTS, and NonFiniteInput when l is outside [1e-50, 1e50] m.
     """
     n_dx = _integer_ratio(params.l, config.dx, "l/dx")
     n_dt = _integer_ratio(config.t_final, config.dt, "t_final/dt")
     if n_dx < 2:
         raise NonDivisibleMesh("mesh needs at least two temperature nodes (l/dx >= 2)")
-    J = n_dx - 1
-    N = n_dt - 1
+    if not 1e-50 <= params.l <= 1e50:  # far past any conductor; l^-4, dx^3 stay finite
+        raise NonFiniteInput(f"l = {params.l!r} m (dx = {config.dx!r} m) is outside "
+                             "[1e-50, 1e50] m, where powers of l and dx over- or underflow")
+    J, N = n_dx - 1, n_dt - 1
     x = np.arange(J + 2, dtype=float) * config.dx
     t = np.arange(N + 2, dtype=float) * config.dt
     return Grid(J=J, N=N, dx=config.dx, dt=config.dt, x=x, t=t)

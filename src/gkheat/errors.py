@@ -34,8 +34,8 @@ class DimensionMismatch(GKHeatError):
 
 
 class NonFiniteInput(GKHeatError, ValueError):
-    """A state holds a non-finite value, or initial data are so large that
-    their energy overflows (a configuration error; the CLI exits 1)."""
+    """A state holds a non-finite value, initial data overflow their energy, or
+    l is outside [1e-50, 1e50] m (build_grid; a config error, the CLI exits 1)."""
 
 
 class NumericalFailure(GKHeatError):

@@ -51,12 +51,12 @@ table (diagnostics.modal_trace_table, which forms the step increments
 D G^(k-1) in it), and every row of the run gets the block's share from one
 matrix product of the table with the features of the chunk bases, the
 levels 0, K, 2K, ...  A run with energy_only (the decay-rate fits of sweep
-and verify) traces E and heat alone: its table is E's weights on the
-quadratic features, 3 values per level and mode instead of 25, built
-without D, and its blocks are longer and wider.  Only the kept levels'
-amplitudes are formed, in the rows of T and q rebuilt from them in
-place after the last block.  run is the only stepping path: a single step
-is a run with t_final = dt.
+and verify, and verify's runs that read only kept levels) traces E and
+heat alone: its table is E's weights on the quadratic features, 3 values
+per level and mode instead of 25, built without D, and its blocks are
+longer and wider.  Only the kept levels' amplitudes are formed, in the
+rows of T and q rebuilt from them in place after the last block.  run is
+the only stepping path: a single step is a run with t_final = dt.
 """
 
 from __future__ import annotations
@@ -275,8 +275,8 @@ def run_memory_bytes(grid: Grid, stride: int) -> int:
 
     Counts, per level, the time axis, the trace's modal sums
     (5, which build_trace completes in place into E, diss_lhs, diss_rhs,
-    C_T and lyapunov), heat, Z, temporaries and the trace writer's step
-    numbers; 10 J values of transform temporaries; per kept level, its
+    C_T and lyapunov), heat, temporaries, and the trace writer's Z and
+    step numbers; 10 J values of transform temporaries; per kept level, its
     2J+3 values plus 32 for its Python objects (about 220 bytes measured);
     and the largest of three phases.  The blocks hold the operators (4J),
     the trace weights (15J), level 0's amplitudes (2J), and per block its
@@ -367,8 +367,7 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     ValueError if stride is not an integer >= 1; MeshTooLarge, before
     allocating, if run_memory_bytes exceeds MAX_RUN_BYTES; NonFiniteInput,
     before stepping, if init's energy is not finite; NonFiniteState, naming
-    the first bad step, if a level or its trace row overflows (Z, which is
-    inf from where exp(omega t) overflows, aside).
+    the first bad step, if a level or its trace row overflows.
     """
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
@@ -402,8 +401,8 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
             modes = slice(lo, min(lo + plan.n, J))
             _trace_block(D[..., modes], weights, modes, m, x[:, modes], plan,
                          sums, kept[..., modes])
-        trace = diagnostics.build_trace(weights, params, m, grid.t, sums)
-        # sums now holds every trace column but heat and Z
+        trace = diagnostics.build_trace(weights, m, grid.t, sums)
+        # sums now holds every trace column but heat
         ok = np.isfinite(sums).all(axis=1) & np.isfinite(trace.heat)
         # only the trace and the kept levels outlive the blocks
         del D, weights, x

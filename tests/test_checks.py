@@ -19,8 +19,7 @@ def make_trace(E=(4.0, 3.0, 2.0), heat=(1.0, 1.0, 1.0), lhs=(0.0, -1.0, -1.0),
     return EnergyTrace(t=np.arange(n, dtype=float), E=np.asarray(E, float),
                        diss_lhs=np.asarray(lhs, float), diss_rhs=np.asarray(rhs, float),
                        heat=np.asarray(heat, float), C_T=z.copy(),
-                       lyapunov=z.copy() if lyap is None else np.asarray(lyap, float),
-                       Z=z.copy())
+                       lyapunov=z.copy() if lyap is None else np.asarray(lyap, float))
 
 
 class TestTraceChecks:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gkheat import (NonPositiveCoefficient, ParseError, StepperKind, build_grid,
-                    cosine_initial, run, scheme)
+                    cosine_initial, decay_constants, diagnostics, run, scheme)
 from gkheat.cli import (TRACE_COLUMNS, _fmt, cmd_run, cmd_sweep, cmd_verify,
                         main, parse_config)
 from oracles import discrete_decay_rate
@@ -119,6 +119,7 @@ class TestCmdRun:
         assert np.all(np.diff(E) <= 1e-12 * E[0])
         assert np.max(np.abs(heat - heat[0])) <= 1e-12 * abs(heat[0])
         assert rows["diss_lhs"][0] == 0.0 and rows["diss_rhs"][0] == 0.0
+        assert np.all(np.diff(rows["Z"]) >= 0.0)
 
     def test_profiles_shape(self, run_dir):
         lines = (run_dir / "profiles.csv").read_text().splitlines()
@@ -172,8 +173,13 @@ class TestCmdRun:
         traj = run(manifest.params, manifest.config,
                    cosine_initial(grid, T_b, T_f), stride=manifest.stride)
         tr = traj.trace
+        dc = decay_constants(manifest.params)
+        Z = np.full(len(tr), np.nan)
+        if tr.E[0] > 0.0:
+            Z = 1.0 + (dc.M1 * diagnostics.supremum_boundary_term(tr)
+                       / (dc.M * tr.E[0])) * np.exp(dc.omega * tr.t)
         cols = (tr.t, tr.E, tr.diss_lhs, tr.diss_rhs, tr.heat, tr.C_T,
-                tr.lyapunov, tr.Z)
+                tr.lyapunov, Z)
         expected = [",".join(TRACE_COLUMNS)] + [
             ",".join([str(n)] + [_fmt(c[n]) for c in cols]) for n in range(len(tr))]
         assert (out / "trace.csv").read_text() == "\n".join(expected) + "\n"
@@ -208,6 +214,17 @@ class TestCmdRun:
         Z = read_trace(out / "trace.csv")["Z"]
         assert np.all(np.isfinite(Z[:6811])) and np.all(Z[6811:] == np.inf)
 
+    def test_decay_constants_are_computed_once(self, tmp_path, monkeypatch):
+        # the three writers share one DecayConstants and one sup|C_T|
+        calls = []
+        for name in ("decay_constants", "supremum_boundary_term"):
+            def spy(*args, _name=name, _fn=getattr(diagnostics, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(diagnostics, name, spy)
+        assert cmd_run(parse_config(FAST_CONFIG + f"out_dir = {tmp_path}\n")) == 0
+        assert sorted(calls) == ["decay_constants", "supremum_boundary_term"]
+
 
 class TestCmdVerify:
     def test_all_properties_pass(self, tmp_path, capsys):
@@ -237,6 +254,33 @@ class TestCmdVerify:
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(f"tau_q = {tau_q}\ndx = 2e-3\nout_dir = {tmp_path}\n")
         assert main(["verify", "-c", str(cfg)]) == 0, capsys.readouterr().out
+
+    def test_huge_relaxation_time_passes_the_oracle(self, tmp_path, capsys):
+        # the oracle's random states overflow the trace columns here, which
+        # the check does not read: its runs trace E alone.  (The exit code
+        # is left open: the rate fit's continuum oracle FAILs at this tau_q)
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("tau_q = 1e160\ndx = 2e-3\n")
+        main(["verify", "-c", str(cfg)])
+        out, err = capsys.readouterr()
+        assert "PASS oracle_equivalence" in out and "numerical failure" not in err
+
+    @pytest.mark.parametrize("dt,fit", [
+        ("1e-5", "1.25e-06: t_final/dt = 4.8e+06"), ("1e-310", "1.25e-311: t_final/dt = inf")])
+    def test_rate_fit_mesh_refused_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                  dt, fit):
+        # dt/8 over 6 s needs 4.8e6 levels, or more than a float can count
+        # (6/(dt/8) overflows); the main mesh is within the cap
+        def no_run(*args, **kwargs):
+            raise AssertionError("scheme.run called")
+
+        monkeypatch.setattr(scheme, "run", no_run)
+        cfg = tmp_path / "fine_dt.cfg"
+        cfg.write_text(f"dt = {dt}\nt_final = {float(dt) * 1e4:g}\n")
+        assert main(["verify", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: mode_rate_fit's mesh at dt/8 = {fit} gives more than "
+            "4000000 mesh points\n")
 
     def test_as_printed_reports_gap(self, tmp_path, capsys):
         manifest = parse_config(
@@ -429,6 +473,32 @@ class TestMain:
         cfg.write_text(f"tau_q = 1e300\ndx = 2e-3\nout_dir = {tmp_path / 'o'}\n")
         assert main([command, "-c", str(cfg)]) == 2
         assert "omega" in capsys.readouterr().err
+
+    def test_underflowing_decay_rate_fails_the_command_not_the_run(self, tmp_path,
+                                                                   capsys):
+        # the library run traces the trajectory; only the run command,
+        # whose files print the decay constants, needs omega > 0
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text(f"tau_q = 1e300\ndx = 2e-3\nout_dir = {tmp_path / 'o'}\n")
+        manifest = parse_config(cfg.read_text())
+        grid = build_grid(manifest.params, manifest.config)
+        trace = run(manifest.params, manifest.config, cosine_initial(grid, 15.0, 30.0),
+                    stride=grid.N + 1).trace
+        assert np.all(np.isfinite(trace.E)) and np.all(np.isfinite(trace.C_T))
+        assert main(["run", "-c", str(cfg)]) == 2
+        assert "omega" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("l,dx", [(1e-300, 1e-301), (1e300, 2e298)],
+                             ids=["tiny", "huge"])
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+    def test_extreme_domain_length_exits_one(self, tmp_path, capsys, l, dx, command):
+        # refused before anything is built: dx^2 underflows to 0 in the
+        # tiny domain, and dx^3 and l^2 overflow in the huge one
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(f"l = {l}\ndx = {dx}\nout_dir = {tmp_path / 'o'}\n")
+        assert main([command, "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: l = {l!r} m (dx = {dx!r} m)")
 
     @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
     def test_fourier_limit_with_relaxation_exits_one(self, tmp_path, capsys, command):

@@ -9,10 +9,11 @@ from gkheat import (State, build_grid, cosine_initial, decay_constants,
                     discrete_energy, equilibrium_energy, fit_energy_decay_rate,
                     mode_decay_oracle, run)
 from gkheat import InsufficientFitData
-from gkheat import checks, scheme
-from gkheat.diagnostics import (DISSIPATION_RTOL, EnergyTrace, ModalTraceWeights,
-                                build_trace, modal_trace_table,
-                                modal_trace_weights, sandwich_bounds)
+from gkheat import checks, diagnostics, scheme
+from gkheat.cli import write_trace_csv
+from gkheat.diagnostics import (DISSIPATION_RTOL, EnergyTrace, build_trace,
+                                modal_trace_table, modal_trace_weights,
+                                sandwich_bounds)
 from gkheat.model import MaterialParams, SimulationConfig
 from oracles import boundary_term, dissipation_check, lyapunov, total_heat
 
@@ -29,8 +30,7 @@ def make_trace(t, E, C_T=None, heat=None, lyap=None):
                        diss_lhs=z.copy(), diss_rhs=z.copy(),
                        heat=z.copy() if heat is None else np.asarray(heat, float),
                        C_T=z.copy() if C_T is None else np.asarray(C_T, float),
-                       lyapunov=z.copy() if lyap is None else np.asarray(lyap, float),
-                       Z=z.copy())
+                       lyapunov=z.copy() if lyap is None else np.asarray(lyap, float))
 
 
 class TestDiscreteEnergy:
@@ -228,26 +228,27 @@ class TestModeDecayOracle:
         assert slow.real == pytest.approx(expected, rel=1e-12)
 
 
-def built_z(params, t, E, C_T):
-    """build_trace's Z for energies E and boundary terms C_T at times t,
-    from weights that make E and C_T their sums at m = 1."""
-    w = ModalTraceWeights(quadratic=None, increment=None, linear=None, E_mean=0.0,
-                          F_mean=0.0, heat_mean=1.0, boundary_mean=0.0,
-                          lyapunov_weight=0.0)
-    sums = np.zeros((len(t), 5))
-    sums[:, 0], sums[:, 3] = E, C_T
-    return build_trace(w, params, 1.0, np.asarray(t, float), sums).Z
+def written_z(path, params, t, E, C_T):
+    """The Z column write_trace_csv writes for energies E and boundary
+    terms C_T at times t, from params' decay constants and sup|C_T|."""
+    C_T = np.broadcast_to(np.asarray(C_T, float), len(t))
+    trace = make_trace(t, E, C_T=C_T)
+    write_trace_csv(path, trace, decay_constants(params),
+                    diagnostics.supremum_boundary_term(trace))
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, -1]
 
 
 class TestEnvelopeAndZ:
-    def test_z_at_t0(self, ref_params):
+    def test_z_at_t0(self, tmp_path, ref_params):
         dc = decay_constants(ref_params)
-        z = built_z(ref_params, [0.0, 1.0], [4.0, 3.0], [2.0, -5.0])
+        z = written_z(tmp_path / "trace.csv", ref_params, [0.0, 1.0], [4.0, 3.0],
+                      [2.0, -5.0])
         assert z[0] == pytest.approx(1.0 + dc.M1 * 5.0 / (dc.M * 4.0), rel=1e-13)
         assert z[1] > z[0]  # monotone since omega > 0
 
-    def test_z_is_one_when_boundary_term_vanishes(self, ref_params):
-        z = built_z(ref_params, [0.0, 1.0, 2.0], [4.0, 3.0, 2.0], 0.0)
+    def test_z_is_one_when_boundary_term_vanishes(self, tmp_path, ref_params):
+        z = written_z(tmp_path / "trace.csv", ref_params, [0.0, 1.0, 2.0],
+                      [4.0, 3.0, 2.0], 0.0)
         np.testing.assert_array_equal(z, np.ones(3))
 
     def test_envelope_zero_trajectory(self, ref_params):
@@ -299,7 +300,6 @@ class TestTraceChecksOnShortRun:
         assert np.all(trace.diss_lhs[1:] <= trace.diss_rhs[1:] + slack)
         assert np.all(np.abs(trace.heat - trace.heat[0])
                       <= 1e-12 * abs(trace.heat[0]))
-        assert np.all(np.diff(trace.Z) >= 0.0)
 
     @pytest.mark.parametrize("T_b", [15.0, 0.0])
     def test_split_trace_matches_state_functions(self, ref_params, T_b):
@@ -384,7 +384,7 @@ class TestTraceChecksOnShortRun:
         a, b = base
         features = np.concatenate((a * a, a * b, b * b, a, b))
         sums = table.reshape(5 * (K + 1), 5 * J) @ features
-        tr = build_trace(weights, p, float(m), grid.t, sums.reshape(K + 1, 5))
+        tr = build_trace(weights, float(m), grid.t, sums.reshape(K + 1, 5))
         got = np.column_stack((tr.E, tr.diss_lhs, tr.diss_rhs, tr.heat, tr.C_T,
                                tr.lyapunov))
         assert got.shape == expected.shape

@@ -294,7 +294,6 @@ class TestRun:
         traj = run(p, cfg, State(T=np.zeros(10), q=np.zeros(11)))
         assert np.all(traj.T == 0.0) and np.all(traj.q == 0.0)
         assert np.all(traj.trace.E == 0.0)
-        assert np.all(np.isnan(traj.trace.Z))
 
     def test_stride_keeps_endpoints_and_all_diagnostics(self):
         p, cfg, grid, ops = small_setup(J=9, t_final=10 * 1.2e-2)
@@ -348,7 +347,7 @@ class TestRun:
         assert np.array_equal(trace.t, full.t)
         assert np.array_equal(trace.heat, full.heat)
         assert np.max(np.abs(trace.E - full.E)) <= 1e-14 * np.max(full.E)
-        for name in ("diss_lhs", "diss_rhs", "C_T", "lyapunov", "Z"):
+        for name in ("diss_lhs", "diss_rhs", "C_T", "lyapunov"):
             assert getattr(trace, name) is None, name
         # a check of a column the run did not trace fails instead of passing
         with pytest.raises(TypeError):
@@ -450,7 +449,7 @@ class TestBFactor:
         assert np.max(np.abs(q_got - qs)) <= 1e-13 * np.max(np.abs(qs))
 
 
-TRACE_FIELDS = ("E", "diss_lhs", "diss_rhs", "heat", "C_T", "lyapunov", "Z")
+TRACE_FIELDS = ("E", "diss_lhs", "diss_rhs", "heat", "C_T", "lyapunov")
 EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
 
 
@@ -550,7 +549,7 @@ class TestTraceTable:
                                               slice(None), D)
         a, b = scheme._modes(states[0], m)
         sums = table.reshape(5 * (K + 1), 5 * J) @ np.concatenate((a * a, a * b, b * b, a, b))
-        tr = diagnostics.build_trace(weights, p, m, grid.dt * np.arange(K + 1),
+        tr = diagnostics.build_trace(weights, m, grid.dt * np.arange(K + 1),
                                      sums.reshape(K + 1, 5))
         rows = np.column_stack((tr.E, tr.diss_lhs, tr.diss_rhs, tr.heat, tr.C_T,
                                 tr.lyapunov))
@@ -685,7 +684,9 @@ class TestRunMemory:
         try:
             traj = run(p, cfg, init, stride=stride, energy_only=energy_only)
             if not energy_only:
-                write_trace_csv(tmp_path / "trace.csv", traj.trace)
+                write_trace_csv(tmp_path / "trace.csv", traj.trace,
+                                diagnostics.decay_constants(p),
+                                diagnostics.supremum_boundary_term(traj.trace))
                 write_profiles_csv(tmp_path / "profiles.csv", traj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
