@@ -1,14 +1,13 @@
 """Solver library and verification tooling for the 1-D Guyer-Krumhansl heat equation."""
 
 from .diagnostics import (DecayConstants, EnergyTrace, decay_constants,
-                          discrete_energy, equilibrium_energy,
-                          fit_energy_decay_rate, mode_decay_oracle)
+                          equilibrium_energy, fit_energy_decay_rate,
+                          mode_decay_oracle)
 from .discretization import Grid, State, build_grid, cosine_initial
 from .errors import (DimensionMismatch, GKHeatError, GridMismatch,
-                     InsufficientFitData, InvalidLimit, MeshTooLarge,
-                     NonDivisibleMesh, NonFiniteInput, NonFiniteState,
-                     NonPositiveCoefficient, NumericalFailure, ParseError,
-                     SingularMatrix)
+                     InsufficientFitData, MeshTooLarge, NonDivisibleMesh,
+                     NonFiniteInput, NonFiniteState, NonPositiveCoefficient,
+                     NumericalFailure, ParseError, SingularMatrix)
 from .linalg import dense_solve
 from .model import (MaterialParams, OnsagerCoefficients, SimulationConfig,
                     StepperKind, gk_to_onsager, onsager_to_gk)
@@ -17,12 +16,11 @@ from .scheme import Trajectory, assemble, run, step_coupled_reference
 __all__ = [
     "DecayConstants", "DimensionMismatch", "EnergyTrace",
     "GKHeatError", "Grid", "GridMismatch", "InsufficientFitData",
-    "InvalidLimit", "MaterialParams", "MeshTooLarge", "NonDivisibleMesh",
-    "NonFiniteInput", "NonFiniteState", "NonPositiveCoefficient", "NumericalFailure",
+    "MaterialParams", "MeshTooLarge", "NonDivisibleMesh", "NonFiniteInput",
+    "NonFiniteState", "NonPositiveCoefficient", "NumericalFailure",
     "OnsagerCoefficients", "ParseError", "SimulationConfig",
     "SingularMatrix", "State", "StepperKind", "Trajectory", "assemble",
     "build_grid", "cosine_initial", "decay_constants", "dense_solve",
-    "discrete_energy", "equilibrium_energy", "fit_energy_decay_rate",
-    "gk_to_onsager", "mode_decay_oracle", "onsager_to_gk",
-    "run", "step_coupled_reference",
+    "equilibrium_energy", "fit_energy_decay_rate", "gk_to_onsager",
+    "mode_decay_oracle", "onsager_to_gk", "run", "step_coupled_reference",
 ]

@@ -38,6 +38,11 @@ class CheckResult:
         return bool(self.value <= self.bound)
 
 
+def _fixed(value: float, decimals: int) -> str:
+    """value with `decimals` decimals, in e-notation from magnitude 1e6 up."""
+    return f"{value:.{decimals}{'e' if abs(value) >= 1e6 else 'f'}}"
+
+
 def state_gap(a: State, b: State) -> float:
     """Largest of the T and q gaps of a to b, each relative to max|.| of b."""
     gap_T = np.max(np.abs(a.T - b.T)) / max(np.max(np.abs(b.T)), 1e-300)
@@ -86,7 +91,8 @@ def lyapunov_sandwich(trace: diagnostics.EnergyTrace,
     # whose ratios read 0, has nothing to bound
     value = max(1.0 - lower, upper - 1.0) if trace.E[0] > 0.0 else -1.0
     return CheckResult("lyapunov_sandwich",
-                       f"lower ratio >= {lower:.4f}, upper ratio <= {upper:.4f}",
+                       f"lower ratio >= {_fixed(lower, 4)}, "
+                       f"upper ratio <= {_fixed(upper, 4)}",
                        value, diagnostics.QUADRATURE_SLACK)
 
 
@@ -100,7 +106,7 @@ def decay_envelope(trace: diagnostics.EnergyTrace,
     ratio = float(np.max(trace.E / np.maximum(envelope, 1e-300)))
     kind = "zero-mean bound" if sup_ct == 0.0 else "offset bound"
     return CheckResult("decay_envelope",
-                       f"{kind}, max E/bound {ratio:.4f}, sup|C_T| {sup_ct:.6g}",
+                       f"{kind}, max E/bound {_fixed(ratio, 4)}, sup|C_T| {sup_ct:.6g}",
                        ratio, 1.0 + 1e-12)
 
 
@@ -163,7 +169,7 @@ def mode_rate_fit(params: MaterialParams, config: SimulationConfig) -> CheckResu
     rel = abs(fitted / target - 1.0)
     return CheckResult("mode_rate_fit",
                        f"fitted {fitted:.6g} 1/s vs spectral {target:.6g} 1/s "
-                       f"({100 * rel:.3f}% off)", rel, 0.02)
+                       f"({_fixed(100 * rel, 3)}% off)", rel, 0.02)
 
 
 def printed_gaps(params: MaterialParams,

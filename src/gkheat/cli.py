@@ -2,9 +2,11 @@
 
 Config files are UTF-8 ``key = value`` lines ('#' starts a comment).  Keys:
 rho, c, tau_q, mu2, k, l, dx, dt, t_final, T_b, T_f, stepper, stride,
-out_dir.  Missing keys fall back to the reference case defaults below; a
-repeated key, a non-finite number or a fourier_limit stepper with a
-nonzero tau_q or mu2 is a ParseError.
+out_dir.  Missing keys fall back to the reference case defaults below, and
+a key whose default is a float takes a number; a repeated key, a
+non-finite number or a fourier_limit stepper with a nonzero tau_q or mu2 is
+a ParseError.  fourier_limit names no stepper of its own: it is
+coupled_implicit, checked to run at tau_q = mu2 = 0.
 
 Exit codes: 0 success / all checks pass, 1 usage or configuration error
 (a mesh over discretization.MAX_MESH_POINTS or with l outside [1e-50, 1e50],
@@ -53,8 +55,9 @@ REPORTED_EQUILIBRIUM_REFERENCE = 1.24e7
 TRACE_COLUMNS = ("n", "t", "E", "diss_lhs", "diss_rhs", "heat", "C_T",
                  "lyapunov", "Z")
 
-_FLOAT_KEYS = ("rho", "c", "tau_q", "mu2", "k", "l", "dx", "dt", "t_final",
-               "T_b", "T_f")
+#: the stepper spellings a config accepts and the stepper each selects
+_STEPPERS = {**{kind.value: kind for kind in StepperKind},
+             "fourier_limit": StepperKind.COUPLED_IMPLICIT}
 
 
 def _fmt(x: float) -> str:
@@ -91,7 +94,7 @@ def parse_config(text: str) -> RunManifest:
         seen[key] = lineno
         if not val:
             raise ParseError(lineno, f"empty value for key {key!r}")
-        if key in _FLOAT_KEYS:
+        if isinstance(REFERENCE_DEFAULTS[key], float):
             try:
                 values[key] = float(val)
             except ValueError:
@@ -105,21 +108,19 @@ def parse_config(text: str) -> RunManifest:
                 raise ParseError(lineno, f"stride needs an integer, got {val!r}")
             if values[key] < 1:
                 raise ParseError(lineno, "stride must be >= 1")
-        elif key == "stepper" and val not in {k.value for k in StepperKind}:
-            choices = ", ".join(k.value for k in StepperKind)
-            raise ParseError(lineno, f"stepper must be one of: {choices}")
+        elif key == "stepper" and val not in _STEPPERS:
+            raise ParseError(lineno, f"stepper must be one of: {', '.join(_STEPPERS)}")
         else:
             values[key] = val
-    kind = StepperKind(values["stepper"])
     params = MaterialParams(rho=values["rho"], c=values["c"],
                             tau_q=values["tau_q"], mu2=values["mu2"],
                             k=values["k"], l=values["l"])
-    if kind == StepperKind.FOURIER_LIMIT and not params.is_fourier:
+    if values["stepper"] == "fourier_limit" and not params.is_fourier:
         raise ParseError(seen["stepper"], "stepper fourier_limit needs tau_q = mu2 = 0, "
                          f"got tau_q = {params.tau_q:g}, mu2 = {params.mu2:g}")
     config = SimulationConfig(dx=values["dx"], dt=values["dt"],
                               t_final=values["t_final"], T_b=values["T_b"],
-                              T_f=values["T_f"], stepper_kind=kind)
+                              T_f=values["T_f"], stepper_kind=_STEPPERS[values["stepper"]])
     return RunManifest(params=params, config=config,
                        out_dir=Path(str(values["out_dir"])), stride=int(values["stride"]))
 

@@ -10,12 +10,11 @@ which the coupled implicit scheme dissipates at the rate
     (E^n - E^{n-1})/dt <= -(1/k) dx sum |q_j^n|^2
                           - (mu2/k) dx sum |(q_{j+1}^n - q_j^n)/dx|^2.
 
-Everything here is a pure function of states or traces.  discrete_energy
-evaluates one physical state (run() uses it to refuse initial data whose
-energy overflows).  The trajectory runner (see linalg and scheme) gets the
-trace of every level from the modal amplitudes it steps: each trace column
-is a sum over the modes with the weights of modal_trace_weights, and is a
-quadratic or linear form in the level a chunk starts from.
+Everything here is a pure function of its arguments.  The trajectory
+runner (see linalg and scheme) gets the trace of every level from the
+modal amplitudes it steps: each trace column is a sum over the modes with
+the weights of modal_trace_weights, and is a quadratic or linear form in
+the level a chunk starts from.
 modal_trace_table tabulates those forms for a block of modes, all five or
 the energy's alone, and build_trace completes their sums into an EnergyTrace.
 """
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import Grid, State
+from .discretization import Grid
 from .errors import InsufficientFitData, NumericalFailure
 from .linalg import difference_symbols
 from .model import MaterialParams
@@ -100,13 +99,6 @@ def decay_constants(params: MaterialParams) -> DecayConstants:
     return constants
 
 
-def discrete_energy(state: State, params: MaterialParams, dx: float) -> float:
-    """E = (rho c/2) dx sum T_j^2 + (tau_q/(2k)) dx sum_{j=0..J} q_j^2."""
-    T, q = state.T, state.q[:-1]
-    return float((params.rho_c * dx / 2.0) * (T @ T)
-                 + (params.tau_q / params.k) * (dx / 2.0) * (q @ q))
-
-
 def sandwich_bounds(params: MaterialParams) -> tuple[float, float]:
     """Coefficients (low, high) with low*E <= L <= high*E."""
     low = params.l**2 + params.mu2
@@ -126,16 +118,26 @@ def supremum_boundary_term(trace: EnergyTrace) -> float:
 
 def mode_decay_oracle(params: MaterialParams,
                       mode_index: int) -> tuple[complex, complex | None]:
-    """Continuum decay rates of the separated mode T ~ cos(kappa x), q ~ sin(kappa x).
+    """Continuum decay rates (slow, fast) of the separated mode
+    T ~ cos(kappa x), q ~ sin(kappa x).
 
     For kappa = mode_index*pi/l the mode amplitudes (a, b) obey
 
         a' = -kappa b / (rho c),
         tau_q b' = -(1 + mu2 kappa^2) b + k kappa a,
 
-    a 2x2 companion system whose eigenvalues are returned ordered by |Re|
-    (slow first).  For tau_q = 0 the system degenerates to the single rate
-    -k kappa^2 / (rho c (1 + mu2 kappa^2)) and the fast root is None.
+    whose rates solve tau_q lambda^2 + D lambda + k kappa^2/(rho c) = 0,
+    D = 1 + mu2 kappa^2.  With Fourier's rate r = k kappa^2/(rho c D) and
+    root = sqrt(1 - 4 r tau_q/D),
+
+        slow = -2 r / (1 + root),
+        fast = -D (1 + root) / (2 tau_q),
+
+    one form of the slow rate for every tau_q, mu2 >= 0 that divides by no
+    difference and squares no trace, formed in an order that over- or
+    underflows only where the rate does.  At tau_q = 0 the slow rate is
+    -r and there is no fast root (None); where root is imaginary the pair
+    is complex and fast is slow's conjugate.
 
     This is the independent oracle used to cross-check fitted energy decay
     rates: energy decays at 2|Re(lambda_slow)|.
@@ -143,20 +145,15 @@ def mode_decay_oracle(params: MaterialParams,
     if mode_index < 1:
         raise ValueError("mode_index must be a positive integer")
     kappa = mode_index * math.pi / params.l
-    rc = params.rho_c
+    D = 1.0 + params.mu2 * kappa**2
+    r = params.k * kappa**2 / params.rho_c / D
+    root = cmath.sqrt(1.0 - 4.0 * r / D * params.tau_q)
+    slow = -2.0 * r / (1.0 + root)
     if params.tau_q == 0.0:
-        rate = -params.k * kappa**2 / (rc * (1.0 + params.mu2 * kappa**2))
-        return complex(rate), None
-    tr = -(1.0 + params.mu2 * kappa**2) / params.tau_q
-    det = params.k * kappa**2 / (rc * params.tau_q)
-    disc = tr * tr - 4.0 * det
-    if disc > 0.0:  # real roots: slow = det/fast, as tr + sqrt(disc) cancels
-        fast = (tr - math.sqrt(disc)) / 2.0
-        return complex(det / fast), complex(fast)
-    sq = cmath.sqrt(complex(disc))
-    roots = sorted(((tr + sq) / 2.0, (tr - sq) / 2.0),
-                   key=lambda z: (abs(z.real), abs(z.imag)))
-    return roots[0], roots[1]
+        return slow, None
+    if root.imag != 0.0:
+        return slow, slow.conjugate()
+    return slow, -D * (1.0 + root) / (2.0 * params.tau_q)
 
 
 def equilibrium_energy(params: MaterialParams, heat: float) -> float:

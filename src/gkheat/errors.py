@@ -54,10 +54,6 @@ class InsufficientFitData(NumericalFailure):
     """A decay-rate fit window holds fewer than 2 usable points."""
 
 
-class InvalidLimit(GKHeatError):
-    """Fourier-limit stepper called with tau_q != 0 or mu2 != 0."""
-
-
 class ParseError(GKHeatError):
     """Malformed line in a key = value configuration file."""
 

@@ -24,7 +24,6 @@ class StepperKind(str, Enum):
 
     COUPLED_IMPLICIT = "coupled_implicit"
     VECTORIAL_AS_PRINTED = "vectorial_as_printed"
-    FOURIER_LIMIT = "fourier_limit"
 
 
 def _check_sign(name: str, value: float, strict: bool) -> None:

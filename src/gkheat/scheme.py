@@ -13,9 +13,9 @@ tridiagonal system
     [I - (c_B + c_T dt) L] q^n = c_r q^{n-1} - c_Q A_T T^{n-1}
 
 per step; the temperature update is then explicit.  With tau_q = mu2 = 0
-this is implicit Euler for rho*c*T_t = -q_x, q = -k*T_x, the fourier_limit
-stepper.  (The interleaved assembly is retained, solved densely, as the
-brute-force reference.)
+this is implicit Euler for rho*c*T_t = -q_x, q = -k*T_x, Fourier
+conduction, with no special case.  (The interleaved assembly is retained,
+solved densely, as the brute-force reference.)
 
 The vectorial_as_printed stepper instead applies the closed-form update
 
@@ -68,7 +68,7 @@ import numpy as np
 
 from . import csvtext, diagnostics
 from .discretization import Grid, State, _require_on_grid, build_grid
-from .errors import InvalidLimit, MeshTooLarge, NonFiniteInput, NonFiniteState
+from .errors import MeshTooLarge, NonFiniteInput, NonFiniteState
 from .linalg import dct, dense_solve, difference_symbols, dst, idct
 from .model import MaterialParams, SimulationConfig, StepperKind
 
@@ -89,8 +89,8 @@ def assemble(params: MaterialParams, grid: Grid,
     (2, 2, J), for one (params, grid) pair: a step maps the cosine
     amplitude a_m and the sine amplitude b_m of mode m = 1..J to
     (a, b) + D (a, b).  D is kept rather than I + D so that the trace gets
-    each step's change to full precision.  fourier_limit steps with the
-    coupled matrices.  Built from the scalar factors (s := tau_q + dt)
+    each step's change to full precision.  Built from the scalar factors
+    (s := tau_q + dt)
 
         c_B = mu2*dt/(s*dx^2)          flux-Laplacian weight in B
         c_T = k*dt/(rho*c*s*dx^2)      printed temperature-correction factor
@@ -373,25 +373,23 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     grid = build_grid(params, config)
     _require_on_grid(init, grid, "init")
-    kind = config.stepper_kind
-    if kind == StepperKind.FOURIER_LIMIT and not params.is_fourier:
-        raise InvalidLimit("fourier_limit stepper needs tau_q = mu2 = 0")
     need = run_memory_bytes(grid, stride)
     if need > MAX_RUN_BYTES:
         raise MeshTooLarge(f"a run on J={grid.J}, N={grid.N} with stride {stride} "
                            f"would hold {need:.3g} bytes, more than "
                            f"MAX_RUN_BYTES = {MAX_RUN_BYTES}")
+    weights = diagnostics.modal_trace_weights(params, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = diagnostics.discrete_energy(init, params, grid.dx)
+        m = float(np.mean(init.T))
+        x = _modes(init, m)
+        # E of level 0, as the trace forms it
+        energy = weights.E_mean * m * m + np.sum(weights.quadratic[0, :2] * x * x)
     if not np.isfinite(energy):
         raise NonFiniteInput("the energy of the initial state overflows; "
                              "T_b and T_f set its size")
-    D = assemble(params, grid, kind)
-    weights = diagnostics.modal_trace_weights(params, grid)
+    D = assemble(params, grid, config.stepper_kind)
     plan = _plan(grid, stride, energy_only)
     J, S = grid.J, plan.keep.size + 1
-    m = float(np.mean(init.T))
-    x = _modes(init, m)
     sums = np.zeros((grid.N + 2, 1 if energy_only else 5))
     levels = np.zeros((S, 2 * J + 3))
     levels[0] = np.concatenate((init.T, init.q))

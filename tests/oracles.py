@@ -1,7 +1,8 @@
 """Physical-space oracles for the modal engine, independent of it on purpose.
 
-They evaluate the trace quantities and step residuals directly on physical
-states, as the scheme's equations write them; longdouble_coupled_run steps
+They evaluate the trace quantities (the energy E, the heat, C_T and the
+Lyapunov functional) and step residuals directly on physical states, as
+the scheme's equations write them; longdouble_coupled_run steps
 the coupled scheme in extended precision without gkheat.scheme.
 discrete_decay_rate is the exact decay rate of the assembled step matrix,
 against which a rate fitted to a trace is checked.  one_step is not an
@@ -15,7 +16,6 @@ from collections import namedtuple
 import numpy as np
 
 from gkheat import scheme
-from gkheat.diagnostics import discrete_energy
 from gkheat.discretization import Grid, State, _require_on_grid
 from gkheat.linalg import difference_symbols
 from gkheat.model import MaterialParams, SimulationConfig, StepperKind
@@ -28,6 +28,13 @@ def one_step(p: MaterialParams, grid: Grid, prev: State,
                            stepper_kind=kind)
     traj = scheme.run(p, cfg, prev)
     return State(T=traj.T[1], q=traj.q[1])
+
+
+def discrete_energy(state: State, params: MaterialParams, dx: float) -> float:
+    """E = (rho c/2) dx sum T_j^2 + (tau_q/(2k)) dx sum_{j=0..J} q_j^2."""
+    T, q = state.T, state.q[:-1]
+    return float((params.rho_c * dx / 2.0) * (T @ T)
+                 + (params.tau_q / params.k) * (dx / 2.0) * (q @ q))
 
 
 def total_heat(state: State, dx: float) -> float:

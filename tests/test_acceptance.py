@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from gkheat import (State, StepperKind, build_grid, checks, cosine_initial,
-                    decay_constants, mode_decay_oracle, run)
+from gkheat import (State, build_grid, checks, cosine_initial, decay_constants,
+                    mode_decay_oracle, run)
+from gkheat.cli import parse_config
 from gkheat.model import MaterialParams, SimulationConfig
 
 REF_PARAMS = MaterialParams(rho=2e3, c=5e2, tau_q=8e-3, mu2=2.8e-3, k=2e3, l=0.1)
@@ -119,12 +120,13 @@ def test_criterion_6_spectral_rates():
 
 
 def test_criterion_7_fourier_limit_consistency():
+    # the config spelling fourier_limit against the coupled stepper
     params = dataclasses.replace(REF_PARAMS, tau_q=0.0, mu2=0.0)
     cfg = dataclasses.replace(REF_CONFIG, t_final=0.6)  # 50 steps
+    spelled = parse_config("stepper = fourier_limit\ntau_q = 0\nmu2 = 0\nt_final = 0.6\n")
     grid = build_grid(params, cfg)
     init = cosine_initial(grid, cfg.T_b, cfg.T_f)
-    traj_f = run(params, dataclasses.replace(
-        cfg, stepper_kind=StepperKind.FOURIER_LIMIT), init)
+    traj_f = run(spelled.params, spelled.config, init)
     traj_c = run(params, cfg, init)
     assert traj_f.T.shape == traj_c.T.shape
     worst = max(checks.state_gap(State(T=T_f, q=q_f), State(T=T_c, q=q_c))

@@ -66,8 +66,22 @@ class TestParseConfig:
             parse_config("rho = heavy\n")
 
     def test_bad_stepper(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_config("stepper = magic\n")
+        assert str(exc.value) == ("line 1: stepper must be one of: coupled_implicit, "
+                                  "vectorial_as_printed, fourier_limit")
+
+    @pytest.mark.parametrize("key", ["rho", "c", "tau_q", "mu2", "k", "l", "dx", "dt",
+                                     "t_final", "T_b", "T_f"])
+    def test_number_keys(self, key):
+        with pytest.raises(ParseError) as exc:
+            parse_config(f"{key} = heavy\n")
+        assert str(exc.value) == f"line 1: {key!r} needs a number, got 'heavy'"
+
+    def test_fourier_limit_is_the_coupled_stepper(self):
+        m = parse_config("tau_q = 0\nmu2 = 0\nstepper = fourier_limit\n")
+        assert m.config.stepper_kind is StepperKind.COUPLED_IMPLICIT
+        assert m == parse_config("tau_q = 0\nmu2 = 0\n")
 
     @pytest.mark.parametrize("text", ["T_b = nan\n", "rho = 2e3\nT_f = inf\n",
                                       "dt = -inf\n"])
@@ -152,6 +166,18 @@ class TestCmdRun:
         manifest = parse_config(FAST_CONFIG + lines + f"out_dir = {tmp_path}\n")
         assert cmd_run(manifest) == 0
         assert capsys.readouterr().out.endswith(f"(100 steps, J=49, case={case})\n")
+
+    def test_fourier_limit_writes_the_coupled_files(self, tmp_path, capsys):
+        outputs = []
+        for stepper in ("fourier_limit", "coupled_implicit"):
+            cfg = tmp_path / f"{stepper}.cfg"
+            cfg.write_text(FAST_CONFIG + f"tau_q = 0\nmu2 = 0\nstepper = {stepper}\n"
+                           f"out_dir = {tmp_path / 'o'}\n")
+            assert main(["run", "-c", str(cfg)]) == 0
+            outputs.append([capsys.readouterr().out] + [
+                (tmp_path / "o" / name).read_bytes()
+                for name in ("trace.csv", "profiles.csv", "constants.txt", "plot.gp")])
+        assert outputs[0] == outputs[1]
 
     def test_deterministic_output(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -264,6 +290,28 @@ class TestCmdVerify:
         main(["verify", "-c", str(cfg)])
         out, err = capsys.readouterr()
         assert "PASS oracle_equivalence" in out and "numerical failure" not in err
+
+    def test_huge_relaxation_time_prints_short_lines(self, tmp_path, capsys):
+        # the sandwich's lower ratio is about 1.6e159 here, and the rate
+        # fit misses by about 4.4e146 percent: both in e-notation
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("tau_q = 1e160\ndx = 2e-3\n")
+        assert main(["verify", "-c", str(cfg)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7 and all(len(line) < 200 for line in lines)
+        assert lines[3].startswith("PASS lyapunov_sandwich: lower ratio >= 1.5625e+159")
+
+    @pytest.mark.parametrize("mu2", ["1e160", "1e200"])
+    def test_huge_dissipation_length_fails_the_rate_fit(self, tmp_path, capsys, mu2):
+        # mu2 kappa^2 squared is past the float range; the continuum slow
+        # rate, about k/(rho c mu2), is still finite and nonzero, and the
+        # fitted rate is far from it
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(f"mu2 = {mu2}\ndx = 2e-3\n")
+        assert main(["verify", "-c", str(cfg)]) == 3
+        fit = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("FAIL mode_rate_fit: ")]
+        assert len(fit) == 1 and len(fit[0]) < 200
 
     @pytest.mark.parametrize("dt,fit", [
         ("1e-5", "1.25e-06: t_final/dt = 4.8e+06"), ("1e-310", "1.25e-311: t_final/dt = inf")])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from gkheat import (State, build_grid, cosine_initial, decay_constants,
-                    discrete_energy, equilibrium_energy, fit_energy_decay_rate,
-                    mode_decay_oracle, run)
+                    equilibrium_energy, fit_energy_decay_rate, mode_decay_oracle,
+                    run)
 from gkheat import InsufficientFitData
 from gkheat import checks, diagnostics, scheme
 from gkheat.cli import write_trace_csv
@@ -15,7 +15,8 @@ from gkheat.diagnostics import (DISSIPATION_RTOL, EnergyTrace, build_trace,
                                 modal_trace_table, modal_trace_weights,
                                 sandwich_bounds)
 from gkheat.model import MaterialParams, SimulationConfig
-from oracles import boundary_term, dissipation_check, lyapunov, total_heat
+from oracles import (boundary_term, discrete_energy, dissipation_check, lyapunov,
+                     total_heat)
 
 
 @pytest.fixture(scope="module")
@@ -209,12 +210,18 @@ class TestModeDecayOracle:
         with pytest.raises(ValueError):
             mode_decay_oracle(ref_params, 0)
 
-    @pytest.mark.parametrize("tau_q", [1e-12, 1e-15])
-    def test_far_apart_real_roots_keep_the_slow_one(self, ref_params, tau_q):
-        # the roots (tr -/+ sqrt(tr^2 - 4 det))/2 are real and about 1e12
-        # and 1e15 apart here, so the slow one must not come from tr + sqrt;
-        # against the product form slow = det/fast evaluated in 50 digits
-        p = dataclasses.replace(ref_params, tau_q=tau_q)
+    @pytest.mark.parametrize("tau_q,mu2", [
+        pytest.param(1e-12, 2.8e-3, id="1e-12"), pytest.param(1e-15, 2.8e-3, id="1e-15"),
+        pytest.param(8e-3, 1e160, id="mu2=1e160"), pytest.param(8e-3, 1e200, id="mu2=1e200"),
+        pytest.param(8e-3, 1e300, id="mu2=1e300")])
+    def test_far_apart_real_roots_keep_the_slow_one(self, ref_params, tau_q, mu2):
+        # the roots (tr -/+ sqrt(tr^2 - 4 det))/2 are real and their ratio
+        # is about 7e12, 7e15, 6e327, 6e407 and 6e607 here, so the slow one
+        # must not come from tr + sqrt, and tr^2 is past the float range in
+        # the last three; against the product form slow = det/fast evaluated
+        # in 50 digits, with no absolute slack (the slow root is about
+        # -k/(rho c mu2), 2e-163, 2e-203 and 2e-303, in the last three)
+        p = dataclasses.replace(ref_params, tau_q=tau_q, mu2=mu2)
         kappa = decimal.Decimal(math.pi / p.l)
         with decimal.localcontext() as ctx:
             ctx.prec = 50
@@ -225,7 +232,7 @@ class TestModeDecayOracle:
             expected = float(det / fast)
         slow, _ = mode_decay_oracle(p, 1)
         assert slow.imag == 0.0
-        assert slow.real == pytest.approx(expected, rel=1e-12)
+        assert slow.real == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def written_z(path, params, t, E, C_T):

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from gkheat import checks, csvtext, diagnostics, linalg, scheme
-from gkheat import (GridMismatch, InvalidLimit, MeshTooLarge, NonFiniteState,
-                    State, StepperKind, assemble, build_grid, cosine_initial,
-                    discrete_energy, run, step_coupled_reference)
+from gkheat import (GridMismatch, MeshTooLarge, NonFiniteState, State,
+                    StepperKind, assemble, build_grid, cosine_initial, run,
+                    step_coupled_reference)
 from gkheat.checks import state_gap
-from gkheat.cli import write_profiles_csv, write_trace_csv
+from gkheat.cli import parse_config, write_profiles_csv, write_trace_csv
 from gkheat.model import MaterialParams, SimulationConfig
-from oracles import (boundary_term, dissipation_check, longdouble_coupled_run,
-                     lyapunov, one_step, step_factors, total_heat)
+from oracles import (boundary_term, discrete_energy, dissipation_check,
+                     longdouble_coupled_run, lyapunov, one_step, step_factors,
+                     total_heat)
 
 PRINTED = StepperKind.VECTORIAL_AS_PRINTED
 
@@ -217,21 +218,15 @@ class TestSteppers:
 
 
 class TestFourierStepper:
-    # the fourier_limit stepper is the coupled one, with run() checking that
-    # the parameters are in the limit
-    def test_requires_fourier_params(self):
-        # both parameters must vanish, not just one of them
-        for tau_q, mu2 in ((8e-3, 2.8e-3), (0.0, 2.8e-3), (8e-3, 0.0)):
-            p, cfg, grid, ops = small_setup(tau_q=tau_q, mu2=mu2)
-            cfg_f = dataclasses.replace(cfg, stepper_kind=StepperKind.FOURIER_LIMIT)
-            with pytest.raises(InvalidLimit):
-                run(p, cfg_f, cosine_initial(grid, 15.0, 30.0))
-
+    # Fourier conduction is the coupled stepper at tau_q = mu2 = 0, and the
+    # config spelling fourier_limit selects that stepper
     def test_identical_to_coupled_in_the_limit(self):
         p, cfg, grid, ops = small_setup(tau_q=0.0, mu2=0.0, J=49,
                                         t_final=5 * 1.2e-2)
         s = cosine_initial(grid, 15.0, 30.0)
-        a = run(p, dataclasses.replace(cfg, stepper_kind=StepperKind.FOURIER_LIMIT), s)
+        spelled = parse_config(f"stepper = fourier_limit\ntau_q = 0\nmu2 = 0\n"
+                               f"dx = {cfg.dx!r}\nt_final = {cfg.t_final!r}\n")
+        a = run(spelled.params, spelled.config, s)
         b = run(p, cfg, s)
         np.testing.assert_array_equal(a.T, b.T)
         np.testing.assert_array_equal(a.q, b.q)
@@ -311,12 +306,6 @@ class TestRun:
         assert state_gap(level, one_step(p, grid, init, PRINTED)) == 0.0
         # and not the coupled step
         assert state_gap(level, one_step(p, grid, init)) > 1e-2
-
-    def test_fourier_kind_needs_fourier_params(self):
-        p, cfg, grid, ops = small_setup(J=9)
-        cfg_f = dataclasses.replace(cfg, stepper_kind=StepperKind.FOURIER_LIMIT)
-        with pytest.raises(InvalidLimit):
-            run(p, cfg_f, cosine_initial(grid, 15.0, 30.0))
 
     @pytest.mark.parametrize("stride", [0, -1, 2.0, 2.5])
     def test_rejects_a_stride_that_is_not_a_positive_integer(self, monkeypatch, stride):
