@@ -42,12 +42,12 @@ and an as-printed step, with beta = 1/(1 + c_B s^2), is
 
 one 2x2 update per mode.  The mean, mode 0, is a fixed point of both, so it
 is carried outside the step (T = m + e) and its heat is conserved exactly.
-assemble builds one stepper's per-mode 2x2 increment matrices D (new
-minus old amplitudes).  With G = I + D, level s + k is G^k times level s,
-and each of its trace terms is a quadratic or linear form in level s.  So
-run transforms the initial state once and works through the modes a block
-at a time: from a block's powers G^k, k = 0..K, and D it builds one trace
-table (diagnostics.modal_trace_table, which forms the step increments
+assemble builds one stepper's per-mode 2x2 step matrices G and their
+increments D = G - I (new minus old amplitudes).  Level s + k is G^k times
+level s, and each of its trace terms is a quadratic or linear form in
+level s.  So run transforms the initial state once and works through the
+modes a block at a time: from a block's powers G^k, k = 0..K, and D it
+builds one trace table (modal_trace_table, which forms the step increments
 D G^(k-1) in it), and every row of the run gets the block's share from one
 matrix product of the table with the features of the chunk bases, the
 levels 0, K, 2K, ...  A run with energy_only (the decay-rate fits of sweep
@@ -66,7 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import csvtext, diagnostics
+from . import csvtext
+from .diagnostics import EnergyTrace
 from .discretization import Grid, State, _require_on_grid, build_grid
 from .errors import MeshTooLarge, NonFiniteInput, NonFiniteState
 from .linalg import dct, dense_solve, difference_symbols, dst, idct
@@ -84,12 +85,15 @@ MAX_RUN_BYTES = 2**30
 
 
 def assemble(params: MaterialParams, grid: Grid,
-             kind: StepperKind = StepperKind.COUPLED_IMPLICIT) -> np.ndarray:
-    """The per-mode 2x2 increment matrices D of the stepper kind, shape
-    (2, 2, J), for one (params, grid) pair: a step maps the cosine
-    amplitude a_m and the sine amplitude b_m of mode m = 1..J to
-    (a, b) + D (a, b).  D is kept rather than I + D so that the trace gets
-    each step's change to full precision.  Built from the scalar factors
+             kind: StepperKind = StepperKind.COUPLED_IMPLICIT
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The per-mode 2x2 step matrices G and increment matrices D = G - I of
+    the stepper kind, each of shape (2, 2, J), for one (params, grid) pair:
+    a step maps the cosine amplitude a_m and the sine amplitude b_m of mode
+    m = 1..J to G (a, b) = (a, b) + D (a, b).  D is kept beside G so that
+    the trace gets each step's change to full precision, and G's flux
+    entry is its closed form, not 1 + D_bb, which cancels where a step
+    damps a mode's flux by orders.  Built from the scalar factors
     (s := tau_q + dt)
 
         c_B = mu2*dt/(s*dx^2)          flux-Laplacian weight in B
@@ -114,14 +118,20 @@ def assemble(params: MaterialParams, grid: Grid,
     sm = difference_symbols(J)
     if kind == StepperKind.VECTORIAL_AS_PRINTED:
         beta = 1.0 / (1.0 + c_B * sm * sm)
-        return np.array([[-c_T * sm * sm * beta, -c_q * sm * beta],
-                         [c_Q * sm * beta, -(dt / s + c_B * sm * sm) * beta]])
-    # coupled: b' = g_ba a + g_bb b, then a' = a - c_flux s b'; 1 - c_r = dt/s
-    w = c_B + c_T * dt
-    reduced = 1.0 + w * sm * sm
-    g_ba, g_bb = c_Q * sm / reduced, c_r / reduced
-    return np.array([[-c_flux * sm * g_ba, -c_flux * sm * g_bb],
-                     [g_ba, -(dt / s + w * sm * sm) / reduced]])
+        g_bb = c_r * beta
+        D = np.array([[-c_T * sm * sm * beta, -c_q * sm * beta],
+                      [c_Q * sm * beta, -(dt / s + c_B * sm * sm) * beta]])
+    else:
+        # coupled: b' = g_ba a + g_bb b, then a' = a - c_flux s b'; 1 - c_r = dt/s
+        w = c_B + c_T * dt
+        reduced = 1.0 + w * sm * sm
+        g_ba, g_bb = c_Q * sm / reduced, c_r / reduced
+        D = np.array([[-c_flux * sm * g_ba, -c_flux * sm * g_bb],
+                      [g_ba, -(dt / s + w * sm * sm) / reduced]])
+    G = D.copy()
+    G[0, 0] += 1.0
+    G[1, 1] = g_bb
+    return G, D
 
 
 def _modes(state: State, m: float) -> np.ndarray:
@@ -179,7 +189,8 @@ def step_coupled_reference(params: MaterialParams, grid: Grid,
 
     Unknowns are ordered (T_0, q_1, T_1, q_2, ..., T_J); rows are the
     untransformed step equations (bandwidth 2), assembled verbatim as a
-    dense (2J+1) x (2J+1) matrix and solved with linalg.dense_solve.
+    dense (2J+1) x (2J+1) matrix, equilibrated by rows and then columns,
+    and solved with linalg.dense_solve.
     O(J^3); intended for small J cross-checks of run's coupled stepper
     (checks.oracle_equivalence).
     """
@@ -214,7 +225,11 @@ def step_coupled_reference(params: MaterialParams, grid: Grid,
         a[r, i_T(j)] += params.k / dx
         a[r, i_T(j - 1)] -= params.k / dx
         b[r] = params.tau_q / dt * prev.q[j]
-    x = dense_solve(a, b)
+    # equilibrated: each row, then each column, scaled to max|entry| 1
+    rows = 1.0 / np.max(np.abs(a), axis=1, keepdims=True)
+    a *= rows
+    columns = 1.0 / np.max(np.abs(a), axis=0)
+    x = columns * dense_solve(a * columns, rows[:, 0] * b)
     q = np.zeros(J + 2)
     q[1:-1] = x[1::2]
     return State(T=x[0::2], q=q)
@@ -228,7 +243,7 @@ class Trajectory:
     q: np.ndarray             # (S, J+2) fluxes, q[:, 0] = q[:, -1] = 0
     stored_steps: list[int]   # time indices of the S kept levels
     grid: Grid
-    trace: diagnostics.EnergyTrace
+    trace: EnergyTrace
 
 
 @dataclass(frozen=True)
@@ -278,7 +293,7 @@ def run_memory_bytes(grid: Grid, stride: int) -> int:
     C_T and lyapunov), heat, temporaries, and the trace writer's Z and
     step numbers; 10 J values of transform temporaries; per kept level, its
     2J+3 values plus 32 for its Python objects (about 220 bytes measured);
-    and the largest of three phases.  The blocks hold the operators (4J),
+    and the largest of three phases.  The blocks hold the operators (8J),
     the trace weights (15J), level 0's amplitudes (2J), and per block its
     table (25 (K + 1) n) and features (5 (M + 1) n), the power tables
     (4 (K + 1) n, 4 (M + 1) n), modal_trace_table's temporaries
@@ -288,7 +303,7 @@ def run_memory_bytes(grid: Grid, stride: int) -> int:
     """
     plan, J = _plan(grid, stride), grid.J
     K, n, M, kept = plan.K, plan.n, plan.M, plan.keep.size + 1
-    blocks = ((4 + 15 + 2) * J + (K + 1) * n * (25 + 4 + 40)
+    blocks = ((8 + 15 + 2) * J + (K + 1) * n * (25 + 4 + 40)
               + (5 + 4) * (M + 1) * n + 2 * M * n + 5 * K * M)
     writer = math.ceil((csvtext.TABLE_BYTES + csvtext.BYTES_PER_VALUE
                         * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1)) / 8)
@@ -296,15 +311,148 @@ def run_memory_bytes(grid: Grid, stride: int) -> int:
                 + kept * (2 * J + 3 + 32) + max(blocks, plan.batch * 8 * (J + 1), writer))
 
 
-def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
+@dataclass(frozen=True)
+class ModalTraceWeights:
+    """Fixed weights turning the modal amplitudes of a level into its trace.
+
+    A level is y = (y_0, y_1) = (a_m, b_m) per mode, a_m the cosine
+    amplitudes of the fluctuation e of T = m + e and b_m the sine amplitudes
+    of q_1..q_J (m = 1..J); every array has the modes on its last axis.  By
+    orthonormality sum e^2 = sum a^2 and sum q^2 = sum b^2; A_q q has the
+    amplitudes s_m b_m; and the tail sum I_j = dx sum_{i>=j} T_i is
+    dx m (J+1-j) plus, per cosine mode m, -(dx/s_m) times sine mode m (0 at
+    j = 0).  That makes E, F and diss_rhs quadratic forms of y (with the
+    cross term <q, I> of F on a_m b_m), and C_T/heat and F's part
+    proportional to m linear forms.
+    """
+
+    quadratic: np.ndarray   # (3, 3, J): E, diss_rhs, F per y_0^2, y_1^2, y_0 y_1
+    increment: np.ndarray   # (2, J): diss_lhs per (y'_i - y_i)(y'_i + y_i)
+    linear: np.ndarray      # (2, 2, J): F/m, C_T/heat per y_i
+    E_mean: float           # E per m^2
+    F_mean: float           # F per m^2
+    heat_mean: float        # heat per m
+    boundary_mean: float    # C_T/heat per m
+    lyapunov_weight: float  # L = weight*E + F
+
+
+def modal_trace_weights(params: MaterialParams, grid: Grid) -> ModalTraceWeights:
+    """The weights of modal_trace_table for one (params, grid) pair."""
+    J, dx, n = grid.J, grid.dx, grid.J + 1
+    k, mu2, tau_q, rc = params.k, params.mu2, params.tau_q, params.rho_c
+    w_T, w_q = rc * dx / 2.0, (tau_q / k) * (dx / 2.0)
+    s = difference_symbols(J)
+    half = 0.5 * np.pi * np.arange(1, n) / n          # s = 2 sin(half)
+    root = np.sqrt(2.0 / n)
+    # the cosine vectors at j = 0, the sine vectors at j = 1, and the sine
+    # amplitudes of the ramp n - j (j = 1..J): sum_j (n-j) sin(2 j half)
+    # = (n/2) cot(half)
+    at_T0, at_q1 = root * np.cos(half), root * np.sin(2.0 * half)
+    ramp = root * (n / 2.0) / np.tan(half)
+    zero = np.zeros(J)
+    quadratic = np.array([
+        [np.full(J, w_T), np.full(J, w_q), zero],
+        [zero, -(dx / k) - (mu2 / (k * dx)) * s * s, zero],
+        [(rc / 2.0) * dx * (dx * dx / (s * s) + mu2), zero, -tau_q * dx * dx / s]])
+    linear = np.array([[-rc * dx**3 * ramp / s, tau_q * dx * dx * ramp],
+                       [-k * at_T0, (mu2 / dx) * at_q1]])
+    ramp_sq = n * (n + 1) * (2 * n + 1) / 6.0       # sum_{j=0..J} (n-j)^2
+    return ModalTraceWeights(
+        quadratic=quadratic, increment=quadratic[0, :2] / grid.dt,
+        linear=linear, E_mean=w_T * n,
+        F_mean=(rc / 2.0) * dx * (dx * dx * ramp_sq + mu2 * n),
+        heat_mean=dx * n, boundary_mean=-k,
+        lyapunov_weight=2.0 * params.l**2 + 2.0 * mu2 + tau_q * k / rc)
+
+
+def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
+                      modes: slice, D: np.ndarray | None = None) -> np.ndarray:
+    """New trace table of a block of modes, (L, 5, 5, n) for L levels, or,
+    without D, E's table alone, (L, 1, 3, n).
+
+    powers (2, L, 2, n) holds, for the n modes in `modes`, column j of the
+    matrix G_l = G^l mapping a base level x = (a, b) to level l at [j, l];
+    D (2, 2, n) are the step's increments, G = I + D, and P_l = D G^(l-1)
+    (0 for x itself) maps x to the increment into level l, formed as a
+    product (G^l - G^(l-1) loses about eps/|D| relative on slow modes).
+    With the features phi(x) = (a^2, ab, b^2, a, b), table[l, c, f, i]
+    weighs feature f of mode i in column c of level l: E, diss_rhs and F
+    less their mean parts (F's term linear in y carries m), C_T/heat less
+    its mean part, and diss_lhs from the increment P_l x as the step
+    computes it and y + y_prev = (2 G_l - P_l) x.  Summed over the modes,
+    phi(x) @ table gives the sums build_trace takes.  E's table alone is
+    the first column's first three features; it reads no increments.
+    """
+    G = powers.transpose(1, 2, 0, 3)    # (L, row i, column j, n)
+    energy_only = D is None
+    columns, features = (1, 3) if energy_only else (5, 5)
+    table = np.empty((G.shape[0], columns, features, G.shape[3]))
+    # y_0^2, y_1^2 and y_0 y_1 on the features a^2, ab, b^2
+    monomials = np.empty((G.shape[0], 3, 3, G.shape[3]))
+    for u, (i, k) in enumerate(((0, 0), (1, 1), (0, 1))):
+        np.multiply(G[:, i, 0], G[:, k, 0], out=monomials[:, u, 0])
+        np.multiply(G[:, i, 0], G[:, k, 1], out=monomials[:, u, 1])
+        monomials[:, u, 1] += G[:, i, 1] * G[:, k, 0]
+        np.multiply(G[:, i, 1], G[:, k, 1], out=monomials[:, u, 2])
+    q = w.quadratic[:1 if energy_only else 3, :, modes]
+    np.multiply(monomials[:, None, 0], q[None, :, 0, None], out=table[:, :3, :3])
+    for u in (1, 2):
+        table[:, :3, :3] += monomials[:, None, u] * q[None, :, u, None]
+    if energy_only:
+        return table
+    # P_l = D G^(l-1) for l >= 1, laid out as G: column j is D (G^(l-1))_:j
+    P = (D[:, 0] * powers[:, :-1, :1] + D[:, 1] * powers[:, :-1, 1:]).transpose(1, 2, 0, 3)
+    # diss_lhs = sum_i w_i (P x)_i ((2 G - P) x)_i, 0 at level 0
+    weighted = P * w.increment[None, :, None, modes]
+    both = (weighted[:, :, :, None] * (2.0 * G[1:] - P)[:, :, None, :]).sum(axis=1)
+    table[1:, 4, 0] = both[:, 0, 0]
+    np.add(both[:, 0, 1], both[:, 1, 0], out=table[1:, 4, 1])
+    table[1:, 4, 2] = both[:, 1, 1]
+    # F/m and C_T/heat: sum_i l_i y_i puts sum_i l_i G_ij on x_j
+    lin = w.linear[..., modes] * np.array([m, 1.0])[:, None, None]
+    np.sum(G[:, None] * lin[None, :, :, None], axis=2, out=table[:, 2:4, 3:])
+    table[:, :2, 3:] = 0.0
+    table[:, 4, 3:] = table[0, 4] = 0.0
+    table[:, 3, :3] = 0.0
+    return table
+
+
+def build_trace(w: ModalTraceWeights, m: float, t: np.ndarray,
+                sums: np.ndarray) -> EnergyTrace:
+    """EnergyTrace at times t of the levels of a trajectory split as
+    T = m + e, from their sums over the modes in the column order of
+    modal_trace_table.  Row 0 has no predecessor and zeros for the
+    dissipation sides.  diss_lhs comes from the step increments, so it is
+    neither drowned by cancellation near equilibrium nor limited by the
+    rounding of the levels themselves; the mean, never stepped, drops out
+    of it and keeps the heat exactly constant.  From E's sums alone (one
+    column) the trace has t, E and heat, and None in the other four.  The
+    sums are completed in place: every column but t and heat is a view of them.
+    """
+    E = sums[:, 0]
+    E += w.E_mean * m * m
+    heat = np.full_like(E, w.heat_mean * m)
+    if sums.shape[1] == 1:
+        return EnergyTrace(t=t, E=E, diss_lhs=None, diss_rhs=None,
+                           heat=heat, C_T=None, lyapunov=None)
+    sums[:, 2] += w.F_mean * m * m
+    sums[:, 2] += w.lyapunov_weight * E
+    sums[:, 3] += w.boundary_mean * m
+    sums[:, 3] *= heat
+    sums[0, [1, 4]] = 0.0
+    return EnergyTrace(t=t, E=E, diss_lhs=sums[:, 4], diss_rhs=sums[:, 1],
+                       heat=heat, C_T=sums[:, 3], lyapunov=sums[:, 2])
+
+
+def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
                  modes: slice, m: float, x: np.ndarray, plan: RunPlan,
                  sums: np.ndarray, kept: np.ndarray) -> None:
     """Add one block of modes' share to every row of sums and write its
     amplitudes of the levels plan.keep into kept.
 
-    D (2, 2, n) are the block's increment matrices, x (2, n) its level 0,
-    and sums has 5 columns on 5 features, or 1 on 3 for E's alone.  The
-    trace table of G^k = (I + D)^k, k = 0..K (K cut where a power or a
+    G and D (2, 2, n) are the block's step and increment matrices, x (2, n)
+    its level 0, and sums has 5 columns on 5 features, or 1 on 3 for E's
+    alone.  The trace table of G^k, k = 0..K (K cut where a power or a
     table entry is not finite), maps a chunk base's features to its
     chunk's sums.  The bases of a group of M chunks are the powers of G^K
     applied to the first, and one matrix product gives the group's rows.
@@ -313,14 +461,14 @@ def _trace_block(D: np.ndarray, w: diagnostics.ModalTraceWeights,
     energy_only = columns == 1
     f = 3 if energy_only else 5
     K, M, keep = plan.K, plan.M, plan.keep
-    powers = _power_table(np.eye(2)[:, :, None] + D.swapaxes(0, 1), K)
+    powers = _power_table(G.swapaxes(0, 1), K)
     K = powers.shape[1] - 1
     # one row more than a group, for the base of the next group; the
     # features (a^2, ab, b^2, a, b) end in the bases.  Allocated before
     # the table, which keeps an energy-only block's peak under a full one's
     features = np.empty((M + 1, 5, n))
     # E's table reads no increments D G^(k-1)
-    table = diagnostics.modal_trace_table(w, m, powers, modes, None if energy_only else D)
+    table = modal_trace_table(w, m, powers, modes, None if energy_only else D)
     finite = np.isfinite(table).all(axis=(1, 2, 3))
     if not finite.all():
         K = max(1, int(np.argmin(finite)) - 1)
@@ -366,8 +514,9 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     interior flux, a block of modes at a time (_trace_block).  Raises
     ValueError if stride is not an integer >= 1; MeshTooLarge, before
     allocating, if run_memory_bytes exceeds MAX_RUN_BYTES; NonFiniteInput,
-    before stepping, if init's energy is not finite; NonFiniteState, naming
-    the first bad step, if a level or its trace row overflows.
+    before stepping, if init's energy or the step matrices are not finite;
+    NonFiniteState, naming the first bad step, if a level or its trace row
+    overflows.
     """
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
@@ -378,8 +527,9 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
         raise MeshTooLarge(f"a run on J={grid.J}, N={grid.N} with stride {stride} "
                            f"would hold {need:.3g} bytes, more than "
                            f"MAX_RUN_BYTES = {MAX_RUN_BYTES}")
-    weights = diagnostics.modal_trace_weights(params, grid)
     with np.errstate(over="ignore", invalid="ignore"):
+        weights = modal_trace_weights(params, grid)
+        G, D = assemble(params, grid, config.stepper_kind)
         m = float(np.mean(init.T))
         x = _modes(init, m)
         # E of level 0, as the trace forms it
@@ -387,7 +537,9 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     if not np.isfinite(energy):
         raise NonFiniteInput("the energy of the initial state overflows; "
                              "T_b and T_f set its size")
-    D = assemble(params, grid, config.stepper_kind)
+    if not np.isfinite(D).all():
+        raise NonFiniteInput("the step matrices overflow; mu2, k, rho, c, dt and dx "
+                             "set their size")
     plan = _plan(grid, stride, energy_only)
     J, S = grid.J, plan.keep.size + 1
     sums = np.zeros((grid.N + 2, 1 if energy_only else 5))
@@ -397,13 +549,13 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, J, plan.n):
             modes = slice(lo, min(lo + plan.n, J))
-            _trace_block(D[..., modes], weights, modes, m, x[:, modes], plan,
-                         sums, kept[..., modes])
-        trace = diagnostics.build_trace(weights, m, grid.t, sums)
+            _trace_block(G[..., modes], D[..., modes], weights, modes, m, x[:, modes],
+                         plan, sums, kept[..., modes])
+        trace = build_trace(weights, m, grid.t, sums)
         # sums now holds every trace column but heat
         ok = np.isfinite(sums).all(axis=1) & np.isfinite(trace.heat)
         # only the trace and the kept levels outlive the blocks
-        del D, weights, x
+        del G, D, weights, x
         for lo in range(1, S, plan.batch):
             batch = levels[lo:lo + plan.batch]
             _levels(m, batch)

@@ -77,8 +77,8 @@ class TestRunChecks:
         # untouched, so only the oracle, which reads run's levels, sees it
         trace_block = scheme._trace_block
 
-        def lagging(D, w, modes, m, x, plan, sums, kept):
-            trace_block(D, w, modes, m, x, dataclasses.replace(plan, keep=plan.keep - 1),
+        def lagging(G, D, w, modes, m, x, plan, sums, kept):
+            trace_block(G, D, w, modes, m, x, dataclasses.replace(plan, keep=plan.keep - 1),
                         sums, kept)
 
         monkeypatch.setattr(scheme, "_trace_block", lagging)

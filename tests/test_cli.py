@@ -291,6 +291,19 @@ class TestCmdVerify:
         out, err = capsys.readouterr()
         assert "PASS oracle_equivalence" in out and "numerical failure" not in err
 
+    @pytest.mark.parametrize("lines", [
+        "mu2 = 1e10\ndx = 2e-3\n", "mu2 = 1e100\ndx = 2e-3\n", "mu2 = 1e300\ndx = 2e-3\n",
+        "k = 1e-9\n", "rho = 1e300\ndx = 2e-3\n", "k = 1e-300\ndx = 2e-3\n"],
+        ids=["mu2=1e10", "mu2=1e100", "mu2=1e300", "k=1e-9", "rho=1e300", "k=1e-300"])
+    def test_oracle_passes_at_the_parameter_edges(self, tmp_path, capsys, lines):
+        # at large mu2 a step's flux entry 1 + D_bb cancelled in run; at the
+        # others the unequilibrated dense reference lost digits.  The exit
+        # code is left open: mode_rate_fit FAILs at these configs
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(lines)
+        main(["verify", "-c", str(cfg)])
+        assert "\nPASS oracle_equivalence: " in capsys.readouterr().out
+
     def test_huge_relaxation_time_prints_short_lines(self, tmp_path, capsys):
         # the sandwich's lower ratio is about 1.6e159 here, and the rate
         # fit misses by about 4.4e146 percent: both in e-notation
@@ -464,6 +477,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "T_b" in err and "T_f" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mu2", ["1e303", "1e306"])
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+    def test_overflowing_step_exits_one(self, tmp_path, capsys, mu2, command):
+        # mu2 dt/((tau_q + dt) dx^2) overflows: a configuration error, found
+        # before any step runs and without a warning (warnings are errors here)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"mu2 = {mu2}\ndx = 2e-3\nout_dir = {tmp_path / 'o'}\n")
+        assert main([command, "-c", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the step matrices overflow") and "mu2" in err
+        assert command == "sweep" or not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [["run", "--nope"], ["frobnicate"],
                                       ["sweep", "--pair", "1,2,3"]])

@@ -11,10 +11,10 @@ from gkheat import (State, build_grid, cosine_initial, decay_constants,
 from gkheat import InsufficientFitData
 from gkheat import checks, diagnostics, scheme
 from gkheat.cli import write_trace_csv
-from gkheat.diagnostics import (DISSIPATION_RTOL, EnergyTrace, build_trace,
-                                modal_trace_table, modal_trace_weights,
-                                sandwich_bounds)
+from gkheat.checks import DISSIPATION_RTOL
+from gkheat.diagnostics import EnergyTrace, sandwich_bounds
 from gkheat.model import MaterialParams, SimulationConfig
+from gkheat.scheme import build_trace, modal_trace_table, modal_trace_weights
 from oracles import (boundary_term, discrete_energy, dissipation_check, lyapunov,
                      total_heat)
 
@@ -354,8 +354,8 @@ class TestTraceChecksOnShortRun:
         sine = np.sqrt(ld(2) / n) * np.sin(ld(np.pi) * (np.outer(modes, modes) % (2 * n)) / n)
         m = float(np.mean(init.T))
         base = np.stack(((init.T - m) @ cosine, init.q_interior @ sine)).astype(float)
-        D = scheme.assemble(p, grid)
-        powers = scheme._power_table(np.eye(2)[:, :, None] + D.swapaxes(0, 1), K)
+        G, D = scheme.assemble(p, grid)
+        powers = scheme._power_table(G.swapaxes(0, 1), K)
         # levels as the table sees them, and their step increments D x from
         # assemble's D, formed apart from the table's
         x = np.einsum("jkin,jn->kin", powers, base).astype(ld)

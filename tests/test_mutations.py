@@ -1,8 +1,8 @@
 """Mutation suite: slips put into the trace weights or the step matrices,
 each run through `gkheat verify`, which must exit 3 on all but SURVIVORS.
 
-Each slip wraps diagnostics.modal_trace_weights or scheme.assemble, which
-run calls through their modules, so that every run verify makes sees it.
+Each slip wraps scheme.modal_trace_weights or scheme.assemble, which
+run calls through its module, so that every run verify makes sees it.
 A slip that no check catches yet is listed in SURVIVORS, and the test
 holds it to exit 0 there: a new check that catches one must shrink the
 set, and a regression that lets a caught slip through fails.  The group
@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gkheat import diagnostics, scheme
+from gkheat import scheme
 from gkheat.cli import main
 
 
@@ -28,7 +28,7 @@ def scaled(array: np.ndarray, index, factor: float) -> np.ndarray:
 
 def weights_slip(**fields):
     """A slip of modal_trace_weights: each field replaced by fields[name](w)."""
-    return diagnostics, "modal_trace_weights", lambda w: dataclasses.replace(
+    return scheme, "modal_trace_weights", lambda w: dataclasses.replace(
         w, **{name: change(w) for name, change in fields.items()})
 
 
@@ -48,7 +48,8 @@ SLIPS = {
                               boundary_mean=lambda w: 1.05 * w.boundary_mean),
     "lyapunov weight x1.05": weights_slip(
         lyapunov_weight=lambda w: 1.05 * w.lyapunov_weight),
-    "coupled D x(1+1e-9)": (scheme, "assemble", lambda D: D * (1.0 + 1e-9)),
+    "coupled D x(1+1e-9)": (scheme, "assemble",
+                            lambda GD: (GD[0] + 1e-9 * GD[1], (1.0 + 1e-9) * GD[1])),
 }
 
 #: the slips that verify passes today

@@ -131,3 +131,35 @@ def test_every_definition_is_reached_from_the_cli():
     # code that only the tests call belongs in tests/ (see tests/oracles.py)
     defined, live = reachable_definitions()
     assert sorted(defined - live) == sorted(UNREACHED_BY_DESIGN)
+
+
+#: the modal trace kernel: its weights, its table and the trace built from
+#: the table's sums, whose layout scheme alone states
+TRACE_KERNEL = {"ModalTraceWeights", "modal_trace_weights", "modal_trace_table",
+                "build_trace"}
+
+
+def test_scheme_alone_holds_the_trace_kernel():
+    # diagnostics keeps the paper's bounds and oracles and reads only errors
+    # and model; no other module defines, imports or calls the trace kernel
+    package = Path(gkheat.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    imports = [node for node in ast.walk(trees["diagnostics"])
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert {node.module for node in imports if isinstance(node, ast.ImportFrom)
+            and node.level == 1} == {"errors", "model"}
+    assert not [alias.name for node in imports for alias in node.names
+                if alias.name.split(".")[0] == "gkheat"]
+    for mod, tree in trees.items():
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        assert names & TRACE_KERNEL == (TRACE_KERNEL if mod == "scheme" else set()), mod

@@ -28,9 +28,9 @@ def small_setup(J=9, tau_q=8e-3, mu2=2.8e-3, dt=1.2e-2, t_final=None):
     return p, cfg, grid, {"coupled": assemble(p, grid), "printed": assemble(p, grid, PRINTED)}
 
 
-def step_powers(D, K):
-    """_power_table of the step matrices G = I + D: [j, k] column j of G^k."""
-    return scheme._power_table(np.eye(2)[:, :, None] + D.swapaxes(0, 1), K)
+def step_powers(G, K):
+    """_power_table of the step matrices G: [j, k] column j of G^k."""
+    return scheme._power_table(G.swapaxes(0, 1), K)
 
 
 def random_state(rng, J, t_scale=10.0, q_scale=1e4):
@@ -89,10 +89,24 @@ class TestAssemble:
         assert f.c_B == 0.0
         assert f.c_q == 0.0
         # I + D has a zero flux column
-        for D in ops.values():
+        for _, D in ops.values():
             assert np.all(D[0, 1] == 0.0) and np.all(D[1, 1] == -1.0)
-        np.testing.assert_array_equal(ops["printed"][1, 0], f.c_Q * f.s)
-        np.testing.assert_allclose(ops["printed"][0, 0], -f.c_T * f.s**2, rtol=1e-15)
+        _, printed = ops["printed"]
+        np.testing.assert_array_equal(printed[1, 0], f.c_Q * f.s)
+        np.testing.assert_allclose(printed[0, 0], -f.c_T * f.s**2, rtol=1e-15)
+
+    @pytest.mark.parametrize("mu2", [2.8e-3, 1e10])
+    def test_step_matrices_are_identity_plus_increments(self, mu2):
+        # G = I + D bit for bit but in the flux entry, which is its closed
+        # form: c_r/(1 + (c_B + c_T dt) s^2) coupled, c_r beta as printed
+        p, cfg, grid, ops = small_setup(J=31, mu2=mu2)
+        f = step_factors(p, grid)
+        flux = {"coupled": f.c_r / (1.0 + (f.c_B + f.c_T * grid.dt) * f.s**2),
+                "printed": f.c_r / (1.0 + f.c_B * f.s**2)}
+        for name, (G, D) in ops.items():
+            np.testing.assert_array_equal(G[0, 0], 1.0 + D[0, 0])
+            np.testing.assert_array_equal(G[[0, 1], [1, 0]], D[[0, 1], [1, 0]])
+            np.testing.assert_allclose(G[1, 1], flux[name], rtol=1e-15)
 
     def test_reference_laplacian_weight(self, ref_params, ref_config):
         grid = build_grid(ref_params, ref_config)
@@ -126,7 +140,7 @@ class TestAssemble:
                     "printed": ((1.0 - f.c_T * s**2 * beta) * a - f.c_q * s * beta * b,
                                 f.c_r * beta * b + f.c_Q * s * beta * a)}
         for name, (a_new, b_new) in expected.items():
-            D = ops[name]
+            _, D = ops[name]
             assert D.shape == (2, 2, 31)
             # the increments themselves, not just the new amplitudes
             np.testing.assert_allclose(D[0, 0] * a + D[0, 1] * b, a_new - a,
@@ -529,17 +543,17 @@ class TestTraceTable:
         p = dataclasses.replace(p, k=20.0)
         states = [random_state(np.random.default_rng(J), J)]
         kind = PRINTED if which == "printed" else StepperKind.COUPLED_IMPLICIT
-        D = assemble(p, grid, kind)
+        G, D = assemble(p, grid, kind)
         for _ in range(K):
             states.append(one_step(p, grid, states[-1], kind))
-        weights = diagnostics.modal_trace_weights(p, grid)
+        weights = scheme.modal_trace_weights(p, grid)
         m = float(np.mean(states[0].T))
-        table = diagnostics.modal_trace_table(weights, m, step_powers(D, K),
-                                              slice(None), D)
+        table = scheme.modal_trace_table(weights, m, step_powers(G, K),
+                                         slice(None), D)
         a, b = scheme._modes(states[0], m)
         sums = table.reshape(5 * (K + 1), 5 * J) @ np.concatenate((a * a, a * b, b * b, a, b))
-        tr = diagnostics.build_trace(weights, m, grid.dt * np.arange(K + 1),
-                                     sums.reshape(K + 1, 5))
+        tr = scheme.build_trace(weights, m, grid.dt * np.arange(K + 1),
+                                sums.reshape(K + 1, 5))
         rows = np.column_stack((tr.E, tr.diss_lhs, tr.diss_rhs, tr.heat, tr.C_T,
                                 tr.lyapunov))
         dx = grid.dx
@@ -565,27 +579,26 @@ class TestChunkTable:
     def test_table_matches_matrix_powers(self, tau_q, mu2, which):
         J, K = 9, 40
         p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
-        D = ops[which]
-        full = step_powers(D, K)
+        G, _ = ops[which]
+        full = step_powers(G, K)
         assert full.shape == (2, K + 1, 2, J)
         # entry 0 is I
         assert np.array_equal(full[:, 0], np.eye(2)[:, :, None].repeat(J, axis=2))
         table = full[:, 1:]
         eps = np.finfo(float).eps
         for m in range(J):
-            G = np.eye(2) + D[:, :, m]
             for k in range(1, K + 1):
                 # the table holds columns: [j, .., i] is entry (i, j); each
                 # entry within the usual product bound k eps (|G|^k)_ij
-                got, want = table[:, k - 1, :, m].T, np.linalg.matrix_power(G, k)
-                bound = np.linalg.matrix_power(np.abs(G), k)
+                got, want = table[:, k - 1, :, m].T, np.linalg.matrix_power(G[:, :, m], k)
+                bound = np.linalg.matrix_power(np.abs(G[:, :, m]), k)
                 assert np.all(np.abs(got - want) <= 4 * k * eps * bound), (m, k)
 
     def test_table_cut_at_first_non_finite_power(self):
         # the as-printed Fourier-limit step grows the top mode ~2000x per
         # step at this mesh, so its powers leave the float range near k = 93
         p, cfg, grid, ops = small_setup(J=49, tau_q=0.0, mu2=0.0)
-        table = step_powers(ops["printed"], 200)[:, 1:]
+        table = step_powers(ops["printed"][0], 200)[:, 1:]
         K = table.shape[1]
         assert 50 < K < 200
         assert np.all(np.isfinite(table))
@@ -625,6 +638,20 @@ class TestExtendedPrecision:
         T, q = traj.T, traj.q[:, 1:-1]
         assert np.max(np.abs(T - T_ref)) <= 1e-14 * np.max(np.abs(T_ref))
         assert np.max(np.abs(q - q_ref)) <= 1e-14 * np.max(np.abs(q_ref))
+
+    def test_run_matches_longdouble_reference_at_large_mu2(self, ref_params):
+        # each step keeps at most about 1e-13 of a mode's flux here, so the
+        # flux entry of G = I + D would cancel to a few digits in 1 + D_bb;
+        # each level is held to its own size, as level 0's flux dwarfs the rest
+        p = dataclasses.replace(ref_params, mu2=1e10)
+        cfg = SimulationConfig(dx=2e-3, dt=1.2e-2, t_final=10 * 1.2e-2, T_b=15.0, T_f=30.0)
+        grid = build_grid(p, cfg)
+        init = random_state(np.random.default_rng(3), grid.J)
+        traj = run(p, cfg, init)
+        T_ref, q_ref = longdouble_coupled_run(p, grid, init, 10)
+        for got, ref in ((traj.T, T_ref), (traj.q[:, 1:-1], q_ref)):
+            gap = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
+            assert np.all(gap <= 1e-14)
 
 
 class TestRunMemory:
@@ -710,8 +737,8 @@ def block_peak(params, grid, energy_only):
     run's kernel at its peak, its table and features included."""
     plan = scheme._plan(grid, grid.N + 1, energy_only)
     n = plan.n
-    D = assemble(params, grid)[..., :n]
-    weights = diagnostics.modal_trace_weights(params, grid)
+    G, D = (matrices[..., :n] for matrices in assemble(params, grid))
+    weights = scheme.modal_trace_weights(params, grid)
     init = cosine_initial(grid, 15.0, 30.0)
     m = float(np.mean(init.T))
     x = scheme._modes(init, m)[:, :n]
@@ -719,7 +746,7 @@ def block_peak(params, grid, energy_only):
     kept = np.empty((1, 2, n))
     tracemalloc.start()
     try:
-        scheme._trace_block(D, weights, slice(0, n), m, x, plan, sums, kept)
+        scheme._trace_block(G, D, weights, slice(0, n), m, x, plan, sums, kept)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
