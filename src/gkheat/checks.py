@@ -127,8 +127,7 @@ def oracle_equivalence(params: MaterialParams, config: SimulationConfig,
     (tracing E alone), every kept level k+1 against the dense step of level k."""
     worst = 0.0
     for J in range(2, 9):
-        cfg = dataclasses.replace(config, dx=params.l / (J + 1), t_final=10 * config.dt,
-                                  stepper_kind=StepperKind.COUPLED_IMPLICIT)
+        cfg = dataclasses.replace(config, dx=params.l / (J + 1), t_final=10 * config.dt)
         q = np.pad(rng.normal(0.0, 1e4, J), 1)
         traj = scheme.run(params, cfg, State(T=rng.normal(15.0, 10.0, J + 1), q=q),
                           energy_only=True)
@@ -147,8 +146,7 @@ def zero_mean_decay(params: MaterialParams,
     profile at T_b = 0, tracing E alone and keeping no level but the ends.
     Its discrete heat dx*sum(T_j) is dx*T_f/2 (the cosine samples at
     j = 0..J sum to exactly 1), small but nonzero."""
-    cfg = dataclasses.replace(config, T_b=0.0,
-                              stepper_kind=StepperKind.COUPLED_IMPLICIT)
+    cfg = dataclasses.replace(config, T_b=0.0)
     grid = discretization.build_grid(params, cfg)
     return scheme.run(params, cfg, discretization.cosine_initial(grid, 0.0, cfg.T_f),
                       stride=grid.N + 1, energy_only=True).trace
@@ -189,7 +187,7 @@ def printed_gaps(params: MaterialParams,
         init = discretization.cosine_initial(discretization.build_grid(params, cfg),
                                              config.T_b, config.T_f)
         printed, coupled = (_kept_states(scheme.run(
-            params, dataclasses.replace(cfg, stepper_kind=kind), init, energy_only=True))[1]
+            params, cfg, init, energy_only=True, kind=kind))[1]
             for kind in (StepperKind.VECTORIAL_AS_PRINTED, StepperKind.COUPLED_IMPLICIT))
         gaps.append((float(dt), state_gap(printed, coupled)))
     return gaps

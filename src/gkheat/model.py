@@ -116,7 +116,6 @@ class SimulationConfig:
     t_final: float     # end time [s]
     T_b: float         # base temperature of the initial profile [degC]
     T_f: float         # fluctuation amplitude of the initial profile [degC]
-    stepper_kind: StepperKind = StepperKind.COUPLED_IMPLICIT
 
     def __post_init__(self):
         _check_sign("dx", self.dx, strict=True)

@@ -502,8 +502,9 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
 
 
 def run(params: MaterialParams, config: SimulationConfig, init: State,
-        stride: int = 1, energy_only: bool = False) -> Trajectory:
-    """Advance init over the full time mesh with the configured stepper.
+        stride: int = 1, energy_only: bool = False,
+        kind: StepperKind = StepperKind.COUPLED_IMPLICIT) -> Trajectory:
+    """Advance init over config's time mesh with the stepper kind.
 
     Levels are kept every `stride` steps (level 0 and the final level
     always included), a row each of the Trajectory's T and q; energy
@@ -514,9 +515,9 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     interior flux, a block of modes at a time (_trace_block).  Raises
     ValueError if stride is not an integer >= 1; MeshTooLarge, before
     allocating, if run_memory_bytes exceeds MAX_RUN_BYTES; NonFiniteInput,
-    before stepping, if init's energy or the step matrices are not finite;
-    NonFiniteState, naming the first bad step, if a level or its trace row
-    overflows.
+    before stepping, if the step matrices, the trace weights the run reads
+    or init's energy are not finite; NonFiniteState, naming the first
+    bad step, if a level or its trace row overflows.
     """
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
@@ -529,17 +530,23 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
                            f"MAX_RUN_BYTES = {MAX_RUN_BYTES}")
     with np.errstate(over="ignore", invalid="ignore"):
         weights = modal_trace_weights(params, grid)
-        G, D = assemble(params, grid, config.stepper_kind)
+        G, D = assemble(params, grid, kind)
         m = float(np.mean(init.T))
         x = _modes(init, m)
         # E of level 0, as the trace forms it
         energy = weights.E_mean * m * m + np.sum(weights.quadratic[0, :2] * x * x)
-    if not np.isfinite(energy):
-        raise NonFiniteInput("the energy of the initial state overflows; "
-                             "T_b and T_f set its size")
     if not np.isfinite(D).all():
         raise NonFiniteInput("the step matrices overflow; mu2, k, rho, c, dt and dx "
                              "set their size")
+    # an energy-only run reads E's weights alone
+    read = ((weights.quadratic[0], weights.E_mean, weights.heat_mean) if energy_only
+            else vars(weights).values())
+    if not all(np.isfinite(w).all() for w in read):
+        raise NonFiniteInput("the trace weights overflow; mu2, tau_q, k, rho, c, l, dt and dx "
+                             "set their size")
+    if not np.isfinite(energy):
+        raise NonFiniteInput("the energy of the initial state overflows; "
+                             "T_b and T_f set its size")
     plan = _plan(grid, stride, energy_only)
     J, S = grid.J, plan.keep.size + 1
     sums = np.zeros((grid.N + 2, 1 if energy_only else 5))

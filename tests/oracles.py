@@ -24,9 +24,8 @@ from gkheat.model import MaterialParams, SimulationConfig, StepperKind
 def one_step(p: MaterialParams, grid: Grid, prev: State,
              kind: StepperKind = StepperKind.COUPLED_IMPLICIT) -> State:
     """prev advanced one step of grid.dt by a scheme.run of the stepper kind."""
-    cfg = SimulationConfig(dx=grid.dx, dt=grid.dt, t_final=grid.dt, T_b=0.0, T_f=0.0,
-                           stepper_kind=kind)
-    traj = scheme.run(p, cfg, prev)
+    cfg = SimulationConfig(dx=grid.dx, dt=grid.dt, t_final=grid.dt, T_b=0.0, T_f=0.0)
+    traj = scheme.run(p, cfg, prev, kind=kind)
     return State(T=traj.T[1], q=traj.q[1])
 
 

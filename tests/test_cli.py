@@ -36,7 +36,7 @@ class TestParseConfig:
         assert m.config.dx == 2e-4 and m.config.dt == 1.2e-2
         assert m.config.t_final == 30.0
         assert m.config.T_b == 15.0 and m.config.T_f == 30.0
-        assert m.config.stepper_kind is StepperKind.COUPLED_IMPLICIT
+        assert m.stepper is StepperKind.COUPLED_IMPLICIT
         assert m.stride == 25
 
     def test_fourier_manifest(self):
@@ -80,7 +80,7 @@ class TestParseConfig:
 
     def test_fourier_limit_is_the_coupled_stepper(self):
         m = parse_config("tau_q = 0\nmu2 = 0\nstepper = fourier_limit\n")
-        assert m.config.stepper_kind is StepperKind.COUPLED_IMPLICIT
+        assert m.stepper is StepperKind.COUPLED_IMPLICIT
         assert m == parse_config("tau_q = 0\nmu2 = 0\n")
 
     @pytest.mark.parametrize("text", ["T_b = nan\n", "rho = 2e3\nT_f = inf\n",
@@ -99,7 +99,7 @@ class TestParseConfig:
 
     def test_stepper_choice(self):
         m = parse_config("stepper = vectorial_as_printed\n")
-        assert m.config.stepper_kind is StepperKind.VECTORIAL_AS_PRINTED
+        assert m.stepper is StepperKind.VECTORIAL_AS_PRINTED
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +354,16 @@ class TestCmdVerify:
         assert "printed-vs-coupled gap" in out
         assert "halving ratios" in out
 
+    @pytest.mark.parametrize("lines", ["", "dx = 2e-3\n"], ids=["defaults", "coarse"])
+    def test_checks_run_the_coupled_scheme_whatever_the_stepper(self, capsys, lines):
+        # the stepper adds the INFO gap report and changes no check line
+        verdicts = []
+        for stepper in ("coupled_implicit", "vectorial_as_printed"):
+            cmd_verify(parse_config(lines + f"stepper = {stepper}\n"))
+            verdicts.append([line for line in capsys.readouterr().out.splitlines()
+                             if line.startswith(("PASS ", "FAIL "))])
+        assert len(verdicts[0]) == 7 and verdicts[1] == verdicts[0]
+
     def test_as_printed_gap_lines_at_the_defaults(self, capsys):
         assert cmd_verify(parse_config("stepper = vectorial_as_printed\n")) == 0
         info = [line for line in capsys.readouterr().out.splitlines()
@@ -489,6 +499,28 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: the step matrices overflow") and "mu2" in err
         assert command == "sweep" or not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("lines,name", [
+        ("mu2 = 1e305\n", "mu2"),             # F's (rho c/2) dx (dx^2/s^2 + mu2)
+        ("rho = 1e200\nc = 1e200\n", "rho")],  # rho c, in every weight of E
+        ids=["mu2", "rho_c"])
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_overflowing_trace_weights_exit_one(self, tmp_path, capsys, lines, name,
+                                                command):
+        # the step matrices are finite: a configuration error, found before
+        # any step runs and without a warning, and not blamed on T_b and T_f
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(lines + f"dx = 0.05\nt_final = 6\nout_dir = {tmp_path / 'o'}\n")
+        assert main([command, "-c", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the trace weights overflow") and name in err
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_reads_no_overflowing_trace_weight(self, tmp_path):
+        # sweep's runs trace E alone, whose weights are finite here
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"mu2 = 1e305\ndx = 0.05\nt_final = 6\nout_dir = {tmp_path / 'o'}\n")
+        assert main(["sweep", "-c", str(cfg)]) == 0
 
     @pytest.mark.parametrize("argv", [["run", "--nope"], ["frobnicate"],
                                       ["sweep", "--pair", "1,2,3"]])

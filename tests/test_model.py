@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkheat import (MaterialParams, NonPositiveCoefficient, OnsagerCoefficients,
-                    SimulationConfig, StepperKind, gk_to_onsager, onsager_to_gk)
+                    SimulationConfig, StepperKind, gk_to_onsager, onsager_to_gk, run)
 
 
 class TestMaterialParams:
@@ -103,7 +104,12 @@ class TestOnsagerMapping:
 
 class TestSimulationConfig:
     def test_defaults_to_coupled(self, ref_config):
-        assert ref_config.stepper_kind is StepperKind.COUPLED_IMPLICIT
+        # the config holds the mesh, horizon and initial profile alone; the
+        # stepper is run's kind, the coupled one unless a caller names another
+        assert [f.name for f in dataclasses.fields(ref_config)] == [
+            "dx", "dt", "t_final", "T_b", "T_f"]
+        kind = inspect.signature(run).parameters["kind"]
+        assert kind.default is StepperKind.COUPLED_IMPLICIT
 
     @pytest.mark.parametrize("field,bad", [("dx", 0.0), ("dt", -1.0)])
     def test_step_positivity(self, ref_config, field, bad):

@@ -163,3 +163,24 @@ def test_scheme_alone_holds_the_trace_kernel():
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
         assert names & TRACE_KERNEL == (TRACE_KERNEL if mod == "scheme" else set()), mod
+
+
+def test_the_checks_cannot_read_the_users_stepper():
+    # the stepper is run's kind argument, coupled by default: no module
+    # reads one from a config, and the as-printed stepper is named only
+    # where it is built (scheme.assemble), compared (checks.printed_gaps)
+    # and parsed and reported (cli)
+    package = Path(gkheat.__file__).resolve().parent
+    loads = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                assert "stepper_kind" not in (
+                    getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "arg", None), getattr(node, "name", None)), path.stem
+                if (isinstance(node, ast.Attribute) and node.attr == "VECTORIAL_AS_PRINTED"
+                        and isinstance(node.ctx, ast.Load)):
+                    loads.add((path.stem, getattr(top, "name", None)))
+    assert {load for load in loads if load[0] != "cli"} == {
+        ("scheme", "assemble"), ("checks", "printed_gaps")}

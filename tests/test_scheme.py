@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gkheat import checks, csvtext, diagnostics, linalg, scheme
-from gkheat import (GridMismatch, MeshTooLarge, NonFiniteState, State,
+from gkheat import (GridMismatch, MeshTooLarge, NonFiniteInput, NonFiniteState, State,
                     StepperKind, assemble, build_grid, cosine_initial, run,
                     step_coupled_reference)
 from gkheat.checks import state_gap
@@ -312,10 +312,8 @@ class TestRun:
 
     def test_run_respects_stepper_kind(self):
         p, cfg, grid, ops = small_setup(J=9, t_final=3 * 1.2e-2)
-        cfg_printed = dataclasses.replace(
-            cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
         init = cosine_initial(grid, 15.0, 30.0)
-        traj = run(p, cfg_printed, init)
+        traj = run(p, cfg, init, kind=PRINTED)
         level = State(T=traj.T[1], q=traj.q[1])
         assert state_gap(level, one_step(p, grid, init, PRINTED)) == 0.0
         # and not the coupled step
@@ -433,9 +431,8 @@ class TestBFactor:
         p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2, dt=1.2e-3,
                                         t_final=steps * 1.2e-3)
         f = step_factors(p, grid)
-        cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
         init = cosine_initial(grid, 15.0, 30.0)
-        traj = run(p, cfg, init)
+        traj = run(p, cfg, init, kind=PRINTED)
         B = np.eye(J) - f.c_B * second_difference(J)
         aq, at = aq_matrix(J), at_matrix(J)
         T, q = init.T, init.q_interior
@@ -511,14 +508,13 @@ class TestTraceChunks:
 
     def test_as_printed_trace_independent_of_chunk_budget(self, monkeypatch):
         p, cfg, grid, ops = small_setup(J=9, t_final=20 * 1.2e-2)
-        cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
         init = cosine_initial(grid, 15.0, 30.0)
         trajs = []
         # one-mode blocks of one-level chunks; one block, chunks of 2 levels;
         # one block, one chunk
         for budget in (1, 800, 10**6):
             monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
-            trajs.append(run(p, cfg, init))
+            trajs.append(run(p, cfg, init, kind=PRINTED))
         # a level's rounding depends on its offset in its chunk (G^k is
         # applied to the level before the chunk), and the trace sums go
         # through BLAS, whose rounding depends on the block's shape
@@ -613,10 +609,9 @@ class TestChunkTable:
         # and 16
         J = 9
         p, cfg, grid, ops = small_setup(J=J, t_final=18 * 1.2e-2)
-        cfg = dataclasses.replace(cfg, stepper_kind=kind)
         monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", 25 * 5 * J)
         init = cosine_initial(grid, 15.0, 30.0)
-        traj = run(p, cfg, init)
+        traj = run(p, cfg, init, kind=kind)
         states = [init]
         for _ in range(grid.N + 1):
             states.append(one_step(p, grid, states[-1], kind))
@@ -784,9 +779,8 @@ class TestNonFinite:
         # the explicit correction blows up in the Fourier limit at this mesh
         p, cfg, grid, ops = small_setup(J=49, tau_q=0.0, mu2=0.0,
                                         t_final=200 * 1.2e-2)
-        cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
         with pytest.raises(NonFiniteState, match=r"step \d+ produced"):
-            run(p, cfg, cosine_initial(grid, 15.0, 30.0))
+            run(p, cfg, cosine_initial(grid, 15.0, 30.0), kind=PRINTED)
 
     def test_first_bad_step_independent_of_chunk_budget(self, monkeypatch):
         # the energy of levels past ~1e154 overflows before the levels do;
@@ -796,19 +790,29 @@ class TestNonFinite:
         # cut where the table (k ~ 46) and the powers (k ~ 92) overflow
         p, cfg, grid, ops = small_setup(J=49, tau_q=0.0, mu2=0.0,
                                         t_final=200 * 1.2e-2)
-        cfg = dataclasses.replace(cfg, stepper_kind=StepperKind.VECTORIAL_AS_PRINTED)
         messages, energy = [], []
         for budget in (1, 800, scheme.TRACE_CHUNK_ELEMENTS, 2**17):
             monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
             for found, energy_only in ((messages, False), (energy, True)):
                 with pytest.raises(NonFiniteState, match=r"step \d+ produced") as err:
-                    run(p, cfg, cosine_initial(grid, 15.0, 30.0), energy_only=energy_only)
+                    run(p, cfg, cosine_initial(grid, 15.0, 30.0), energy_only=energy_only,
+                        kind=PRINTED)
                 found.append(str(err.value))
         assert len(set(messages)) == 1
         # E's trace alone overflows no later than the whole trace
         assert len(set(energy)) == 1
         step = re.compile(r"step (\d+)")
         assert int(step.search(energy[0])[1]) <= int(step.search(messages[0])[1])
+
+    def test_overflowing_trace_weights_refused_unless_the_run_reads_e_alone(self):
+        # F's weight (rho c/2) dx (dx^2/s^2 + mu2) overflows at J = 1 while
+        # the step matrices and E's weights are finite
+        p, cfg, grid, ops = small_setup(J=1, mu2=1e305, t_final=10 * 1.2e-2)
+        init = cosine_initial(grid, 15.0, 30.0)
+        with pytest.raises(NonFiniteInput, match="trace weights overflow; mu2"):
+            run(p, cfg, init)
+        trace = run(p, cfg, init, energy_only=True).trace
+        assert np.isfinite(trace.E).all() and np.isfinite(trace.heat).all()
 
     def test_single_step_overflow(self):
         # this state's energy, 5.0e304, is finite; its high modes grow by
