@@ -258,7 +258,7 @@ def cmd_verify(manifest: RunManifest) -> int:
         checks.heat_conservation(trace),
         checks.lyapunov_sandwich(trace, params),
         checks.decay_envelope(trace, params),
-        checks.oracle_equivalence(params, config, np.random.default_rng(1729)),
+        checks.oracle_equivalence(params, config),
         checks.mode_rate_fit(params, config),
     ]
     for r in results:

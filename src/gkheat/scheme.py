@@ -69,7 +69,7 @@ import numpy as np
 from . import csvtext
 from .diagnostics import EnergyTrace
 from .discretization import Grid, State, _require_on_grid, build_grid
-from .errors import MeshTooLarge, NonFiniteInput, NonFiniteState
+from .errors import GridMismatch, MeshTooLarge, NonFiniteInput, NonFiniteState
 from .linalg import dct, dense_solve, difference_symbols, dst, idct
 from .model import MaterialParams, SimulationConfig, StepperKind
 
@@ -183,56 +183,46 @@ def _power_table(cols: np.ndarray, K: int) -> np.ndarray:
     return table if finite.all() else table[:, :max(2, int(np.argmin(finite)))]
 
 
-def step_coupled_reference(params: MaterialParams, grid: Grid,
-                           prev: State) -> State:
-    """Brute-force coupled step: dense solve of the interleaved system.
+def step_coupled_reference(params: MaterialParams, grid: Grid, T: np.ndarray,
+                           q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brute-force coupled steps: dense solves of the interleaved system.
 
+    T (S, J+1) and q (S, J+2) are S levels on grid, a run's stacked levels;
+    the result (T', q') holds, row by row, the level one step after each.
     Unknowns are ordered (T_0, q_1, T_1, q_2, ..., T_J); rows are the
-    untransformed step equations (bandwidth 2), assembled verbatim as a
-    dense (2J+1) x (2J+1) matrix, equilibrated by rows and then columns,
-    and solved with linalg.dense_solve.
+    untransformed step equations (bandwidth 2), assembled verbatim once as
+    a dense (2J+1) x (2J+1) matrix and equilibrated by rows and then
+    columns.  Each level is one linalg.dense_solve against it: a solve
+    with S right-hand sides at once rounds differently from single ones.
     O(J^3); intended for small J cross-checks of run's coupled stepper
     (checks.oracle_equivalence).
     """
-    _require_on_grid(prev, grid, "prev")
     J, dx, dt = grid.J, grid.dx, grid.dt
+    if T.ndim != 2 or T.shape[1] != J + 1 or q.shape != (len(T), J + 2):
+        raise GridMismatch(f"expected levels T (S, {J + 1}) and q (S, {J + 2}), "
+                           f"got T{T.shape}, q{q.shape}")
     rc = params.rho_c
     n = 2 * J + 1
     a = np.zeros((n, n))
-    b = np.zeros(n)
-
-    def i_T(j: int) -> int:
-        return 2 * j
-
-    def i_q(j: int) -> int:
-        return 2 * j - 1
-
-    for j in range(J + 1):
-        r = i_T(j)
-        a[r, i_T(j)] = rc / dt
-        if j + 1 <= J:
-            a[r, i_q(j + 1)] += 1.0 / dx
-        if j >= 1:
-            a[r, i_q(j)] -= 1.0 / dx
-        b[r] = rc / dt * prev.T[j]
-    for j in range(1, J + 1):
-        r = i_q(j)
-        a[r, i_q(j)] = params.tau_q / dt + 1.0 + 2.0 * params.mu2 / dx**2
-        if j + 1 <= J:
-            a[r, i_q(j + 1)] = -params.mu2 / dx**2
-        if j >= 2:
-            a[r, i_q(j - 1)] = -params.mu2 / dx**2
-        a[r, i_T(j)] += params.k / dx
-        a[r, i_T(j - 1)] -= params.k / dx
-        b[r] = params.tau_q / dt * prev.q[j]
+    T_rows, q_rows = np.arange(0, n, 2), np.arange(1, n, 2)  # T_j at 2j, q_j at 2j - 1
+    a[T_rows, T_rows] = rc / dt
+    a[q_rows - 1, q_rows] = 1.0 / dx  # T_{j-1}'s row holds +q_j/dx, T_j's -q_j/dx
+    a[q_rows + 1, q_rows] = -1.0 / dx
+    a[q_rows, q_rows] = params.tau_q / dt + 1.0 + 2.0 * params.mu2 / dx**2
+    a[q_rows[1:], q_rows[:-1]] = a[q_rows[:-1], q_rows[1:]] = -params.mu2 / dx**2
+    a[q_rows, q_rows + 1] = params.k / dx
+    a[q_rows, q_rows - 1] = -params.k / dx
     # equilibrated: each row, then each column, scaled to max|entry| 1
-    rows = 1.0 / np.max(np.abs(a), axis=1, keepdims=True)
-    a *= rows
+    rows = 1.0 / np.max(np.abs(a), axis=1)
+    a *= rows[:, None]
     columns = 1.0 / np.max(np.abs(a), axis=0)
-    x = columns * dense_solve(a * columns, rows[:, 0] * b)
-    q = np.zeros(J + 2)
-    q[1:-1] = x[1::2]
-    return State(T=x[0::2], q=q)
+    a *= columns
+    b = np.empty((len(T), n))
+    b[:, T_rows] = rc / dt * T
+    b[:, q_rows] = params.tau_q / dt * q[:, 1:-1]
+    b *= rows
+    x = columns * np.array([dense_solve(a, level) for level in b]).reshape(b.shape)
+    return x[:, T_rows], np.pad(x[:, q_rows], ((0, 0), (1, 1)))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ Lyapunov functional) and step residuals directly on physical states, as
 the scheme's equations write them; longdouble_coupled_run steps
 the coupled scheme in extended precision without gkheat.scheme.
 discrete_decay_rate is the exact decay rate of the assembled step matrix,
-against which a rate fitted to a trace is checked.  one_step is not an
-oracle: it takes the single steps the tests compare, through scheme.run.
+against which a rate fitted to a trace is checked.  one_step and
+oracle_draws are not oracles: one takes the single steps the tests
+compare, through scheme.run, and the other draws the states of
+checks.oracle_equivalence from a generator.
 """
 
 from __future__ import annotations
@@ -27,6 +29,14 @@ def one_step(p: MaterialParams, grid: Grid, prev: State,
     cfg = SimulationConfig(dx=grid.dx, dt=grid.dt, t_final=grid.dt, T_b=0.0, T_f=0.0)
     traj = scheme.run(p, cfg, prev, kind=kind)
     return State(T=traj.T[1], q=traj.q[1])
+
+
+def oracle_draws(rng: np.random.Generator) -> list[np.ndarray]:
+    """checks.oracle_equivalence's states drawn from rng, in the form and
+    order of checks.ORACLE_DRAWS: for each J = 2..8, normal(0, 1e4, J) for
+    q_1..q_J, then normal(15, 10, J + 1) for T_0..T_J."""
+    return [np.concatenate((rng.normal(0.0, 1e4, J), rng.normal(15.0, 10.0, J + 1)))
+            for J in range(2, 9)]
 
 
 def discrete_energy(state: State, params: MaterialParams, dx: float) -> float:

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gkheat import State, checks, diagnostics, discretization, scheme
+from gkheat import checks, diagnostics, discretization, scheme
 from gkheat.cli import main, parse_config
 from gkheat.diagnostics import EnergyTrace
 from gkheat.model import MaterialParams, SimulationConfig
+from oracles import oracle_draws
 
 PARAMS = MaterialParams(rho=2e3, c=5e2, tau_q=8e-3, mu2=2.8e-3, k=2e3, l=0.1)
 CONFIG = SimulationConfig(dx=2e-3, dt=1.2e-2, t_final=1.2, T_b=15.0, T_f=30.0)
@@ -54,23 +55,57 @@ class TestTraceChecks:
 class TestStateGap:
     def test_relative_to_second_state(self):
         # the larger of max|dT|/max|T_b| and max|dq|/max|q_b|
-        a = State(T=[1.0, 2.0], q=[0.0, 10.0, 0.0])
-        b = State(T=[1.0, 4.0], q=[0.0, 11.0, 0.0])
+        a = (np.array([1.0, 2.0]), np.array([0.0, 10.0, 0.0]))
+        b = (np.array([1.0, 4.0]), np.array([0.0, 11.0, 0.0]))
         assert checks.state_gap(a, b) == pytest.approx(0.5, rel=1e-15)
-        c = State(T=[1.0, 4.0], q=[0.0, 1.0, 0.0])
+        c = (np.array([1.0, 4.0]), np.array([0.0, 1.0, 0.0]))
         assert checks.state_gap(c, b) == pytest.approx(10.0 / 11.0, rel=1e-15)
         assert checks.state_gap(b, b) == 0.0
 
     def test_zero_flux_reference(self):
-        a = State(T=[1.0, 2.0], q=[0.0, 0.0, 0.0])
+        a = (np.array([1.0, 2.0]), np.zeros(3))
         assert checks.state_gap(a, a) == 0.0
+
+    def test_stacked_levels_give_the_worst_level(self):
+        # each level is relative to its own max|.|, not to the stack's
+        a = (np.array([[1.0, 2.0], [1.0, 2.0]]), np.zeros((2, 3)))
+        b = (np.array([[1.0, 4.0], [100.0, 4.0]]), np.zeros((2, 3)))
+        assert checks.state_gap(a, b) == pytest.approx(0.99, rel=1e-15)
+        assert checks.state_gap(a, b) == max(checks.state_gap((a[0][i], a[1][i]),
+                                                              (b[0][i], b[1][i]))
+                                             for i in range(2))
 
 
 class TestRunChecks:
     def test_oracle_is_deterministic_per_seed(self):
-        a = checks.oracle_equivalence(PARAMS, CONFIG, np.random.default_rng(5))
-        b = checks.oracle_equivalence(PARAMS, CONFIG, np.random.default_rng(5))
+        a = checks.oracle_equivalence(PARAMS, CONFIG, oracle_draws(np.random.default_rng(5)))
+        b = checks.oracle_equivalence(PARAMS, CONFIG, oracle_draws(np.random.default_rng(5)))
         assert a == b and a.ok
+
+    def test_stored_draws_are_default_rng_1729s(self):
+        # the table holds what default_rng(1729) draws, bit for bit
+        drawn = oracle_draws(np.random.default_rng(1729))
+        assert [row.tobytes() for row in drawn] == [
+            np.array(row, dtype=float).tobytes() for row in checks.ORACLE_DRAWS]
+        assert checks.oracle_equivalence(PARAMS, CONFIG) \
+            == checks.oracle_equivalence(PARAMS, CONFIG, drawn)
+
+    def test_oracle_assembles_once_per_mesh_and_solves_once_per_level(self, monkeypatch):
+        # 7 meshes, J = 2..8, of 10 steps each
+        calls = {"step_coupled_reference": 0, "dense_solve": 0}
+
+        def counted(name):
+            original = getattr(scheme, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(scheme, name, counted(name))
+        assert checks.oracle_equivalence(PARAMS, CONFIG).ok
+        assert calls == {"step_coupled_reference": 7, "dense_solve": 70}
 
     def test_lagging_kept_levels_fail_the_oracle(self, monkeypatch, capsys):
         # every kept level written from the step before it: the trace is
@@ -82,7 +117,8 @@ class TestRunChecks:
                         sums, kept)
 
         monkeypatch.setattr(scheme, "_trace_block", lagging)
-        assert not checks.oracle_equivalence(PARAMS, CONFIG, np.random.default_rng(5)).ok
+        assert not checks.oracle_equivalence(PARAMS, CONFIG,
+                                             oracle_draws(np.random.default_rng(5))).ok
         assert main(["verify"]) == 3
         out = capsys.readouterr().out
         assert out.count("PASS") == 6 and "FAIL oracle_equivalence" in out
@@ -114,7 +150,8 @@ class TestMargins:
             checks.heat_conservation(trace),
             checks.lyapunov_sandwich(trace, params),
             checks.decay_envelope(trace, params),
-            checks.oracle_equivalence(params, config, np.random.default_rng(1729)),
+            checks.oracle_equivalence(params, config,
+                                      oracle_draws(np.random.default_rng(1729))),
             checks.mode_rate_fit(params, config)]
         for r in results:
             assert np.isfinite(r.value) and np.isfinite(r.bound), r.name

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gkheat
 
 
@@ -38,6 +40,22 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+def test_no_command_imports_numpy_random(tmp_path, command):
+    # verify's oracle reads its states from a table; nothing seeds a generator
+    config = tmp_path / "small.cfg"
+    config.write_text(f"dx = 2e-3\nout_dir = {tmp_path / 'out'}\n")
+    src = str(Path(gkheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys; from gkheat.cli import main; "
+            f"code = main([{command!r}, '-c', {str(config)!r}]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 False"
 
 
 #: documented model API (the paper's Onsager form of the flux law) that no

@@ -183,16 +183,40 @@ class TestSteppers:
         np.testing.assert_allclose(out.q, 0.0, atol=1e-20)
 
     def test_matches_dense_reference(self):
-        # brute-force oracle: dense solve of the verbatim interleaved system
+        # brute-force oracle: dense solve of the verbatim interleaved system,
+        # ten random levels stacked per mesh
         rng = np.random.default_rng(42)
         worst = 0.0
         for J in range(2, 9):
             p, cfg, grid, ops = small_setup(J=J)
-            for _ in range(10):
-                prev = random_state(rng, J)
-                worst = max(worst, state_gap(one_step(p, grid, prev),
-                                             step_coupled_reference(p, grid, prev)))
+            prev = [random_state(rng, J) for _ in range(10)]
+            steps = [one_step(p, grid, s) for s in prev]
+            reference = step_coupled_reference(p, grid, np.array([s.T for s in prev]),
+                                               np.array([s.q for s in prev]))
+            worst = max(worst, state_gap((np.array([s.T for s in steps]),
+                                          np.array([s.q for s in steps])), reference))
         assert worst <= 1e-10
+
+    def test_dense_reference_steps_each_level_alone(self):
+        # a stack's rows are the levels' own steps, bit for bit, with
+        # zero boundary fluxes
+        rng = np.random.default_rng(43)
+        p, cfg, grid, ops = small_setup(J=6)
+        prev = [random_state(rng, 6) for _ in range(4)]
+        T, q = step_coupled_reference(p, grid, np.array([s.T for s in prev]),
+                                      np.array([s.q for s in prev]))
+        assert T.shape == (4, 7) and q.shape == (4, 8)
+        assert np.all(q[:, 0] == 0.0) and np.all(q[:, -1] == 0.0)
+        for i, s in enumerate(prev):
+            T1, q1 = step_coupled_reference(p, grid, s.T[None], s.q[None])
+            assert T1[0].tobytes() == T[i].tobytes() and q1[0].tobytes() == q[i].tobytes()
+
+    @pytest.mark.parametrize("T_shape,q_shape", [((7,), (8,)), ((2, 8), (2, 9)),
+                                                 ((2, 7), (3, 8))])
+    def test_dense_reference_refuses_levels_off_the_grid(self, T_shape, q_shape):
+        p, cfg, grid, ops = small_setup(J=6)
+        with pytest.raises(GridMismatch):
+            step_coupled_reference(p, grid, np.zeros(T_shape), np.zeros(q_shape))
 
     def test_heat_conserved_per_step(self):
         rng = np.random.default_rng(9)
@@ -245,8 +269,8 @@ class TestFourierStepper:
         np.testing.assert_array_equal(a.T, b.T)
         np.testing.assert_array_equal(a.q, b.q)
         np.testing.assert_array_equal(a.trace.E, b.trace.E)
-        assert state_gap(State(T=a.T[1], q=a.q[1]),
-                         one_step(p, grid, s)) <= 1e-14
+        step = one_step(p, grid, s)
+        assert state_gap((a.T[1], a.q[1]), (step.T, step.q)) <= 1e-14
 
     def test_cosine_mode_amplification(self, ref_params, ref_config):
         # implicit Euler damps the fundamental mode by 1/(1 + (k/rho c) kappa^2 dt);
@@ -296,7 +320,7 @@ class TestRun:
         manual = init
         for n in range(1, grid.N + 2):
             manual = one_step(p, grid, manual)
-            assert state_gap(State(T=traj.T[n], q=traj.q[n]), manual) <= 1e-12
+            assert state_gap((traj.T[n], traj.q[n]), (manual.T, manual.q)) <= 1e-12
 
     def test_zero_initial_data(self):
         p, cfg, grid, ops = small_setup(J=9, t_final=5 * 1.2e-2)
@@ -314,10 +338,11 @@ class TestRun:
         p, cfg, grid, ops = small_setup(J=9, t_final=3 * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
         traj = run(p, cfg, init, kind=PRINTED)
-        level = State(T=traj.T[1], q=traj.q[1])
-        assert state_gap(level, one_step(p, grid, init, PRINTED)) == 0.0
+        level = (traj.T[1], traj.q[1])
+        printed, coupled = one_step(p, grid, init, PRINTED), one_step(p, grid, init)
+        assert state_gap(level, (printed.T, printed.q)) == 0.0
         # and not the coupled step
-        assert state_gap(level, one_step(p, grid, init)) > 1e-2
+        assert state_gap(level, (coupled.T, coupled.q)) > 1e-2
 
     @pytest.mark.parametrize("stride", [0, -1, 2.0, 2.5])
     def test_rejects_a_stride_that_is_not_a_positive_integer(self, monkeypatch, stride):
