@@ -124,8 +124,9 @@ def mode_decay_oracle(params: MaterialParams,
     -r and there is no fast root (None); where root is imaginary the pair
     is complex and fast is slow's conjugate.
 
-    This is the independent oracle used to cross-check fitted energy decay
-    rates: energy decays at 2|Re(lambda_slow)|.
+    This is the independent oracle that the scheme's exact decay rate
+    (step_decay_rate) and sweep's fitted ones are held to: energy decays
+    at 2|Re(lambda_slow)|.
     """
     if mode_index < 1:
         raise ValueError("mode_index must be a positive integer")
@@ -139,6 +140,51 @@ def mode_decay_oracle(params: MaterialParams,
     if root.imag != 0.0:
         return slow, slow.conjugate()
     return slow, -D * (1.0 + root) / (2.0 * params.tau_q)
+
+
+def eigenvalues_2x2(A: np.ndarray) -> tuple[complex, complex]:
+    """(big, small): the eigenvalues of the real 2x2 matrix A, the one of
+    larger modulus first.
+
+    They are the roots of z^2 - tr z + det = 0.  big = tr/2 + sign(tr)
+    sqrt(tr^2/4 - det) adds two terms of one sign and small = det/big
+    divides, so neither root cancels where tr^2/4 - det does not.  Only
+    the off-diagonal product b c enters, taken as (sqrt|b| sqrt|c|)^2, and
+    A is first scaled by a power of 2 to max(|a|, |d|, sqrt|b c|) < 1, so
+    that tr^2 and det over- or underflow only where the eigenvalues do.
+    """
+    (a, b), (c, d) = ((float(x) for x in row) for row in A)
+    p = math.sqrt(abs(b)) * math.sqrt(abs(c))
+    top = max(abs(a), abs(d), p)
+    if top == 0.0:
+        return 0j, 0j
+    e = math.frexp(top)[1]
+    a, d, p = math.ldexp(a, -e), math.ldexp(d, -e), math.ldexp(p, -e)
+    half = 0.5 * (a + d)
+    det = a * d - math.copysign(p * p, b) * math.copysign(1.0, c)
+    big = half + math.copysign(1.0, half) * cmath.sqrt(half * half - det)
+    return tuple(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+                 for z in (big, det / big if big else 0j))
+
+
+def step_decay_rate(G: np.ndarray, D: np.ndarray, dt: float) -> float:
+    """r = -2 ln rho(G) / dt: the rate at which a mode's energy decays
+    under its 2x2 coupled step matrix G = I + D of length dt (one mode of
+    scheme.assemble's G and D), rho the spectral radius.
+
+    G's eigenvalue of largest modulus is 1 + mu, mu the small root of D:
+    the coupled step has det G = G_bb >= 0 and tr G > 0, so real
+    eigenvalues of G are positive.  Where |mu| < 1/2, ln|1 + mu|^2 is
+    log1p of mu_re (2 + mu_re) + mu_im^2, which never forms 1 + mu: rho(G)
+    there may round to 1.  Elsewhere a step nearly annihilates the mode,
+    and r comes from G's larger eigenvalue; a G that rounds the mode to 0
+    reads as the smallest normal float, a rate of about 1416/dt.
+    """
+    mu = eigenvalues_2x2(D)[1]
+    if abs(mu) < 0.5:
+        return -math.log1p(mu.real * (2.0 + mu.real) + mu.imag * mu.imag) / dt
+    rho = abs(eigenvalues_2x2(G)[0])
+    return -2.0 * math.log(max(rho, np.finfo(float).tiny)) / dt
 
 
 def equilibrium_energy(params: MaterialParams, heat: float) -> float:

@@ -50,8 +50,8 @@ modes a block at a time: from a block's powers G^k, k = 0..K, and D it
 builds one trace table (modal_trace_table, which forms the step increments
 D G^(k-1) in it), and every row of the run gets the block's share from one
 matrix product of the table with the features of the chunk bases, the
-levels 0, K, 2K, ...  A run with energy_only (the decay-rate fits of sweep
-and verify, and verify's runs that read only kept levels) traces E and
+levels 0, K, 2K, ...  A run with energy_only (the decay-rate fits of
+sweep, and verify's runs that read only kept levels) traces E and
 heat alone: its table is E's weights on the quadratic features, 3 values
 per level and mode instead of 25, built without D, and its blocks are
 longer and wider.  Only the kept levels' amplitudes are formed, in the
@@ -205,22 +205,25 @@ def step_coupled_reference(params: MaterialParams, grid: Grid, T: np.ndarray,
     n = 2 * J + 1
     a = np.zeros((n, n))
     T_rows, q_rows = np.arange(0, n, 2), np.arange(1, n, 2)  # T_j at 2j, q_j at 2j - 1
-    a[T_rows, T_rows] = rc / dt
-    a[q_rows - 1, q_rows] = 1.0 / dx  # T_{j-1}'s row holds +q_j/dx, T_j's -q_j/dx
-    a[q_rows + 1, q_rows] = -1.0 / dx
-    a[q_rows, q_rows] = params.tau_q / dt + 1.0 + 2.0 * params.mu2 / dx**2
-    a[q_rows[1:], q_rows[:-1]] = a[q_rows[:-1], q_rows[1:]] = -params.mu2 / dx**2
-    a[q_rows, q_rows + 1] = params.k / dx
-    a[q_rows, q_rows - 1] = -params.k / dx
-    # equilibrated: each row, then each column, scaled to max|entry| 1
-    rows = 1.0 / np.max(np.abs(a), axis=1)
-    a *= rows[:, None]
-    columns = 1.0 / np.max(np.abs(a), axis=0)
-    a *= columns
-    b = np.empty((len(T), n))
-    b[:, T_rows] = rc / dt * T
-    b[:, q_rows] = params.tau_q / dt * q[:, 1:-1]
-    b *= rows
+    # an entry or right-hand side that overflows (rho c/dt past the float
+    # range) leaves a non-finite solution, which dense_solve refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        a[T_rows, T_rows] = rc / dt
+        a[q_rows - 1, q_rows] = 1.0 / dx  # T_{j-1}'s row holds +q_j/dx, T_j's -q_j/dx
+        a[q_rows + 1, q_rows] = -1.0 / dx
+        a[q_rows, q_rows] = params.tau_q / dt + 1.0 + 2.0 * params.mu2 / dx**2
+        a[q_rows[1:], q_rows[:-1]] = a[q_rows[:-1], q_rows[1:]] = -params.mu2 / dx**2
+        a[q_rows, q_rows + 1] = params.k / dx
+        a[q_rows, q_rows - 1] = -params.k / dx
+        # equilibrated: each row, then each column, scaled to max|entry| 1
+        rows = 1.0 / np.max(np.abs(a), axis=1)
+        a *= rows[:, None]
+        columns = 1.0 / np.max(np.abs(a), axis=0)
+        a *= columns
+        b = np.empty((len(T), n))
+        b[:, T_rows] = rc / dt * T
+        b[:, q_rows] = params.tau_q / dt * q[:, 1:-1]
+        b *= rows
     x = columns * np.array([dense_solve(a, level) for level in b]).reshape(b.shape)
     return x[:, T_rows], np.pad(x[:, q_rows], ((0, 0), (1, 1)))
 

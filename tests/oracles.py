@@ -4,8 +4,9 @@ They evaluate the trace quantities (the energy E, the heat, C_T and the
 Lyapunov functional) and step residuals directly on physical states, as
 the scheme's equations write them; longdouble_coupled_run steps
 the coupled scheme in extended precision without gkheat.scheme.
-discrete_decay_rate is the exact decay rate of the assembled step matrix,
-against which a rate fitted to a trace is checked.  one_step and
+discrete_decay_rate is the exact decay rate of the assembled step matrix
+from numpy's eigenvalues, against which a rate fitted to a trace and the
+closed form of diagnostics.step_decay_rate are checked.  one_step and
 oracle_draws are not oracles: one takes the single steps the tests
 compare, through scheme.run, and the other draws the states of
 checks.oracle_equivalence from a generator.

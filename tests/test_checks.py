@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -129,8 +130,33 @@ class TestRunChecks:
         assert all(gap > 0.0 for _, gap in gaps)
 
     def test_rate_fit_zero_data(self):
-        res = checks.mode_rate_fit(PARAMS, dataclasses.replace(CONFIG, T_f=0.0))
-        assert res.ok and res.detail == "zero initial data, nothing to fit"
+        # the rate is the step matrix's, whatever the initial data
+        res = checks.mode_rate_fit(PARAMS, dataclasses.replace(CONFIG, T_b=0.0, T_f=0.0))
+        assert res.ok and res == checks.mode_rate_fit(PARAMS, CONFIG)
+
+    def test_rate_is_halved_to_convergence_without_a_run(self, monkeypatch):
+        # dt = 5: the exact rate at dt/8 is 0.865 of the continuum one, and
+        # the halvings stop at the first two rates within RATE_RTOL
+        def no_run(*args, **kwargs):
+            raise AssertionError("scheme.run called")
+
+        def rate(dt):
+            cfg = dataclasses.replace(config, dt=dt, t_final=dt)
+            G, D = scheme.assemble(PARAMS, discretization.build_grid(PARAMS, cfg))
+            return diagnostics.step_decay_rate(G[..., 0], D[..., 0], dt)
+
+        monkeypatch.setattr(scheme, "run", no_run)
+        config = dataclasses.replace(CONFIG, dt=5.0, t_final=5.0)
+        r_d, dt = checks.discrete_mode_rate(PARAMS, config)
+        target = 2.0 * abs(diagnostics.mode_decay_oracle(PARAMS, 1)[0].real)
+        assert rate(5.0 / 8.0) / target == pytest.approx(0.865, abs=1e-3)
+        halvings = math.log2(5.0 / 8.0 / dt)
+        assert halvings == round(halvings) and 1 <= halvings < checks.RATE_HALVINGS
+        assert r_d == rate(dt)
+        rates = [rate(dt * 2.0**i) for i in range(int(halvings) + 1)]
+        changes = [abs(a - b) / a for a, b in zip(rates, rates[1:])]
+        assert changes[0] < checks.RATE_RTOL <= min(changes[1:])
+        assert abs(r_d / target - 1.0) < 1e-3 and checks.mode_rate_fit(PARAMS, config).ok
 
 
 class TestMargins:

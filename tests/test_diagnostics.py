@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from gkheat.checks import DISSIPATION_RTOL
 from gkheat.diagnostics import EnergyTrace, sandwich_bounds
 from gkheat.model import MaterialParams, SimulationConfig
 from gkheat.scheme import build_trace, modal_trace_table, modal_trace_weights
-from oracles import (boundary_term, discrete_energy, dissipation_check, lyapunov,
-                     total_heat)
+from oracles import (boundary_term, discrete_decay_rate, discrete_energy,
+                     dissipation_check, lyapunov, total_heat)
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +234,80 @@ class TestModeDecayOracle:
         slow, _ = mode_decay_oracle(p, 1)
         assert slow.imag == 0.0
         assert slow.real == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def mode_one(params, dx, dt):
+    """scheme.assemble's mode-1 G and D on a one-step mesh, and its grid."""
+    grid = build_grid(params, SimulationConfig(dx=dx, dt=dt, t_final=dt, T_b=0.0, T_f=0.0))
+    G, D = scheme.assemble(params, grid)
+    return G[..., 0], D[..., 0], grid
+
+
+class TestStepDecayRate:
+    def test_eigenvalues_match_the_eigenvalue_solver(self):
+        rng = np.random.default_rng(11)
+        for A in rng.normal(size=(200, 2, 2)) * 10.0 ** rng.uniform(-5, 5, (200, 1, 1)):
+            big, small = diagnostics.eigenvalues_2x2(A)
+            eig = np.linalg.eigvals(A)
+            assert abs(big) == pytest.approx(max(abs(eig)), rel=1e-12)
+            assert abs(big) >= abs(small) * (1.0 - 1e-15)  # equal for a pair
+            # each against the nearer of numpy's, a conjugate pair in either order
+            for z in (big, small):
+                assert z == pytest.approx(min(eig, key=lambda w: abs(w - z)),
+                                          rel=1e-9, abs=1e-12 * abs(big))
+
+    def test_far_apart_and_tiny_entries(self):
+        # the off-diagonal product 1e-400 and tr^2 1e-340 underflow as written
+        A = np.array([[-1e-170, -1e-200], [1e-200, -1e-175]])
+        big, small = diagnostics.eigenvalues_2x2(A)
+        assert big == pytest.approx(-1e-170, rel=1e-12)
+        assert small == pytest.approx(-1e-175 - 1e-230 / 1e-170, rel=1e-12)
+        assert diagnostics.eigenvalues_2x2(np.zeros((2, 2))) == (0j, 0j)
+
+    @pytest.mark.parametrize("dx", [2e-4, 1.5625e-3, 1.25e-5, 2e-3],
+                             ids=["reference", "long_horizon", "fine_mesh", "coarse"])
+    def test_matches_the_eigenvalues_of_G(self, ref_params, dx):
+        # eigvals is well conditioned here: rho(G_1) is 0.9937 at dt = 1.2e-2
+        G, D, grid = mode_one(ref_params, dx, 1.2e-2)
+        assert diagnostics.step_decay_rate(G, D, grid.dt) == pytest.approx(
+            discrete_decay_rate(ref_params, grid), rel=1e-12)
+
+    def test_branch_where_a_step_nearly_annihilates_the_mode(self, ref_params):
+        # dt = 30 and tau_q = 0: G_1's eigenvalues are 0 and about 0.017, so
+        # D's small root is about -0.98
+        p = dataclasses.replace(ref_params, tau_q=0.0, mu2=0.0)
+        G, D, grid = mode_one(p, 2e-3, 30.0)
+        assert abs(diagnostics.eigenvalues_2x2(D)[1]) > 0.5
+        assert diagnostics.step_decay_rate(G, D, grid.dt) == pytest.approx(
+            discrete_decay_rate(p, grid), rel=1e-12)
+
+    def test_rho_near_one_keeps_its_digits(self, ref_params):
+        # at k = 1e-9 and dt/8, rho(G_1) = 1 - 3.9e-16: eigvals reads it
+        # 3.3e-16 below 1, a rate 15% low; the closed form is 8.7e-7 low
+        p = dataclasses.replace(ref_params, k=1e-9)
+        G, D, grid = mode_one(p, 2e-4, 1.2e-2 / 8)
+        slow, _ = mode_decay_oracle(p, 1)
+        assert diagnostics.step_decay_rate(G, D, grid.dt) == pytest.approx(
+            2.0 * abs(slow.real), rel=1e-5)
+
+    def test_wide_draw_gives_finite_rates_without_warnings(self):
+        # factors up to 10^+-100 around the defaults and dt up to 30 s: the
+        # rate at the drawn dt and after mode_rate_fit's halvings
+        rng = np.random.default_rng(20261)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(150):
+                J = int(rng.integers(3, 123))
+                p = MaterialParams(**{name: value * 10.0 ** rng.uniform(-100, 100)
+                                      for name, value in (("rho", 2e3), ("c", 5e2),
+                                                          ("tau_q", 8e-3), ("mu2", 2.8e-3),
+                                                          ("k", 2e3))}, l=0.1)
+                dt = 30.0 * 10.0 ** -rng.uniform(0, 100)
+                G, D, grid = mode_one(p, 0.1 / (J + 1), dt)
+                config = SimulationConfig(dx=grid.dx, dt=dt, t_final=dt, T_b=0.0, T_f=0.0)
+                r_d, dt_d = checks.discrete_mode_rate(p, config)
+                assert math.isfinite(diagnostics.step_decay_rate(G, D, dt)), p
+                assert math.isfinite(r_d) and 0.0 < dt_d <= dt / 8.0, p
 
 
 def written_z(path, params, t, E, C_T):
