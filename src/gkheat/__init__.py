@@ -4,23 +4,21 @@ from .diagnostics import (DecayConstants, EnergyTrace, decay_constants,
                           equilibrium_energy, fit_energy_decay_rate,
                           mode_decay_oracle)
 from .discretization import Grid, State, build_grid, cosine_initial
-from .errors import (DimensionMismatch, GKHeatError, GridMismatch,
-                     InsufficientFitData, MeshTooLarge, NonDivisibleMesh,
-                     NonFiniteInput, NonFiniteState, NonPositiveCoefficient,
-                     NumericalFailure, ParseError, SingularMatrix)
-from .linalg import dense_solve
+from .errors import (GKHeatError, GridMismatch, InsufficientFitData,
+                     MeshTooLarge, NonDivisibleMesh, NonFiniteInput,
+                     NonFiniteState, NonPositiveCoefficient, NumericalFailure,
+                     ParseError)
 from .model import (MaterialParams, OnsagerCoefficients, SimulationConfig,
                     StepperKind, gk_to_onsager, onsager_to_gk)
-from .scheme import Trajectory, assemble, run, step_coupled_reference
+from .scheme import Trajectory, assemble, run
 
 __all__ = [
-    "DecayConstants", "DimensionMismatch", "EnergyTrace",
-    "GKHeatError", "Grid", "GridMismatch", "InsufficientFitData",
-    "MaterialParams", "MeshTooLarge", "NonDivisibleMesh", "NonFiniteInput",
-    "NonFiniteState", "NonPositiveCoefficient", "NumericalFailure",
-    "OnsagerCoefficients", "ParseError", "SimulationConfig",
-    "SingularMatrix", "State", "StepperKind", "Trajectory", "assemble",
-    "build_grid", "cosine_initial", "decay_constants", "dense_solve",
+    "DecayConstants", "EnergyTrace", "GKHeatError", "Grid", "GridMismatch",
+    "InsufficientFitData", "MaterialParams", "MeshTooLarge",
+    "NonDivisibleMesh", "NonFiniteInput", "NonFiniteState",
+    "NonPositiveCoefficient", "NumericalFailure", "OnsagerCoefficients",
+    "ParseError", "SimulationConfig", "State", "StepperKind", "Trajectory",
+    "assemble", "build_grid", "cosine_initial", "decay_constants",
     "equilibrium_energy", "fit_energy_decay_rate", "gk_to_onsager",
-    "mode_decay_oracle", "onsager_to_gk", "run", "step_coupled_reference",
+    "mode_decay_oracle", "onsager_to_gk", "run",
 ]

@@ -29,10 +29,6 @@ class GridMismatch(GKHeatError):
     """State arrays do not match the grid (or each other) in size."""
 
 
-class DimensionMismatch(GKHeatError):
-    """Operand shapes are incompatible."""
-
-
 class NonFiniteInput(GKHeatError, ValueError):
     """A state holds a non-finite value, initial data overflow their energy, or
     l is outside [1e-50, 1e50] m (build_grid; a config error, the CLI exits 1)."""
@@ -40,10 +36,6 @@ class NonFiniteInput(GKHeatError, ValueError):
 
 class NumericalFailure(GKHeatError):
     """A computation produced no usable number (the CLI exits 2)."""
-
-
-class SingularMatrix(NumericalFailure):
-    """Dense factorization failed; matrix is singular to working precision."""
 
 
 class NonFiniteState(NumericalFailure):

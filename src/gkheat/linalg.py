@@ -1,4 +1,4 @@
-"""The scheme's exact eigenbasis, and a dense direct solve as its oracle.
+"""The scheme's exact eigenbasis.
 
 With n = J + 1 temperature nodes the scheme's difference operators are
 diagonalised by two orthonormal real transforms (Strang, "The Discrete
@@ -16,8 +16,6 @@ vector m; so L = A_T A_q has the eigenvalues -s_m^2.  dct/dst give the
 amplitudes of a vector in these bases, idct (and dst, its own inverse)
 rebuild the vector.  All act along the last axis, on numpy.fft.rfft/irfft
 of the even (DCT) or odd (DST) extension of length 2n.
-
-dense_solve is the independent check the modal path is tested against.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-from .errors import DimensionMismatch, SingularMatrix
 
 
 def difference_symbols(J: int) -> np.ndarray:
@@ -67,20 +63,3 @@ def dst(x: np.ndarray) -> np.ndarray:
     z[..., 1:n] = x
     z[..., n + 1:] = -x[..., ::-1]
     return np.fft.rfft(z)[..., 1:n].imag * -np.sqrt(0.5 / n)
-
-
-def dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for a square 2-D array a (LAPACK, partial pivoting)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"dense_solve requires a square matrix, got {a.shape}")
-    if b.size != a.shape[0]:
-        raise DimensionMismatch(f"rhs has size {b.size}, matrix order {a.shape[0]}")
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrix("solution contains non-finite entries")
-    return x

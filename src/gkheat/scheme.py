@@ -14,8 +14,8 @@ tridiagonal system
 
 per step; the temperature update is then explicit.  With tau_q = mu2 = 0
 this is implicit Euler for rho*c*T_t = -q_x, q = -k*T_x, Fourier
-conduction, with no special case.  (The interleaved assembly is retained,
-solved densely, as the brute-force reference.)
+conduction, with no special case.  (checks.step_backward_error holds the
+levels run keeps to the untransformed equations above.)
 
 The vectorial_as_printed stepper instead applies the closed-form update
 
@@ -55,13 +55,16 @@ sweep, and verify's runs that read only kept levels) traces E and
 heat alone: its table is E's weights on the quadratic features, 3 values
 per level and mode instead of 25, built without D, and its blocks are
 longer and wider.  Only the kept levels' amplitudes are formed, in the
-rows of T and q rebuilt from them in place after the last block.  run is
-the only stepping path: a single step is a run with t_final = dt.
+rows of T and q rebuilt from them in place after the last block; the
+levels either side of a chunk's or a group's first step (seam_steps) are
+formed by different products.  run is the only stepping path: a single
+step is a run with t_final = dt.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +72,8 @@ import numpy as np
 from . import csvtext
 from .diagnostics import EnergyTrace
 from .discretization import Grid, State, _require_on_grid, build_grid
-from .errors import GridMismatch, MeshTooLarge, NonFiniteInput, NonFiniteState
-from .linalg import dct, dense_solve, difference_symbols, dst, idct
+from .errors import MeshTooLarge, NonFiniteInput, NonFiniteState
+from .linalg import dct, difference_symbols, dst, idct
 from .model import MaterialParams, SimulationConfig, StepperKind
 
 
@@ -183,51 +186,6 @@ def _power_table(cols: np.ndarray, K: int) -> np.ndarray:
     return table if finite.all() else table[:, :max(2, int(np.argmin(finite)))]
 
 
-def step_coupled_reference(params: MaterialParams, grid: Grid, T: np.ndarray,
-                           q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Brute-force coupled steps: dense solves of the interleaved system.
-
-    T (S, J+1) and q (S, J+2) are S levels on grid, a run's stacked levels;
-    the result (T', q') holds, row by row, the level one step after each.
-    Unknowns are ordered (T_0, q_1, T_1, q_2, ..., T_J); rows are the
-    untransformed step equations (bandwidth 2), assembled verbatim once as
-    a dense (2J+1) x (2J+1) matrix and equilibrated by rows and then
-    columns.  Each level is one linalg.dense_solve against it: a solve
-    with S right-hand sides at once rounds differently from single ones.
-    O(J^3); intended for small J cross-checks of run's coupled stepper
-    (checks.oracle_equivalence).
-    """
-    J, dx, dt = grid.J, grid.dx, grid.dt
-    if T.ndim != 2 or T.shape[1] != J + 1 or q.shape != (len(T), J + 2):
-        raise GridMismatch(f"expected levels T (S, {J + 1}) and q (S, {J + 2}), "
-                           f"got T{T.shape}, q{q.shape}")
-    rc = params.rho_c
-    n = 2 * J + 1
-    a = np.zeros((n, n))
-    T_rows, q_rows = np.arange(0, n, 2), np.arange(1, n, 2)  # T_j at 2j, q_j at 2j - 1
-    # an entry or right-hand side that overflows (rho c/dt past the float
-    # range) leaves a non-finite solution, which dense_solve refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        a[T_rows, T_rows] = rc / dt
-        a[q_rows - 1, q_rows] = 1.0 / dx  # T_{j-1}'s row holds +q_j/dx, T_j's -q_j/dx
-        a[q_rows + 1, q_rows] = -1.0 / dx
-        a[q_rows, q_rows] = params.tau_q / dt + 1.0 + 2.0 * params.mu2 / dx**2
-        a[q_rows[1:], q_rows[:-1]] = a[q_rows[:-1], q_rows[1:]] = -params.mu2 / dx**2
-        a[q_rows, q_rows + 1] = params.k / dx
-        a[q_rows, q_rows - 1] = -params.k / dx
-        # equilibrated: each row, then each column, scaled to max|entry| 1
-        rows = 1.0 / np.max(np.abs(a), axis=1)
-        a *= rows[:, None]
-        columns = 1.0 / np.max(np.abs(a), axis=0)
-        a *= columns
-        b = np.empty((len(T), n))
-        b[:, T_rows] = rc / dt * T
-        b[:, q_rows] = params.tau_q / dt * q[:, 1:-1]
-        b *= rows
-    x = columns * np.array([dense_solve(a, level) for level in b]).reshape(b.shape)
-    return x[:, T_rows], np.pad(x[:, q_rows], ((0, 0), (1, 1)))
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """A completed run: the kept levels, a row each, and per-step diagnostics."""
@@ -243,15 +201,15 @@ class Trajectory:
 class RunPlan:
     """The shapes of one run (see _plan)."""
 
-    keep: np.ndarray  # steps of the kept levels after level 0; the last is N + 1
+    keep: np.ndarray  # steps of the kept levels after level 0, increasing
     K: int            # levels per chunk
     n: int            # modes per block
     M: int            # chunks per group
     batch: int        # kept levels rebuilt per transform, 8 (J + 1) values each
 
 
-def _plan(grid: Grid, stride: int, energy_only: bool = False) -> RunPlan:
-    """The shapes of a run on grid keeping every stride-th level.
+def _plan(grid: Grid, keep: np.ndarray, energy_only: bool = False) -> RunPlan:
+    """The shapes of a run on grid keeping the levels of the steps keep.
 
     A block's trace table, 25 (K + 1) n <= TRACE_CHUNK_ELEMENTS values, is
     32 times as wide in modes as in levels, n = 32 (K + 1), unless the mesh
@@ -269,7 +227,6 @@ def _plan(grid: Grid, stride: int, energy_only: bool = False) -> RunPlan:
     on the same mesh (the tests measure both).
     """
     last = grid.N + 1
-    keep = np.append(np.arange(stride, last, stride), last)
     columns, per_level = (1, 9) if energy_only else (5, 25)
     n = min(grid.J, max(1, 32 * math.isqrt(TRACE_CHUNK_ELEMENTS // (32 * per_level))))
     K = min(last, max(1, TRACE_CHUNK_ELEMENTS // (per_level * n) - 1))
@@ -278,8 +235,30 @@ def _plan(grid: Grid, stride: int, energy_only: bool = False) -> RunPlan:
                    batch=min(keep.size, max(1, TRACE_CHUNK_ELEMENTS // (8 * grid.J + 8))))
 
 
-def run_memory_bytes(grid: Grid, stride: int) -> int:
-    """Bytes run() and the run command's writers hold for grid and stride.
+def strided_steps(grid: Grid, stride: int) -> np.ndarray:
+    """run's keep for every stride-th level and the last: stride,
+    2 stride, ..., N + 1.  Raises ValueError if stride is not an integer >= 1."""
+    if not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    last = grid.N + 1
+    return np.append(np.arange(stride, last, stride), last)
+
+
+def seam_steps(grid: Grid) -> np.ndarray:
+    """The steps on grid either side of a full-trace run's first chunk
+    seam (K, K + 1), its first group seam (K M, K M + 1) and its last step
+    (N, N + 1), in increasing order.  Level K comes from the power table and
+    level K + 1 from the first hop of G^K, so that a pair of them reads both."""
+    last = grid.N + 1
+    plan = _plan(grid, np.array([last]))
+    K, M = plan.K, plan.M
+    return np.array(sorted(s for s in {K, K + 1, K * M, K * M + 1, last - 1, last}
+                           if 1 <= s <= last))
+
+
+def run_memory_bytes(grid: Grid, keep: np.ndarray) -> int:
+    """Bytes run() and the run command's writers hold for grid and the
+    steps keep of the kept levels.
 
     Counts, per level, the time axis, the trace's modal sums
     (5, which build_trace completes in place into E, diss_lhs, diss_rhs,
@@ -294,7 +273,7 @@ def run_memory_bytes(grid: Grid, stride: int) -> int:
     Then a batch of levels is rebuilt, or the CSV writers hold a block and
     csvtext's tables.  An energy-only run holds no more.
     """
-    plan, J = _plan(grid, stride), grid.J
+    plan, J = _plan(grid, keep), grid.J
     K, n, M, kept = plan.K, plan.n, plan.M, plan.keep.size + 1
     blocks = ((8 + 15 + 2) * J + (K + 1) * n * (25 + 4 + 40)
               + (5 + 4) * (M + 1) * n + 2 * M * n + 5 * K * M)
@@ -495,30 +474,34 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
 
 
 def run(params: MaterialParams, config: SimulationConfig, init: State,
-        stride: int = 1, energy_only: bool = False,
+        keep: Sequence[int] | None = None, energy_only: bool = False,
         kind: StepperKind = StepperKind.COUPLED_IMPLICIT) -> Trajectory:
     """Advance init over config's time mesh with the stepper kind.
 
-    Levels are kept every `stride` steps (level 0 and the final level
-    always included), a row each of the Trajectory's T and q; energy
-    diagnostics are recorded at every step regardless of stride, all of
-    them or, with energy_only, E and heat alone (the other trace columns
+    Level 0 and the levels of the steps keep (increasing, in 1..N+1; all
+    of them by default) are kept, a row each of the Trajectory's T and q;
+    energy diagnostics are recorded at every step regardless of keep, all
+    of them or, with energy_only, E and heat alone (the other trace columns
     are None).  Every stepper advances the modal amplitudes of the
     fluctuation e of T = m + e around the conserved mean m, and of the
     interior flux, a block of modes at a time (_trace_block).  Raises
-    ValueError if stride is not an integer >= 1; MeshTooLarge, before
+    ValueError if keep is not such steps; MeshTooLarge, before
     allocating, if run_memory_bytes exceeds MAX_RUN_BYTES; NonFiniteInput,
     before stepping, if the step matrices, the trace weights the run reads
     or init's energy are not finite; NonFiniteState, naming the first
     bad step, if a level or its trace row overflows.
     """
-    if not isinstance(stride, (int, np.integer)) or stride < 1:
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     grid = build_grid(params, config)
     _require_on_grid(init, grid, "init")
-    need = run_memory_bytes(grid, stride)
+    last = grid.N + 1
+    keep = np.arange(1, last + 1) if keep is None else np.asarray(keep)
+    if (keep.dtype.kind not in "iu" or keep.ndim != 1 or not keep.size or keep[0] < 1
+            or keep[-1] > last or np.any(keep[1:] <= keep[:-1])):
+        raise ValueError(f"keep must be increasing integer steps in 1..{last}, "
+                         f"got {keep!r}")
+    need = run_memory_bytes(grid, keep)
     if need > MAX_RUN_BYTES:
-        raise MeshTooLarge(f"a run on J={grid.J}, N={grid.N} with stride {stride} "
+        raise MeshTooLarge(f"a run on J={grid.J}, N={grid.N} keeping {keep.size} levels "
                            f"would hold {need:.3g} bytes, more than "
                            f"MAX_RUN_BYTES = {MAX_RUN_BYTES}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -540,7 +523,7 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     if not np.isfinite(energy):
         raise NonFiniteInput("the energy of the initial state overflows; "
                              "T_b and T_f set its size")
-    plan = _plan(grid, stride, energy_only)
+    plan = _plan(grid, keep, energy_only)
     J, S = grid.J, plan.keep.size + 1
     sums = np.zeros((grid.N + 2, 1 if energy_only else 5))
     levels = np.zeros((S, 2 * J + 3))

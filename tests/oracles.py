@@ -3,13 +3,15 @@
 They evaluate the trace quantities (the energy E, the heat, C_T and the
 Lyapunov functional) and step residuals directly on physical states, as
 the scheme's equations write them; longdouble_coupled_run steps
-the coupled scheme in extended precision without gkheat.scheme.
-discrete_decay_rate is the exact decay rate of the assembled step matrix
-from numpy's eigenvalues, against which a rate fitted to a trace and the
-closed form of diagnostics.step_decay_rate are checked.  one_step and
-oracle_draws are not oracles: one takes the single steps the tests
-compare, through scheme.run, and the other draws the states of
-checks.oracle_equivalence from a generator.
+the coupled scheme in extended precision without gkheat.scheme, and
+step_coupled_reference steps it by dense O(J^3) solves of the interleaved
+system (dense_solve, numpy's LAPACK solve).  discrete_decay_rate is the
+exact decay rate of the assembled step matrix from numpy's eigenvalues,
+against which a rate fitted to a trace and the closed form of
+diagnostics.step_decay_rate are checked.  one_step and oracle_draws are
+not oracles: one takes the single steps the tests compare, through
+scheme.run, and the other draws the states of checks.oracle_equivalence
+from a generator.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from gkheat import scheme
+from gkheat import GridMismatch, scheme
 from gkheat.discretization import Grid, State, _require_on_grid
 from gkheat.linalg import difference_symbols
 from gkheat.model import MaterialParams, SimulationConfig, StepperKind
@@ -149,6 +151,52 @@ def residual_scales(params: MaterialParams, dt: float, prev: State,
     q_scale = max(np.max(np.abs(prev.q)), np.max(np.abs(next.q)), 1e-300)
     return (params.rho_c * t_scale / dt,
             params.tau_q * q_scale / dt + q_scale)
+
+
+def dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b for a square 2-D array a (LAPACK, partial pivoting)."""
+    return np.linalg.solve(a, b)
+
+
+def step_coupled_reference(params: MaterialParams, grid: Grid, T: np.ndarray,
+                           q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brute-force coupled steps: dense solves of the interleaved system.
+
+    T (S, J+1) and q (S, J+2) are S levels on grid, a run's stacked levels;
+    the result (T', q') holds, row by row, the level one step after each.
+    Unknowns are ordered (T_0, q_1, T_1, q_2, ..., T_J); rows are the
+    untransformed step equations (bandwidth 2), assembled verbatim once as
+    a dense (2J+1) x (2J+1) matrix and equilibrated by rows and then
+    columns.  Each level is one dense_solve against it: a solve with S
+    right-hand sides at once rounds differently from single ones.  O(J^3);
+    for small J cross-checks of run's coupled stepper.
+    """
+    J, dx, dt = grid.J, grid.dx, grid.dt
+    if T.ndim != 2 or T.shape[1] != J + 1 or q.shape != (len(T), J + 2):
+        raise GridMismatch(f"expected levels T (S, {J + 1}) and q (S, {J + 2}), "
+                           f"got T{T.shape}, q{q.shape}")
+    rc = params.rho_c
+    n = 2 * J + 1
+    a = np.zeros((n, n))
+    T_rows, q_rows = np.arange(0, n, 2), np.arange(1, n, 2)  # T_j at 2j, q_j at 2j - 1
+    a[T_rows, T_rows] = rc / dt
+    a[q_rows - 1, q_rows] = 1.0 / dx  # T_{j-1}'s row holds +q_j/dx, T_j's -q_j/dx
+    a[q_rows + 1, q_rows] = -1.0 / dx
+    a[q_rows, q_rows] = params.tau_q / dt + 1.0 + 2.0 * params.mu2 / dx**2
+    a[q_rows[1:], q_rows[:-1]] = a[q_rows[:-1], q_rows[1:]] = -params.mu2 / dx**2
+    a[q_rows, q_rows + 1] = params.k / dx
+    a[q_rows, q_rows - 1] = -params.k / dx
+    # equilibrated: each row, then each column, scaled to max|entry| 1
+    rows = 1.0 / np.max(np.abs(a), axis=1)
+    a *= rows[:, None]
+    columns = 1.0 / np.max(np.abs(a), axis=0)
+    a *= columns
+    b = np.empty((len(T), n))
+    b[:, T_rows] = rc / dt * T
+    b[:, q_rows] = params.tau_q / dt * q[:, 1:-1]
+    b *= rows
+    x = columns * np.array([dense_solve(a, level) for level in b]).reshape(b.shape)
+    return x[:, T_rows], np.pad(x[:, q_rows], ((0, 0), (1, 1)))
 
 
 #: the scalar weights of one step, named as in scheme.assemble's docstring,

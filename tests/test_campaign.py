@@ -54,8 +54,8 @@ NO_FIT_DATA = ("exit 2: numerical failure: "
                "decay-rate window contains fewer than 2 usable points")
 #: verify's non-zero exits over the draw, by cause: exit 3 by the checks
 #: that FAIL, in verify's order, exit 1 and 2 by their message.  Of the 40,
-#: 35 exit 0.
-VERIFY_EXITS = Counter({"FAIL oracle_equivalence": 5})
+#: 40 exit 0.
+VERIFY_EXITS = Counter()
 #: sweep's non-zero exits, the same way: its fit reads the config's own
 #: horizon, which may hold too few levels
 SWEEP_EXITS = Counter({NO_FIT_DATA: 4})

@@ -8,10 +8,19 @@ from gkheat import checks, diagnostics, discretization, scheme
 from gkheat.cli import main, parse_config
 from gkheat.diagnostics import EnergyTrace
 from gkheat.model import MaterialParams, SimulationConfig
-from oracles import oracle_draws
+from oracles import oracle_draws, pointwise_residual
 
 PARAMS = MaterialParams(rho=2e3, c=5e2, tau_q=8e-3, mu2=2.8e-3, k=2e3, l=0.1)
 CONFIG = SimulationConfig(dx=2e-3, dt=1.2e-2, t_final=1.2, T_b=15.0, T_f=30.0)
+
+
+def main_run(params=PARAMS, config=CONFIG):
+    """verify's main run: from the cosine state, keeping the levels either
+    side of the run plan's seams."""
+    grid = discretization.build_grid(params, config)
+    return scheme.run(params, config,
+                      discretization.cosine_initial(grid, config.T_b, config.T_f),
+                      keep=scheme.seam_steps(grid))
 
 
 def make_trace(E=(4.0, 3.0, 2.0), heat=(1.0, 1.0, 1.0), lhs=(0.0, -1.0, -1.0),
@@ -77,10 +86,66 @@ class TestStateGap:
                                              for i in range(2))
 
 
+class TestStepBackwardError:
+    def test_is_formed_from_the_pointwise_residuals(self):
+        # a random pair of levels, far from a step: the error is the
+        # residuals of the step equations times dt, each over its row's
+        # largest sum of |terms|
+        rng = np.random.default_rng(11)
+        grid = discretization.build_grid(PARAMS, CONFIG)
+        J, dt, dx = grid.J, grid.dt, grid.dx
+        before, after = (discretization.State(T=rng.normal(15.0, 10.0, J + 1),
+                                              q=np.pad(rng.normal(0.0, 1e4, J), 1))
+                         for _ in range(2))
+        r1, r2 = pointwise_residual(PARAMS, grid, before, after)
+        rc, mu2, k, tau_q = PARAMS.rho_c, PARAMS.mu2, PARAMS.k, PARAMS.tau_q
+        T0, q0, T1, q1 = before.T, before.q, after.T, after.q
+        scale1 = rc * (np.abs(T1) + np.abs(T0)) + (dt / dx) * (np.abs(q1[1:])
+                                                                + np.abs(q1[:-1]))
+        scale2 = ((tau_q + dt + 2.0 * mu2 * dt / dx**2) * np.abs(q1[1:-1])
+                  + tau_q * np.abs(q0[1:-1])
+                  + (mu2 * dt / dx**2) * (np.abs(q1[2:]) + np.abs(q1[:-2]))
+                  + (k * dt / dx) * (np.abs(T1[1:]) + np.abs(T1[:-1])))
+        expected = max(np.max(np.abs(dt * r1)) / np.max(scale1),
+                       np.max(np.abs(dt * r2)) / np.max(scale2))
+        value = checks.step_backward_error(PARAMS, grid, (T0, q0), (T1, q1))
+        assert value == pytest.approx(expected, rel=1e-12)
+        # stacked pairs give the worst pair
+        stacked = checks.step_backward_error(
+            PARAMS, grid, (np.stack((T0, T1)), np.stack((q0, q1))),
+            (np.stack((T1, T1)), np.stack((q1, q1))))
+        assert stacked == value
+
+    def test_two_steps_read_as_one_fail(self):
+        # consecutive levels of a run read a few eps, the first level and
+        # the one two steps on 1.4e-3
+        traj = scheme.run(PARAMS, dataclasses.replace(CONFIG, t_final=2 * CONFIG.dt),
+                          discretization.cosine_initial(
+                              discretization.build_grid(PARAMS, CONFIG), 15.0, 30.0))
+        level = [(traj.T[i], traj.q[i]) for i in range(3)]
+        bound = checks.STEP_BACKWARD_ERROR_BOUND
+        for i in range(2):
+            assert checks.step_backward_error(PARAMS, traj.grid, level[i],
+                                              level[i + 1]) <= 1e-15
+        gap = checks.step_backward_error(PARAMS, traj.grid, level[0], level[2])
+        assert gap == pytest.approx(1.4e-3, rel=0.05) and gap > bound
+
+    def test_zero_levels_read_zero(self):
+        grid = discretization.build_grid(PARAMS, CONFIG)
+        zero = (np.zeros(grid.J + 1), np.zeros(grid.J + 2))
+        assert checks.step_backward_error(PARAMS, grid, zero, zero) == 0.0
+        # and so does a run with no consecutive kept levels
+        none = (np.zeros((0, grid.J + 1)), np.zeros((0, grid.J + 2)))
+        assert checks.step_backward_error(PARAMS, grid, none, none) == 0.0
+
+
 class TestRunChecks:
     def test_oracle_is_deterministic_per_seed(self):
-        a = checks.oracle_equivalence(PARAMS, CONFIG, oracle_draws(np.random.default_rng(5)))
-        b = checks.oracle_equivalence(PARAMS, CONFIG, oracle_draws(np.random.default_rng(5)))
+        traj = main_run()
+        a = checks.oracle_equivalence(PARAMS, CONFIG, traj,
+                                      oracle_draws(np.random.default_rng(5)))
+        b = checks.oracle_equivalence(PARAMS, CONFIG, traj,
+                                      oracle_draws(np.random.default_rng(5)))
         assert a == b and a.ok
 
     def test_stored_draws_are_default_rng_1729s(self):
@@ -88,25 +153,24 @@ class TestRunChecks:
         drawn = oracle_draws(np.random.default_rng(1729))
         assert [row.tobytes() for row in drawn] == [
             np.array(row, dtype=float).tobytes() for row in checks.ORACLE_DRAWS]
-        assert checks.oracle_equivalence(PARAMS, CONFIG) \
-            == checks.oracle_equivalence(PARAMS, CONFIG, drawn)
+        traj = main_run()
+        assert checks.oracle_equivalence(PARAMS, CONFIG, traj) \
+            == checks.oracle_equivalence(PARAMS, CONFIG, traj, drawn)
 
-    def test_oracle_assembles_once_per_mesh_and_solves_once_per_level(self, monkeypatch):
-        # 7 meshes, J = 2..8, of 10 steps each
-        calls = {"step_coupled_reference": 0, "dense_solve": 0}
+    def test_oracle_reads_the_main_runs_seams(self):
+        # J = 49 over 100 steps: chunks of K = 25 levels in one group, so
+        # the pairs (25, 26) and (99, 100)
+        traj = main_run()
+        assert traj.stored_steps == [0, 25, 26, 99, 100]
+        res = checks.oracle_equivalence(PARAMS, CONFIG, traj, draws=())
+        assert res.ok and 0.0 < res.value <= 1e-15
 
-        def counted(name):
-            original = getattr(scheme, name)
+    def test_verify_makes_no_dense_solve(self, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
 
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(scheme, name, counted(name))
-        assert checks.oracle_equivalence(PARAMS, CONFIG).ok
-        assert calls == {"step_coupled_reference": 7, "dense_solve": 70}
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        assert main(["verify"]) == 0, capsys.readouterr().out
 
     def test_lagging_kept_levels_fail_the_oracle(self, monkeypatch, capsys):
         # every kept level written from the step before it: the trace is
@@ -118,8 +182,9 @@ class TestRunChecks:
                         sums, kept)
 
         monkeypatch.setattr(scheme, "_trace_block", lagging)
-        assert not checks.oracle_equivalence(PARAMS, CONFIG,
-                                             oracle_draws(np.random.default_rng(5))).ok
+        res = checks.oracle_equivalence(PARAMS, CONFIG, main_run(),
+                                        oracle_draws(np.random.default_rng(5)))
+        assert not res.ok and res.value > 0.1
         assert main(["verify"]) == 3
         out = capsys.readouterr().out
         assert out.count("PASS") == 6 and "FAIL oracle_equivalence" in out
@@ -166,17 +231,15 @@ class TestMargins:
         # where each holds trivially
         manifest = parse_config(f"T_b = {T_b}\nT_f = {T_f}\n")
         params, config = manifest.params, manifest.config
-        grid = discretization.build_grid(params, config)
-        trace = scheme.run(params, config,
-                           discretization.cosine_initial(grid, T_b, T_f),
-                           stride=grid.N + 1).trace
+        traj = main_run(params, config)
+        trace = traj.trace
         results = [
             checks.energy_monotone(trace),
             checks.dissipation_inequality(trace),
             checks.heat_conservation(trace),
             checks.lyapunov_sandwich(trace, params),
             checks.decay_envelope(trace, params),
-            checks.oracle_equivalence(params, config,
+            checks.oracle_equivalence(params, config, traj,
                                       oracle_draws(np.random.default_rng(1729))),
             checks.mode_rate_fit(params, config)]
         for r in results:

@@ -373,7 +373,7 @@ class TestTraceChecksOnShortRun:
                                T_f=30.0)
         grid = build_grid(ref_params, cfg)
         traj = run(ref_params, cfg, cosine_initial(grid, 15.0, 30.0),
-                   stride=101)
+                   keep=[grid.N + 1])
         trace = traj.trace
         assert np.all(np.diff(trace.E) <= 1e-12 * trace.E[0])
         assert checks.lyapunov_sandwich(trace, ref_params).ok

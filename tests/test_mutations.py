@@ -1,16 +1,18 @@
-"""Mutation suite: slips put into the trace weights or the step matrices,
-each run through `gkheat verify`, which must exit 3 on all but SURVIVORS.
+"""Mutation suite: slips put into the trace weights, the step matrices or
+the group hop, each run through `gkheat verify`, which must exit 3 on all
+but SURVIVORS.
 
-Each slip wraps scheme.modal_trace_weights or scheme.assemble, which
-run calls through its module, so that every run verify makes sees it.
-A slip that no check catches yet is listed in SURVIVORS, and the test
-holds it to exit 0 there: a new check that catches one must shrink the
-set, and a regression that lets a caught slip through fails.  The group
-hop G^K and the kept levels' offset in their chunk have no such hook;
-test_checks pins the kept-level slip against oracle_equivalence.
+Each slip wraps scheme.modal_trace_weights, scheme.assemble or
+scheme._power_table, which run calls through its module, so that every
+run verify makes sees it.  A slip that no check catches yet is listed in
+SURVIVORS, and the test holds it to exit 0 there: a new check that
+catches one must shrink the set, and a regression that lets a caught slip
+through fails.  The kept levels' offset in their chunk has no such hook;
+test_checks pins that slip against oracle_equivalence.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -32,6 +34,15 @@ def weights_slip(**fields):
         w, **{name: change(w) for name, change in fields.items()})
 
 
+def hop_slip(factor: float):
+    """A slip of the group hop: the result of the second _power_table call
+    of each block, the powers of G^K that carry a chunk's base to the
+    next, times factor.  run's blocks make two calls each."""
+    calls = itertools.count(1)
+    return scheme, "_power_table", lambda table: (
+        table * factor if next(calls) % 2 == 0 else table)
+
+
 #: name -> (module, function, change made to the function's result); the
 #: quadratic weights' rows are E, diss_rhs and F, on y_0^2, y_1^2, y_0 y_1,
 #: and the linear weights' are F/m and C_T/heat
@@ -50,6 +61,7 @@ SLIPS = {
         lyapunov_weight=lambda w: 1.05 * w.lyapunov_weight),
     "coupled D x(1+1e-9)": (scheme, "assemble",
                             lambda GD: (GD[0] + 1e-9 * GD[1], (1.0 + 1e-9) * GD[1])),
+    "group hop G^K x(1+1e-9)": hop_slip(1.0 + 1e-9),
 }
 
 #: the slips that verify passes today

@@ -7,14 +7,14 @@ import pytest
 
 from gkheat import checks, csvtext, diagnostics, linalg, scheme
 from gkheat import (GridMismatch, MeshTooLarge, NonFiniteInput, NonFiniteState, State,
-                    StepperKind, assemble, build_grid, cosine_initial, run,
-                    step_coupled_reference)
+                    StepperKind, assemble, build_grid, cosine_initial, run)
 from gkheat.checks import state_gap
 from gkheat.cli import parse_config, write_profiles_csv, write_trace_csv
 from gkheat.model import MaterialParams, SimulationConfig
+from gkheat.scheme import strided_steps
 from oracles import (boundary_term, discrete_energy, dissipation_check,
-                     longdouble_coupled_run, lyapunov, one_step, step_factors,
-                     total_heat)
+                     longdouble_coupled_run, lyapunov, one_step, step_coupled_reference,
+                     step_factors, total_heat)
 
 PRINTED = StepperKind.VECTORIAL_AS_PRINTED
 
@@ -311,6 +311,7 @@ class TestRun:
         assert traj.T.shape == (2, grid.J + 1) and traj.q.shape == (2, grid.J + 2)
         assert len(traj.trace) == 2
         assert traj.stored_steps == [0, 1]
+        assert scheme.seam_steps(grid).tolist() == [1]
 
     def test_states_follow_the_stepper(self):
         p, cfg, grid, ops = small_setup(J=19, t_final=10 * 1.2e-2)
@@ -330,9 +331,26 @@ class TestRun:
 
     def test_stride_keeps_endpoints_and_all_diagnostics(self):
         p, cfg, grid, ops = small_setup(J=9, t_final=10 * 1.2e-2)
-        traj = run(p, cfg, cosine_initial(grid, 15.0, 30.0), stride=4)
+        traj = run(p, cfg, cosine_initial(grid, 15.0, 30.0), keep=strided_steps(grid, 4))
         assert traj.stored_steps == [0, 4, 8, grid.N + 1]
         assert len(traj.trace) == grid.N + 2   # energy recorded every step
+
+    def test_keeps_the_levels_it_is_given(self):
+        p, cfg, grid, ops = small_setup(J=9, t_final=10 * 1.2e-2)
+        init = cosine_initial(grid, 15.0, 30.0)
+        every = run(p, cfg, init)
+        traj = run(p, cfg, init, keep=[2, 3, 7])
+        assert traj.stored_steps == [0, 2, 3, 7]
+        assert np.array_equal(traj.T, every.T[[0, 2, 3, 7]])
+        assert np.array_equal(traj.q, every.q[[0, 2, 3, 7]])
+
+    @pytest.mark.parametrize("keep", [[], [0, 3], [3, 3], [4, 2], [12], [2.0],
+                                      [[1, 2]]])
+    def test_rejects_keep_that_is_not_increasing_steps_on_the_mesh(self, keep):
+        # the mesh has N + 1 = 11 steps
+        p, cfg, grid, ops = small_setup(J=9, t_final=11 * 1.2e-2)
+        with pytest.raises(ValueError, match="keep must be increasing integer steps"):
+            run(p, cfg, cosine_initial(grid, 15.0, 30.0), keep=keep)
 
     def test_run_respects_stepper_kind(self):
         p, cfg, grid, ops = small_setup(J=9, t_final=3 * 1.2e-2)
@@ -345,19 +363,15 @@ class TestRun:
         assert state_gap(level, (coupled.T, coupled.q)) > 1e-2
 
     @pytest.mark.parametrize("stride", [0, -1, 2.0, 2.5])
-    def test_rejects_a_stride_that_is_not_a_positive_integer(self, monkeypatch, stride):
+    def test_rejects_a_stride_that_is_not_a_positive_integer(self, stride):
         p, cfg, grid, ops = small_setup(J=9, t_final=10 * 1.2e-2)
-
-        def fail(*args):
-            raise AssertionError("built past the stride check")
-
-        monkeypatch.setattr(scheme, "build_grid", fail)
         with pytest.raises(ValueError, match="stride must be an integer >= 1"):
-            run(p, cfg, cosine_initial(grid, 15.0, 30.0), stride=stride)
+            strided_steps(grid, stride)
 
     def test_accepts_a_numpy_integer_stride(self):
         p, cfg, grid, ops = small_setup(J=9, t_final=10 * 1.2e-2)
-        traj = run(p, cfg, cosine_initial(grid, 15.0, 30.0), stride=np.int64(4))
+        traj = run(p, cfg, cosine_initial(grid, 15.0, 30.0),
+                   keep=strided_steps(grid, np.int64(4)))
         assert traj.stored_steps == [0, 4, 8, grid.N + 1]
 
     def test_mismatched_initial_state(self):
@@ -385,7 +399,7 @@ class TestRun:
         cfg = dataclasses.replace(ref_config, T_b=0.0)
         grid = build_grid(ref_params, cfg)
         traj = run(ref_params, cfg, cosine_initial(grid, 0.0, cfg.T_f),
-                   stride=grid.N + 1)
+                   keep=[grid.N + 1])
         assert traj.trace.E[-1] <= 1e-4 * traj.trace.E[0]
 
 
@@ -500,10 +514,10 @@ class TestTraceChunks:
         trajs, shapes, energies = [], [], []
         for budget in budgets:
             monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
-            plan = scheme._plan(grid, 7)
+            plan = scheme._plan(grid, strided_steps(grid, 7))
             shapes.append((plan.K, plan.n))
-            trajs.append(run(p, cfg, init, stride=7))
-            energies.append(run(p, cfg, init, stride=7, energy_only=True))
+            trajs.append(run(p, cfg, init, keep=plan.keep))
+            energies.append(run(p, cfg, init, keep=plan.keep, energy_only=True))
         K, width = zip(*shapes)
         # chunks shorter than the run; one-mode, ragged and single blocks
         assert min(K) < grid.N + 1
@@ -677,16 +691,17 @@ class TestExtendedPrecision:
 class TestRunMemory:
     def test_estimate_counts_trace_and_kept_states(self):
         p, cfg, grid, ops = small_setup(J=99, t_final=1000 * 1.2e-2)
-        one = scheme.run_memory_bytes(grid, grid.N + 1)
+        one = scheme.run_memory_bytes(grid, strided_steps(grid, grid.N + 1))
         longer = build_grid(p, dataclasses.replace(cfg, t_final=2000 * 1.2e-2))
-        per_level = (scheme.run_memory_bytes(longer, longer.N + 1) - one) / 1000
+        per_level = (scheme.run_memory_bytes(longer, strided_steps(longer, longer.N + 1))
+                     - one) / 1000
         assert per_level == 8 * 10
         # over 4000 steps stride 1 keeps 2000 levels more than stride 2,
         # each of 2J+3 values (and 32 values' worth of Python objects),
         # rebuilt in place from the amplitudes written into them
         longest = build_grid(p, dataclasses.replace(cfg, t_final=4000 * 1.2e-2))
-        all_levels, half = (scheme.run_memory_bytes(longest, 1),
-                            scheme.run_memory_bytes(longest, 2))
+        all_levels, half = (scheme.run_memory_bytes(longest, strided_steps(longest, 1)),
+                            scheme.run_memory_bytes(longest, strided_steps(longest, 2)))
         assert all_levels - half == 8 * 2000 * (2 * 99 + 3 + 32)
 
     # the fourth and fifth keep one state (stride N+1) of a fine mesh, and
@@ -718,7 +733,8 @@ class TestRunMemory:
         linalg._half_shift.cache_clear()
         tracemalloc.start()
         try:
-            traj = run(p, cfg, init, stride=stride, energy_only=energy_only)
+            traj = run(p, cfg, init, keep=strided_steps(grid, stride),
+                       energy_only=energy_only)
             if not energy_only:
                 write_trace_csv(tmp_path / "trace.csv", traj.trace,
                                 diagnostics.decay_constants(p),
@@ -727,20 +743,21 @@ class TestRunMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= scheme.run_memory_bytes(grid, stride)
+        assert peak <= scheme.run_memory_bytes(grid, strided_steps(grid, stride))
 
     def test_fine_mesh_estimate_is_far_under_the_cap(self, ref_params, ref_config):
         # J = 7999, 2500 steps, every 25th level kept: 18.0 MB, mostly the
         # 101 kept levels; the traced peak is 16.9 MB
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=1.25e-5))
-        need = scheme.run_memory_bytes(grid, 25)
+        need = scheme.run_memory_bytes(grid, strided_steps(grid, 25))
         assert 16.9e6 < need < 18.5e6
         assert scheme.MAX_RUN_BYTES >= 20 * need
 
     def test_run_refuses_before_assembling(self, monkeypatch):
         p, cfg, grid, ops = small_setup(J=99, t_final=100 * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
-        monkeypatch.setattr(scheme, "MAX_RUN_BYTES", scheme.run_memory_bytes(grid, 1) - 1)
+        monkeypatch.setattr(scheme, "MAX_RUN_BYTES",
+                            scheme.run_memory_bytes(grid, strided_steps(grid, 1)) - 1)
 
         def fail(*args):
             raise AssertionError("assembled past the memory check")
@@ -749,13 +766,13 @@ class TestRunMemory:
         with pytest.raises(MeshTooLarge, match="MAX_RUN_BYTES"):
             run(p, cfg, init)
         with pytest.raises(AssertionError):
-            run(p, cfg, init, stride=2)
+            run(p, cfg, init, keep=strided_steps(grid, 2))
 
 
 def block_peak(params, grid, energy_only):
     """Bytes that one block of the first modes of grid allocates in
     run's kernel at its peak, its table and features included."""
-    plan = scheme._plan(grid, grid.N + 1, energy_only)
+    plan = scheme._plan(grid, strided_steps(grid, grid.N + 1), energy_only)
     n = plan.n
     G, D = (matrices[..., :n] for matrices in assemble(params, grid))
     weights = scheme.modal_trace_weights(params, grid)
@@ -777,17 +794,21 @@ class TestBlockShape:
     # the order of its sums, and so the bytes of trace.csv
     MESHES = ["reference", "fine_mesh", "long_horizon", "small"]
 
-    @pytest.mark.parametrize("dx,t_final,full,energy_only", [
-        (2e-4, 30.0, (5, 192, 30), (10, 320, 11)),
-        (1.25e-5, 30.0, (5, 192, 30), (10, 320, 11)),
-        (1.5625e-3, 240.0, (19, 63, 100), (56, 63, 57)),
-        (2e-3, 6.0, (25, 49, 20), (73, 49, 7))], ids=MESHES)
-    def test_shapes(self, ref_params, ref_config, dx, t_final, full, energy_only):
+    # seam_steps: either side of the full trace's first chunk (K) and group
+    # (K M) and of the last step, those on the mesh
+    @pytest.mark.parametrize("dx,t_final,full,energy_only,seams", [
+        (2e-4, 30.0, (5, 192, 30), (10, 320, 11), [5, 6, 150, 151, 2499, 2500]),
+        (1.25e-5, 30.0, (5, 192, 30), (10, 320, 11), [5, 6, 150, 151, 2499, 2500]),
+        (1.5625e-3, 240.0, (19, 63, 100), (56, 63, 57), [19, 20, 1900, 1901, 19999, 20000]),
+        (2e-3, 6.0, (25, 49, 20), (73, 49, 7), [25, 26, 499, 500])], ids=MESHES)
+    def test_shapes(self, ref_params, ref_config, dx, t_final, full, energy_only, seams):
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=dx,
                                                           t_final=t_final))
-        for plan, shape in ((scheme._plan(grid, 25), full),
-                            (scheme._plan(grid, 25, energy_only=True), energy_only)):
+        keep = strided_steps(grid, 25)
+        for plan, shape in ((scheme._plan(grid, keep), full),
+                            (scheme._plan(grid, keep, energy_only=True), energy_only)):
             assert (plan.K, plan.n, plan.M) == shape
+        assert scheme.seam_steps(grid).tolist() == seams
 
     @pytest.mark.parametrize("dx,t_final", [(2e-4, 30.0), (1.25e-5, 30.0),
                                             (1.5625e-3, 240.0), (2e-3, 6.0)],
