@@ -270,14 +270,15 @@ def run_memory_bytes(grid: Grid, keep: np.ndarray) -> int:
     table (25 (K + 1) n) and features (5 (M + 1) n), the power tables
     (4 (K + 1) n, 4 (M + 1) n), modal_trace_table's temporaries
     (40 (K + 1) n) and a group's sums, kept levels and bases (5 K M + 2 M n).
-    Then a batch of levels is rebuilt, or the CSV writers hold a block and
-    csvtext's tables.  An energy-only run holds no more.
+    Then a batch of levels is rebuilt, or the CSV writers hold a block, its
+    buffers and the gather's, and csvtext's tables.  An energy-only run
+    holds no more.
     """
     plan, J = _plan(grid, keep), grid.J
     K, n, M, kept = plan.K, plan.n, plan.M, plan.keep.size + 1
     blocks = ((8 + 15 + 2) * J + (K + 1) * n * (25 + 4 + 40)
               + (5 + 4) * (M + 1) * n + 2 * M * n + 5 * K * M)
-    writer = math.ceil((csvtext.TABLE_BYTES + csvtext.BYTES_PER_VALUE
+    writer = math.ceil((csvtext.TABLE_BYTES + csvtext.GATHER_BYTES + csvtext.BYTES_PER_VALUE
                         * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1)) / 8)
     return 8 * ((grid.N + 2) * (1 + 5 + 1 + 1 + 1 + 1) + 10 * J
                 + kept * (2 * J + 3 + 32) + max(blocks, plan.batch * 8 * (J + 1), writer))
@@ -448,6 +449,7 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
     table = table.reshape(columns * (K + 1), f * n)
     hops = _power_table(powers[:, K], M)[:, 1:]
     group = hops.shape[1]
+    batch = max(group, K)
     bases = features[:, 3:]
     bases[0] = x
     total = -(-last // K)
@@ -465,10 +467,11 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
         levels = min(count * K, last + 1 - start)
         sums[start:start + levels] += (flat @ table[columns:].T).reshape(
             -1, columns)[:levels]
-        # the kept levels, at most a group's count at a time
+        # the kept levels, at most the larger of a group's count and a
+        # chunk's K at a time: a one-chunk group's in one call
         lo, hi = np.searchsorted(keep, (start, start + levels))
-        for i in range(lo, hi, group):
-            offset = keep[i:min(i + group, hi)] - start
+        for i in range(lo, hi, batch):
+            offset = keep[i:min(i + batch, hi)] - start
             _times(powers[:, offset % K + 1], bases[offset // K],
                    out=kept[i:i + offset.size])
 

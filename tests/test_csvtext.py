@@ -1,9 +1,19 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkheat import csvtext
+
+
+def text_of(values):
+    """write_block's text of a 2-D block."""
+    f = io.BytesIO()
+    csvtext.write_block(f, values, csvtext._Buffers(values.size))
+    return f.getvalue()
 
 
 def expected_text(values):
@@ -25,27 +35,27 @@ class TestFormatBlock:
     @settings(max_examples=300, deadline=None)
     def test_any_bit_pattern(self, bits):
         values = np.array(bits, dtype=np.uint64).view(np.float64)
-        assert csvtext.format_block(values[None, :]) == expected_text(values)
+        assert text_of(values[None, :]) == expected_text(values)
 
     @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_any_float(self, values):
         values = np.array(values, dtype=np.float64)
-        assert csvtext.format_block(values[:, None]) == expected_text(values[:, None])
+        assert text_of(values[:, None]) == expected_text(values[:, None])
 
     def test_named_cases(self):
         values = np.array(NAMED)
-        assert csvtext.format_block(values[:, None]) == expected_text(values[:, None])
+        assert text_of(values[:, None]) == expected_text(values[:, None])
 
     def test_powers_of_ten_and_neighbours(self):
         # log10 is one off next to some powers of ten
         p = np.array([float(f"1e{k}") for k in range(-323, 309)])
         values = np.column_stack((p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p))
-        assert csvtext.format_block(values) == expected_text(values)
+        assert text_of(values) == expected_text(values)
 
     def test_integers_are_their_decimal_text(self):
         n = np.arange(0.0, 30000.0).reshape(-1, 10)
-        assert csvtext.format_block(n) == "".join(
+        assert text_of(n) == "".join(
             ",".join(str(int(v)) for v in row) + "\n" for row in n.tolist()).encode()
 
     def test_only_undecided_values_take_format(self, monkeypatch):
@@ -62,7 +72,7 @@ class TestFormatBlock:
 
         monkeypatch.setattr(csvtext, "format", spy, raising=False)
         values = np.array([slow + fast])
-        text = csvtext.format_block(values)
+        text = text_of(values)
         assert text == expected_text(values)
         assert text.startswith(b"1000000000000000.2,")
         assert len(seen) == len(slow)
@@ -98,4 +108,39 @@ class TestWriteCsv:
         monkeypatch.setattr(csvtext, "WRITE_BLOCK_VALUES", budget)
         csvtext.write_csv(tmp_path / "wide.csv", "h", [x, T, q])
         assert (tmp_path / "wide.csv").read_bytes() == b"h\n" + expected_text(
+            np.column_stack([x, T.T, q.T]))
+
+    # nan, a value below the table (1e-300), a near-tie and values whose
+    # log10 is one off, cycled so that each lands on both sides of every
+    # edge between the stretches gathered at a time
+    SPECIAL = [np.nan, 1e-300, 1000000000000000.25, 999.9999999999999, -1e-06,
+               9.999999999999999e-05, 9.999999999999998e+16, 0.1, -2.5]
+
+    @pytest.mark.parametrize("gather", [1, 4, 1024])
+    @pytest.mark.parametrize("budget", [1, 7, 200, 2**13])
+    def test_slow_and_off_values_at_stretch_edges(self, tmp_path, monkeypatch,
+                                                  budget, gather):
+        values = np.resize(np.array(self.SPECIAL), (11, 311))
+        monkeypatch.setattr(csvtext, "WRITE_BLOCK_VALUES", budget)
+        monkeypatch.setattr(csvtext, "GATHER_VALUES", gather)
+        csvtext.write_csv(tmp_path / "edges.csv", "h", [values[0], values[1:]])
+        assert (tmp_path / "edges.csv").read_bytes() == b"h\n" + expected_text(values.T)
+
+    def test_block_working_set(self, tmp_path):
+        # a 40 x 201 block, profiles.csv's shape with 100 kept levels: the
+        # block, its buffers and the gather's, 1.38 MB traced, once the
+        # tables are built (3.1 MB with a per-value gather index)
+        rng = np.random.default_rng(7)
+        x, T, q = rng.standard_normal(40), rng.standard_normal((100, 40)), \
+            rng.standard_normal((100, 40))
+        csvtext._tables()
+        tracemalloc.start()
+        try:
+            csvtext.write_csv(tmp_path / "profiles.csv", "h", [x, T, q])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+        assert peak <= csvtext.GATHER_BYTES + csvtext.BYTES_PER_VALUE * 40 * 201
+        assert (tmp_path / "profiles.csv").read_bytes() == b"h\n" + expected_text(
             np.column_stack([x, T.T, q.T]))

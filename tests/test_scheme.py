@@ -393,6 +393,24 @@ class TestRun:
         with pytest.raises(TypeError):
             checks.dissipation_inequality(trace)
 
+    def test_one_chunk_run_forms_its_kept_levels_in_one_call(self, monkeypatch):
+        # 10 steps at J = 8 are one chunk of K = 10 levels (M = 1): G^1..G^10
+        # by doubling (4 calls), the chunk's one hop, and its 10 kept levels
+        # in one call, not one call each
+        p, cfg, grid, ops = small_setup(J=8, t_final=10 * 1.2e-2)
+        plan = scheme._plan(grid, np.arange(1, grid.N + 2), energy_only=True)
+        assert (plan.K, plan.M) == (10, 1)
+        calls, times = [], scheme._times
+
+        def counted(cols, x, out):
+            calls.append(out.shape)
+            return times(cols, x, out)
+
+        monkeypatch.setattr(scheme, "_times", counted)
+        traj = run(p, cfg, cosine_initial(grid, 15.0, 30.0), energy_only=True)
+        assert len(calls) == 4 + 1 + 1
+        assert calls[-1][0] == len(traj.stored_steps) - 1 == 10
+
     def test_zero_mean_run_decays_four_orders(self, ref_params, ref_config):
         # slow-mode rate ~1.05/s: by t = 30 s only the tiny discrete-mean
         # equilibrium floor remains
@@ -746,11 +764,12 @@ class TestRunMemory:
         assert peak <= scheme.run_memory_bytes(grid, strided_steps(grid, stride))
 
     def test_fine_mesh_estimate_is_far_under_the_cap(self, ref_params, ref_config):
-        # J = 7999, 2500 steps, every 25th level kept: 18.0 MB, mostly the
-        # 101 kept levels; the traced peak is 16.9 MB
+        # J = 7999, 2500 steps, every 25th level kept: 16.6 MB, mostly the
+        # 101 kept levels; the traced peak is the run's, 15.9 MB (the
+        # writers' is 15.3 MB)
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=1.25e-5))
         need = scheme.run_memory_bytes(grid, strided_steps(grid, 25))
-        assert 16.9e6 < need < 18.5e6
+        assert 15.9e6 < need < 17.5e6
         assert scheme.MAX_RUN_BYTES >= 20 * need
 
     def test_run_refuses_before_assembling(self, monkeypatch):
