@@ -10,12 +10,11 @@ whatever wraps a module attribute also sees the calls made from here.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics, discretization, scheme
+from . import diagnostics, discretization, linalg, scheme
 from .discretization import State
 from .model import MaterialParams, SimulationConfig, StepperKind
 
@@ -32,34 +31,9 @@ RATE_HALVINGS = 64
 #: kept levels: clean runs read at most a few eps, and a relative slip of
 #: 1e-9 in the step or the group hop reads 2.9e-11 and more
 STEP_BACKWARD_ERROR_BOUND = 1e-13
-#: oracle_equivalence's states, a row for each J = 2..8: q_1..q_J, then
-#: T_0..T_J, the values that numpy's default_rng(1729) draws as
-#: normal(0, 1e4, J), then normal(15, 10, J + 1), for J = 2..8 in turn
-ORACLE_DRAWS = (
-    (-2281.576374629646, -2969.6726891618873, 22.90185099011265, 21.821783624678453,
-     3.5994149305402985),
-    (8518.760376374508, -12155.550267779328, 1388.2201829008786, 4.138359855176478,
-     9.306841086621663, 5.531462177774692, 12.000523021619518),
-    (-1187.399763308384, -14002.062551900415, 2187.968704084891, -11148.814736874749,
-     13.657066105091154, 26.776172821553484, 22.540394717615754, 34.947886386434426,
-     8.548059031984371),
-    (825.2552666666819, 16428.68419439926, -21796.332603204497, 5108.816628718664,
-     -13690.679965280982, 23.3147262496597, 0.5856613664253008, 14.542284166251601,
-     16.73512958545648, 23.019486183568524, 26.21261329787267),
-    (-10002.376027171667, -16294.277968793633, -2436.416046338791, -8002.085505136599,
-     1798.2177081140971, 13844.563172062108, 20.35573800761599, 16.41067433735506,
-     8.277992380916956, 19.166635119552446, 22.84120729000839, -0.9180643822494776,
-     25.3304535784779),
-    (-1027.2648348918663, -11124.343978326693, -19646.671515060832, 7241.22567520298,
-     2364.1681675255318, 1318.2011577573064, -9130.606543847205, 13.027688728093322,
-     10.063291135330005, 28.918899944963975, 12.65073149066209, 25.625205952080883,
-     14.1700632845333, 13.418015595565425, 10.971284106924998),
-    (-3230.999627244334, 15248.437414335925, 8185.3034710877755, 2056.316381212752,
-     4825.680228054525, 3190.0694329699822, 1491.1622604263516, 7843.354982960364,
-     13.400861620146625, 25.51136059155724, 10.671523409697851, 27.920300052574092,
-     23.949072795773244, -3.122091978975991, 2.7146129267362724, 31.35917207028529,
-     25.05998260022624),
-)
+#: oracle_equivalence's second run takes this many steps, or the main
+#: run's N + 1 if fewer
+ORACLE_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -189,24 +163,33 @@ def step_backward_error(params: MaterialParams, grid: discretization.Grid,
     return worst
 
 
+def oracle_state(grid: discretization.Grid) -> State:
+    """A state on grid whose cosine amplitudes (modes 1..J) and sine
+    amplitudes (1..J) are all equal, so that a step moves every mode: T is
+    15 plus the idct of ones with mode 0 at 0, scaled to max|T - 15| = 10,
+    and q the dst of ones, scaled to max|q| = 1e4."""
+    modes = np.ones(grid.J + 1)
+    modes[0] = 0.0
+    e, q = linalg.idct(modes), linalg.dst(np.ones(grid.J))
+    return State(T=15.0 + 10.0 / np.max(np.abs(e)) * e,
+                 q=np.pad(1e4 / np.max(np.abs(q)) * q, 1))
+
+
 def oracle_equivalence(params: MaterialParams, config: SimulationConfig,
-                       traj: scheme.Trajectory,
-                       draws: Sequence[Sequence[float]] = ORACLE_DRAWS) -> CheckResult:
-    """step_backward_error of every pair of consecutive kept levels: those
-    of traj, a coupled run on config's mesh (verify keeps the levels of
-    scheme.seam_steps in its main run), and, at each J = 2..8, those of one
-    run of 10 steps of config.dt (tracing E alone) from the state of
-    draws' row J - 2, q_1..q_J then T_0..T_J, which reach every mode."""
-    runs = [traj] + [
-        scheme.run(params, dataclasses.replace(config, dx=params.l / (J + 1),
-                                               t_final=10 * config.dt),
-                   State(T=row[J:], q=np.pad(row[:J], 1)), energy_only=True)
-        for J, row in enumerate(draws, start=2)]
+                       traj: scheme.Trajectory) -> CheckResult:
+    """step_backward_error of every pair of consecutive kept levels, a pair
+    at a time, of two coupled runs on config's mesh: traj (verify keeps the
+    levels of scheme.seam_steps in its main run) and one of
+    min(ORACLE_STEPS, N + 1) steps of config.dt from oracle_state, tracing
+    E alone and keeping every level, which reaches every mode."""
+    steps = min(ORACLE_STEPS, traj.grid.N + 1)
+    probe = scheme.run(params, dataclasses.replace(config, t_final=steps * config.dt),
+                       oracle_state(traj.grid), energy_only=True)
     worst = 0.0
-    for r in runs:
-        i = np.flatnonzero(np.diff(r.stored_steps) == 1)
-        worst = max(worst, step_backward_error(params, r.grid, (r.T[i], r.q[i]),
-                                               (r.T[i + 1], r.q[i + 1])))
+    for r in (traj, probe):
+        for i in np.flatnonzero(np.diff(r.stored_steps) == 1):
+            worst = max(worst, step_backward_error(params, r.grid, (r.T[i], r.q[i]),
+                                                   (r.T[i + 1], r.q[i + 1])))
     return CheckResult("oracle_equivalence", f"worst step backward error {worst:.3e}",
                        worst, STEP_BACKWARD_ERROR_BOUND)
 

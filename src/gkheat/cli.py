@@ -266,8 +266,10 @@ def cmd_verify(manifest: RunManifest) -> int:
         gaps = checks.printed_gaps(params, config)
         for dt, gap in gaps:
             print(f"INFO printed-vs-coupled gap at dt={dt:.6g}: {gap:.6e}")
+        # a zero gap, as on zero data, has no ratio
         print("INFO gap halving ratios: "
-              + ", ".join(f"{b / a:.4f}" for (_, a), (_, b) in zip(gaps, gaps[1:])))
+              + ", ".join(f"{b / a if a else float('nan'):.4f}"
+                          for (_, a), (_, b) in zip(gaps, gaps[1:])))
     return 0 if all(r.ok for r in results) else 3
 
 
@@ -279,8 +281,6 @@ def cmd_sweep(manifest: RunManifest,
     fitted rate is a clean exponential, and its run traces the energy
     alone; rows list the fitted rate next to the proven lower bound omega.
     """
-    out = manifest.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["tau_q,mu2,fitted_rate,omega,M,E_final,monotone"]
     for tau_q, mu2 in pairs:
         params = dataclasses.replace(manifest.params, tau_q=tau_q, mu2=mu2)
@@ -291,6 +291,9 @@ def cmd_sweep(manifest: RunManifest,
         lines.append(",".join([
             _fmt(tau_q), _fmt(mu2), _fmt(fitted), _fmt(dc.omega), _fmt(dc.M),
             _fmt(trace.E[-1]), "1" if monotone else "0"]))
+    # the directory is made only once every pair has run, as in run
+    out = manifest.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out}/summary.csv ({len(pairs)} rows)")
     return 0

@@ -10,8 +10,9 @@ exact decay rate of the assembled step matrix from numpy's eigenvalues,
 against which a rate fitted to a trace and the closed form of
 diagnostics.step_decay_rate are checked.  one_step and oracle_draws are
 not oracles: one takes the single steps the tests compare, through
-scheme.run, and the other draws the states of checks.oracle_equivalence
-from a generator.
+scheme.run, and the other draws, from a generator, the random states on
+J = 2..8 whose 10-step runs acceptance criterion C4 holds to
+checks.step_backward_error's bound, beside checks.oracle_equivalence.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ def one_step(p: MaterialParams, grid: Grid, prev: State,
 
 
 def oracle_draws(rng: np.random.Generator) -> list[np.ndarray]:
-    """checks.oracle_equivalence's states drawn from rng, in the form and
-    order of checks.ORACLE_DRAWS: for each J = 2..8, normal(0, 1e4, J) for
-    q_1..q_J, then normal(15, 10, J + 1) for T_0..T_J."""
+    """One state a row drawn from rng, for each J = 2..8: normal(0, 1e4, J)
+    for q_1..q_J, then normal(15, 10, J + 1) for T_0..T_J."""
     return [np.concatenate((rng.normal(0.0, 1e4, J), rng.normal(15.0, 10.0, J + 1)))
             for J in range(2, 9)]
 

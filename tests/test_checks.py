@@ -8,7 +8,8 @@ from gkheat import checks, diagnostics, discretization, scheme
 from gkheat.cli import main, parse_config
 from gkheat.diagnostics import EnergyTrace
 from gkheat.model import MaterialParams, SimulationConfig
-from oracles import oracle_draws, pointwise_residual
+from gkheat.linalg import dct, dst
+from oracles import pointwise_residual
 
 PARAMS = MaterialParams(rho=2e3, c=5e2, tau_q=8e-3, mu2=2.8e-3, k=2e3, l=0.1)
 CONFIG = SimulationConfig(dx=2e-3, dt=1.2e-2, t_final=1.2, T_b=15.0, T_f=30.0)
@@ -140,30 +141,54 @@ class TestStepBackwardError:
 
 
 class TestRunChecks:
-    def test_oracle_is_deterministic_per_seed(self):
+    def test_oracle_is_deterministic(self):
         traj = main_run()
-        a = checks.oracle_equivalence(PARAMS, CONFIG, traj,
-                                      oracle_draws(np.random.default_rng(5)))
-        b = checks.oracle_equivalence(PARAMS, CONFIG, traj,
-                                      oracle_draws(np.random.default_rng(5)))
-        assert a == b and a.ok
+        a = checks.oracle_equivalence(PARAMS, CONFIG, traj)
+        assert a == checks.oracle_equivalence(PARAMS, CONFIG, traj) and a.ok
 
-    def test_stored_draws_are_default_rng_1729s(self):
-        # the table holds what default_rng(1729) draws, bit for bit
-        drawn = oracle_draws(np.random.default_rng(1729))
-        assert [row.tobytes() for row in drawn] == [
-            np.array(row, dtype=float).tobytes() for row in checks.ORACLE_DRAWS]
-        traj = main_run()
-        assert checks.oracle_equivalence(PARAMS, CONFIG, traj) \
-            == checks.oracle_equivalence(PARAMS, CONFIG, traj, drawn)
+    @pytest.mark.parametrize("J", [2, 49, 499])
+    def test_oracle_state_reaches_every_mode_equally(self, J):
+        # cosine amplitudes of modes 1..J and sine amplitudes of modes 1..J
+        # all equal, with T within 15 +- 10 and |q| <= 1e4
+        config = dataclasses.replace(CONFIG, dx=PARAMS.l / (J + 1))
+        grid = discretization.build_grid(PARAMS, config)
+        state = checks.oracle_state(grid)
+        a, b = dct(state.T - 15.0)[1:], dst(state.q_interior)
+        assert a.size == b.size == J and np.all(a > 0.0) and np.all(b > 0.0)
+        assert np.ptp(a) <= 1e-13 * a[0] and np.ptp(b) <= 1e-13 * b[0]
+        assert 5.0 <= state.T.min() and state.T.max() <= 25.0
+        assert np.max(np.abs(state.T - 15.0)) == pytest.approx(10.0, rel=1e-15)
+        assert np.max(np.abs(state.q)) == pytest.approx(1e4, rel=1e-15)
 
     def test_oracle_reads_the_main_runs_seams(self):
         # J = 49 over 100 steps: chunks of K = 25 levels in one group, so
-        # the pairs (25, 26) and (99, 100)
+        # the pairs (25, 26) and (99, 100); a slip of 1e-9 in level 26
+        # fails the check
         traj = main_run()
         assert traj.stored_steps == [0, 25, 26, 99, 100]
-        res = checks.oracle_equivalence(PARAMS, CONFIG, traj, draws=())
+        res = checks.oracle_equivalence(PARAMS, CONFIG, traj)
         assert res.ok and 0.0 < res.value <= 1e-15
+        T = traj.T.copy()
+        T[2] *= 1.0 + 1e-9
+        res = checks.oracle_equivalence(PARAMS, CONFIG, dataclasses.replace(traj, T=T))
+        assert not res.ok and res.value > 1e-11
+
+    def test_oracle_runs_once_on_the_main_runs_mesh(self, monkeypatch):
+        # ORACLE_STEPS steps of config.dt from oracle_state, tracing E alone
+        # and keeping every level
+        traj, calls, original = main_run(), [], scheme.run
+
+        def recorded(params, config, init, **kwargs):
+            calls.append((config, init, kwargs))
+            return original(params, config, init, **kwargs)
+
+        monkeypatch.setattr(scheme, "run", recorded)
+        assert checks.oracle_equivalence(PARAMS, CONFIG, traj).ok
+        [(config, init, kwargs)] = calls
+        assert config == dataclasses.replace(CONFIG, t_final=10 * CONFIG.dt)
+        assert kwargs == {"energy_only": True}
+        state = checks.oracle_state(traj.grid)
+        assert np.array_equal(init.T, state.T) and np.array_equal(init.q, state.q)
 
     def test_verify_makes_no_dense_solve(self, monkeypatch, capsys):
         def no_solve(*args, **kwargs):
@@ -182,8 +207,7 @@ class TestRunChecks:
                         sums, kept)
 
         monkeypatch.setattr(scheme, "_trace_block", lagging)
-        res = checks.oracle_equivalence(PARAMS, CONFIG, main_run(),
-                                        oracle_draws(np.random.default_rng(5)))
+        res = checks.oracle_equivalence(PARAMS, CONFIG, main_run())
         assert not res.ok and res.value > 0.1
         assert main(["verify"]) == 3
         out = capsys.readouterr().out
@@ -239,8 +263,7 @@ class TestMargins:
             checks.heat_conservation(trace),
             checks.lyapunov_sandwich(trace, params),
             checks.decay_envelope(trace, params),
-            checks.oracle_equivalence(params, config, traj,
-                                      oracle_draws(np.random.default_rng(1729))),
+            checks.oracle_equivalence(params, config, traj),
             checks.mode_rate_fit(params, config)]
         for r in results:
             assert np.isfinite(r.value) and np.isfinite(r.bound), r.name

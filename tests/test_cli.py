@@ -305,7 +305,7 @@ class TestCmdVerify:
         assert "\nPASS oracle_equivalence: " in capsys.readouterr().out
 
     @pytest.mark.parametrize("lines,line", [
-        ("", "PASS oracle_equivalence: worst step backward error 2.709e-16"),
+        ("", "PASS oracle_equivalence: worst step backward error 2.359e-16"),
         # the dense reference's per-level gap FAILed here (3.992e-10), and
         # there the reference, not run, was off
         ("dt = 5\nt_final = 5\n",
@@ -348,13 +348,13 @@ class TestCmdVerify:
         assert any(line.startswith("PASS mode_rate_fit: discrete ") for line in out)
 
     @pytest.mark.parametrize("lines", ["", "dt = 5e-5\nt_final = 0.1\n",
-                                       "dt = 1e-5\nt_final = 0.1\n"],
-                             ids=["defaults", "dt=5e-5", "dt=1e-5"])
+                                       "dt = 1e-5\nt_final = 0.1\n", "t_final = 0.036\n"],
+                             ids=["defaults", "dt=5e-5", "dt=1e-5", "3 steps"])
     def test_verify_makes_no_run_longer_than_its_main_run(self, tmp_path, monkeypatch,
                                                           lines):
-        # the main run and the oracle's seven of 10 steps; the rate check
-        # takes no step (a fitted rate read a run over 6 s at dt/8: 960,000
-        # steps at dt = 5e-5)
+        # the main run and the oracle's of 10 steps, or of the main run's
+        # steps if fewer; the rate check takes no step (a fitted rate read a
+        # run over 6 s at dt/8: 960,000 steps at dt = 5e-5)
         steps, original = [], scheme.run
 
         def counted(params, config, init, **kwargs):
@@ -366,7 +366,8 @@ class TestCmdVerify:
         cfg.write_text(lines)
         assert main(["verify", "-c", str(cfg)]) == 0
         manifest = parse_config(lines)
-        assert steps == [round(manifest.config.t_final / manifest.config.dt)] + [10] * 7
+        main_steps = round(manifest.config.t_final / manifest.config.dt)
+        assert steps == [main_steps, min(10, main_steps)]
 
     def test_tiny_step_passes_without_a_warning(self, tmp_path, capsys):
         # rho c/dt is past the float range: the dense reference's solve
@@ -399,6 +400,15 @@ class TestCmdVerify:
             verdicts.append([line for line in capsys.readouterr().out.splitlines()
                              if line.startswith(("PASS ", "FAIL "))])
         assert len(verdicts[0]) == 7 and verdicts[1] == verdicts[0]
+
+    def test_as_printed_gap_ratios_on_zero_data_are_nan(self, capsys):
+        # every gap is 0 on zero data, and its ratio is printed as nan
+        manifest = parse_config("T_b = 0\nT_f = 0\ndx = 2e-3\n"
+                                "stepper = vectorial_as_printed\n")
+        assert cmd_verify(manifest) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out.count("INFO gap halving ratios: nan, nan") == 1
+        assert sum(line.startswith("PASS ") for line in out) == 7
 
     def test_as_printed_gap_lines_at_the_defaults(self, capsys):
         assert cmd_verify(parse_config("stepper = vectorial_as_printed\n")) == 0
@@ -534,7 +544,7 @@ class TestMain:
         assert main([command, "-c", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: the step matrices overflow") and "mu2" in err
-        assert command == "sweep" or not (tmp_path / "o").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("lines,name", [
         ("mu2 = 1e305\n", "mu2"),             # F's (rho c/2) dx (dx^2/s^2 + mu2)
@@ -550,6 +560,15 @@ class TestMain:
         assert main([command, "-c", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: the trace weights overflow") and name in err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_sweep_leaves_no_directory(self, tmp_path, capsys):
+        # the pair's decay rate omega underflows: a numerical failure
+        # before summary.csv, whose directory is not made
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(f"dx = 2e-3\nout_dir = {tmp_path / 'o'}\n")
+        assert main(["sweep", "-c", str(cfg), "--pair", "1e300,0"]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
         assert not (tmp_path / "o").exists()
 
     def test_sweep_reads_no_overflowing_trace_weight(self, tmp_path):

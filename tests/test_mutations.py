@@ -43,6 +43,15 @@ def hop_slip(factor: float):
         table * factor if next(calls) % 2 == 0 else table)
 
 
+def high_modes_slip(GD):
+    """assemble's G and D with D, and G's matching entries, times 1 + 1e-9
+    in modes 9..J alone (the last axis holds the modes m = 1..J)."""
+    G, D = GD
+    slip = np.zeros_like(D)
+    slip[..., 8:] = 1e-9 * D[..., 8:]
+    return G + slip, D + slip
+
+
 #: name -> (module, function, change made to the function's result); the
 #: quadratic weights' rows are E, diss_rhs and F, on y_0^2, y_1^2, y_0 y_1,
 #: and the linear weights' are F/m and C_T/heat
@@ -62,6 +71,7 @@ SLIPS = {
     "coupled D x(1+1e-9)": (scheme, "assemble",
                             lambda GD: (GD[0] + 1e-9 * GD[1], (1.0 + 1e-9) * GD[1])),
     "group hop G^K x(1+1e-9)": hop_slip(1.0 + 1e-9),
+    "modes 9..J D x(1+1e-9)": (scheme, "assemble", high_modes_slip),
 }
 
 #: the slips that verify passes today
