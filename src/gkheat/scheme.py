@@ -50,15 +50,21 @@ modes a block at a time: from a block's powers G^k, k = 0..K, and D it
 builds one trace table (modal_trace_table, which forms the step increments
 D G^(k-1) in it), and every row of the run gets the block's share from one
 matrix product of the table with the features of the chunk bases, the
-levels 0, K, 2K, ...  A run with energy_only (the decay-rate fits of
-sweep, and verify's runs that read only kept levels) traces E and
-heat alone: its table is E's weights on the quadratic features, 3 values
-per level and mode instead of 25, built without D, and its blocks are
-longer and wider.  Only the kept levels' amplitudes are formed, in the
-rows of T and q rebuilt from them in place after the last block; the
-levels either side of a chunk's or a group's first step (seam_steps) are
-formed by different products.  run is the only stepping path: a single
-step is a run with t_final = dt.
+levels 0, K, 2K, ...  A full trace's blocks are 32 times as wide in modes
+as in levels, within a budget for the table (_plan).  A run with
+energy_only (the decay-rate fits of sweep, and verify's runs that read
+only kept levels) traces E and heat alone: its table is E's weights on
+the quadratic features, 3 values per level and mode instead of 25, built
+without D.  Its levels are cheap beside its chunk bases, so its chunks
+are longer, about sqrt(N/6) levels (20 over 2,500 steps, against 5), and
+its blocks as wide as twice the budget allows.  Every block of a run
+writes into one workspace (_Workspace), allocated once for the run's
+widest block and dropped before the kept levels are rebuilt, so that a
+block allocates only numpy's small per-call buffers.  Only the kept
+levels' amplitudes are formed, in the rows of T and q rebuilt from them
+in place after the last block; the levels either side of a chunk's or a
+group's first step (seam_steps) are formed by different products.  run is
+the only stepping path: a single step is a run with t_final = dt.
 """
 
 from __future__ import annotations
@@ -96,7 +102,10 @@ def assemble(params: MaterialParams, grid: Grid,
     m = 1..J to G (a, b) = (a, b) + D (a, b).  D is kept beside G so that
     the trace gets each step's change to full precision, and G's flux
     entry is its closed form, not 1 + D_bb, which cancels where a step
-    damps a mode's flux by orders.  Built from the scalar factors
+    damps a mode's flux by orders.  So is the coupled temperature entry,
+    (1 + c_B s_m^2)/(1 + (c_B + c_T dt) s_m^2), where D_aa <= -0.5, a step
+    that damps the mode's temperature to half or less.  Built from the
+    scalar factors
     (s := tau_q + dt)
 
         c_B = mu2*dt/(s*dx^2)          flux-Laplacian weight in B
@@ -124,6 +133,7 @@ def assemble(params: MaterialParams, grid: Grid,
         g_bb = c_r * beta
         D = np.array([[-c_T * sm * sm * beta, -c_q * sm * beta],
                       [c_Q * sm * beta, -(dt / s + c_B * sm * sm) * beta]])
+        g_aa = 1.0 + D[0, 0]
     else:
         # coupled: b' = g_ba a + g_bb b, then a' = a - c_flux s b'; 1 - c_r = dt/s
         w = c_B + c_T * dt
@@ -131,8 +141,14 @@ def assemble(params: MaterialParams, grid: Grid,
         g_ba, g_bb = c_Q * sm / reduced, c_r / reduced
         D = np.array([[-c_flux * sm * g_ba, -c_flux * sm * g_bb],
                       [g_ba, -(dt / s + w * sm * sm) / reduced]])
+        # where a step keeps half a mode's temperature or less, 1 + D_aa
+        # would keep little more than D_aa's rounding; elsewhere it rounds
+        # better than the closed form
+        g_aa = 1.0 + D[0, 0]
+        damped = D[0, 0] <= -0.5
+        g_aa[damped] = (1.0 + c_B * sm[damped] * sm[damped]) / reduced[damped]
     G = D.copy()
-    G[0, 0] += 1.0
+    G[0, 0] = g_aa
     G[1, 1] = g_bb
     return G, D
 
@@ -156,33 +172,62 @@ def _levels(m: float, levels: np.ndarray) -> None:
     levels[:, J + 2:-1] = dst(levels[:, J + 2:-1])
 
 
-def _times(cols: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _view(buffer: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The first values of a flat buffer in shape, or None for no buffer."""
+    return None if buffer is None else buffer[:math.prod(shape)].reshape(shape)
+
+
+def _carve(buffer: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive views of a flat buffer in the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _times(cols: np.ndarray, x: np.ndarray, out: np.ndarray,
+           spare: np.ndarray | None = None) -> np.ndarray:
     """out = M x per mode, broadcast: cols[j] is column j of the 2x2
-    matrices M and x[..., i, :] component i of the vectors."""
+    matrices M and x[..., i, :] component i of the vectors.  spare, of
+    out's shape, takes the second product (allocated if None)."""
     np.multiply(cols[0], x[..., :1, :], out=out)
-    out += cols[1] * x[..., 1:, :]
+    out += np.multiply(cols[1], x[..., 1:, :], out=spare)
     return out
 
 
-def _power_table(cols: np.ndarray, K: int) -> np.ndarray:
+def _finite(a: np.ndarray, axis: tuple[int, ...]) -> np.ndarray:
+    """np.isfinite(a).all(axis) without an array of a's size: a NaN or an
+    infinity reaches the largest or the smallest value."""
+    return np.isfinite(a.max(axis=axis)) & np.isfinite(a.min(axis=axis))
+
+
+def _power_table(cols: np.ndarray, K: int, out: np.ndarray | None = None,
+                 spare: np.ndarray | None = None) -> np.ndarray:
     """(2, K' + 1, 2, n): [j, k] is column j of G^k per mode, k = 0..K',
     for cols (2, 2, n) the columns of G.  Built by doubling (G^p applied to
     entries 1..p gives entries p+1..2p), not from an eigendecomposition:
     a mode's eigenvectors are ill-conditioned where it passes from over-
     to under-damped.  K' is K cut at the first non-finite entry (at least
     1), which the unstable as-printed Fourier-limit stepper reaches within
-    a few dozen levels.
+    a few dozen levels.  The table is written into out, of shape
+    (2, K + 1, 2, n), and the doubling's products into the flat spare
+    (each allocated if None).
     """
-    table = np.zeros((2, K + 1) + cols.shape[1:])
+    table = np.empty((2, K + 1) + cols.shape[1:]) if out is None else out
+    table[:, 0] = 0.0
     table[0, 0, 0] = table[1, 0, 1] = 1.0
     table[:, 1] = cols
     p = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while p < K:
             count = min(p, K - p)
-            _times(table[:, p], table[:, 1:count + 1], out=table[:, p + 1:p + count + 1])
+            products = table[:, p + 1:p + count + 1]
+            _times(table[:, p], table[:, 1:count + 1], out=products,
+                   spare=_view(spare, products.shape))
             p += count
-    finite = np.isfinite(table).all(axis=(0, 2, 3))
+    finite = _finite(table, axis=(0, 2, 3))
     return table if finite.all() else table[:, :max(2, int(np.argmin(finite)))]
 
 
@@ -211,28 +256,75 @@ class RunPlan:
 def _plan(grid: Grid, keep: np.ndarray, energy_only: bool = False) -> RunPlan:
     """The shapes of a run on grid keeping the levels of the steps keep.
 
-    A block's trace table, 25 (K + 1) n <= TRACE_CHUNK_ELEMENTS values, is
-    32 times as wide in modes as in levels, n = 32 (K + 1), unless the mesh
-    has fewer modes; K then fills the budget, but is at most N + 1.  A
-    group's features, 5 M n values, are as many as the table's, M =
-    5 (K + 1), unless the run has fewer chunks.  These shapes fix the
-    order of the trace's sums, and so the bytes of trace.csv.
+    For a full trace, a block's trace table, 25 (K + 1) n <=
+    TRACE_CHUNK_ELEMENTS values, is 32 times as wide in modes as in levels,
+    n = 32 (K + 1), unless the mesh has fewer modes; K then fills the
+    budget, but is at most N + 1.  A group's features, 5 M n values, are
+    as many as the table's, M = 5 (K + 1), unless the run has fewer chunks.
+    These shapes fix the order of the trace's sums, and so the bytes of
+    trace.csv.
 
-    With energy_only the table is E's alone, 3 (K + 1) n values, and its
-    largest array is the 9 (K + 1) n monomials it is formed from: the
-    budget bounds those, and n and K follow as above.  A group's features
-    in the product, 3 M n values, are as many as the table's, M = K + 1.
-    At J = 499 and 7999 over 2,500 steps that is (10, 320, 11) against
-    (5, 192, 30), and an energy-only block holds no more than a full one
-    on the same mesh (the tests measure both).
+    With energy_only the table is E's alone, 3 (K + 1) n values formed
+    from 9 (K + 1) n monomials, so a chunk's levels cost less than its
+    base: per mode, the table takes work in K and the chunk bases in
+    (N + 1)/K.  K near sqrt((N + 1)/6) balances them (measured in a warm
+    process over J = 49..7999 and N = 500..20,000), but is at least 10, so
+    that a short run, such as verify's 10-step probe, is one chunk, and at
+    most N + 1; n then fills twice the budget with the monomials.  A
+    group's features in the product, 3 M n values, are as many as the
+    table's, M = K + 1.  At J = 499 and 7999 over 2,500 steps that is
+    (20, 346, 21) against the full trace's (5, 192, 30); at J = 63 over
+    20,000 it is (57, 63, 58).
     """
     last = grid.N + 1
-    columns, per_level = (1, 9) if energy_only else (5, 25)
-    n = min(grid.J, max(1, 32 * math.isqrt(TRACE_CHUNK_ELEMENTS // (32 * per_level))))
-    K = min(last, max(1, TRACE_CHUNK_ELEMENTS // (per_level * n) - 1))
-    M = min(columns * (K + 1), -(-last // K))
+    if energy_only:
+        K = min(last, max(10, math.isqrt(last // 6)))
+        n = min(grid.J, max(1, 2 * TRACE_CHUNK_ELEMENTS // (9 * (K + 1))))
+        M = min(K + 1, -(-last // K))
+    else:
+        n = min(grid.J, max(1, 32 * math.isqrt(TRACE_CHUNK_ELEMENTS // (32 * 25))))
+        K = min(last, max(1, TRACE_CHUNK_ELEMENTS // (25 * n) - 1))
+        M = min(5 * (K + 1), -(-last // K))
     return RunPlan(keep=keep, K=K, n=n, M=M,
                    batch=min(keep.size, max(1, TRACE_CHUNK_ELEMENTS // (8 * grid.J + 8))))
+
+
+class _Workspace:
+    """Every array run's blocks form, flat, allocated once per run for its
+    plan's widest block and trace kind: the power tables of G^k and of the
+    hops G^(K j), the trace table, the features (a^2, ab, b^2, a, b) of a
+    group's bases, the group's matrix product, and a spare for the
+    table's monomials and products, the doublings' products and the kept
+    levels' gathers.  _trace_block views each in its block's shape."""
+
+    powers: np.ndarray
+    hops: np.ndarray
+    table: np.ndarray
+    features: np.ndarray
+    product: np.ndarray
+    spare: np.ndarray
+
+    def __init__(self, plan: RunPlan, energy_only: bool) -> None:
+        for name, size in _workspace_sizes(plan, energy_only).items():
+            setattr(self, name, np.empty(size))
+
+
+def _workspace_sizes(plan: RunPlan, energy_only: bool) -> dict[str, int]:
+    """The float64 values of each of _Workspace's arrays."""
+    K, n, M, keep = plan.K, plan.n, plan.M, plan.keep
+    columns, features = (1, 3) if energy_only else (5, 5)
+    # the spare holds the table's intermediates, a doubling's or the
+    # bases' products (2 max(M, K) n), or a gather of kept levels: at most
+    # max(M, K) of them, and no more than a group's K M levels hold, with
+    # 11 values per level and mode (their powers, their chunks' features
+    # and a product)
+    gather = min(max(M, K), int(np.max(np.searchsorted(keep, keep + K * M)
+                                       - np.arange(keep.size))))
+    return {"powers": 4 * (K + 1) * n, "hops": 4 * (M + 1) * n,
+            "table": columns * features * (K + 1) * n, "features": 5 * (M + 1) * n,
+            "product": columns * K * M,
+            "spare": max(_table_spare_size(K + 1, n, energy_only), 2 * max(M, K) * n,
+                         11 * gather * n)}
 
 
 def strided_steps(grid: Grid, stride: int) -> np.ndarray:
@@ -256,9 +348,9 @@ def seam_steps(grid: Grid) -> np.ndarray:
                            if 1 <= s <= last))
 
 
-def run_memory_bytes(grid: Grid, keep: np.ndarray) -> int:
-    """Bytes run() and the run command's writers hold for grid and the
-    steps keep of the kept levels.
+def run_memory_bytes(grid: Grid, keep: np.ndarray, energy_only: bool = False) -> int:
+    """Bytes run() and the run command's writers hold for grid, the steps
+    keep of the kept levels and the kind of trace.
 
     Counts, per level, the time axis, the trace's modal sums
     (5, which build_trace completes in place into E, diss_lhs, diss_rhs,
@@ -266,18 +358,14 @@ def run_memory_bytes(grid: Grid, keep: np.ndarray) -> int:
     step numbers; 10 J values of transform temporaries; per kept level, its
     2J+3 values plus 32 for its Python objects (about 220 bytes measured);
     and the largest of three phases.  The blocks hold the operators (8J),
-    the trace weights (15J), level 0's amplitudes (2J), and per block its
-    table (25 (K + 1) n) and features (5 (M + 1) n), the power tables
-    (4 (K + 1) n, 4 (M + 1) n), modal_trace_table's temporaries
-    (40 (K + 1) n) and a group's sums, kept levels and bases (5 K M + 2 M n).
+    the trace weights (15J), level 0's amplitudes (2J) and the workspace
+    of the run's plan and trace kind, from the shapes it is built from.
     Then a batch of levels is rebuilt, or the CSV writers hold a block, its
-    buffers and the gather's, and csvtext's tables.  An energy-only run
-    holds no more.
+    buffers and the gather's, and csvtext's tables.
     """
-    plan, J = _plan(grid, keep), grid.J
-    K, n, M, kept = plan.K, plan.n, plan.M, plan.keep.size + 1
-    blocks = ((8 + 15 + 2) * J + (K + 1) * n * (25 + 4 + 40)
-              + (5 + 4) * (M + 1) * n + 2 * M * n + 5 * K * M)
+    plan, J = _plan(grid, keep, energy_only), grid.J
+    kept = plan.keep.size + 1
+    blocks = (8 + 15 + 2) * J + sum(_workspace_sizes(plan, energy_only).values())
     writer = math.ceil((csvtext.TABLE_BYTES + csvtext.GATHER_BYTES + csvtext.BYTES_PER_VALUE
                         * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1)) / 8)
     return 8 * ((grid.N + 2) * (1 + 5 + 1 + 1 + 1 + 1) + 10 * J
@@ -339,7 +427,9 @@ def modal_trace_weights(params: MaterialParams, grid: Grid) -> ModalTraceWeights
 
 
 def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
-                      modes: slice, D: np.ndarray | None = None) -> np.ndarray:
+                      modes: slice, D: np.ndarray | None = None,
+                      out: np.ndarray | None = None,
+                      spare: np.ndarray | None = None) -> np.ndarray:
     """New trace table of a block of modes, (L, 5, 5, n) for L levels, or,
     without D, E's table alone, (L, 1, 3, n).
 
@@ -355,39 +445,65 @@ def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
     computes it and y + y_prev = (2 G_l - P_l) x.  Summed over the modes,
     phi(x) @ table gives the sums build_trace takes.  E's table alone is
     the first column's first three features; it reads no increments.
+    The table is written into out and every intermediate into the flat
+    spare, of _table_spare_size(L, n, D is None) values (each allocated if
+    None).
     """
     G = powers.transpose(1, 2, 0, 3)    # (L, row i, column j, n)
+    L, n = G.shape[0], G.shape[3]
     energy_only = D is None
     columns, features = (1, 3) if energy_only else (5, 5)
-    table = np.empty((G.shape[0], columns, features, G.shape[3]))
-    # y_0^2, y_1^2 and y_0 y_1 on the features a^2, ab, b^2
-    monomials = np.empty((G.shape[0], 3, 3, G.shape[3]))
-    for u, (i, k) in enumerate(((0, 0), (1, 1), (0, 1))):
-        np.multiply(G[:, i, 0], G[:, k, 0], out=monomials[:, u, 0])
-        np.multiply(G[:, i, 0], G[:, k, 1], out=monomials[:, u, 1])
-        monomials[:, u, 1] += G[:, i, 1] * G[:, k, 0]
-        np.multiply(G[:, i, 1], G[:, k, 1], out=monomials[:, u, 2])
+    table = np.empty((L, columns, features, n)) if out is None else out
+    if spare is None:
+        spare = np.empty(_table_spare_size(L, n, energy_only))
+    quadratic = table[:, :3, :3]
     q = w.quadratic[:1 if energy_only else 3, :, modes]
-    np.multiply(monomials[:, None, 0], q[None, :, 0, None], out=table[:, :3, :3])
-    for u in (1, 2):
-        table[:, :3, :3] += monomials[:, None, u] * q[None, :, u, None]
+    monomial, product = _carve(spare, (L, 3, n), quadratic.shape)
+    # y_0^2, y_1^2 and y_0 y_1 in turn, on the features a^2, ab, b^2
+    for u, (i, k) in enumerate(((0, 0), (1, 1), (0, 1))):
+        np.multiply(G[:, i, 0], G[:, k, 0], out=monomial[:, 0])
+        np.multiply(G[:, i, 0], G[:, k, 1], out=monomial[:, 1])
+        monomial[:, 1] += np.multiply(G[:, i, 1], G[:, k, 0], out=monomial[:, 2])
+        np.multiply(G[:, i, 1], G[:, k, 1], out=monomial[:, 2])
+        if u:
+            quadratic += np.multiply(monomial[:, None], q[None, :, u, None], out=product)
+        else:
+            np.multiply(monomial[:, None], q[None, :, 0, None], out=quadratic)
     if energy_only:
         return table
-    # P_l = D G^(l-1) for l >= 1, laid out as G: column j is D (G^(l-1))_:j
-    P = (D[:, 0] * powers[:, :-1, :1] + D[:, 1] * powers[:, :-1, 1:]).transpose(1, 2, 0, 3)
+    # P_l = D G^(l-1) for l >= 1, laid out as G
+    # (column j is D (G^(l-1))_:j), 2 G_l - P_l, and the products of both
+    K = L - 1
+    P, V, both, product, lin = _carve(spare, (2, K, 2, n), (K, 2, 2, n), (K, 2, 2, n),
+                                      (L, 2, 2, n), (2, 2, n))
+    np.multiply(D[:, 0], powers[:, :-1, :1], out=P)
+    P += np.multiply(D[:, 1], powers[:, :-1, 1:], out=product[:K].reshape(P.shape))
+    P = P.transpose(1, 2, 0, 3)
+    np.multiply(G[1:], 2.0, out=V)
+    V -= P
     # diss_lhs = sum_i w_i (P x)_i ((2 G - P) x)_i, 0 at level 0
-    weighted = P * w.increment[None, :, None, modes]
-    both = (weighted[:, :, :, None] * (2.0 * G[1:] - P)[:, :, None, :]).sum(axis=1)
+    P *= w.increment[None, :, None, modes]
+    np.multiply(P[:, 0, :, None], V[:, 0, None, :], out=both)
+    both += np.multiply(P[:, 1, :, None], V[:, 1, None, :], out=product[:K])
     table[1:, 4, 0] = both[:, 0, 0]
     np.add(both[:, 0, 1], both[:, 1, 0], out=table[1:, 4, 1])
     table[1:, 4, 2] = both[:, 1, 1]
     # F/m and C_T/heat: sum_i l_i y_i puts sum_i l_i G_ij on x_j
-    lin = w.linear[..., modes] * np.array([m, 1.0])[:, None, None]
-    np.sum(G[:, None] * lin[None, :, :, None], axis=2, out=table[:, 2:4, 3:])
+    np.multiply(w.linear[0, :, modes], m, out=lin[0])
+    lin[1] = w.linear[1, :, modes]
+    np.multiply(G[:, None, 0], lin[None, :, 0, None], out=table[:, 2:4, 3:])
+    table[:, 2:4, 3:] += np.multiply(G[:, None, 1], lin[None, :, 1, None], out=product)
     table[:, :2, 3:] = 0.0
     table[:, 4, 3:] = table[0, 4] = 0.0
     table[:, 3, :3] = 0.0
     return table
+
+
+def _table_spare_size(L: int, n: int, energy_only: bool) -> int:
+    """Values of modal_trace_table's spare for L levels of n modes: a
+    monomial (3 L n) and a product (3 L n), or for the full table the
+    second stage's increments, their weights and products (16 L n)."""
+    return (6 if energy_only else 16) * L * n
 
 
 def build_trace(w: ModalTraceWeights, m: float, t: np.ndarray,
@@ -419,7 +535,7 @@ def build_trace(w: ModalTraceWeights, m: float, t: np.ndarray,
 
 def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
                  modes: slice, m: float, x: np.ndarray, plan: RunPlan,
-                 sums: np.ndarray, kept: np.ndarray) -> None:
+                 sums: np.ndarray, kept: np.ndarray, work: _Workspace) -> None:
     """Add one block of modes' share to every row of sums and write its
     amplitudes of the levels plan.keep into kept.
 
@@ -429,35 +545,42 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
     table entry is not finite), maps a chunk base's features to its
     chunk's sums.  The bases of a group of M chunks are the powers of G^K
     applied to the first, and one matrix product gives the group's rows.
+    Every array the block forms is a view of work's.
     """
     n, last, columns = x.shape[1], sums.shape[0] - 1, sums.shape[1]
     energy_only = columns == 1
     f = 3 if energy_only else 5
     K, M, keep = plan.K, plan.M, plan.keep
-    powers = _power_table(G.swapaxes(0, 1), K)
+    powers = _power_table(G.swapaxes(0, 1), K, _view(work.powers, (2, K + 1, 2, n)),
+                          work.spare)
     K = powers.shape[1] - 1
-    # one row more than a group, for the base of the next group; the
-    # features (a^2, ab, b^2, a, b) end in the bases.  Allocated before
-    # the table, which keeps an energy-only block's peak under a full one's
-    features = np.empty((M + 1, 5, n))
     # E's table reads no increments D G^(k-1)
-    table = modal_trace_table(w, m, powers, modes, None if energy_only else D)
-    finite = np.isfinite(table).all(axis=(1, 2, 3))
+    table = modal_trace_table(w, m, powers, modes, None if energy_only else D,
+                              _view(work.table, (K + 1, columns, f, n)), work.spare)
+    finite = _finite(table, axis=(1, 2, 3))
     if not finite.all():
         K = max(1, int(np.argmin(finite)) - 1)
         table = table[:K + 1]
     table = table.reshape(columns * (K + 1), f * n)
-    hops = _power_table(powers[:, K], M)[:, 1:]
+    hops = _power_table(powers[:, K], M, _view(work.hops, (2, M + 1, 2, n)),
+                        work.spare)[:, 1:]
     group = hops.shape[1]
     batch = max(group, K)
+    # one row more than a group, for the base of the next group; the
+    # features (a^2, ab, b^2, a, b) end in the bases
+    features = _view(work.features, (M + 1, 5, n))
     bases = features[:, 3:]
     bases[0] = x
     total = -(-last // K)
-    for c0 in range(0, total, group):
+    # the kept levels of each group, whose levels start at 1, 1 + group K, ...
+    edges = np.searchsorted(keep, np.minimum(np.arange(1, last + group * K + 1, group * K),
+                                             last + 1))
+    for g, c0 in enumerate(range(0, total, group)):
         count = min(group, total - c0)
         if c0:
             bases[0] = bases[group]
-        _times(hops[:, :count], bases[0], out=bases[1:count + 1])
+        _times(hops[:, :count], bases[0], out=bases[1:count + 1],
+               spare=_view(work.spare, (count, 2, n)))
         np.multiply(bases[:count], bases[:count, :1], out=features[:count, :2])
         np.multiply(bases[:count, 1], bases[:count, 1], out=features[:count, 2])
         flat = features[:count, :f].reshape(count, f * n)
@@ -465,15 +588,20 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
             sums[0] += table[:columns] @ flat[0]
         start = c0 * K + 1
         levels = min(count * K, last + 1 - start)
-        sums[start:start + levels] += (flat @ table[columns:].T).reshape(
-            -1, columns)[:levels]
+        rows = np.matmul(flat, table[columns:].T,
+                         out=_view(work.product, (count, columns * K)))
+        sums[start:start + levels] += rows.reshape(-1, columns)[:levels]
         # the kept levels, at most the larger of a group's count and a
-        # chunk's K at a time: a one-chunk group's in one call
-        lo, hi = np.searchsorted(keep, (start, start + levels))
-        for i in range(lo, hi, batch):
-            offset = keep[i:min(i + batch, hi)] - start
-            _times(powers[:, offset % K + 1], bases[offset // K],
-                   out=kept[i:i + offset.size])
+        # chunk's K at a time: a one-chunk group's in one call.  Their
+        # chunks' powers and bases are gathered into the spare (take
+        # writes into out without a buffer where it clips)
+        for i in range(edges[g], edges[g + 1], batch):
+            offset = keep[i:min(i + batch, edges[g + 1])] - start
+            b = offset.size
+            cols, chunks, spare = _carve(work.spare, (2, b, 2, n), (b, 5, n), (b, 2, n))
+            powers.take(offset % K + 1, axis=1, out=cols, mode="clip")
+            features.take(offset // K, axis=0, out=chunks, mode="clip")
+            _times(cols, chunks[:, 3:], out=kept[i:i + b], spare=spare)
 
 
 def run(params: MaterialParams, config: SimulationConfig, init: State,
@@ -502,7 +630,7 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
             or keep[-1] > last or np.any(keep[1:] <= keep[:-1])):
         raise ValueError(f"keep must be increasing integer steps in 1..{last}, "
                          f"got {keep!r}")
-    need = run_memory_bytes(grid, keep)
+    need = run_memory_bytes(grid, keep, energy_only)
     if need > MAX_RUN_BYTES:
         raise MeshTooLarge(f"a run on J={grid.J}, N={grid.N} keeping {keep.size} levels "
                            f"would hold {need:.3g} bytes, more than "
@@ -532,16 +660,17 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     levels = np.zeros((S, 2 * J + 3))
     levels[0] = np.concatenate((init.T, init.q))
     kept = _amplitudes(levels[1:])
+    work = _Workspace(plan, energy_only)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, J, plan.n):
             modes = slice(lo, min(lo + plan.n, J))
             _trace_block(G[..., modes], D[..., modes], weights, modes, m, x[:, modes],
-                         plan, sums, kept[..., modes])
+                         plan, sums, kept[..., modes], work)
         trace = build_trace(weights, m, grid.t, sums)
         # sums now holds every trace column but heat
         ok = np.isfinite(sums).all(axis=1) & np.isfinite(trace.heat)
         # only the trace and the kept levels outlive the blocks
-        del G, D, weights, x
+        del G, D, weights, x, work
         for lo in range(1, S, plan.batch):
             batch = levels[lo:lo + plan.batch]
             _levels(m, batch)

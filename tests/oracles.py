@@ -219,7 +219,16 @@ def step_factors(p: MaterialParams, grid: Grid, num=float) -> StepFactors:
 def longdouble_coupled_run(p: MaterialParams, grid: Grid, init: State,
                            steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Coupled steps in np.longdouble: a Thomas loop for the reduced
-    tridiagonal solve, then the explicit temperature update."""
+    tridiagonal solve, then the explicit temperature update.
+
+    That update, T' = T - c_flux diff(q), cancels where a step damps a
+    mode's temperature by orders (c_T dt s_m^2 >> 1 + c_B s_m^2): T' keeps
+    about longdouble's eps times |T| in absolute terms.  So the reference
+    holds where every mode keeps a fair share of its temperature per step,
+    as on the meshes of the tests that read it (no mode there has
+    D_aa <= -0.5, where scheme.assemble takes G_aa's closed form); it is no
+    reference where a step keeps 1e-6 of it, as at rho c ~ 1e-39 and
+    dt = 6, where its own rounded step reads a backward error of 3.8e-3."""
     ld = np.longdouble
     J = grid.J
     f = step_factors(p, grid, ld)

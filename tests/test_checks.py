@@ -202,9 +202,9 @@ class TestRunChecks:
         # untouched, so only the oracle, which reads run's levels, sees it
         trace_block = scheme._trace_block
 
-        def lagging(G, D, w, modes, m, x, plan, sums, kept):
+        def lagging(G, D, w, modes, m, x, plan, sums, kept, work):
             trace_block(G, D, w, modes, m, x, dataclasses.replace(plan, keep=plan.keep - 1),
-                        sums, kept)
+                        sums, kept, work)
 
         monkeypatch.setattr(scheme, "_trace_block", lagging)
         res = checks.oracle_equivalence(PARAMS, CONFIG, main_run())

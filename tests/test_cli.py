@@ -304,6 +304,17 @@ class TestCmdVerify:
         main(["verify", "-c", str(cfg)])
         assert "\nPASS oracle_equivalence: " in capsys.readouterr().out
 
+    def test_oracle_passes_where_a_step_damps_the_temperature_by_orders(self, tmp_path,
+                                                                         capsys):
+        # a step keeps 1.2e-6 of every mode's temperature here: G_aa as
+        # 1 + D_aa kept only D_aa's rounding, and the probe read 1.850e-11
+        cfg = tmp_path / "damped.cfg"
+        cfg.write_text("rho = 4.294e39\nc = 4.351e-79\nk = 6.969e-23\ntau_q = 0.6618\n"
+                       "mu2 = 2.782e11\ndx = 0.0125\ndt = 6\nt_final = 456\nT_b = 1000\n")
+        assert main(["verify", "-c", str(cfg)]) == 0
+        assert ("PASS oracle_equivalence: worst step backward error 1.980e-16"
+                in capsys.readouterr().out.splitlines())
+
     @pytest.mark.parametrize("lines,line", [
         ("", "PASS oracle_equivalence: worst step backward error 2.359e-16"),
         # the dense reference's per-level gap FAILed here (3.992e-10), and

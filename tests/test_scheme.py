@@ -95,16 +95,24 @@ class TestAssemble:
         np.testing.assert_array_equal(printed[1, 0], f.c_Q * f.s)
         np.testing.assert_allclose(printed[0, 0], -f.c_T * f.s**2, rtol=1e-15)
 
-    @pytest.mark.parametrize("mu2", [2.8e-3, 1e10])
+    @pytest.mark.parametrize("mu2", [2.8e-3, 1e10, 0.0])
     def test_step_matrices_are_identity_plus_increments(self, mu2):
         # G = I + D bit for bit but in the flux entry, which is its closed
-        # form: c_r/(1 + (c_B + c_T dt) s^2) coupled, c_r beta as printed
+        # form: c_r/(1 + (c_B + c_T dt) s^2) coupled, c_r beta as printed;
+        # and in the coupled temperature entry where D_aa <= -0.5, a step
+        # keeping half the temperature or less, which is its closed form
+        # (1 + c_B s^2)/(1 + (c_B + c_T dt) s^2).  At mu2 = 0 the top 23 of
+        # the 31 modes take that branch, at the other two none
         p, cfg, grid, ops = small_setup(J=31, mu2=mu2)
         f = step_factors(p, grid)
-        flux = {"coupled": f.c_r / (1.0 + (f.c_B + f.c_T * grid.dt) * f.s**2),
-                "printed": f.c_r / (1.0 + f.c_B * f.s**2)}
+        reduced = 1.0 + (f.c_B + f.c_T * grid.dt) * f.s**2
+        flux = {"coupled": f.c_r / reduced, "printed": f.c_r / (1.0 + f.c_B * f.s**2)}
         for name, (G, D) in ops.items():
-            np.testing.assert_array_equal(G[0, 0], 1.0 + D[0, 0])
+            damped = (D[0, 0] <= -0.5) & (name == "coupled")
+            assert np.count_nonzero(damped) == (23 if mu2 == 0.0 and name == "coupled" else 0)
+            np.testing.assert_array_equal(G[0, 0, ~damped], 1.0 + D[0, 0, ~damped])
+            np.testing.assert_allclose(G[0, 0, damped],
+                                       ((1.0 + f.c_B * f.s**2) / reduced)[damped], rtol=1e-15)
             np.testing.assert_array_equal(G[[0, 1], [1, 0]], D[[0, 1], [1, 0]])
             np.testing.assert_allclose(G[1, 1], flux[name], rtol=1e-15)
 
@@ -402,9 +410,9 @@ class TestRun:
         assert (plan.K, plan.M) == (10, 1)
         calls, times = [], scheme._times
 
-        def counted(cols, x, out):
+        def counted(cols, x, out, spare=None):
             calls.append(out.shape)
-            return times(cols, x, out)
+            return times(cols, x, out, spare)
 
         monkeypatch.setattr(scheme, "_times", counted)
         traj = run(p, cfg, cosine_initial(grid, 15.0, 30.0), energy_only=True)
@@ -724,27 +732,29 @@ class TestRunMemory:
 
     # the fourth and fifth keep one state (stride N+1) of a fine mesh, and
     # every state of a short run on a finer one: there the blocks' phase,
-    # operators and trace weights included, is the peak; the sixth and
-    # seventh are energy-only runs (stride N+1, as sweep makes them), whose
-    # blocks hold no more than the full trace's (TestBlockShape); the
-    # eighth keeps every 25th level of the finest benchmark mesh, where a
-    # second copy of the kept levels would not fit under the estimate; the
-    # ninth keeps every level of an energy-only run, where a mask of the
-    # kept levels' finiteness would not fit either; the last is a case
-    # whose blocks' phase is the largest of the estimate's three
+    # operators and trace weights included, is the peak; the sixth, seventh
+    # and last are energy-only runs (stride N+1, as sweep makes them, the
+    # last on sweep's reference mesh), each on its own tile; the eighth
+    # keeps every 25th level of the finest benchmark mesh, where a second
+    # copy of the kept levels would not fit under the estimate; the ninth
+    # keeps every level of an energy-only run, where a mask of the kept
+    # levels' finiteness would not fit either; the tenth is a case whose
+    # blocks' phase is the largest of the estimate's three
     @pytest.mark.parametrize("J,steps,stride,energy_only", [
         (499, 2500, 25, False), (63, 500, 1, False), (255, 1000, 1001, False),
         (7999, 2500, 2500, False), (9999, 5, 1, False),
         (7999, 2500, 2500, True), (499, 4000, 4000, True),
-        (7999, 2500, 25, False), (9999, 250, 1, True), (19999, 10, 11, False)], ids=[
+        (7999, 2500, 25, False), (9999, 250, 1, True), (19999, 10, 11, False),
+        (499, 2500, 2500, True)], ids=[
         "499-2500-25", "63-500-1", "255-1000-1001", "7999-2500-2500", "9999-5-1",
         "7999-2500-2500-energy_only", "499-4000-4000-energy_only", "7999-2500-25",
-        "9999-250-1-energy_only", "19999-10-11"])
+        "9999-250-1-energy_only", "19999-10-11", "499-2500-2500-energy_only"])
     def test_estimate_bounds_traced_peak(self, tmp_path, J, steps, stride, energy_only):
-        # everything run() and both writers allocate, traced; the writers
-        # need the full trace, so an energy-only run is traced alone.  The
-        # caches a fresh process builds are cleared, so that each case
-        # traces them whatever ran before it
+        # everything run() and both writers allocate, traced, against the
+        # estimate for the run's kind of trace; the writers need the full
+        # trace, so an energy-only run is traced alone.  The caches a fresh
+        # process builds are cleared, so that each case traces them
+        # whatever ran before it
         p, cfg, grid, ops = small_setup(J=J, t_final=steps * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
         csvtext._tables.cache_clear()
@@ -761,7 +771,7 @@ class TestRunMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= scheme.run_memory_bytes(grid, strided_steps(grid, stride))
+        assert peak <= scheme.run_memory_bytes(grid, strided_steps(grid, stride), energy_only)
 
     def test_fine_mesh_estimate_is_far_under_the_cap(self, ref_params, ref_config):
         # J = 7999, 2500 steps, every 25th level kept: 16.6 MB, mostly the
@@ -789,8 +799,9 @@ class TestRunMemory:
 
 
 def block_peak(params, grid, energy_only):
-    """Bytes that one block of the first modes of grid allocates in
-    run's kernel at its peak, its table and features included."""
+    """(workspace, block): the bytes traced while run's workspace for grid
+    and the kind of trace is allocated, and the peak traced by one block
+    of the first modes on that workspace once it has served a block."""
     plan = scheme._plan(grid, strided_steps(grid, grid.N + 1), energy_only)
     n = plan.n
     G, D = (matrices[..., :n] for matrices in assemble(params, grid))
@@ -802,8 +813,13 @@ def block_peak(params, grid, energy_only):
     kept = np.empty((1, 2, n))
     tracemalloc.start()
     try:
-        scheme._trace_block(G, D, weights, slice(0, n), m, x, plan, sums, kept)
-        return tracemalloc.get_traced_memory()[1]
+        work = scheme._Workspace(plan, energy_only)
+        workspace = tracemalloc.get_traced_memory()[1]
+        scheme._trace_block(G, D, weights, slice(0, n), m, x, plan, sums, kept, work)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        scheme._trace_block(G, D, weights, slice(0, n), m, x, plan, sums, kept, work)
+        return workspace, tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
 
@@ -816,10 +832,10 @@ class TestBlockShape:
     # seam_steps: either side of the full trace's first chunk (K) and group
     # (K M) and of the last step, those on the mesh
     @pytest.mark.parametrize("dx,t_final,full,energy_only,seams", [
-        (2e-4, 30.0, (5, 192, 30), (10, 320, 11), [5, 6, 150, 151, 2499, 2500]),
-        (1.25e-5, 30.0, (5, 192, 30), (10, 320, 11), [5, 6, 150, 151, 2499, 2500]),
-        (1.5625e-3, 240.0, (19, 63, 100), (56, 63, 57), [19, 20, 1900, 1901, 19999, 20000]),
-        (2e-3, 6.0, (25, 49, 20), (73, 49, 7), [25, 26, 499, 500])], ids=MESHES)
+        (2e-4, 30.0, (5, 192, 30), (20, 346, 21), [5, 6, 150, 151, 2499, 2500]),
+        (1.25e-5, 30.0, (5, 192, 30), (20, 346, 21), [5, 6, 150, 151, 2499, 2500]),
+        (1.5625e-3, 240.0, (19, 63, 100), (57, 63, 58), [19, 20, 1900, 1901, 19999, 20000]),
+        (2e-3, 6.0, (25, 49, 20), (10, 49, 11), [25, 26, 499, 500])], ids=MESHES)
     def test_shapes(self, ref_params, ref_config, dx, t_final, full, energy_only, seams):
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=dx,
                                                           t_final=t_final))
@@ -829,14 +845,24 @@ class TestBlockShape:
             assert (plan.K, plan.n, plan.M) == shape
         assert scheme.seam_steps(grid).tolist() == seams
 
+    @pytest.mark.parametrize("energy_only", [False, True], ids=["full", "energy_only"])
     @pytest.mark.parametrize("dx,t_final", [(2e-4, 30.0), (1.25e-5, 30.0),
                                             (1.5625e-3, 240.0), (2e-3, 6.0)],
                              ids=MESHES)
-    def test_energy_only_block_holds_no_more_than_a_full_block(
-            self, ref_params, ref_config, dx, t_final):
+    def test_block_reuses_its_workspace(
+            self, ref_params, ref_config, dx, t_final, energy_only):
+        # the workspace is the arrays _workspace_sizes counts; a block on it
+        # allocates only numpy's ufunc buffers, up to getbufsize() values
+        # for each of the three operands of a strided call (196,608 bytes),
+        # and a few small arrays: 28,475-199,476 bytes measured, whatever
+        # the tile, against 0.10-1.31 MB for the workspace itself
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=dx,
                                                           t_final=t_final))
-        assert block_peak(ref_params, grid, True) <= block_peak(ref_params, grid, False)
+        plan = scheme._plan(grid, strided_steps(grid, grid.N + 1), energy_only)
+        workspace, block = block_peak(ref_params, grid, energy_only)
+        values = sum(scheme._workspace_sizes(plan, energy_only).values())
+        assert 8 * values <= workspace <= 8 * values + 2048
+        assert block <= 3 * 8 * np.getbufsize() + 8192
 
 
 class TestNonFinite:
