@@ -50,14 +50,14 @@ modes a block at a time: from a block's powers G^k, k = 0..K, and D it
 builds one trace table (modal_trace_table, which forms the step increments
 D G^(k-1) in it), and every row of the run gets the block's share from one
 matrix product of the table with the features of the chunk bases, the
-levels 0, K, 2K, ...  A full trace's blocks are 32 times as wide in modes
-as in levels, within a budget for the table (_plan).  A run with
-energy_only (the decay-rate fits of sweep, and verify's runs that read
-only kept levels) traces E and heat alone: its table is E's weights on
-the quadratic features, 3 values per level and mode instead of 25, built
-without D.  Its levels are cheap beside its chunk bases, so its chunks
-are longer, about sqrt(N/6) levels (20 over 2,500 steps, against 5), and
-its blocks as wide as twice the budget allows.  Every block of a run
+levels 0, K, 2K, ...  A run with energy_only (the decay-rate fits of
+sweep, and verify's runs that read only kept levels) traces E and heat
+alone: its table is E's weights on the quadratic features, 3 values per
+level and mode instead of 25, built without D.  Either way, per mode,
+the table's work grows with K and the chunk bases' with N/K, so _plan
+makes chunks about sqrt(N/25) levels long for a full trace and sqrt(N/6)
+for E's alone (10 and 20 over 2,500 steps), and blocks as wide in modes
+as twice a budget for the table allows.  Every block of a run
 writes into one workspace (_Workspace), allocated once for the run's
 widest block and dropped before the kept levels are rebuilt, so that a
 block allocates only numpy's small per-call buffers.  Only the kept
@@ -83,9 +83,10 @@ from .linalg import dct, difference_symbols, dst, idct
 from .model import MaterialParams, SimulationConfig, StepperKind
 
 
-#: float64 values in one block's trace table (256 KiB), from which _plan
-#: shapes the blocks of modes that run traces at a time (each block's share
-#: of every trace row a matrix product with the table) and its rebuilds
+#: half the float64 values one block's trace table is built from (256 KiB),
+#: from which _plan shapes the blocks of modes that run traces at a time
+#: (each block's share of every trace row a matrix product with the table)
+#: and its rebuilds
 TRACE_CHUNK_ELEMENTS = 2**15
 #: largest number of bytes run() and the run command's writers may hold
 #: (about 60x the 18 MB of a J=7999, 2500-step run keeping every 25th
@@ -256,35 +257,32 @@ class RunPlan:
 def _plan(grid: Grid, keep: np.ndarray, energy_only: bool = False) -> RunPlan:
     """The shapes of a run on grid keeping the levels of the steps keep.
 
-    For a full trace, a block's trace table, 25 (K + 1) n <=
-    TRACE_CHUNK_ELEMENTS values, is 32 times as wide in modes as in levels,
-    n = 32 (K + 1), unless the mesh has fewer modes; K then fills the
-    budget, but is at most N + 1.  A group's features, 5 M n values, are
-    as many as the table's, M = 5 (K + 1), unless the run has fewer chunks.
-    These shapes fix the order of the trace's sums, and so the bytes of
-    trace.csv.
-
-    With energy_only the table is E's alone, 3 (K + 1) n values formed
-    from 9 (K + 1) n monomials, so a chunk's levels cost less than its
-    base: per mode, the table takes work in K and the chunk bases in
-    (N + 1)/K.  K near sqrt((N + 1)/6) balances them (measured in a warm
-    process over J = 49..7999 and N = 500..20,000), but is at least 10, so
-    that a short run, such as verify's 10-step probe, is one chunk, and at
-    most N + 1; n then fills twice the budget with the monomials.  A
-    group's features in the product, 3 M n values, are as many as the
-    table's, M = K + 1.  At J = 499 and 7999 over 2,500 steps that is
-    (20, 346, 21) against the full trace's (5, 192, 30); at J = 63 over
-    20,000 it is (57, 63, 58).
+    A block's table is built from v (K + 1) n values: a full trace's 25
+    columns and features per level and mode (v = 25), or the 9 monomials
+    behind E's 3 table values alone (v = 9, energy_only).  Per mode, the
+    table takes work in K and the chunk bases, each several elementwise
+    passes over 5 or 3 features, in (N + 1)/K; K near sqrt((N + 1)/c)
+    balances them, with c = 25 for a full trace (within 3% of the fastest
+    tile, and the one of them with the smallest workspace, in a scan of
+    verify at J = 7999 over 2,500 steps) and c = 6 for E's alone (fastest
+    in a warm process over J = 49..7999 and N = 500..20,000).  K is at
+    least 10, so that a short run, such as verify's 10-step probe, is one
+    chunk, at most N + 1, and at most what leaves a block 32 modes within
+    the budget, so that the tile shrinks with the budget.  n then fills
+    twice the budget, v (K + 1) n <= 2 TRACE_CHUNK_ELEMENTS, unless the
+    mesh has fewer modes.  A group's features, 5 M n or 3 M n values, are
+    as many as the table's, M = 5 (K + 1) or K + 1, unless the run has
+    fewer chunks.  At J = 499 and 7999 over 2,500 steps that is (10, 238,
+    55) for a full trace and (20, 346, 21) for E's; at J = 63 over 20,000
+    it is (28, 63, 145) and (57, 63, 58).  These shapes fix the order of
+    the trace's sums, and so the last digits of trace.csv.
     """
     last = grid.N + 1
-    if energy_only:
-        K = min(last, max(10, math.isqrt(last // 6)))
-        n = min(grid.J, max(1, 2 * TRACE_CHUNK_ELEMENTS // (9 * (K + 1))))
-        M = min(K + 1, -(-last // K))
-    else:
-        n = min(grid.J, max(1, 32 * math.isqrt(TRACE_CHUNK_ELEMENTS // (32 * 25))))
-        K = min(last, max(1, TRACE_CHUNK_ELEMENTS // (25 * n) - 1))
-        M = min(5 * (K + 1), -(-last // K))
+    v, c, columns = (9, 6, 1) if energy_only else (25, 25, 5)
+    width = 2 * TRACE_CHUNK_ELEMENTS // v
+    K = min(last, max(10, math.isqrt(last // c)), max(1, width // 32 - 1))
+    n = min(grid.J, max(1, width // (K + 1)))
+    M = min(columns * (K + 1), -(-last // K))
     return RunPlan(keep=keep, K=K, n=n, M=M,
                    batch=min(keep.size, max(1, TRACE_CHUNK_ELEMENTS // (8 * grid.J + 8))))
 
@@ -358,14 +356,18 @@ def run_memory_bytes(grid: Grid, keep: np.ndarray, energy_only: bool = False) ->
     step numbers; 10 J values of transform temporaries; per kept level, its
     2J+3 values plus 32 for its Python objects (about 220 bytes measured);
     and the largest of three phases.  The blocks hold the operators (8J),
-    the trace weights (15J), level 0's amplitudes (2J) and the workspace
-    of the run's plan and trace kind, from the shapes it is built from.
-    Then a batch of levels is rebuilt, or the CSV writers hold a block, its
-    buffers and the gather's, and csvtext's tables.
+    the trace weights (15J), level 0's amplitudes (2J), the workspace of
+    the run's plan and trace kind, from the shapes it is built from, and
+    what a block allocates beside it: numpy's buffers for a broadcast or
+    strided ufunc call, getbufsize() values for each of its three
+    operands, and 1,024 values of small arrays.  Then a batch of levels is
+    rebuilt, or the CSV writers hold a block, its buffers and the
+    gather's, and csvtext's tables.
     """
     plan, J = _plan(grid, keep, energy_only), grid.J
     kept = plan.keep.size + 1
-    blocks = (8 + 15 + 2) * J + sum(_workspace_sizes(plan, energy_only).values())
+    blocks = ((8 + 15 + 2) * J + sum(_workspace_sizes(plan, energy_only).values())
+              + 3 * np.getbufsize() + 1024)
     writer = math.ceil((csvtext.TABLE_BYTES + csvtext.GATHER_BYTES + csvtext.BYTES_PER_VALUE
                         * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1)) / 8)
     return 8 * ((grid.N + 2) * (1 + 5 + 1 + 1 + 1 + 1) + 10 * J

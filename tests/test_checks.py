@@ -161,11 +161,11 @@ class TestRunChecks:
         assert np.max(np.abs(state.q)) == pytest.approx(1e4, rel=1e-15)
 
     def test_oracle_reads_the_main_runs_seams(self):
-        # J = 49 over 100 steps: chunks of K = 25 levels in one group, so
-        # the pairs (25, 26) and (99, 100); a slip of 1e-9 in level 26
+        # J = 49 over 100 steps: chunks of K = 10 levels in one group, so
+        # the pairs (10, 11) and (99, 100); a slip of 1e-9 in level 11
         # fails the check
         traj = main_run()
-        assert traj.stored_steps == [0, 25, 26, 99, 100]
+        assert traj.stored_steps == [0, 10, 11, 99, 100]
         res = checks.oracle_equivalence(PARAMS, CONFIG, traj)
         assert res.ok and 0.0 < res.value <= 1e-15
         T = traj.T.copy()

@@ -316,7 +316,7 @@ class TestCmdVerify:
                 in capsys.readouterr().out.splitlines())
 
     @pytest.mark.parametrize("lines,line", [
-        ("", "PASS oracle_equivalence: worst step backward error 2.359e-16"),
+        ("", "PASS oracle_equivalence: worst step backward error 2.341e-16"),
         # the dense reference's per-level gap FAILed here (3.992e-10), and
         # there the reference, not run, was off
         ("dt = 5\nt_final = 5\n",

@@ -28,6 +28,19 @@ def small_setup(J=9, tau_q=8e-3, mu2=2.8e-3, dt=1.2e-2, t_final=None):
     return p, cfg, grid, {"coupled": assemble(p, grid), "printed": assemble(p, grid, PRINTED)}
 
 
+def fixed_tile(monkeypatch, K, n, M):
+    """Make every run's plan the tile (K, n, M), cut to its mesh and steps."""
+    plan = scheme._plan
+
+    def fixed(grid, keep, energy_only=False):
+        last = grid.N + 1
+        k = min(K, last)
+        return dataclasses.replace(plan(grid, keep, energy_only), K=k, n=min(n, grid.J),
+                                   M=min(M, -(-last // k)))
+
+    monkeypatch.setattr(scheme, "_plan", fixed)
+
+
 def step_powers(G, K):
     """_power_table of the step matrices G: [j, k] column j of G^k."""
     return scheme._power_table(G.swapaxes(0, 1), K)
@@ -530,25 +543,33 @@ def assert_levels_close(traj, T_ref, q_ref, rel=1e-14):
 
 class TestTraceChunks:
     # budget 1 gives one-mode blocks of one-level chunks, 800 blocks of 32
-    # modes (ragged unless 32 divides J), 2**17 up to 384 modes; one-mode
-    # blocks at J = 9999 would take 10^4 blocks, so that case skips them
+    # modes (ragged unless 32 divides J) of one-level chunks, 2**17 blocks
+    # four times the default's width; one-mode blocks at J = 9999 would
+    # take 10^4 blocks, so that case skips them.  Last, the full tile of
+    # before chunks grew with the run, (K, n, M) = (5, 192, 30), stays a
+    # checked reference
     @pytest.mark.parametrize("J,steps", [(2, 6000), (63, 600), (9999, 5)])
     def test_trace_independent_of_chunk_budget(self, monkeypatch, J, steps):
         p, cfg, grid, ops = small_setup(J=J, t_final=steps * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
         budgets = (1, 800, scheme.TRACE_CHUNK_ELEMENTS, 2**17)[J > 1000:]
         trajs, shapes, energies = [], [], []
-        for budget in budgets:
-            monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
+        for budget in budgets + (None,):
+            if budget is None:
+                monkeypatch.undo()
+                fixed_tile(monkeypatch, 5, 192, 30)
+            else:
+                monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
             plan = scheme._plan(grid, strided_steps(grid, 7))
             shapes.append((plan.K, plan.n))
             trajs.append(run(p, cfg, init, keep=plan.keep))
             energies.append(run(p, cfg, init, keep=plan.keep, energy_only=True))
         K, width = zip(*shapes)
-        # chunks shorter than the run; one-mode, ragged and single blocks
+        # chunks shorter than the run; one-mode blocks of one-level chunks,
+        # ragged and single blocks
         assert min(K) < grid.N + 1
         assert J == 2 or any(J % n for n in width)
-        assert J > 1000 or (1 in width and J in width)
+        assert J > 1000 or ((1, 1) in shapes and J in width)
         base = trajs[0]
         if EXTENDED:
             T_ref, q_ref = longdouble_coupled_run(p, grid, init, grid.N + 1)
@@ -574,12 +595,19 @@ class TestTraceChunks:
     def test_as_printed_trace_independent_of_chunk_budget(self, monkeypatch):
         p, cfg, grid, ops = small_setup(J=9, t_final=20 * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
-        trajs = []
+        trajs, shapes = [], []
         # one-mode blocks of one-level chunks; one block, chunks of 2 levels;
-        # one block, one chunk
-        for budget in (1, 800, 10**6):
-            monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
+        # one block, chunks of 10 levels; one block, one chunk
+        for budget in (1, 1200, scheme.TRACE_CHUNK_ELEMENTS, None):
+            if budget is None:
+                monkeypatch.undo()
+                fixed_tile(monkeypatch, 20, 9, 1)
+            else:
+                monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
+            plan = scheme._plan(grid, strided_steps(grid, 1))
+            shapes.append((plan.K, plan.n))
             trajs.append(run(p, cfg, init, kind=PRINTED))
+        assert shapes == [(1, 1), (2, 9), (10, 9), (20, 9)]
         # a level's rounding depends on its offset in its chunk (G^k is
         # applied to the level before the chunk), and the trace sums go
         # through BLAS, whose rounding depends on the block's shape
@@ -670,11 +698,13 @@ class TestChunkTable:
 
     @pytest.mark.parametrize("kind", [StepperKind.COUPLED_IMPLICIT, PRINTED])
     def test_run_matches_single_steps(self, monkeypatch, kind):
-        # one block of chunks of 4 levels: boundaries after steps 4, 8, 12
-        # and 16
+        # one block of chunks of 4 levels, the budget's longest in a block
+        # of 32 modes: boundaries after steps 4, 8, 12 and 16
         J = 9
         p, cfg, grid, ops = small_setup(J=J, t_final=18 * 1.2e-2)
-        monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", 25 * 5 * J)
+        monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", 25 * 5 * 32 // 2)
+        plan = scheme._plan(grid, strided_steps(grid, 1))
+        assert (plan.K, plan.n, plan.M) == (4, J, 5)
         init = cosine_initial(grid, 15.0, 30.0)
         traj = run(p, cfg, init, kind=kind)
         states = [init]
@@ -774,12 +804,12 @@ class TestRunMemory:
         assert peak <= scheme.run_memory_bytes(grid, strided_steps(grid, stride), energy_only)
 
     def test_fine_mesh_estimate_is_far_under_the_cap(self, ref_params, ref_config):
-        # J = 7999, 2500 steps, every 25th level kept: 16.6 MB, mostly the
-        # 101 kept levels; the traced peak is the run's, 15.9 MB (the
-        # writers' is 15.3 MB)
+        # J = 7999, 2500 steps, every 25th level kept: 17.6 MB, mostly the
+        # 101 kept levels; the traced peak is the run's, 17.2 MB with its
+        # 2.0 MB workspace (the writers' is 15.3 MB)
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=1.25e-5))
         need = scheme.run_memory_bytes(grid, strided_steps(grid, 25))
-        assert 15.9e6 < need < 17.5e6
+        assert 17.2e6 < need < 18.5e6
         assert scheme.MAX_RUN_BYTES >= 20 * need
 
     def test_run_refuses_before_assembling(self, monkeypatch):
@@ -832,10 +862,10 @@ class TestBlockShape:
     # seam_steps: either side of the full trace's first chunk (K) and group
     # (K M) and of the last step, those on the mesh
     @pytest.mark.parametrize("dx,t_final,full,energy_only,seams", [
-        (2e-4, 30.0, (5, 192, 30), (20, 346, 21), [5, 6, 150, 151, 2499, 2500]),
-        (1.25e-5, 30.0, (5, 192, 30), (20, 346, 21), [5, 6, 150, 151, 2499, 2500]),
-        (1.5625e-3, 240.0, (19, 63, 100), (57, 63, 58), [19, 20, 1900, 1901, 19999, 20000]),
-        (2e-3, 6.0, (25, 49, 20), (10, 49, 11), [25, 26, 499, 500])], ids=MESHES)
+        (2e-4, 30.0, (10, 238, 55), (20, 346, 21), [10, 11, 550, 551, 2499, 2500]),
+        (1.25e-5, 30.0, (10, 238, 55), (20, 346, 21), [10, 11, 550, 551, 2499, 2500]),
+        (1.5625e-3, 240.0, (28, 63, 145), (57, 63, 58), [28, 29, 4060, 4061, 19999, 20000]),
+        (2e-3, 6.0, (10, 49, 50), (10, 49, 11), [10, 11, 499, 500])], ids=MESHES)
     def test_shapes(self, ref_params, ref_config, dx, t_final, full, energy_only, seams):
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=dx,
                                                           t_final=t_final))
@@ -854,8 +884,9 @@ class TestBlockShape:
         # the workspace is the arrays _workspace_sizes counts; a block on it
         # allocates only numpy's ufunc buffers, up to getbufsize() values
         # for each of the three operands of a strided call (196,608 bytes),
-        # and a few small arrays: 28,475-199,476 bytes measured, whatever
-        # the tile, against 0.10-1.31 MB for the workspace itself
+        # and a few small arrays: 28,475-199,373 bytes measured, whatever
+        # the tile, against 0.10-1.93 MB for the workspace itself (the
+        # bytes run_memory_bytes counts beside it)
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=dx,
                                                           t_final=t_final))
         plan = scheme._plan(grid, strided_steps(grid, grid.N + 1), energy_only)
@@ -877,13 +908,18 @@ class TestNonFinite:
         # the energy of levels past ~1e154 overflows before the levels do;
         # either is caught, without a warning, at the same step for
         # one-mode blocks of one-level chunks, blocks of 32 modes (the last
-        # ragged), the default, one block, and one block whose chunks are
-        # cut where the table (k ~ 46) and the powers (k ~ 92) overflow
+        # ragged), the default's one block, and one block whose chunks of
+        # 106 levels are cut where the table (k ~ 46) and the powers
+        # (k ~ 92) overflow
         p, cfg, grid, ops = small_setup(J=49, tau_q=0.0, mu2=0.0,
                                         t_final=200 * 1.2e-2)
         messages, energy = [], []
-        for budget in (1, 800, scheme.TRACE_CHUNK_ELEMENTS, 2**17):
-            monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
+        for budget in (1, 800, scheme.TRACE_CHUNK_ELEMENTS, None):
+            if budget is None:
+                monkeypatch.undo()
+                fixed_tile(monkeypatch, 106, 49, 2)
+            else:
+                monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
             for found, energy_only in ((messages, False), (energy, True)):
                 with pytest.raises(NonFiniteState, match=r"step \d+ produced") as err:
                     run(p, cfg, cosine_initial(grid, 15.0, 30.0), energy_only=energy_only,
