@@ -32,8 +32,9 @@ N = round(|v| 10^k), k = 16 - X, 10^16 <= N < 10^17:
    undecided near-ties take format(v, ".17g").
 
 A writer allocates the buffers of all this once (_Buffers) and reuses
-them for all its blocks; a block allocates only each stretch's text and
-numpy's iterator buffer for the gather index, both freed before the next.
+them for all its blocks, in ufunc calls whose operands are contiguous
+and of one dtype, which take no iterator buffer; a block allocates only
+each stretch's text, freed before the next, and a few small arrays.
 """
 
 from __future__ import annotations
@@ -48,17 +49,18 @@ import numpy as np
 #: longer); a block's buffers take BYTES_PER_VALUE bytes per value
 WRITE_BLOCK_VALUES = 2**13
 #: values whose fields write_block gathers at a time; their buffers take
-#: GATHER_BYTES whatever the block
-GATHER_VALUES = 2**10
+#: GATHER_BYTES whatever the block, a quarter MB (2**10 took about 5% less
+#: time on fine_mesh's profiles.csv, in twice the memory)
+GATHER_VALUES = 2**9
 #: bytes write_csv holds per value of a block: the block (8) and its
 #: _Buffers, 6 float64, 4 int64, 1 uint32, 2 int16 and 4 bool arrays and
 #: the source rows (32); 130.3-130.8 measured with tracemalloc
 BYTES_PER_VALUE = 8 + 8 * 6 + 8 * 4 + 4 + 2 * 2 + 4 + 32
 #: bytes a writer holds for its gathers: per value of a stretch the gather
-#: index (8 * 25, intp), the padded fields (25), their text (25, made anew
-#: per stretch) and its row's place (8), and the 64 KiB buffer numpy takes
-#: to add the places to the index
-GATHER_BYTES = GATHER_VALUES * (8 * 25 + 25 + 25 + 8) + 2**16
+#: index and its row offsets (8 * 25 each, intp), the padded fields (25)
+#: and their text (25, made anew per stretch), and 16 KiB for the open
+#: file's buffer and a block's small arrays (10.2 KB measured)
+GATHER_BYTES = GATHER_VALUES * (8 * 25 * 2 + 25 + 25) + 2**14
 #: bytes _tables takes while it is built, 405,691 measured with tracemalloc
 TABLE_BYTES = 420_000
 #: a fraction this close to 1/2 is left to format(), far above the
@@ -155,7 +157,7 @@ class _Buffers:
     a writer allocates them once.  _scaled forms its results in real[1:6],
     ints[1:3] and masks[1]; write_block holds |v| in real[0], X and then
     the layout codes in ints[0] and its masks in masks[0] and masks[2:4],
-    and takes ints[2:4] for N's digits."""
+    and takes ints[2:4] for the round-up and N's digits."""
 
     def __init__(self, size: int) -> None:
         self.real = np.empty((6, size))
@@ -164,12 +166,15 @@ class _Buffers:
         self.small = np.empty((2, size), dtype=np.int16)
         self.masks = np.empty((4, size), dtype=bool)
         self.source = np.empty((size, _ROW), dtype=np.uint8)
+        # the column count whose row ends source holds
+        self.cols = 0
         gather = min(size, GATHER_VALUES)
         self.index = np.empty((gather, _WIDTH), dtype=np.intp)
         # the fields, padded, in memory that bytearray.translate reads
         self.fields = bytearray(gather * _WIDTH)
         self.text = np.frombuffer(self.fields, dtype=np.uint8).reshape(gather, _WIDTH)
-        self.rows = np.arange(0, gather * _ROW, _ROW)[:, None]
+        # each field's row offset, in full: a broadcast add takes a buffer
+        self.rows = np.repeat(np.arange(0, gather * _ROW, _ROW)[:, None], _WIDTH, axis=1)
 
 
 def _scaled(a: np.ndarray, X: np.ndarray,
@@ -184,7 +189,7 @@ def _scaled(a: np.ndarray, X: np.ndarray,
     whole, index = work.ints[1:3, :n]
     ok = work.masks[1, :n]
     np.subtract(16 - _K_MIN, X, out=whole)
-    np.clip(whole, 0, hi.size - 1, out=index)
+    np.minimum(np.maximum(whole, 0, out=index), hi.size - 1, out=index)
     np.equal(whole, index, out=ok)
     # every take clips, which writes into out without a buffer
     np.multiply(a, hi.take(index, out=power, mode="clip"), out=p)
@@ -254,8 +259,9 @@ def write_block(f: BinaryIO, values: np.ndarray, work: _Buffers) -> None:
         np.greater_equal(np.abs(work.real[1, :n], out=work.real[1, :n]), TIE_BAND, out=mask)
         fast &= mask
     # N = I, or I + 1 above one half, and 0 where not fast; 10^17 carries into X
-    N = whole
-    np.add(N, 1, out=N, where=np.greater(frac, 0.5, out=mask))
+    N, scratch = whole, work.ints[2, :n]
+    np.copyto(scratch, np.greater(frac, 0.5, out=mask))
+    N += scratch
     np.logical_not(fast, out=other)
     np.copyto(N, 0, where=other)
     np.copyto(X, 0, where=other)
@@ -265,29 +271,31 @@ def write_block(f: BinaryIO, values: np.ndarray, work: _Buffers) -> None:
     slow = np.flatnonzero(np.logical_and(other, np.not_equal(v, 0.0, out=mask), out=mask))
     source = work.source[:n]
     chars = source.view("<u4")
-    chars[:, 6:] = _ROW_END
-    source[cols - 1::cols, _SEP] = ord("\n")
+    if work.cols != cols:
+        # the row ends of every block of cols columns
+        work.source.view("<u4")[:, 6:] = _ROW_END
+        work.source[cols - 1::cols, _SEP] = ord("\n")
+        work.cols = cols
     # the exponent's digits, and the layout code of a one-digit field
-    scratch = work.ints[2, :n]
     char = work.char[:n]
     chars[:, 5] = exponents.take(np.abs(X, out=scratch), out=char, mode="clip")
     code = codes.take(np.add(X, -_X_MIN, out=scratch), out=X, mode="clip")
     np.add(code, _FORMS * 17, out=code, where=np.signbit(v, out=mask))
-    # N's digits four at a time, the last two groups from its low 8 digits;
-    # count is the place of its last nonzero digit, plus one
-    x, q = scratch, work.ints[3, :n]
+    # N's digits four at a time, from the last group up; count is the place
+    # of its last nonzero digit, plus one
+    x, head, tail = N, scratch, work.ints[3, :n]
     count, held = work.small[:, :n]
     count.fill(1)
-    for part, slots in ((np.remainder, (4, 3)), (np.floor_divide, (2, 1, 0))):
-        part(N, 10**8, out=x)
-        for j in slots:
-            np.divmod(x, 10000, out=(q, x))
-            chars[:, j] = quads.take(x, out=char, mode="clip")
-            np.add(last.take(x, out=held, mode="clip"), 4 * j - 2, out=held)
-            np.maximum(count, held, out=count)
-            x, q = q, x
-    np.copyto(q, count)
-    code += q
+    for j in (4, 3, 2, 1, 0):
+        if j:
+            np.floor_divide(x, 10000, out=head)
+            x -= np.multiply(head, 10000, out=tail)
+        chars[:, j] = quads.take(x, out=char, mode="clip")
+        np.add(last.take(x, out=held, mode="clip"), 4 * j - 2, out=held)
+        np.maximum(count, held, out=count)
+        x, head = head, x
+    np.copyto(tail, count)
+    code += tail
     # each field from its source row, a stretch of GATHER_VALUES at a time
     gather = work.index.shape[0]
     for lo in range(0, n, gather):
@@ -297,11 +305,12 @@ def write_block(f: BinaryIO, values: np.ndarray, work: _Buffers) -> None:
         index += work.rows[:hi - lo]
         source[lo:hi].reshape(-1).take(index, out=text, mode="clip")
         work.text[hi - lo:] = 0
-        first, end = np.searchsorted(slow, (lo, hi))
-        for i in slow[first:end].tolist():
-            field = format(float(v[i]), ".17g").encode() + source[i, _SEP].tobytes()
-            text[i - lo] = 0
-            text[i - lo, :len(field)] = np.frombuffer(field, dtype=np.uint8)
+        if slow.size:
+            first, end = np.searchsorted(slow, (lo, hi))
+            for i in slow[first:end].tolist():
+                field = format(float(v[i]), ".17g").encode() + source[i, _SEP].tobytes()
+                text[i - lo] = 0
+                text[i - lo, :len(field)] = np.frombuffer(field, dtype=np.uint8)
         f.write(work.fields.translate(None, b"\0"))
 
 

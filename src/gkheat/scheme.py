@@ -313,11 +313,9 @@ def _workspace_sizes(plan: RunPlan, energy_only: bool) -> dict[str, int]:
     columns, features = (1, 3) if energy_only else (5, 5)
     # the spare holds the table's intermediates, a doubling's or the
     # bases' products (2 max(M, K) n), or a gather of kept levels: at most
-    # max(M, K) of them, and no more than a group's K M levels hold, with
-    # 11 values per level and mode (their powers, their chunks' features
-    # and a product)
-    gather = min(max(M, K), int(np.max(np.searchsorted(keep, keep + K * M)
-                                       - np.arange(keep.size))))
+    # K of them, and no more than a group's K M levels hold, with 11 values
+    # per level and mode (their powers, their chunks' features and a product)
+    gather = min(K, int(np.max(np.searchsorted(keep, keep + K * M) - np.arange(keep.size))))
     return {"powers": 4 * (K + 1) * n, "hops": 4 * (M + 1) * n,
             "table": columns * features * (K + 1) * n, "features": 5 * (M + 1) * n,
             "product": columns * K * M,
@@ -567,7 +565,6 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
     hops = _power_table(powers[:, K], M, _view(work.hops, (2, M + 1, 2, n)),
                         work.spare)[:, 1:]
     group = hops.shape[1]
-    batch = max(group, K)
     # one row more than a group, for the base of the next group; the
     # features (a^2, ab, b^2, a, b) end in the bases
     features = _view(work.features, (M + 1, 5, n))
@@ -593,12 +590,12 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
         rows = np.matmul(flat, table[columns:].T,
                          out=_view(work.product, (count, columns * K)))
         sums[start:start + levels] += rows.reshape(-1, columns)[:levels]
-        # the kept levels, at most the larger of a group's count and a
-        # chunk's K at a time: a one-chunk group's in one call.  Their
-        # chunks' powers and bases are gathered into the spare (take
-        # writes into out without a buffer where it clips)
-        for i in range(edges[g], edges[g + 1], batch):
-            offset = keep[i:min(i + batch, edges[g + 1])] - start
+        # the kept levels, at most a chunk's K at a time: a one-chunk
+        # group's in one call.  Their chunks' powers and bases are gathered
+        # into the spare (take writes into out without a buffer where it
+        # clips)
+        for i in range(edges[g], edges[g + 1], K):
+            offset = keep[i:min(i + K, edges[g + 1])] - start
             b = offset.size
             cols, chunks, spare = _carve(work.spare, (2, b, 2, n), (b, 5, n), (b, 2, n))
             powers.take(offset % K + 1, axis=1, out=cols, mode="clip")

@@ -58,6 +58,35 @@ class TestFormatBlock:
         assert text_of(n) == "".join(
             ",".join(str(int(v)) for v in row) + "\n" for row in n.tolist()).encode()
 
+    def test_buffers_are_reused_across_column_counts(self):
+        # the row ends written for one column count must not leak into the
+        # next block's text, nor be missing from a longer block of as many
+        rng = np.random.default_rng(8)
+        work = csvtext._Buffers(65)
+        for shape in [(4, 7), (13, 5), (40, 1), (2, 7), (9, 7)]:
+            values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+            f = io.BytesIO()
+            csvtext.write_block(f, values, work)
+            assert f.getvalue() == expected_text(values)
+
+    def test_a_used_writers_blocks_allocate_only_their_text(self):
+        # on buffers already used, a 40 x 201 block allocates one stretch's
+        # text at a time and a few small arrays
+        class Sink:
+            def write(self, text):
+                pass
+
+        values = np.random.default_rng(9).standard_normal((40, 201))
+        work = csvtext._Buffers(values.size)
+        csvtext.write_block(Sink(), values, work)
+        tracemalloc.start()
+        try:
+            csvtext.write_block(Sink(), values, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * csvtext.GATHER_VALUES + 8 * 1024
+
     def test_only_undecided_values_take_format(self, monkeypatch):
         # 1000000000000000.25 is a tie at the 17th digit ("%.17g" rounds it
         # to even, ...0.2); non-finite and out-of-table values have no
@@ -116,7 +145,7 @@ class TestWriteCsv:
     SPECIAL = [np.nan, 1e-300, 1000000000000000.25, 999.9999999999999, -1e-06,
                9.999999999999999e-05, 9.999999999999998e+16, 0.1, -2.5]
 
-    @pytest.mark.parametrize("gather", [1, 4, 1024])
+    @pytest.mark.parametrize("gather", [1, 4, 512, 1024])
     @pytest.mark.parametrize("budget", [1, 7, 200, 2**13])
     def test_slow_and_off_values_at_stretch_edges(self, tmp_path, monkeypatch,
                                                   budget, gather):
@@ -128,7 +157,7 @@ class TestWriteCsv:
 
     def test_block_working_set(self, tmp_path):
         # a 40 x 201 block, profiles.csv's shape with 100 kept levels: the
-        # block, its buffers and the gather's, 1.38 MB traced, once the
+        # block, its buffers and the gather's, 1.30 MB traced, once the
         # tables are built (3.1 MB with a per-value gather index)
         rng = np.random.default_rng(7)
         x, T, q = rng.standard_normal(40), rng.standard_normal((100, 40)), \
