@@ -29,7 +29,8 @@ N = round(|v| 10^k), k = 16 - X, 10^16 <= N < 10^17:
    stretch's text as it is written.
 5. Non-finite values, |v| outside the tabulated 10^k (below 1e-284, or
    above about 1.3e300, where Dekker's split of |v| overflows) and the
-   undecided near-ties take format(v, ".17g").
+   undecided near-ties take format(v, ".17g"), once per distinct value of
+   a stretch, and their fields are written over the gathered ones.
 
 A writer allocates the buffers of all this once (_Buffers) and reuses
 them for all its blocks, in ufunc calls whose operands are contiguous
@@ -154,10 +155,10 @@ def _tables():
 
 class _Buffers:
     """Every array write_block needs for blocks of up to size values, so that
-    a writer allocates them once.  _scaled forms its results in real[1:6],
-    ints[1:3] and masks[1]; write_block holds |v| in real[0], X and then
-    the layout codes in ints[0] and its masks in masks[0] and masks[2:4],
-    and takes ints[2:4] for the round-up and N's digits."""
+    a writer allocates them once.  _scaled takes real[1:6], ints[1:3] and
+    masks[1]; write_block holds |v| in real[0], X and then the layout
+    codes in ints[0] and its masks in masks[0] and masks[2:4], and takes
+    ints[2:4] for the round-up and N's digits."""
 
     def __init__(self, size: int) -> None:
         self.real = np.empty((6, size))
@@ -177,17 +178,19 @@ class _Buffers:
         self.rows = np.repeat(np.arange(0, gather * _ROW, _ROW)[:, None], _WIDTH, axis=1)
 
 
-def _scaled(a: np.ndarray, X: np.ndarray,
-            work: _Buffers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scaled(a: np.ndarray, X: np.ndarray, real: np.ndarray, ints: np.ndarray,
+            ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(I, f, ok): a 10^k = I + f for k = 16 - X, I int64 and 0 <= f < 1,
     where ok is True and the product is finite; ok is False for k outside
     the table, and f is NaN where the product is not finite (Dekker's split
-    overflows above about 1.3e300).  Views of work's buffers."""
+    overflows above about 1.3e300).  Formed in the first a.size values of
+    real (5 rows of float64), ints (2 rows of int64) and ok (bool), and
+    views of them."""
     hi, hi1, hi2, lo = _tables()[0]
     n = a.size
-    power, p, a1, a2, t = work.real[1:6, :n]
-    whole, index = work.ints[1:3, :n]
-    ok = work.masks[1, :n]
+    power, p, a1, a2, t = real[:, :n]
+    whole, index = ints[:, :n]
+    ok = ok[:n]
     np.subtract(16 - _K_MIN, X, out=whole)
     np.minimum(np.maximum(whole, 0, out=index), hi.size - 1, out=index)
     np.equal(whole, index, out=ok)
@@ -219,6 +222,19 @@ def _scaled(a: np.ndarray, X: np.ndarray,
     return whole, t, ok
 
 
+def _formatted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fields, ends): each of values as format(v, ".17g"), padded with zero
+    bytes to _WIDTH, and its length, from one format() per distinct value,
+    called in the order they first appear."""
+    distinct, first, which = np.unique(values, return_index=True, return_inverse=True)
+    texts = [b""] * distinct.size
+    for k in np.argsort(first).tolist():
+        texts[k] = format(float(distinct[k]), ".17g").encode()
+    fields = np.frombuffer(b"".join(t.ljust(_WIDTH, b"\0") for t in texts),
+                           dtype=np.uint8).reshape(-1, _WIDTH)
+    return fields[which], np.array([len(t) for t in texts])[which]
+
+
 def write_block(f: BinaryIO, values: np.ndarray, work: _Buffers) -> None:
     """Write to f the CSV text of a C-contiguous 2-D float64 block: each
     value as format(v, ".17g"), the fields of a row joined by ',' and each
@@ -240,7 +256,7 @@ def write_block(f: BinaryIO, values: np.ndarray, work: _Buffers) -> None:
         np.copyto(a, 1.0, where=other)
         np.floor(np.log10(a, out=work.real[1, :n]), out=work.real[1, :n])
         np.copyto(X, work.real[1, :n], casting="unsafe")
-        whole, frac, ok = _scaled(a, X, work)
+        whole, frac, ok = _scaled(a, X, work.real[1:6], work.ints[1:3], work.masks[1])
         # log10 can be one off next to a power of ten
         np.less(whole, 10**16, out=mask)
         np.greater_equal(whole, 10**17, out=other)
@@ -249,7 +265,9 @@ def write_block(f: BinaryIO, values: np.ndarray, work: _Buffers) -> None:
         off = np.flatnonzero(mask)
         if off.size:
             X[off] += np.where(whole[off] >= 10**17, 1, -1)
-            again = _scaled(a[off], X[off], _Buffers(off.size))
+            again = _scaled(a[off], X[off], np.empty((5, off.size)),
+                            np.empty((2, off.size), dtype=np.int64),
+                            np.empty(off.size, dtype=bool))
             whole[off], frac[off], ok[off] = again
             ok[off] &= (whole[off] >= 10**16) & (whole[off] < 10**17)
         # not fast outside the table, near a tie, or where the product is not
@@ -307,10 +325,11 @@ def write_block(f: BinaryIO, values: np.ndarray, work: _Buffers) -> None:
         work.text[hi - lo:] = 0
         if slow.size:
             first, end = np.searchsorted(slow, (lo, hi))
-            for i in slow[first:end].tolist():
-                field = format(float(v[i]), ".17g").encode() + source[i, _SEP].tobytes()
-                text[i - lo] = 0
-                text[i - lo, :len(field)] = np.frombuffer(field, dtype=np.uint8)
+            if first < end:
+                at = slow[first:end]
+                fields, ends = _formatted(v[at])
+                text[at - lo] = fields
+                text[at - lo, ends] = source[at, _SEP]
         f.write(work.fields.translate(None, b"\0"))
 
 

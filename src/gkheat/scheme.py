@@ -57,14 +57,21 @@ level and mode instead of 25, built without D.  Either way, per mode,
 the table's work grows with K and the chunk bases' with N/K, so _plan
 makes chunks about sqrt(N/25) levels long for a full trace and sqrt(N/6)
 for E's alone (10 and 20 over 2,500 steps), and blocks as wide in modes
-as twice a budget for the table allows.  Every block of a run
-writes into one workspace (_Workspace), allocated once for the run's
-widest block and dropped before the kept levels are rebuilt, so that a
-block allocates only numpy's small per-call buffers.  Only the kept
-levels' amplitudes are formed, in the rows of T and q rebuilt from them
-in place after the last block; the levels either side of a chunk's or a
-group's first step (seam_steps) are formed by different products.  run is
-the only stepping path: a single step is a run with t_final = dt.
+as twice a budget for the table allows.  The per-mode 2x2 algebra is
+held as structure of arrays: each entry of a matrix (the powers of G
+and of the group hop, D) and each amplitude of a vector (the chunk
+bases, the kept levels) is its own contiguous (rows, n) array, and a
+row that multiplies many is first copied over them, so that every
+elementwise pass runs over contiguous rows and takes no numpy iterator
+buffer; only the table and the features keep the layout of the one
+matrix product per group.  Every block of a run writes into one
+workspace (_Workspace), allocated once for the run's widest block and
+dropped before the kept levels are rebuilt, so that a block allocates
+only a few small arrays.  Only the kept levels' amplitudes are formed,
+in the rows of T and q rebuilt from them in place after the last block;
+the levels either side of a chunk's or a group's first step
+(seam_steps) are formed by different products.  run is the only
+stepping path: a single step is a run with t_final = dt.
 """
 
 from __future__ import annotations
@@ -179,23 +186,13 @@ def _view(buffer: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | Non
 
 
 def _carve(buffer: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
-    """Consecutive views of a flat buffer in the given shapes."""
+    """Consecutive views of a flat buffer in the given shapes, then the rest of it."""
     views, start = [], 0
     for shape in shapes:
         size = math.prod(shape)
         views.append(buffer[start:start + size].reshape(shape))
         start += size
-    return views
-
-
-def _times(cols: np.ndarray, x: np.ndarray, out: np.ndarray,
-           spare: np.ndarray | None = None) -> np.ndarray:
-    """out = M x per mode, broadcast: cols[j] is column j of the 2x2
-    matrices M and x[..., i, :] component i of the vectors.  spare, of
-    out's shape, takes the second product (allocated if None)."""
-    np.multiply(cols[0], x[..., :1, :], out=out)
-    out += np.multiply(cols[1], x[..., 1:, :], out=spare)
-    return out
+    return views + [buffer[start:]]
 
 
 def _finite(a: np.ndarray, axis: tuple[int, ...]) -> np.ndarray:
@@ -204,32 +201,53 @@ def _finite(a: np.ndarray, axis: tuple[int, ...]) -> np.ndarray:
     return np.isfinite(a.max(axis=axis)) & np.isfinite(a.min(axis=axis))
 
 
-def _power_table(cols: np.ndarray, K: int, out: np.ndarray | None = None,
+def _dot(out: np.ndarray, a0: np.ndarray, x0: np.ndarray, a1: np.ndarray,
+         x1: np.ndarray, product: np.ndarray) -> None:
+    """out = a0 x0 + a1 x1 elementwise, the 2x2 algebra's one form, with
+    product, of out's shape, taking a1 x1.  x0 and x1 have out's shape;
+    a0 and a1 have it too, or are both rows that broadcast over it, copied
+    over out and product first, so that every pass runs over contiguous
+    rows (a broadcast operand takes numpy's iterator buffers)."""
+    if a0.shape == out.shape:
+        np.multiply(a0, x0, out=out)
+        np.multiply(a1, x1, out=product)
+    else:
+        np.copyto(out, a0)
+        out *= x0
+        np.copyto(product, a1)
+        product *= x1
+    out += product
+
+
+def _power_table(G: np.ndarray, K: int, out: np.ndarray | None = None,
                  spare: np.ndarray | None = None) -> np.ndarray:
-    """(2, K' + 1, 2, n): [j, k] is column j of G^k per mode, k = 0..K',
-    for cols (2, 2, n) the columns of G.  Built by doubling (G^p applied to
-    entries 1..p gives entries p+1..2p), not from an eigendecomposition:
-    a mode's eigenvectors are ill-conditioned where it passes from over-
-    to under-damped.  K' is K cut at the first non-finite entry (at least
-    1), which the unstable as-printed Fourier-limit stepper reaches within
-    a few dozen levels.  The table is written into out, of shape
-    (2, K + 1, 2, n), and the doubling's products into the flat spare
-    (each allocated if None).
+    """(2, 2, K' + 1, n): [i, j, k] is entry (i, j) of G^k per mode,
+    k = 0..K', for G (2, 2, n) the step matrices.  Built by doubling (G^p
+    applied to entries 1..p gives entries p+1..2p), not from an
+    eigendecomposition: a mode's eigenvectors are ill-conditioned where it
+    passes from over- to under-damped.  K' is K cut at the first non-finite
+    entry (at least 1), which the unstable as-printed Fourier-limit stepper
+    reaches within a few dozen levels.  The table is written into out, of
+    shape (2, 2, K + 1, n), and the doubling's products into the flat
+    spare, of K n / 2 values or more (each allocated if None).
     """
-    table = np.empty((2, K + 1) + cols.shape[1:]) if out is None else out
-    table[:, 0] = 0.0
-    table[0, 0, 0] = table[1, 0, 1] = 1.0
-    table[:, 1] = cols
+    n = G.shape[2]
+    table = np.empty((2, 2, K + 1, n)) if out is None else out
+    table[:, :, 0] = 0.0
+    table[0, 0, 0] = table[1, 1, 0] = 1.0
+    table[:, :, 1] = G
     p = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while p < K:
             count = min(p, K - p)
-            products = table[:, p + 1:p + count + 1]
-            _times(table[:, p], table[:, 1:count + 1], out=products,
-                   spare=_view(spare, products.shape))
+            product = np.empty((count, n)) if spare is None else _view(spare, (count, n))
+            # (G^p G^k)_ij = G^p_i0 G^k_0j + G^p_i1 G^k_1j
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                _dot(table[i, j, p + 1:p + count + 1], table[i, 0, p], table[0, j, 1:count + 1],
+                     table[i, 1, p], table[1, j, 1:count + 1], product)
             p += count
-    finite = _finite(table, axis=(0, 2, 3))
-    return table if finite.all() else table[:, :max(2, int(np.argmin(finite)))]
+    finite = _finite(table, axis=(0, 1, 3))
+    return table if finite.all() else table[:, :, :max(2, int(np.argmin(finite)))]
 
 
 @dataclass(frozen=True)
@@ -258,10 +276,11 @@ def _plan(grid: Grid, keep: np.ndarray, energy_only: bool = False) -> RunPlan:
     """The shapes of a run on grid keeping the levels of the steps keep.
 
     A block's table is built from v (K + 1) n values: a full trace's 25
-    columns and features per level and mode (v = 25), or the 9 monomials
-    behind E's 3 table values alone (v = 9, energy_only).  Per mode, the
-    table takes work in K and the chunk bases, each several elementwise
-    passes over 5 or 3 features, in (N + 1)/K; K near sqrt((N + 1)/c)
+    columns and features per level and mode (v = 25), or the 9 values per
+    level and mode that E's 3 table values alone are formed in (v = 9,
+    energy_only).  Per mode, the table takes work in K and the chunk
+    bases, each several elementwise passes over 5 or 3 features, in
+    (N + 1)/K; K near sqrt((N + 1)/c)
     balances them, with c = 25 for a full trace (within 3% of the fastest
     tile, and the one of them with the smallest workspace, in a scan of
     verify at J = 7999 over 2,500 steps) and c = 6 for E's alone (fastest
@@ -289,16 +308,17 @@ def _plan(grid: Grid, keep: np.ndarray, energy_only: bool = False) -> RunPlan:
 
 class _Workspace:
     """Every array run's blocks form, flat, allocated once per run for its
-    plan's widest block and trace kind: the power tables of G^k and of the
-    hops G^(K j), the trace table, the features (a^2, ab, b^2, a, b) of a
-    group's bases, the group's matrix product, and a spare for the
-    table's monomials and products, the doublings' products and the kept
-    levels' gathers.  _trace_block views each in its block's shape."""
+    plan's widest block and trace kind: the power table of G^k, the trace
+    table, the group's matrix product, and a spare that holds first the
+    table's intermediates and then the group's: the power table of the
+    hops G^(K j), the chunk bases, their features (a^2, ab, b^2, a, b),
+    the products that form them and the kept levels' gathers.
+    _trace_block views each in its block's shape, every entry of a 2x2
+    matrix and every amplitude of a vector its own contiguous (rows, n)
+    array."""
 
     powers: np.ndarray
-    hops: np.ndarray
     table: np.ndarray
-    features: np.ndarray
     product: np.ndarray
     spare: np.ndarray
 
@@ -311,16 +331,17 @@ def _workspace_sizes(plan: RunPlan, energy_only: bool) -> dict[str, int]:
     """The float64 values of each of _Workspace's arrays."""
     K, n, M, keep = plan.K, plan.n, plan.M, plan.keep
     columns, features = (1, 3) if energy_only else (5, 5)
-    # the spare holds the table's intermediates, a doubling's or the
-    # bases' products (2 max(M, K) n), or a gather of kept levels: at most
-    # K of them, and no more than a group's K M levels hold, with 11 values
-    # per level and mode (their powers, their chunks' features and a product)
+    # a group takes its hops' power table and its bases (4 and 2 values
+    # per mode and chunk, one chunk more than a group), its features and
+    # the larger of a row of products per chunk (the doubling's, the
+    # bases' and the features') and a gather of kept levels: at most K of
+    # them, and no more than a group's K M levels hold, with 6 values per
+    # level and mode (their powers and their chunks' bases)
     gather = min(K, int(np.max(np.searchsorted(keep, keep + K * M) - np.arange(keep.size))))
-    return {"powers": 4 * (K + 1) * n, "hops": 4 * (M + 1) * n,
-            "table": columns * features * (K + 1) * n, "features": 5 * (M + 1) * n,
+    group = (6 * (M + 1) + features * M + max(M, 6 * gather)) * n
+    return {"powers": 4 * (K + 1) * n, "table": columns * features * (K + 1) * n,
             "product": columns * K * M,
-            "spare": max(_table_spare_size(K + 1, n, energy_only), 2 * max(M, K) * n,
-                         11 * gather * n)}
+            "spare": max(_table_spare_size(K + 1, n, energy_only), group)}
 
 
 def strided_steps(grid: Grid, stride: int) -> np.ndarray:
@@ -356,16 +377,14 @@ def run_memory_bytes(grid: Grid, keep: np.ndarray, energy_only: bool = False) ->
     and the largest of three phases.  The blocks hold the operators (8J),
     the trace weights (15J), level 0's amplitudes (2J), the workspace of
     the run's plan and trace kind, from the shapes it is built from, and
-    what a block allocates beside it: numpy's buffers for a broadcast or
-    strided ufunc call, getbufsize() values for each of its three
-    operands, and 1,024 values of small arrays.  Then a batch of levels is
-    rebuilt, or the CSV writers hold a block, its buffers and the
-    gather's, and csvtext's tables.
+    what a block allocates beside it, 1,024 values of small arrays (its
+    ufunc calls run on contiguous rows and take no iterator buffer).  Then
+    a batch of levels is rebuilt, or the CSV writers hold a block, its
+    buffers and the gather's, and csvtext's tables.
     """
     plan, J = _plan(grid, keep, energy_only), grid.J
     kept = plan.keep.size + 1
-    blocks = ((8 + 15 + 2) * J + sum(_workspace_sizes(plan, energy_only).values())
-              + 3 * np.getbufsize() + 1024)
+    blocks = (8 + 15 + 2) * J + sum(_workspace_sizes(plan, energy_only).values()) + 1024
     writer = math.ceil((csvtext.TABLE_BYTES + csvtext.GATHER_BYTES + csvtext.BYTES_PER_VALUE
                         * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1)) / 8)
     return 8 * ((grid.N + 2) * (1 + 5 + 1 + 1 + 1 + 1) + 10 * J
@@ -433,66 +452,74 @@ def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
     """New trace table of a block of modes, (L, 5, 5, n) for L levels, or,
     without D, E's table alone, (L, 1, 3, n).
 
-    powers (2, L, 2, n) holds, for the n modes in `modes`, column j of the
-    matrix G_l = G^l mapping a base level x = (a, b) to level l at [j, l];
-    D (2, 2, n) are the step's increments, G = I + D, and P_l = D G^(l-1)
-    (0 for x itself) maps x to the increment into level l, formed as a
-    product (G^l - G^(l-1) loses about eps/|D| relative on slow modes).
-    With the features phi(x) = (a^2, ab, b^2, a, b), table[l, c, f, i]
-    weighs feature f of mode i in column c of level l: E, diss_rhs and F
-    less their mean parts (F's term linear in y carries m), C_T/heat less
-    its mean part, and diss_lhs from the increment P_l x as the step
-    computes it and y + y_prev = (2 G_l - P_l) x.  Summed over the modes,
-    phi(x) @ table gives the sums build_trace takes.  E's table alone is
-    the first column's first three features; it reads no increments.
-    The table is written into out and every intermediate into the flat
-    spare, of _table_spare_size(L, n, D is None) values (each allocated if
-    None).
+    powers (2, 2, L, n) holds, for the n modes in `modes`, entry (i, j) of
+    the matrix G_l = G^l mapping a base level x = (a, b) to level l at
+    [i, j, l]; D (2, 2, n) are the step's increments, G = I + D, and
+    P_l = D G^(l-1) (0 for x itself) maps x to the increment into level l,
+    formed as a product (G^l - G^(l-1) loses about eps/|D| relative on slow
+    modes).  With the features phi(x) = (a^2, ab, b^2, a, b),
+    table[l, c, f, i] weighs feature f of mode i in column c of level l: E,
+    diss_rhs and F less their mean parts (F's term linear in y carries m),
+    C_T/heat less its mean part, and diss_lhs from the increment P_l x as
+    the step computes it and y + y_prev = (2 G_l - P_l) x.  Summed over the
+    modes, phi(x) @ table gives the sums build_trace takes.  E's table
+    alone is the first column's first three features; it reads no
+    increments, and no y_0 y_1 monomial, on which E's weight is 0.  Every
+    intermediate is a contiguous (L, n) array per entry, with a weight
+    copied over the rows it multiplies, in the flat spare, of
+    _table_spare_size(L, n, D is None) values, and each column is copied
+    into the table, out, at its end (each allocated if None).
     """
-    G = powers.transpose(1, 2, 0, 3)    # (L, row i, column j, n)
-    L, n = G.shape[0], G.shape[3]
+    G = powers
+    L, n = G.shape[2:]
     energy_only = D is None
     columns, features = (1, 3) if energy_only else (5, 5)
     table = np.empty((L, columns, features, n)) if out is None else out
     if spare is None:
         spare = np.empty(_table_spare_size(L, n, energy_only))
-    quadratic = table[:, :3, :3]
-    q = w.quadratic[:1 if energy_only else 3, :, modes]
-    monomial, product = _carve(spare, (L, 3, n), quadratic.shape)
+    rows = 1 if energy_only else 3
+    pairs = ((0, 0), (1, 1)) if energy_only else ((0, 0), (1, 1), (0, 1))
+    quadratic, monomial, product, _ = _carve(spare, (rows, 3, L, n), (3, L, n), (3, L, n))
     # y_0^2, y_1^2 and y_0 y_1 in turn, on the features a^2, ab, b^2
-    for u, (i, k) in enumerate(((0, 0), (1, 1), (0, 1))):
-        np.multiply(G[:, i, 0], G[:, k, 0], out=monomial[:, 0])
-        np.multiply(G[:, i, 0], G[:, k, 1], out=monomial[:, 1])
-        monomial[:, 1] += np.multiply(G[:, i, 1], G[:, k, 0], out=monomial[:, 2])
-        np.multiply(G[:, i, 1], G[:, k, 1], out=monomial[:, 2])
-        if u:
-            quadratic += np.multiply(monomial[:, None], q[None, :, u, None], out=product)
-        else:
-            np.multiply(monomial[:, None], q[None, :, 0, None], out=quadratic)
+    for u, (i, k) in enumerate(pairs):
+        np.multiply(G[i, 0], G[k, 0], out=monomial[0])
+        np.multiply(G[i, 0], G[k, 1], out=monomial[1])
+        monomial[1] += np.multiply(G[i, 1], G[k, 0], out=monomial[2])
+        np.multiply(G[i, 1], G[k, 1], out=monomial[2])
+        for c in range(rows):
+            term = product if u else quadratic[c]
+            np.copyto(term, w.quadratic[c, u, modes])
+            term *= monomial
+            if u:
+                quadratic[c] += term
+    table[:, :rows, :3] = quadratic.transpose(2, 0, 1, 3)
     if energy_only:
         return table
-    # P_l = D G^(l-1) for l >= 1, laid out as G
-    # (column j is D (G^(l-1))_:j), 2 G_l - P_l, and the products of both
+    # P_l = D G^(l-1) for l >= 1 and 2 G_l - P_l, entry (i, j) at [i, j]
     K = L - 1
-    P, V, both, product, lin = _carve(spare, (2, K, 2, n), (K, 2, 2, n), (K, 2, 2, n),
-                                      (L, 2, 2, n), (2, 2, n))
-    np.multiply(D[:, 0], powers[:, :-1, :1], out=P)
-    P += np.multiply(D[:, 1], powers[:, :-1, 1:], out=product[:K].reshape(P.shape))
-    P = P.transpose(1, 2, 0, 3)
-    np.multiply(G[1:], 2.0, out=V)
-    V -= P
-    # diss_lhs = sum_i w_i (P x)_i ((2 G - P) x)_i, 0 at level 0
-    P *= w.increment[None, :, None, modes]
-    np.multiply(P[:, 0, :, None], V[:, 0, None, :], out=both)
-    both += np.multiply(P[:, 1, :, None], V[:, 1, None, :], out=product[:K])
-    table[1:, 4, 0] = both[:, 0, 0]
-    np.add(both[:, 0, 1], both[:, 1, 0], out=table[1:, 4, 1])
-    table[1:, 4, 2] = both[:, 1, 1]
+    P, V, weight, both, product, _ = _carve(spare, (2, 2, K, n), (2, 2, K, n), (2, K, n),
+                                            (2, K, n), (K, n))
+    np.copyto(weight, w.increment[:, None, modes])
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        _dot(P[i, j], D[i, 0], G[0, j, :-1], D[i, 1], G[1, j, :-1], product)
+        np.multiply(G[i, j, 1:], 2.0, out=V[i, j])
+        V[i, j] -= P[i, j]
+        P[i, j] *= weight[i]
+    # diss_lhs = sum_i w_i (P x)_i ((2 G - P) x)_i, 0 at level 0: feature
+    # (j, j') takes sum_i w_i P_ij V_ij', and ab both of its orders
+    for f, orders in enumerate((((0, 0),), ((0, 1), (1, 0)), ((1, 1),))):
+        for s, (j, k) in enumerate(orders):
+            _dot(both[s], P[0, j], V[0, k], P[1, j], V[1, k], product)
+        if s:
+            both[0] += both[1]
+        table[1:, 4, f] = both[0]
     # F/m and C_T/heat: sum_i l_i y_i puts sum_i l_i G_ij on x_j
-    np.multiply(w.linear[0, :, modes], m, out=lin[0])
-    lin[1] = w.linear[1, :, modes]
-    np.multiply(G[:, None, 0], lin[None, :, 0, None], out=table[:, 2:4, 3:])
-    table[:, 2:4, 3:] += np.multiply(G[:, None, 1], lin[None, :, 1, None], out=product)
+    linear, product, lin, _ = _carve(spare, (2, L, n), (2, L, n), (2, 2, n))
+    lin[:] = w.linear[..., modes]
+    lin[0] *= m
+    for c in (0, 1):
+        _dot(linear, lin[c, 0], G[0], lin[c, 1], G[1], product)
+        table[:, 2 + c, 3:] = linear.transpose(1, 0, 2)
     table[:, :2, 3:] = 0.0
     table[:, 4, 3:] = table[0, 4] = 0.0
     table[:, 3, :3] = 0.0
@@ -500,10 +527,11 @@ def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
 
 
 def _table_spare_size(L: int, n: int, energy_only: bool) -> int:
-    """Values of modal_trace_table's spare for L levels of n modes: a
-    monomial (3 L n) and a product (3 L n), or for the full table the
-    second stage's increments, their weights and products (16 L n)."""
-    return (6 if energy_only else 16) * L * n
+    """Values of modal_trace_table's spare for L levels of n modes: E's
+    quadratic part, a monomial and a product (9 L n), or for the full
+    table the three columns' quadratic parts, a monomial and a product
+    (15 L n), which also hold the second stage's increments and products."""
+    return (9 if energy_only else 15) * L * n
 
 
 def build_trace(w: ModalTraceWeights, m: float, t: np.ndarray,
@@ -551,9 +579,8 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
     energy_only = columns == 1
     f = 3 if energy_only else 5
     K, M, keep = plan.K, plan.M, plan.keep
-    powers = _power_table(G.swapaxes(0, 1), K, _view(work.powers, (2, K + 1, 2, n)),
-                          work.spare)
-    K = powers.shape[1] - 1
+    powers = _power_table(G, K, _view(work.powers, (2, 2, K + 1, n)), work.spare)
+    K = powers.shape[2] - 1
     # E's table reads no increments D G^(k-1)
     table = modal_trace_table(w, m, powers, modes, None if energy_only else D,
                               _view(work.table, (K + 1, columns, f, n)), work.spare)
@@ -562,14 +589,12 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
         K = max(1, int(np.argmin(finite)) - 1)
         table = table[:K + 1]
     table = table.reshape(columns * (K + 1), f * n)
-    hops = _power_table(powers[:, K], M, _view(work.hops, (2, M + 1, 2, n)),
-                        work.spare)[:, 1:]
-    group = hops.shape[1]
-    # one row more than a group, for the base of the next group; the
-    # features (a^2, ab, b^2, a, b) end in the bases
-    features = _view(work.features, (M + 1, 5, n))
-    bases = features[:, 3:]
-    bases[0] = x
+    # the bases hold one chunk more than a group, the base of the next group
+    hops, bases, features, spare = _carve(work.spare, (2, 2, M + 1, n), (2, M + 1, n),
+                                          (M, f, n))
+    hops = _power_table(powers[:, :, K], M, hops, spare)[:, :, 1:]
+    group = hops.shape[2]
+    bases[:, 0] = x
     total = -(-last // K)
     # the kept levels of each group, whose levels start at 1, 1 + group K, ...
     edges = np.searchsorted(keep, np.minimum(np.arange(1, last + group * K + 1, group * K),
@@ -577,12 +602,20 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
     for g, c0 in enumerate(range(0, total, group)):
         count = min(group, total - c0)
         if c0:
-            bases[0] = bases[group]
-        _times(hops[:, :count], bases[0], out=bases[1:count + 1],
-               spare=_view(work.spare, (count, 2, n)))
-        np.multiply(bases[:count], bases[:count, :1], out=features[:count, :2])
-        np.multiply(bases[:count, 1], bases[:count, 1], out=features[:count, 2])
-        flat = features[:count, :f].reshape(count, f * n)
+            # a row each: one copy of both would overlap and take a temporary
+            for i in (0, 1):
+                bases[i, 0] = bases[i, group]
+        # base c is G^(K c) applied to base 0
+        product = _view(spare, (count, n))
+        for i in (0, 1):
+            _dot(bases[i, 1:count + 1], bases[0, 0], hops[i, 0, :count],
+                 bases[1, 0], hops[i, 1, :count], product)
+        a, b = bases[:, :count]
+        for k, (u, v) in enumerate(((a, a), (b, a), (b, b))):
+            features[:count, k] = np.multiply(u, v, out=product)
+        if not energy_only:
+            features[:count, 3:] = bases[:, :count].transpose(1, 0, 2)
+        flat = features[:count].reshape(count, f * n)
         if c0 == 0:
             sums[0] += table[:columns] @ flat[0]
         start = c0 * K + 1
@@ -593,14 +626,16 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
         # the kept levels, at most a chunk's K at a time: a one-chunk
         # group's in one call.  Their chunks' powers and bases are gathered
         # into the spare (take writes into out without a buffer where it
-        # clips)
+        # clips), and each level is formed in place of its power's first
+        # column
         for i in range(edges[g], edges[g + 1], K):
             offset = keep[i:min(i + K, edges[g + 1])] - start
-            b = offset.size
-            cols, chunks, spare = _carve(work.spare, (2, b, 2, n), (b, 5, n), (b, 2, n))
-            powers.take(offset % K + 1, axis=1, out=cols, mode="clip")
-            features.take(offset // K, axis=0, out=chunks, mode="clip")
-            _times(cols, chunks[:, 3:], out=kept[i:i + b], spare=spare)
+            cols, chunks, _ = _carve(spare, (2, 2, offset.size, n), (2, offset.size, n))
+            powers.take(offset % K + 1, axis=2, out=cols, mode="clip")
+            bases.take(offset // K, axis=1, out=chunks, mode="clip")
+            for r in (0, 1):
+                _dot(cols[r, 0], cols[r, 0], chunks[0], cols[r, 1], chunks[1], cols[r, 1])
+            kept[i:i + offset.size] = cols[:, 0].transpose(1, 0, 2)
 
 
 def run(params: MaterialParams, config: SimulationConfig, init: State,

@@ -22,6 +22,23 @@ def expected_text(values):
                    for row in np.atleast_2d(values).tolist()).encode()
 
 
+def used_block_peak(values):
+    """The bytes traced while write_block writes values a second time on
+    the same buffers."""
+    class Sink:
+        def write(self, text):
+            pass
+
+    work = csvtext._Buffers(values.size)
+    csvtext.write_block(Sink(), values, work)
+    tracemalloc.start()
+    try:
+        csvtext.write_block(Sink(), values, work)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 NAMED = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
          2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
          1e-4, 1e-5, 9.9999999999999991e-5, 1.0000000000000001e-4, 1e16, 1e17,
@@ -72,20 +89,35 @@ class TestFormatBlock:
     def test_a_used_writers_blocks_allocate_only_their_text(self):
         # on buffers already used, a 40 x 201 block allocates one stretch's
         # text at a time and a few small arrays
-        class Sink:
-            def write(self, text):
-                pass
-
         values = np.random.default_rng(9).standard_normal((40, 201))
-        work = csvtext._Buffers(values.size)
-        csvtext.write_block(Sink(), values, work)
-        tracemalloc.start()
-        try:
-            csvtext.write_block(Sink(), values, work)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 25 * csvtext.GATHER_VALUES + 8 * 1024
+        assert used_block_peak(values) <= 25 * csvtext.GATHER_VALUES + 8 * 1024
+
+    def test_log10_off_values_allocate_only_their_own_arrays(self):
+        # 383 values next to powers of ten, whose log10 is one off, in a
+        # 40 x 201 block on a used writer: their second pass takes arrays of
+        # their own size, about 67 bytes a value (a whole writer's buffers
+        # took 211 KB)
+        clean = np.random.default_rng(9).standard_normal((40, 201))
+        near = clean.copy()
+        near.reshape(-1)[::21] = np.resize([999.9999999999999, 9.999999999999999e-05,
+                                            9.999999999999998e+16, -1e-06], 383)
+        assert text_of(near) == expected_text(near)
+        assert used_block_peak(near) <= used_block_peak(clean) + 100 * 383
+
+    def test_each_distinct_slow_value_of_a_stretch_takes_one_format(self, monkeypatch):
+        # a near-tie, nan and a value below the table, repeated over a
+        # 40 x 201 block: one format() per distinct value of each stretch
+        # of GATHER_VALUES values, not one per value (6,030)
+        seen = []
+
+        def spy(value, spec):
+            seen.append(value)
+            return format(value, spec)
+
+        monkeypatch.setattr(csvtext, "format", spy, raising=False)
+        values = np.resize(np.array([1000000000000000.25, np.nan, 1e-300, 0.5]), (40, 201))
+        assert text_of(values) == expected_text(values)
+        assert len(seen) == 3 * -(-values.size // csvtext.GATHER_VALUES)
 
     def test_only_undecided_values_take_format(self, monkeypatch):
         # 1000000000000000.25 is a tie at the 17th digit ("%.17g" rounds it

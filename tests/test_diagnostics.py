@@ -430,10 +430,10 @@ class TestTraceChecksOnShortRun:
         m = float(np.mean(init.T))
         base = np.stack(((init.T - m) @ cosine, init.q_interior @ sine)).astype(float)
         G, D = scheme.assemble(p, grid)
-        powers = scheme._power_table(G.swapaxes(0, 1), K)
+        powers = scheme._power_table(G, K)
         # levels as the table sees them, and their step increments D x from
         # assemble's D, formed apart from the table's
-        x = np.einsum("jkin,jn->kin", powers, base).astype(ld)
+        x = np.einsum("ijkn,jn->kin", powers, base).astype(ld)
         d = np.zeros_like(x)
         d[1:] = np.einsum("irn,krn->kin", D.astype(ld), x[:-1])
         m = ld(m)

@@ -42,8 +42,8 @@ def fixed_tile(monkeypatch, K, n, M):
 
 
 def step_powers(G, K):
-    """_power_table of the step matrices G: [j, k] column j of G^k."""
-    return scheme._power_table(G.swapaxes(0, 1), K)
+    """_power_table of the step matrices G: [i, j, k] entry (i, j) of G^k."""
+    return scheme._power_table(G, K)
 
 
 def random_state(rng, J, t_scale=10.0, q_scale=1e4):
@@ -415,22 +415,26 @@ class TestRun:
             checks.dissipation_inequality(trace)
 
     def test_one_chunk_run_forms_its_kept_levels_in_one_call(self, monkeypatch):
-        # 10 steps at J = 8 are one chunk of K = 10 levels (M = 1): G^1..G^10
-        # by doubling (4 calls), the chunk's one hop, and its 10 kept levels
-        # in one call, not one call each
+        # 10 steps at J = 8 are one chunk of K = 10 levels (M = 1): its 10
+        # kept levels are written into the levels in one assignment, not
+        # one each
         p, cfg, grid, ops = small_setup(J=8, t_final=10 * 1.2e-2)
         plan = scheme._plan(grid, np.arange(1, grid.N + 2), energy_only=True)
         assert (plan.K, plan.M) == (10, 1)
-        calls, times = [], scheme._times
+        writes, trace_block = [], scheme._trace_block
 
-        def counted(cols, x, out, spare=None):
-            calls.append(out.shape)
-            return times(cols, x, out, spare)
+        class Recorded(np.ndarray):
+            def __setitem__(self, key, value):
+                writes.append(key)
+                super().__setitem__(key, value)
 
-        monkeypatch.setattr(scheme, "_times", counted)
+        def recorded(G, D, w, modes, m, x, plan, sums, kept, work):
+            trace_block(G, D, w, modes, m, x, plan, sums, kept.view(Recorded), work)
+
+        monkeypatch.setattr(scheme, "_trace_block", recorded)
         traj = run(p, cfg, cosine_initial(grid, 15.0, 30.0), energy_only=True)
-        assert len(calls) == 4 + 1 + 1
-        assert calls[-1][0] == len(traj.stored_steps) - 1 == 10
+        assert writes == [slice(0, 10)]
+        assert len(traj.stored_steps) - 1 == 10
 
     def test_zero_mean_run_decays_four_orders(self, ref_params, ref_config):
         # slow-mode rate ~1.05/s: by t = 30 s only the tiny discrete-mean
@@ -670,16 +674,16 @@ class TestChunkTable:
         p, cfg, grid, ops = small_setup(J=J, tau_q=tau_q, mu2=mu2)
         G, _ = ops[which]
         full = step_powers(G, K)
-        assert full.shape == (2, K + 1, 2, J)
+        assert full.shape == (2, 2, K + 1, J)
         # entry 0 is I
-        assert np.array_equal(full[:, 0], np.eye(2)[:, :, None].repeat(J, axis=2))
-        table = full[:, 1:]
+        assert np.array_equal(full[:, :, 0], np.eye(2)[:, :, None].repeat(J, axis=2))
+        table = full[:, :, 1:]
         eps = np.finfo(float).eps
         for m in range(J):
             for k in range(1, K + 1):
-                # the table holds columns: [j, .., i] is entry (i, j); each
-                # entry within the usual product bound k eps (|G|^k)_ij
-                got, want = table[:, k - 1, :, m].T, np.linalg.matrix_power(G[:, :, m], k)
+                # [i, j] is entry (i, j); each entry within the usual product
+                # bound k eps (|G|^k)_ij
+                got, want = table[:, :, k - 1, m], np.linalg.matrix_power(G[:, :, m], k)
                 bound = np.linalg.matrix_power(np.abs(G[:, :, m]), k)
                 assert np.all(np.abs(got - want) <= 4 * k * eps * bound), (m, k)
 
@@ -687,13 +691,12 @@ class TestChunkTable:
         # the as-printed Fourier-limit step grows the top mode ~2000x per
         # step at this mesh, so its powers leave the float range near k = 93
         p, cfg, grid, ops = small_setup(J=49, tau_q=0.0, mu2=0.0)
-        table = step_powers(ops["printed"][0], 200)[:, 1:]
-        K = table.shape[1]
+        table = step_powers(ops["printed"][0], 200)[:, :, 1:]
+        K = table.shape[2]
         assert 50 < K < 200
         assert np.all(np.isfinite(table))
         with np.errstate(over="ignore", invalid="ignore"):
-            next_power = scheme._times(table[:, 0], table[:, K - 1],
-                                       out=np.empty_like(table[:, 0]))
+            next_power = np.einsum("ijn,jkn->ikn", table[:, :, 0], table[:, :, K - 1])
         assert not np.all(np.isfinite(next_power))
 
     @pytest.mark.parametrize("kind", [StepperKind.COUPLED_IMPLICIT, PRINTED])
@@ -882,18 +885,17 @@ class TestBlockShape:
     def test_block_reuses_its_workspace(
             self, ref_params, ref_config, dx, t_final, energy_only):
         # the workspace is the arrays _workspace_sizes counts; a block on it
-        # allocates only numpy's ufunc buffers, up to getbufsize() values
-        # for each of the three operands of a strided call (196,608 bytes),
-        # and a few small arrays: 28,475-199,373 bytes measured, whatever
-        # the tile, against 0.10-1.93 MB for the workspace itself (the
-        # bytes run_memory_bytes counts beside it)
+        # takes no ufunc iterator buffer and allocates only a few small
+        # arrays: 2,742-3,615 bytes measured, whatever the tile, against
+        # 0.08-1.91 MB for the workspace itself (within the 1,024 values
+        # run_memory_bytes counts beside it)
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=dx,
                                                           t_final=t_final))
         plan = scheme._plan(grid, strided_steps(grid, grid.N + 1), energy_only)
         workspace, block = block_peak(ref_params, grid, energy_only)
         values = sum(scheme._workspace_sizes(plan, energy_only).values())
         assert 8 * values <= workspace <= 8 * values + 2048
-        assert block <= 3 * 8 * np.getbufsize() + 8192
+        assert block <= 8 * 1024
 
 
 class TestNonFinite:
