@@ -124,9 +124,9 @@ def mode_decay_oracle(params: MaterialParams,
     -r and there is no fast root (None); where root is imaginary the pair
     is complex and fast is slow's conjugate.
 
-    This is the independent oracle that the scheme's exact decay rate
-    (step_decay_rate) and sweep's fitted ones are held to: energy decays
-    at 2|Re(lambda_slow)|.
+    This is the independent oracle that the scheme's generator rate
+    (generator_decay_rate) and sweep's fitted ones are held to: energy
+    decays at 2|Re(lambda_slow)|.
     """
     if mode_index < 1:
         raise ValueError("mode_index must be a positive integer")
@@ -167,24 +167,26 @@ def eigenvalues_2x2(A: np.ndarray) -> tuple[complex, complex]:
                  for z in (big, det / big if big else 0j))
 
 
-def step_decay_rate(G: np.ndarray, D: np.ndarray, dt: float) -> float:
-    """r = -2 ln rho(G) / dt: the rate at which a mode's energy decays
-    under its 2x2 coupled step matrix G = I + D of length dt (one mode of
-    scheme.assemble's G and D), rho the spectral radius.
+def generator_decay_rate(G: np.ndarray, D: np.ndarray, dt: float) -> float:
+    """2|Re lambda|: the energy decay rate of a mode's slow eigenvalue
+    lambda of the semi-discrete generator A, read from its 2x2 coupled
+    step matrix G = I + D of length dt (one mode of scheme.assemble's G
+    and D).
 
-    G's eigenvalue of largest modulus is 1 + mu, mu the small root of D:
-    the coupled step has det G = G_bb >= 0 and tr G > 0, so real
-    eigenvalues of G are positive.  Where |mu| < 1/2, ln|1 + mu|^2 is
-    log1p of mu_re (2 + mu_re) + mu_im^2, which never forms 1 + mu: rho(G)
-    there may round to 1.  Elsewhere a step nearly annihilates the mode,
-    and r comes from G's larger eigenvalue; a G that rounds the mode to 0
-    reads as the smallest normal float, a rate of about 1416/dt.
+    The coupled step is backward Euler, G = (I - dt A)^{-1}, so A =
+    G^{-1} D / dt and each eigenvalue of A is mu / ((1 + mu) dt), mu the
+    matching eigenvalue of D.  The slow one takes mu the small root of D,
+    G's eigenvalue of largest modulus less 1.  Where |mu| < 1/2, 1 + mu
+    cannot cancel, and lambda keeps mu's digits however near 1 the step
+    brings the mode.  Elsewhere a step nearly annihilates the mode, and
+    lambda = (1 - 1/g)/dt comes from G's larger eigenvalue g.
     """
     mu = eigenvalues_2x2(D)[1]
     if abs(mu) < 0.5:
-        return -math.log1p(mu.real * (2.0 + mu.real) + mu.imag * mu.imag) / dt
-    rho = abs(eigenvalues_2x2(G)[0])
-    return -2.0 * math.log(max(rho, np.finfo(float).tiny)) / dt
+        slow = mu / ((1.0 + mu) * dt)
+    else:
+        slow = (1.0 - 1.0 / eigenvalues_2x2(G)[0]) / dt
+    return 2.0 * abs(slow.real)
 
 
 def equilibrium_energy(params: MaterialParams, heat: float) -> float:

@@ -180,9 +180,9 @@ def _levels(m: float, levels: np.ndarray) -> None:
     levels[:, J + 2:-1] = dst(levels[:, J + 2:-1])
 
 
-def _view(buffer: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The first values of a flat buffer in shape, or None for no buffer."""
-    return None if buffer is None else buffer[:math.prod(shape)].reshape(shape)
+def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first values of a flat buffer in shape."""
+    return buffer[:math.prod(shape)].reshape(shape)
 
 
 def _carve(buffer: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
@@ -219,8 +219,7 @@ def _dot(out: np.ndarray, a0: np.ndarray, x0: np.ndarray, a1: np.ndarray,
     out += product
 
 
-def _power_table(G: np.ndarray, K: int, out: np.ndarray | None = None,
-                 spare: np.ndarray | None = None) -> np.ndarray:
+def _power_table(G: np.ndarray, K: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """(2, 2, K' + 1, n): [i, j, k] is entry (i, j) of G^k per mode,
     k = 0..K', for G (2, 2, n) the step matrices.  Built by doubling (G^p
     applied to entries 1..p gives entries p+1..2p), not from an
@@ -229,10 +228,10 @@ def _power_table(G: np.ndarray, K: int, out: np.ndarray | None = None,
     entry (at least 1), which the unstable as-printed Fourier-limit stepper
     reaches within a few dozen levels.  The table is written into out, of
     shape (2, 2, K + 1, n), and the doubling's products into the flat
-    spare, of K n / 2 values or more (each allocated if None).
+    spare, of K n / 2 values or more.
     """
     n = G.shape[2]
-    table = np.empty((2, 2, K + 1, n)) if out is None else out
+    table = out
     table[:, :, 0] = 0.0
     table[0, 0, 0] = table[1, 1, 0] = 1.0
     table[:, :, 1] = G
@@ -240,7 +239,7 @@ def _power_table(G: np.ndarray, K: int, out: np.ndarray | None = None,
     with np.errstate(over="ignore", invalid="ignore"):
         while p < K:
             count = min(p, K - p)
-            product = np.empty((count, n)) if spare is None else _view(spare, (count, n))
+            product = _view(spare, (count, n))
             # (G^p G^k)_ij = G^p_i0 G^k_0j + G^p_i1 G^k_1j
             for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 _dot(table[i, j, p + 1:p + count + 1], table[i, 0, p], table[0, j, 1:count + 1],
@@ -446,9 +445,8 @@ def modal_trace_weights(params: MaterialParams, grid: Grid) -> ModalTraceWeights
 
 
 def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
-                      modes: slice, D: np.ndarray | None = None,
-                      out: np.ndarray | None = None,
-                      spare: np.ndarray | None = None) -> np.ndarray:
+                      modes: slice, D: np.ndarray | None, out: np.ndarray,
+                      spare: np.ndarray) -> np.ndarray:
     """New trace table of a block of modes, (L, 5, 5, n) for L levels, or,
     without D, E's table alone, (L, 1, 3, n).
 
@@ -468,15 +466,13 @@ def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
     intermediate is a contiguous (L, n) array per entry, with a weight
     copied over the rows it multiplies, in the flat spare, of
     _table_spare_size(L, n, D is None) values, and each column is copied
-    into the table, out, at its end (each allocated if None).
+    into the table, out, at its end.
     """
     G = powers
     L, n = G.shape[2:]
     energy_only = D is None
     columns, features = (1, 3) if energy_only else (5, 5)
-    table = np.empty((L, columns, features, n)) if out is None else out
-    if spare is None:
-        spare = np.empty(_table_spare_size(L, n, energy_only))
+    table = out
     rows = 1 if energy_only else 3
     pairs = ((0, 0), (1, 1)) if energy_only else ((0, 0), (1, 1), (0, 1))
     quadratic, monomial, product, _ = _carve(spare, (rows, 3, L, n), (3, L, n), (3, L, n))

@@ -7,8 +7,10 @@ the coupled scheme in extended precision without gkheat.scheme, and
 step_coupled_reference steps it by dense O(J^3) solves of the interleaved
 system (dense_solve, numpy's LAPACK solve).  discrete_decay_rate is the
 exact decay rate of the assembled step matrix from numpy's eigenvalues,
-against which a rate fitted to a trace and the closed form of
-diagnostics.step_decay_rate are checked.  one_step and oracle_draws are
+against which a rate fitted to a trace is checked, and semi_discrete_rate
+that of mode 1 of the semi-discrete system, from numpy's eigenvalues of
+its generator formed without scheme.assemble, against which
+diagnostics.generator_decay_rate is checked.  one_step and oracle_draws are
 not oracles: one takes the single steps the tests compare, through
 scheme.run, and the other draws, from a generator, the random states on
 J = 2..8 whose 10-step runs acceptance criterion C4 holds to
@@ -261,3 +263,23 @@ def discrete_decay_rate(p: MaterialParams, grid: Grid) -> float:
     of scheme.assemble and rho the spectral radius."""
     step = scheme.assemble(p, grid)[0][..., 0]
     return float(-2.0 * np.log(np.max(np.abs(np.linalg.eigvals(step)))) / grid.dt)
+
+
+def semi_discrete_rate(p: MaterialParams, grid: Grid) -> float:
+    """2|Re lambda|, lambda the slow eigenvalue of mode 1 of the
+    semi-discrete system on grid's mesh: the energy decay rate that
+    backward Euler steps of any length approach.  With s = s_1, the
+    amplitudes (a, b) obey a' = -s b/(rho c dx) and
+    tau_q b' = k s a/dx - (1 + mu2 s^2/dx^2) b, whose generator is formed
+    from params and linalg.difference_symbols alone; at tau_q = 0 the flux
+    is slaved to a and the generator is the scalar
+    -k s^2/(rho c dx^2 (1 + mu2 s^2/dx^2)).  The rate comes from numpy's
+    eigenvalues, the slow one that of largest real part."""
+    s, dx = difference_symbols(grid.J)[0], grid.dx
+    damping = 1.0 + p.mu2 * s * s / (dx * dx)
+    if p.tau_q == 0.0:
+        A = np.array([[-p.k * s * s / (p.rho_c * dx * dx * damping)]])
+    else:
+        A = np.array([[0.0, -s / (p.rho_c * dx)],
+                      [p.k * s / (p.tau_q * dx), -damping / p.tau_q]])
+    return float(2.0 * abs(np.max(np.linalg.eigvals(A).real)))

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from gkheat.cli import main, parse_config
 from gkheat.diagnostics import EnergyTrace
 from gkheat.model import MaterialParams, SimulationConfig
 from gkheat.linalg import dct, dst
-from oracles import pointwise_residual
+from oracles import pointwise_residual, semi_discrete_rate
 
 PARAMS = MaterialParams(rho=2e3, c=5e2, tau_q=8e-3, mu2=2.8e-3, k=2e3, l=0.1)
 CONFIG = SimulationConfig(dx=2e-3, dt=1.2e-2, t_final=1.2, T_b=15.0, T_f=30.0)
@@ -223,28 +222,27 @@ class TestRunChecks:
         res = checks.mode_rate_fit(PARAMS, dataclasses.replace(CONFIG, T_b=0.0, T_f=0.0))
         assert res.ok and res == checks.mode_rate_fit(PARAMS, CONFIG)
 
-    def test_rate_is_halved_to_convergence_without_a_run(self, monkeypatch):
-        # dt = 5: the exact rate at dt/8 is 0.865 of the continuum one, and
-        # the halvings stop at the first two rates within RATE_RTOL
+    def test_rate_is_the_generators_without_a_run(self, monkeypatch):
+        # dt = 5, where a step's own rate at dt/8 is 0.865 of the continuum
+        # one: one assemble at the user's dt and no run give the
+        # semi-discrete rate
         def no_run(*args, **kwargs):
             raise AssertionError("scheme.run called")
 
-        def rate(dt):
-            cfg = dataclasses.replace(config, dt=dt, t_final=dt)
-            G, D = scheme.assemble(PARAMS, discretization.build_grid(PARAMS, cfg))
-            return diagnostics.step_decay_rate(G[..., 0], D[..., 0], dt)
+        steps, assemble = [], scheme.assemble
+
+        def recorded(params, grid, *args):
+            steps.append(grid.dt)
+            return assemble(params, grid, *args)
 
         monkeypatch.setattr(scheme, "run", no_run)
+        monkeypatch.setattr(scheme, "assemble", recorded)
         config = dataclasses.replace(CONFIG, dt=5.0, t_final=5.0)
-        r_d, dt = checks.discrete_mode_rate(PARAMS, config)
+        r_d = checks.discrete_mode_rate(PARAMS, config)
+        assert steps == [5.0]
+        grid = discretization.build_grid(PARAMS, config)
+        assert r_d == pytest.approx(semi_discrete_rate(PARAMS, grid), rel=1e-12)
         target = 2.0 * abs(diagnostics.mode_decay_oracle(PARAMS, 1)[0].real)
-        assert rate(5.0 / 8.0) / target == pytest.approx(0.865, abs=1e-3)
-        halvings = math.log2(5.0 / 8.0 / dt)
-        assert halvings == round(halvings) and 1 <= halvings < checks.RATE_HALVINGS
-        assert r_d == rate(dt)
-        rates = [rate(dt * 2.0**i) for i in range(int(halvings) + 1)]
-        changes = [abs(a - b) / a for a, b in zip(rates, rates[1:])]
-        assert changes[0] < checks.RATE_RTOL <= min(changes[1:])
         assert abs(r_d / target - 1.0) < 1e-3 and checks.mode_rate_fit(PARAMS, config).ok
 
 

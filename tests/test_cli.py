@@ -342,15 +342,20 @@ class TestCmdVerify:
         "mu2 = 1e160\ndx = 2e-3\n", "mu2 = 1e200\ndx = 2e-3\n", "mu2 = 1e300\ndx = 2e-3\n",
         "rho = 1e300\ndx = 2e-3\n", "k = 1e-300\ndx = 2e-3\n", "tau_q = 1e160\ndx = 2e-3\n",
         "dt = 5\nt_final = 5\n", "dt = 30\nt_final = 300\n", "k = 1e9\n",
-        "dt = 100\nt_final = 300\n"],
+        "dt = 100\nt_final = 300\n", "rho = 1e-300\ndx = 2e-3\n", "c = 1e-30\ndx = 2e-3\n",
+        "k = 1e30\ndx = 2e-3\n", "dt = 1e20\nt_final = 1e20\ndx = 2e-3\n"],
         ids=["k=1e-9", "mu2=1e10", "mu2=1e100", "mu2=1e160", "mu2=1e200", "mu2=1e300",
-             "rho=1e300", "k=1e-300", "tau_q=1e160", "dt=5", "dt=30", "k=1e9", "dt=100"])
+             "rho=1e300", "k=1e-300", "tau_q=1e160", "dt=5", "dt=30", "k=1e9", "dt=100",
+             "rho=1e-300", "c=1e-30", "k=1e30", "dt=1e20"])
     def test_rate_check_passes_at_the_parameter_edges(self, tmp_path, capsys, lines):
         # a least-squares fit to a dt/8 run FAILed the first ten and ended
         # dt = 30 and k = 1e9 with exit 2 (too few levels in its window);
         # the exact rate is within 0.03% of the continuum one on each.  At
         # dt = 5, 30 and 100 and k = 1e9 the dense reference's per-level
-        # gap then FAILed oracle_equivalence, where run was right
+        # gap then FAILed oracle_equivalence, where run was right.  The
+        # step's rate halved from dt/8 FAILed the last four, whose mode 1
+        # no 64 halvings could resolve; the generator's rate reads it at
+        # the user's dt
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(lines)
         assert main(["verify", "-c", str(cfg)]) == 0

@@ -42,8 +42,10 @@ def fixed_tile(monkeypatch, K, n, M):
 
 
 def step_powers(G, K):
-    """_power_table of the step matrices G: [i, j, k] entry (i, j) of G^k."""
-    return scheme._power_table(G, K)
+    """_power_table of the step matrices G: [i, j, k] entry (i, j) of G^k,
+    in buffers of its own."""
+    n = G.shape[2]
+    return scheme._power_table(G, K, np.empty((2, 2, K + 1, n)), np.empty(K * n))
 
 
 def random_state(rng, J, t_scale=10.0, q_scale=1e4):
@@ -641,8 +643,9 @@ class TestTraceTable:
             states.append(one_step(p, grid, states[-1], kind))
         weights = scheme.modal_trace_weights(p, grid)
         m = float(np.mean(states[0].T))
-        table = scheme.modal_trace_table(weights, m, step_powers(G, K),
-                                         slice(None), D)
+        table = scheme.modal_trace_table(weights, m, step_powers(G, K), slice(None), D,
+                                         np.empty((K + 1, 5, 5, J)),
+                                         np.empty(scheme._table_spare_size(K + 1, J, False)))
         a, b = scheme._modes(states[0], m)
         sums = table.reshape(5 * (K + 1), 5 * J) @ np.concatenate((a * a, a * b, b * b, a, b))
         tr = scheme.build_trace(weights, m, grid.dt * np.arange(K + 1),
