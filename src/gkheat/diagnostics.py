@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientFitData, NumericalFailure
+from .errors import NumericalFailure
 from .model import MaterialParams
 
 
@@ -125,9 +125,8 @@ def mode_decay_oracle(params: MaterialParams,
     is complex and fast is slow's conjugate.
 
     This is the independent oracle that the scheme's generator rate
-    (generator_decay_rate) and sweep's fitted ones are held to: energy
-    decays at 2|Re(lambda_slow)|.
-    """
+    (generator_decay_rate) and sweep's step rates (step_decay_rate) are
+    held to: energy decays at 2|Re(lambda_slow)|."""
     if mode_index < 1:
         raise ValueError("mode_index must be a positive integer")
     kappa = mode_index * math.pi / params.l
@@ -170,17 +169,12 @@ def eigenvalues_2x2(A: np.ndarray) -> tuple[complex, complex]:
 def generator_decay_rate(G: np.ndarray, D: np.ndarray, dt: float) -> float:
     """2|Re lambda|: the energy decay rate of a mode's slow eigenvalue
     lambda of the semi-discrete generator A, read from its 2x2 coupled
-    step matrix G = I + D of length dt (one mode of scheme.assemble's G
-    and D).
-
-    The coupled step is backward Euler, G = (I - dt A)^{-1}, so A =
-    G^{-1} D / dt and each eigenvalue of A is mu / ((1 + mu) dt), mu the
-    matching eigenvalue of D.  The slow one takes mu the small root of D,
-    G's eigenvalue of largest modulus less 1.  Where |mu| < 1/2, 1 + mu
-    cannot cancel, and lambda keeps mu's digits however near 1 the step
-    brings the mode.  Elsewhere a step nearly annihilates the mode, and
-    lambda = (1 - 1/g)/dt comes from G's larger eigenvalue g.
-    """
+    step G = I + D of length dt (one mode of scheme.assemble's G and D).
+    The step is backward Euler, G = (I - dt A)^{-1}, so that lambda =
+    mu/((1 + mu) dt), with mu D's small root, G's eigenvalue of largest
+    modulus less 1.  Where |mu| < 1/2, 1 + mu cannot cancel, and lambda
+    keeps mu's digits however near 1 the step brings the mode; elsewhere a
+    step nearly annihilates the mode, and lambda = (1 - 1/g)/dt, g = 1 + mu."""
     mu = eigenvalues_2x2(D)[1]
     if abs(mu) < 0.5:
         slow = mu / ((1.0 + mu) * dt)
@@ -189,27 +183,28 @@ def generator_decay_rate(G: np.ndarray, D: np.ndarray, dt: float) -> float:
     return 2.0 * abs(slow.real)
 
 
-def equilibrium_energy(params: MaterialParams, heat: float) -> float:
-    """Energy of the uniform state carrying total heat `heat`.
+def step_decay_rate(G: np.ndarray, D: np.ndarray, dt: float) -> float:
+    """-2 ln|g|/dt: a mode's energy decay rate under its step, split as in
+    generator_decay_rate: where |mu| < 1/2, ln|g| =
+    log1p(2 Re mu + |mu|^2)/2 keeps mu's digits; elsewhere it is read from g."""
+    mu = eigenvalues_2x2(D)[1]
+    if abs(mu) < 0.5:
+        return -math.log1p(2.0 * mu.real + abs(mu) ** 2) / dt
+    return -2.0 * math.log(abs(eigenvalues_2x2(G)[0])) / dt
 
-    The scheme conserves dx*sum(T_j) and relaxes to the uniform temperature
-    heat/l with zero flux, so E -> (rho c/2) heat^2 / l.
-    """
-    return 0.5 * params.rho_c * heat * heat / params.l
 
-
-def fit_energy_decay_rate(trace: EnergyTrace, params: MaterialParams) -> float:
-    """Least-squares exponential decay rate of the excess energy.
-
-    Fits log(E_n - E_eq) over t in [hi/10, hi], hi = min(5, 0.9 t[-1]),
-    with E_eq the conserved-heat equilibrium energy; subtracting it removes
-    the equilibrium floor so the fit is meaningful for nonzero-mean data too.
-    """
-    hi = min(5.0, 0.9 * float(trace.t[-1]))
-    e_eq = equilibrium_energy(params, float(trace.heat[0]))
-    excess = trace.E - e_eq
-    mask = (trace.t >= hi / 10.0) & (trace.t <= hi) & (excess > 0.0)
-    if np.count_nonzero(mask) < 2:
-        raise InsufficientFitData("decay-rate window contains fewer than 2 usable points")
-    slope = np.polyfit(trace.t[mask], np.log(excess[mask]), 1)[0]
-    return float(-slope)
+def energy_norm_sq(G: np.ndarray, w_T: float, w_q: float) -> float:
+    """max_m ||G_m||_W^2, the most a step of the 2x2 matrices G (2, 2, J)
+    multiplies a mode's energy w_T a^2 + w_q b^2 by: at most 1 where E
+    rises from no state.  ||G_m||_W is the largest singular value of H =
+    W^(1/2) G_m W^(-1/2), W = diag(w_T, w_q), in closed form as
+    (hypot(h_aa + h_bb, h_ba - h_ab) + hypot(h_aa - h_bb, h_ba + h_ab))/2,
+    which cancels nowhere (the equal form with sqrt(|H|_F^2 - 2|det H|)
+    keeps half its digits where the two singular values meet).  At w_q = 0
+    (tau_q = 0) it is |G_aa| where G_ab = 0, as there, and +inf elsewhere."""
+    (aa, ab), (ba, bb) = G
+    if w_q == 0.0:
+        return float(np.max(np.where(ab == 0.0, np.abs(aa), np.inf)) ** 2)
+    r = math.sqrt(w_T) / math.sqrt(w_q)
+    ab, ba = r * ab, ba / r
+    return float(np.max(np.hypot(aa + bb, ba - ab) + np.hypot(aa - bb, ba + ab)) ** 2 / 4.0)

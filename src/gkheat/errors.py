@@ -42,10 +42,6 @@ class NonFiniteState(NumericalFailure):
     """A time step produced a non-finite temperature or flux."""
 
 
-class InsufficientFitData(NumericalFailure):
-    """A decay-rate fit window holds fewer than 2 usable points."""
-
-
 class ParseError(GKHeatError):
     """Malformed line in a key = value configuration file."""
 

@@ -46,32 +46,20 @@ assemble builds one stepper's per-mode 2x2 step matrices G and their
 increments D = G - I (new minus old amplitudes).  Level s + k is G^k times
 level s, and each of its trace terms is a quadratic or linear form in
 level s.  So run transforms the initial state once and works through the
-modes a block at a time: from a block's powers G^k, k = 0..K, and D it
-builds one trace table (modal_trace_table, which forms the step increments
-D G^(k-1) in it), and every row of the run gets the block's share from one
-matrix product of the table with the features of the chunk bases, the
-levels 0, K, 2K, ...  A run with energy_only (the decay-rate fits of
-sweep, and verify's runs that read only kept levels) traces E and heat
-alone: its table is E's weights on the quadratic features, 3 values per
-level and mode instead of 25, built without D.  Either way, per mode,
-the table's work grows with K and the chunk bases' with N/K, so _plan
-makes chunks about sqrt(N/25) levels long for a full trace and sqrt(N/6)
-for E's alone (10 and 20 over 2,500 steps), and blocks as wide in modes
-as twice a budget for the table allows.  The per-mode 2x2 algebra is
-held as structure of arrays: each entry of a matrix (the powers of G
-and of the group hop, D) and each amplitude of a vector (the chunk
-bases, the kept levels) is its own contiguous (rows, n) array, and a
-row that multiplies many is first copied over them, so that every
-elementwise pass runs over contiguous rows and takes no numpy iterator
-buffer; only the table and the features keep the layout of the one
-matrix product per group.  Every block of a run writes into one
-workspace (_Workspace), allocated once for the run's widest block and
-dropped before the kept levels are rebuilt, so that a block allocates
-only a few small arrays.  Only the kept levels' amplitudes are formed,
-in the rows of T and q rebuilt from them in place after the last block;
-the levels either side of a chunk's or a group's first step
-(seam_steps) are formed by different products.  run is the only
-stepping path: a single step is a run with t_final = dt.
+modes a block at a time (_trace_block): a block's powers G^k, k = 0..K,
+and D give one trace table (modal_trace_table), and one matrix product of
+it with the features of the chunk bases, the levels 0, K, 2K, ..., gives
+the block's share of every row.  A run with energy_only (verify's runs
+that read only kept levels) traces E and heat alone, from 3 table values
+per level and mode instead of 25.  _plan shapes the chunks and blocks,
+every array a block forms is a view of one _Workspace per run, and the
+2x2 algebra runs on contiguous rows, one per entry of a matrix or a
+vector (_dot).  Only the kept levels' amplitudes are formed, and T and q
+are rebuilt from them in place after the last block; the levels either
+side of a chunk's or a group's first step (seam_steps) are formed by
+different products.  run is the only stepping path: a single step is a
+run with t_final = dt.  forecast reads what sweep reports of a run, its
+last E included, from G alone.
 """
 
 from __future__ import annotations
@@ -83,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvtext
-from .diagnostics import EnergyTrace
+from .diagnostics import EnergyTrace, energy_norm_sq, step_decay_rate
 from .discretization import Grid, State, _require_on_grid, build_grid
 from .errors import MeshTooLarge, NonFiniteInput, NonFiniteState
 from .linalg import dct, difference_symbols, dst, idct
@@ -311,10 +299,8 @@ class _Workspace:
     table, the group's matrix product, and a spare that holds first the
     table's intermediates and then the group's: the power table of the
     hops G^(K j), the chunk bases, their features (a^2, ab, b^2, a, b),
-    the products that form them and the kept levels' gathers.
-    _trace_block views each in its block's shape, every entry of a 2x2
-    matrix and every amplitude of a vector its own contiguous (rows, n)
-    array."""
+    the products that form them and the kept levels' gathers, each viewed
+    by _trace_block in its block's shape."""
 
     powers: np.ndarray
     table: np.ndarray
@@ -634,32 +620,18 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
             kept[i:i + offset.size] = cols[:, 0].transpose(1, 0, 2)
 
 
-def run(params: MaterialParams, config: SimulationConfig, init: State,
-        keep: Sequence[int] | None = None, energy_only: bool = False,
-        kind: StepperKind = StepperKind.COUPLED_IMPLICIT) -> Trajectory:
-    """Advance init over config's time mesh with the stepper kind.
+def _energy(w: ModalTraceWeights, m: float, x: np.ndarray) -> float:
+    """E of the level of mean m and amplitudes x (2, J), as the trace forms it."""
+    return w.E_mean * m * m + np.sum(w.quadratic[0, :2] * x * x)
 
-    Level 0 and the levels of the steps keep (increasing, in 1..N+1; all
-    of them by default) are kept, a row each of the Trajectory's T and q;
-    energy diagnostics are recorded at every step regardless of keep, all
-    of them or, with energy_only, E and heat alone (the other trace columns
-    are None).  Every stepper advances the modal amplitudes of the
-    fluctuation e of T = m + e around the conserved mean m, and of the
-    interior flux, a block of modes at a time (_trace_block).  Raises
-    ValueError if keep is not such steps; MeshTooLarge, before
-    allocating, if run_memory_bytes exceeds MAX_RUN_BYTES; NonFiniteInput,
-    before stepping, if the step matrices, the trace weights the run reads
-    or init's energy are not finite; NonFiniteState, naming the first
-    bad step, if a level or its trace row overflows.
-    """
-    grid = build_grid(params, config)
-    _require_on_grid(init, grid, "init")
-    last = grid.N + 1
-    keep = np.arange(1, last + 1) if keep is None else np.asarray(keep)
-    if (keep.dtype.kind not in "iu" or keep.ndim != 1 or not keep.size or keep[0] < 1
-            or keep[-1] > last or np.any(keep[1:] <= keep[:-1])):
-        raise ValueError(f"keep must be increasing integer steps in 1..{last}, "
-                         f"got {keep!r}")
+
+def _start(params: MaterialParams, grid: Grid, init: State, kind: StepperKind,
+           keep: np.ndarray, energy_only: bool) -> tuple[ModalTraceWeights, np.ndarray,
+                                                         np.ndarray, float, np.ndarray]:
+    """A run's weights, G, D and init's mean m and amplitudes x (2, J).
+    Raises MeshTooLarge, before allocating, if run_memory_bytes exceeds
+    MAX_RUN_BYTES, and NonFiniteInput if G, D, the weights the run reads
+    (E's alone, with energy_only) or init's energy are not finite."""
     need = run_memory_bytes(grid, keep, energy_only)
     if need > MAX_RUN_BYTES:
         raise MeshTooLarge(f"a run on J={grid.J}, N={grid.N} keeping {keep.size} levels "
@@ -670,12 +642,10 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
         G, D = assemble(params, grid, kind)
         m = float(np.mean(init.T))
         x = _modes(init, m)
-        # E of level 0, as the trace forms it
-        energy = weights.E_mean * m * m + np.sum(weights.quadratic[0, :2] * x * x)
+        energy = _energy(weights, m, x)
     if not np.isfinite(D).all():
         raise NonFiniteInput("the step matrices overflow; mu2, k, rho, c, dt and dx "
                              "set their size")
-    # an energy-only run reads E's weights alone
     read = ((weights.quadratic[0], weights.E_mean, weights.heat_mean) if energy_only
             else vars(weights).values())
     if not all(np.isfinite(w).all() for w in read):
@@ -684,6 +654,59 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
     if not np.isfinite(energy):
         raise NonFiniteInput("the energy of the initial state overflows; "
                              "T_b and T_f set its size")
+    return weights, G, D, m, x
+
+
+def _advance(G: np.ndarray, x: np.ndarray, steps: int) -> np.ndarray:
+    """G^steps x per mode, G (2, 2, n), x (2, n), by square and multiply."""
+    power, y = G, x
+    while steps:
+        if steps & 1:
+            y = power[:, 0] * y[0] + power[:, 1] * y[1]
+        # (G G)_ij = G_i0 G_0j + G_i1 G_1j
+        power = power[:, :1] * power[0] + power[:, 1:] * power[1]
+        steps >>= 1
+    return y
+
+
+def forecast(params: MaterialParams, grid: Grid, init: State) -> tuple[float, float, float]:
+    """(rate, E, gain) of a coupled run of init over grid's N + 1 steps, from
+    one assemble and no step: mode 1's step_decay_rate, E of level N + 1
+    (_advance, O(J log N)) and energy_norm_sq in E's weights.  Raises what an
+    E-only run keeping level N + 1 raises before stepping (its memory too,
+    which bounds forecast's), and NonFiniteState if E is not finite."""
+    weights, G, D, m, x = _start(params, grid, init, StepperKind.COUPLED_IMPLICIT,
+                                 np.array([grid.N + 1]), energy_only=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = float(_energy(weights, m, _advance(G, x, grid.N + 1)))
+        gain = energy_norm_sq(G, *map(float, weights.quadratic[0, :2, 0]))
+    if not np.isfinite(energy):
+        raise NonFiniteState(f"E_final is not finite at tau_q = {params.tau_q!r}, "
+                             f"mu2 = {params.mu2!r}")
+    return step_decay_rate(G[..., 0], D[..., 0], grid.dt), energy, gain
+
+
+def run(params: MaterialParams, config: SimulationConfig, init: State,
+        keep: Sequence[int] | None = None, energy_only: bool = False,
+        kind: StepperKind = StepperKind.COUPLED_IMPLICIT) -> Trajectory:
+    """Advance init over config's time mesh with the stepper kind.
+
+    Level 0 and the levels of the steps keep (increasing, in 1..N+1; all
+    of them by default) are kept, a row each of the Trajectory's T and q;
+    energy diagnostics are recorded at every step regardless of keep, all
+    of them or, with energy_only, E and heat alone (the other trace columns
+    are None).  Raises ValueError if keep is not such steps; MeshTooLarge
+    and NonFiniteInput before stepping (_start); NonFiniteState, naming the
+    first bad step, if a level or its trace row overflows."""
+    grid = build_grid(params, config)
+    _require_on_grid(init, grid, "init")
+    last = grid.N + 1
+    keep = np.arange(1, last + 1) if keep is None else np.asarray(keep)
+    if (keep.dtype.kind not in "iu" or keep.ndim != 1 or not keep.size or keep[0] < 1
+            or keep[-1] > last or np.any(keep[1:] <= keep[:-1])):
+        raise ValueError(f"keep must be increasing integer steps in 1..{last}, "
+                         f"got {keep!r}")
+    weights, G, D, m, x = _start(params, grid, init, kind, keep, energy_only)
     plan = _plan(grid, keep, energy_only)
     J, S = grid.J, plan.keep.size + 1
     sums = np.zeros((grid.N + 2, 1 if energy_only else 5))

@@ -10,11 +10,14 @@ exact decay rate of the assembled step matrix from numpy's eigenvalues,
 against which a rate fitted to a trace is checked, and semi_discrete_rate
 that of mode 1 of the semi-discrete system, from numpy's eigenvalues of
 its generator formed without scheme.assemble, against which
-diagnostics.generator_decay_rate is checked.  one_step and oracle_draws are
-not oracles: one takes the single steps the tests compare, through
-scheme.run, and the other draws, from a generator, the random states on
-J = 2..8 whose 10-step runs acceptance criterion C4 holds to
-checks.step_backward_error's bound, beside checks.oracle_equivalence.
+diagnostics.generator_decay_rate is checked.  fit_energy_decay_rate fits
+a rate to a trace, as sweep did before it read the exact one, from
+zero_mean_decay's run, whose last E scheme.forecast is held to.
+one_step and oracle_draws are not oracles: one takes the single steps the
+tests compare, through scheme.run, and the other draws, from a
+generator, the random states on J = 2..8 whose 10-step runs acceptance
+criterion C4 holds to checks.step_backward_error's bound, beside
+checks.oracle_equivalence.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from collections import namedtuple
 import numpy as np
 
 from gkheat import GridMismatch, scheme
-from gkheat.discretization import Grid, State, _require_on_grid
+from gkheat.diagnostics import EnergyTrace
+from gkheat.discretization import (Grid, State, _require_on_grid, build_grid,
+                                   cosine_initial)
 from gkheat.linalg import difference_symbols
 from gkheat.model import MaterialParams, SimulationConfig, StepperKind
 
@@ -35,6 +40,41 @@ def one_step(p: MaterialParams, grid: Grid, prev: State,
     cfg = SimulationConfig(dx=grid.dx, dt=grid.dt, t_final=grid.dt, T_b=0.0, T_f=0.0)
     traj = scheme.run(p, cfg, prev, kind=kind)
     return State(T=traj.T[1], q=traj.q[1])
+
+
+def zero_mean_decay(p: MaterialParams, config: SimulationConfig) -> EnergyTrace:
+    """The energy trace of a coupled run on config's mesh from the cosine
+    profile at T_b = 0, tracing E alone and keeping no level but the ends:
+    the run whose last E and rate scheme.forecast reads without it.  Its
+    discrete heat dx*T_f/2 is small but nonzero."""
+    grid = build_grid(p, config)
+    return scheme.run(p, config, cosine_initial(grid, 0.0, config.T_f),
+                      keep=[grid.N + 1], energy_only=True).trace
+
+
+def equilibrium_energy(params: MaterialParams, heat: float) -> float:
+    """Energy of the uniform state carrying total heat `heat`.
+
+    The scheme conserves dx*sum(T_j) and relaxes to the uniform temperature
+    heat/l with zero flux, so E -> (rho c/2) heat^2 / l.
+    """
+    return 0.5 * params.rho_c * heat * heat / params.l
+
+
+def fit_energy_decay_rate(trace: EnergyTrace, params: MaterialParams) -> float:
+    """Least-squares exponential decay rate of the excess energy.
+
+    Fits log(E_n - E_eq) over t in [hi/10, hi], hi = min(5, 0.9 t[-1]),
+    with E_eq the conserved-heat equilibrium energy; subtracting it removes
+    the equilibrium floor so the fit is meaningful for nonzero-mean data too.
+    Raises ValueError if the window holds fewer than 2 usable points.
+    """
+    hi = min(5.0, 0.9 * float(trace.t[-1]))
+    excess = trace.E - equilibrium_energy(params, float(trace.heat[0]))
+    mask = (trace.t >= hi / 10.0) & (trace.t <= hi) & (excess > 0.0)
+    if np.count_nonzero(mask) < 2:
+        raise ValueError("decay-rate window contains fewer than 2 usable points")
+    return float(-np.polyfit(trace.t[mask], np.log(excess[mask]), 1)[0])
 
 
 def oracle_draws(rng: np.random.Generator) -> list[np.ndarray]:

@@ -6,12 +6,20 @@ import pytest
 from gkheat import checks, diagnostics, discretization, scheme
 from gkheat.cli import main, parse_config
 from gkheat.diagnostics import EnergyTrace
+from gkheat.errors import NonFiniteState
 from gkheat.model import MaterialParams, SimulationConfig
 from gkheat.linalg import dct, dst
-from oracles import pointwise_residual, semi_discrete_rate
+from oracles import (discrete_decay_rate, fit_energy_decay_rate, pointwise_residual,
+                     semi_discrete_rate, zero_mean_decay)
+from test_campaign import draw_configs
 
 PARAMS = MaterialParams(rho=2e3, c=5e2, tau_q=8e-3, mu2=2.8e-3, k=2e3, l=0.1)
 CONFIG = SimulationConfig(dx=2e-3, dt=1.2e-2, t_final=1.2, T_b=15.0, T_f=30.0)
+#: the benchmark's three meshes at the README material, dt 1.2e-2: J = 499
+#: over 2,500 steps, J = 63 over 20,000 and J = 7999 over 2,500
+WORKLOADS = {"reference": "dx = 2e-4\nt_final = 30\n",
+             "long_horizon": "dx = 1.5625e-3\nt_final = 240\n",
+             "fine_mesh": "dx = 1.25e-5\nt_final = 30\n"}
 
 
 def main_run(params=PARAMS, config=CONFIG):
@@ -244,6 +252,76 @@ class TestRunChecks:
         assert r_d == pytest.approx(semi_discrete_rate(PARAMS, grid), rel=1e-12)
         target = 2.0 * abs(diagnostics.mode_decay_oracle(PARAMS, 1)[0].real)
         assert abs(r_d / target - 1.0) < 1e-3 and checks.mode_rate_fit(PARAMS, config).ok
+
+
+def sweep_pairs(texts):
+    """(params, config) of sweep's default pairs on each config text: the
+    configured pair, its half and (0, 0)."""
+    for text in texts:
+        m = parse_config(text)
+        p = m.params
+        for tau_q, mu2 in ((p.tau_q, p.mu2), (p.tau_q / 2.0, p.mu2 / 2.0), (0.0, 0.0)):
+            yield dataclasses.replace(p, tau_q=tau_q, mu2=mu2), m.config
+
+
+def zero_mean_forecast(params, config):
+    """scheme.forecast of sweep's run: from the cosine profile at T_b = 0."""
+    grid = discretization.build_grid(params, config)
+    return scheme.forecast(params, grid, discretization.cosine_initial(grid, 0.0, config.T_f))
+
+
+class TestForecast:
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_reads_the_runs_last_energy_and_rate(self, workload):
+        # E_final against the last E of the energy-only run it replaces
+        # (bit-identical on all 9 pairs, measured), and the rate against
+        # numpy's eigenvalues of G_1 (at most 1.5e-14 relative, measured)
+        # and against the least-squares fit to that run, which other modes
+        # still reach on its window [0.5, 5] s (1.4e-5 relative on
+        # long_horizon at most, measured; 2.4e-7 on reference, 9e-10 on
+        # fine_mesh)
+        for params, config in sweep_pairs([WORKLOADS[workload]]):
+            rate, energy, gain = zero_mean_forecast(params, config)
+            trace = zero_mean_decay(params, config)
+            assert energy == trace.E[-1]
+            grid = discretization.build_grid(params, config)
+            assert rate == pytest.approx(discrete_decay_rate(params, grid), rel=1e-13)
+            assert rate == pytest.approx(fit_energy_decay_rate(trace, params), rel=3e-5)
+            assert checks.stability_certificate(gain).ok and gain < 0.991
+
+    def test_agrees_with_the_runs_on_the_mild_draw(self):
+        # the 120 pairs of the mild campaign: E_final within 6.6e-15 of the
+        # run's last E (measured), and the certificate's verdict, which
+        # holds for every initial state, that of energy_monotone on the
+        # run from the cosine profile
+        pairs = list(sweep_pairs(draw_configs()))
+        assert len(pairs) == 120
+        for params, config in pairs:
+            _, energy, gain = zero_mean_forecast(params, config)
+            trace = zero_mean_decay(params, config)
+            assert energy == pytest.approx(trace.E[-1], rel=2e-14, abs=0.0)
+            assert checks.stability_certificate(gain).ok == checks.energy_monotone(trace).ok
+
+    def test_an_expansive_mode_fails_the_certificate(self, monkeypatch):
+        # mode 1's G times 1.01 lets a step raise its energy by 2%
+        assemble = scheme.assemble
+
+        def expansive(*args):
+            G, D = assemble(*args)
+            G[..., 0] *= 1.01
+            return G, D
+
+        assert checks.stability_certificate(zero_mean_forecast(PARAMS, CONFIG)[2]).ok
+        monkeypatch.setattr(scheme, "assemble", expansive)
+        certificate = checks.stability_certificate(zero_mean_forecast(PARAMS, CONFIG)[2])
+        assert not certificate.ok and certificate.value > 1.01
+        assert certificate.detail == f"max energy gain {certificate.value:.6g}"
+
+    def test_a_non_finite_energy_names_the_pair(self, monkeypatch):
+        monkeypatch.setattr(scheme, "_advance", lambda G, x, steps: np.full_like(x, np.inf))
+        with pytest.raises(NonFiniteState,
+                           match=r"E_final is not finite at tau_q = 0.008, mu2 = 0.0028$"):
+            zero_mean_forecast(PARAMS, CONFIG)
 
 
 class TestMargins:

@@ -452,9 +452,9 @@ class TestCmdSweep:
             assert cells[6] == "1"
 
     def test_default_pairs_match_the_discrete_rate(self, tmp_path):
-        # the fitted rates of the energy-only runs on the reference mesh
-        # against the scheme's exact rate of mode 1; measured gaps 2.4e-7,
-        # 1.4e-7 and 4e-11, against the 2% of the continuum oracle
+        # the step rates of mode 1 on the reference mesh against numpy's
+        # eigenvalues of its step matrix; measured gaps 2.8e-15, 8.1e-15
+        # and 1.6e-15, against the 2% of the continuum oracle
         cfg = tmp_path / "ref.cfg"
         cfg.write_text(f"out_dir = {tmp_path}\n")
         assert main(["sweep", "-c", str(cfg)]) == 0
@@ -465,7 +465,7 @@ class TestCmdSweep:
             tau_q, mu2, fitted = map(float, row.split(",")[:3])
             params = dataclasses.replace(manifest.params, tau_q=tau_q, mu2=mu2)
             r_d = discrete_decay_rate(params, build_grid(params, manifest.config))
-            assert fitted == pytest.approx(r_d, rel=1e-6)
+            assert fitted == pytest.approx(r_d, rel=1e-13)
 
     def test_fourier_pair_rate(self, tmp_path):
         manifest = parse_config(
@@ -475,6 +475,35 @@ class TestCmdSweep:
         fitted = float(line.split(",")[2])
         target = 2 * (2e3 / 1e6) * (math.pi / 0.1) ** 2
         assert fitted == pytest.approx(target, rel=0.02)
+
+    def test_makes_no_run(self, tmp_path, monkeypatch):
+        # every column comes from the step matrices
+        def no_run(*args, **kwargs):
+            raise AssertionError("scheme.run called")
+
+        monkeypatch.setattr(scheme, "run", no_run)
+        manifest = parse_config(f"dx = 2e-3\nout_dir = {tmp_path}\n")
+        assert cmd_sweep(manifest, [(8e-3, 2.8e-3), (0.0, 0.0)]) == 0
+        rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[6] for row in rows] == ["1", "1"]
+
+    def test_an_expansive_step_reads_not_monotone(self, tmp_path, monkeypatch):
+        # mode 4's G times 1.01 can raise E, from some state if not from
+        # the cosine profile, where its energy gain was above 1/1.01^2:
+        # 0.984 on the GK pair, and 0.527 on the Fourier pair, which stays
+        # below 1
+        assemble = scheme.assemble
+
+        def expansive(*args):
+            G, D = assemble(*args)
+            G[..., 3] *= 1.01
+            return G, D
+
+        monkeypatch.setattr(scheme, "assemble", expansive)
+        manifest = parse_config(f"dx = 2e-3\nout_dir = {tmp_path}\n")
+        assert cmd_sweep(manifest, [(8e-3, 2.8e-3), (0.0, 0.0)]) == 0
+        rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[6] for row in rows] == ["0", "1"]
 
     def test_empty_pair_list(self, tmp_path):
         manifest = parse_config(f"dx = 2e-3\nout_dir = {tmp_path}\n")
@@ -588,10 +617,20 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     def test_sweep_reads_no_overflowing_trace_weight(self, tmp_path):
-        # sweep's runs trace E alone, whose weights are finite here
+        # sweep reads E's weights alone, which are finite here
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(f"mu2 = 1e305\ndx = 0.05\nt_final = 6\nout_dir = {tmp_path / 'o'}\n")
         assert main(["sweep", "-c", str(cfg)]) == 0
+
+    def test_verify_at_a_huge_step_raises_no_warning(self, tmp_path, capsys):
+        # the flux law's terms reach 1e307 at dt = 1e300, dx = 2e-4; the
+        # backward error scales them before summing, so no sum overflows
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"dt = 1e300\nt_final = 1e300\nout_dir = {tmp_path / 'o'}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "-c", str(cfg)]) == 0
+        assert "PASS oracle_equivalence: " in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [["run", "--nope"], ["frobnicate"],
                                       ["sweep", "--pair", "1,2,3"]])
@@ -629,6 +668,21 @@ class TestMain:
                        f"out_dir = {tmp_path / 'o'}\n")
         assert main(["run", "-c", str(cfg)]) == 1
         assert "MAX_RUN_BYTES" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_over_memory_cap_exits_one(self, tmp_path, capsys, monkeypatch):
+        # sweep makes no run, but refuses where the energy-only run it reads
+        # the columns of would hold too much, before assembling, as a run does
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(f"dx = 2e-3\nout_dir = {tmp_path / 'o'}\n")
+        manifest = parse_config(cfg.read_text())
+        grid = build_grid(manifest.params, manifest.config)
+        monkeypatch.setattr(scheme, "MAX_RUN_BYTES", scheme.run_memory_bytes(
+            grid, np.array([grid.N + 1]), energy_only=True) - 1)
+        monkeypatch.setattr(scheme, "assemble", None)
+        assert main(["sweep", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: a run on J=49, N=2499 keeping 1 levels would hold ")
         assert not (tmp_path / "o").exists()
 
     def test_value_error_from_a_bug_propagates(self, tmp_path, monkeypatch):

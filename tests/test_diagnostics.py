@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from gkheat import (State, build_grid, cosine_initial, decay_constants,
-                    equilibrium_energy, fit_energy_decay_rate, mode_decay_oracle,
-                    run)
-from gkheat import InsufficientFitData
+                    mode_decay_oracle, run)
 from gkheat import checks, diagnostics, scheme
 from gkheat.cli import write_trace_csv
 from gkheat.checks import DISSIPATION_RTOL
 from gkheat.diagnostics import EnergyTrace, sandwich_bounds
 from gkheat.model import MaterialParams, SimulationConfig
 from gkheat.scheme import build_trace, modal_trace_table, modal_trace_weights
-from oracles import (boundary_term, discrete_energy, dissipation_check, lyapunov,
+from oracles import (boundary_term, discrete_energy, dissipation_check,
+                     discrete_decay_rate, equilibrium_energy,
+                     fit_energy_decay_rate, lyapunov,
                      semi_discrete_rate, total_heat)
 
 
@@ -316,6 +316,53 @@ class TestStepDecayRate:
                 assert math.isfinite(r_d), p
 
 
+class TestStepRateAndEnergyGain:
+    def test_step_rate_where_a_step_nearly_annihilates_the_mode(self, ref_params):
+        # dt = 30 and tau_q = 0: |mu| is about 0.98, and the rate comes from g
+        p = dataclasses.replace(ref_params, tau_q=0.0, mu2=0.0)
+        G, D, grid = mode_one(p, 2e-3, 30.0)
+        assert abs(diagnostics.eigenvalues_2x2(D)[1]) > 0.5
+        assert diagnostics.step_decay_rate(G, D, grid.dt) == pytest.approx(
+            discrete_decay_rate(p, grid), rel=1e-12)
+
+    def test_step_rate_near_one_keeps_its_digits(self, ref_params):
+        # rho(G_1) = 1 - 3.9e-16 at k = 1e-9 and dt/8 (numpy's eigenvalues
+        # read the rate 15% low): within the mesh's 8.7e-7 of the continuum
+        p = dataclasses.replace(ref_params, k=1e-9)
+        G, D, grid = mode_one(p, 2e-4, 1.2e-2 / 8)
+        slow, _ = mode_decay_oracle(p, 1)
+        assert diagnostics.step_decay_rate(G, D, grid.dt) == pytest.approx(
+            2.0 * abs(slow.real), rel=1e-5)
+
+    def test_energy_gain_is_the_squared_weighted_norm(self):
+        # against numpy's 2-norm of W^(1/2) G W^(-1/2), per mode
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            G = rng.normal(size=(2, 2, 7)) * 10.0 ** rng.uniform(-3, 3)
+            w_T, w_q = 10.0 ** rng.uniform(-20, 20, 2)
+            root = np.sqrt([w_T, w_q])
+            norms = [np.linalg.norm(root[:, None] * G[..., m] / root, 2) for m in range(7)]
+            assert diagnostics.energy_norm_sq(G, w_T, w_q) == pytest.approx(
+                max(norms) ** 2, rel=1e-12)
+
+    def test_energy_gain_keeps_its_digits_where_the_singular_values_meet(self):
+        # H = c R(theta), a scaled rotation, has two singular values c: the
+        # gain reads c^2 to rounding, where the form with
+        # sqrt(|H|_F^2 - 2|det H|) reads it 1.5e-8 high
+        c, theta, w_T, w_q = 1.0 - 1e-12, 1.3, 5e5, 2e-9
+        H = c * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        G = (H * np.sqrt([[1.0, w_q / w_T], [w_T / w_q, 1.0]]))[..., None]
+        assert diagnostics.energy_norm_sq(G, w_T, w_q) == pytest.approx(c * c, rel=4e-16)
+
+    def test_energy_gain_without_flux_weight(self):
+        # tau_q = 0: the flux carries no energy, and a step that reads no
+        # flux (G_ab = 0) has gain max G_aa^2; one that does is unbounded
+        G = np.array([[[0.5, -0.9], [0.0, 0.0]], [[3.0, 1.0], [0.0, 0.0]]])
+        assert diagnostics.energy_norm_sq(G, 1.0, 0.0) == pytest.approx(0.81, rel=1e-15)
+        G[0, 1, 0] = 1e-300
+        assert diagnostics.energy_norm_sq(G, 1.0, 0.0) == math.inf
+
+
 def written_z(path, params, t, E, C_T):
     """The Z column write_trace_csv writes for energies E and boundary
     terms C_T at times t, from params' decay constants and sup|C_T|."""
@@ -369,7 +416,7 @@ class TestRateFit:
 
     def test_rejects_empty_window(self, ref_params):
         trace = make_trace([0.0, 10.0], [1.0, 0.5])
-        with pytest.raises(InsufficientFitData):
+        with pytest.raises(ValueError, match="fewer than 2 usable points"):
             fit_energy_decay_rate(trace, ref_params)
 
 
