@@ -179,12 +179,12 @@ def oracle_equivalence(params: MaterialParams, config: SimulationConfig,
                        traj: scheme.Trajectory) -> CheckResult:
     """step_backward_error of every pair of consecutive kept levels, a pair
     at a time, of two coupled runs on config's mesh: traj (verify keeps the
-    levels of scheme.seam_steps in its main run) and one of
-    min(ORACLE_STEPS, N + 1) steps of config.dt from oracle_state, tracing
-    E alone and keeping every level, which reaches every mode."""
+    levels of scheme.seam_steps in its main run) and a levels-only run of
+    min(ORACLE_STEPS, N + 1) steps of config.dt from oracle_state, keeping
+    every level, which reaches every mode."""
     steps = min(ORACLE_STEPS, traj.grid.N + 1)
     probe = scheme.run(params, dataclasses.replace(config, t_final=steps * config.dt),
-                       oracle_state(traj.grid), energy_only=True)
+                       oracle_state(traj.grid), levels_only=True)
     worst = 0.0
     for r in (traj, probe):
         for i in np.flatnonzero(np.diff(r.stored_steps) == 1):
@@ -225,14 +225,14 @@ def mode_rate_fit(params: MaterialParams, config: SimulationConfig) -> CheckResu
 def printed_gaps(params: MaterialParams,
                  config: SimulationConfig) -> list[tuple[float, float]]:
     """(dt, gap) of one as-printed step to one coupled step, each a
-    one-step run from the cosine initial state that traces E alone, at
+    one-step levels-only run from the cosine initial state, at
     dt = config.dt, config.dt/2 and config.dt/4."""
     gaps = []
     for dt in config.dt / 2.0**np.arange(3):
         cfg = dataclasses.replace(config, dt=dt, t_final=dt)
         init = discretization.cosine_initial(discretization.build_grid(params, cfg),
                                              config.T_b, config.T_f)
-        printed, coupled = (scheme.run(params, cfg, init, energy_only=True, kind=kind)
+        printed, coupled = (scheme.run(params, cfg, init, levels_only=True, kind=kind)
                             for kind in (StepperKind.VECTORIAL_AS_PRINTED,
                                          StepperKind.COUPLED_IMPLICIT))
         gaps.append((float(dt), state_gap((printed.T[1], printed.q[1]),

@@ -30,18 +30,16 @@ class EnergyTrace:
     """Per-step diagnostics of one trajectory (arrays of length N+2).
 
     diss_lhs/diss_rhs are the two sides of the dissipation inequality; row 0
-    has no predecessor and carries zeros there.  An energy-only trace
-    (scheme.run's energy_only) has t, E and heat, and None in the other
-    four columns.
+    has no predecessor and carries zeros there.
     """
 
-    t: np.ndarray                # time [s]
-    E: np.ndarray                # discrete functional energy
-    diss_lhs: np.ndarray | None  # (E^n - E^{n-1})/dt
-    diss_rhs: np.ndarray | None  # dissipation bound
-    heat: np.ndarray             # total heat dx*sum(T_j)
-    C_T: np.ndarray | None       # boundary-times-mean term
-    lyapunov: np.ndarray | None  # weighted Lyapunov functional
+    t: np.ndarray         # time [s]
+    E: np.ndarray         # discrete functional energy
+    diss_lhs: np.ndarray  # (E^n - E^{n-1})/dt
+    diss_rhs: np.ndarray  # dissipation bound
+    heat: np.ndarray      # total heat dx*sum(T_j)
+    C_T: np.ndarray       # boundary-times-mean term
+    lyapunov: np.ndarray  # weighted Lyapunov functional
 
     def __len__(self) -> int:
         return self.t.size

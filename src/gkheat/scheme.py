@@ -47,11 +47,12 @@ increments D = G - I (new minus old amplitudes).  Level s + k is G^k times
 level s, and each of its trace terms is a quadratic or linear form in
 level s.  So run transforms the initial state once and works through the
 modes a block at a time (_trace_block): a block's powers G^k, k = 0..K,
-and D give one trace table (modal_trace_table), and one matrix product of
-it with the features of the chunk bases, the levels 0, K, 2K, ..., gives
-the block's share of every row.  A run with energy_only (verify's runs
-that read only kept levels) traces E and heat alone, from 3 table values
-per level and mode instead of 25.  _plan shapes the chunks and blocks,
+and D give a trace table on the quadratic and one on the linear features
+of a level (modal_trace_table, 16 values per level and mode and no
+structural zero), and a matrix product of each with those features of the
+chunk bases, the levels 0, K, 2K, ..., gives the block's share of every
+row.  A levels-only run (verify's runs that read only kept levels) forms
+no table or product, only the kept levels.  _plan shapes the chunks and blocks,
 every array a block forms is a view of one _Workspace per run, and the
 2x2 algebra runs on contiguous rows, one per entry of a matrix or a
 vector (_dot).  Only the kept levels' amplitudes are formed, and T and q
@@ -214,27 +215,29 @@ def _power_table(G: np.ndarray, K: int, out: np.ndarray, spare: np.ndarray) -> n
     eigendecomposition: a mode's eigenvectors are ill-conditioned where it
     passes from over- to under-damped.  K' is K cut at the first non-finite
     entry (at least 1), which the unstable as-printed Fourier-limit stepper
-    reaches within a few dozen levels.  The table is written into out, of
-    shape (2, 2, K + 1, n), and the doubling's products into the flat
-    spare, of K n / 2 values or more.
+    reaches within a few dozen levels.  The doubling runs in the flat
+    spare, of 5 (K + 1) n values or more, on entries held at [i, k, j],
+    where both columns of a row's new entries are one contiguous block, a
+    _dot each; the table is then copied into out, of shape (2, 2, K + 1, n).
     """
     n = G.shape[2]
-    table = out
-    table[:, :, 0] = 0.0
-    table[0, 0, 0] = table[1, 1, 0] = 1.0
-    table[:, :, 1] = G
+    rows, rest = _carve(spare, (2, K + 1, 2, n))
+    rows[:, 0] = 0.0
+    rows[0, 0, 0] = rows[1, 0, 1] = 1.0
+    rows[:, 1] = G
     p = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while p < K:
             count = min(p, K - p)
-            product = _view(spare, (count, n))
-            # (G^p G^k)_ij = G^p_i0 G^k_0j + G^p_i1 G^k_1j
-            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                _dot(table[i, j, p + 1:p + count + 1], table[i, 0, p], table[0, j, 1:count + 1],
-                     table[i, 1, p], table[1, j, 1:count + 1], product)
+            product = _view(rest, (count, 2, n))
+            # (G^p G^k)_ij = G^p_i0 G^k_0j + G^p_i1 G^k_1j, j = 0, 1 at once
+            for i in (0, 1):
+                _dot(rows[i, p + 1:p + count + 1], rows[i, p, 0], rows[0, 1:count + 1],
+                     rows[i, p, 1], rows[1, 1:count + 1], product)
             p += count
-    finite = _finite(table, axis=(0, 1, 3))
-    return table if finite.all() else table[:, :, :max(2, int(np.argmin(finite)))]
+    np.copyto(out, rows.transpose(0, 2, 1, 3))
+    finite = _finite(out, axis=(0, 1, 3))
+    return out if finite.all() else out[:, :, :max(2, int(np.argmin(finite)))]
 
 
 @dataclass(frozen=True)
@@ -245,7 +248,7 @@ class Trajectory:
     q: np.ndarray             # (S, J+2) fluxes, q[:, 0] = q[:, -1] = 0
     stored_steps: list[int]   # time indices of the S kept levels
     grid: Grid
-    trace: EnergyTrace
+    trace: EnergyTrace | None  # None for a levels-only run
 
 
 @dataclass(frozen=True)
@@ -259,74 +262,74 @@ class RunPlan:
     batch: int        # kept levels rebuilt per transform, 8 (J + 1) values each
 
 
-def _plan(grid: Grid, keep: np.ndarray, energy_only: bool = False) -> RunPlan:
+def _plan(grid: Grid, keep: np.ndarray, levels_only: bool = False) -> RunPlan:
     """The shapes of a run on grid keeping the levels of the steps keep.
 
-    A block's table is built from v (K + 1) n values: a full trace's 25
-    columns and features per level and mode (v = 25), or the 9 values per
-    level and mode that E's 3 table values alone are formed in (v = 9,
-    energy_only).  Per mode, the table takes work in K and the chunk
-    bases, each several elementwise passes over 5 or 3 features, in
-    (N + 1)/K; K near sqrt((N + 1)/c)
-    balances them, with c = 25 for a full trace (within 3% of the fastest
+    A full trace's block is shaped for 25 values per level and mode (its
+    two tables take 16, and the tile was measured when they took 25), a
+    levels-only run's for the 10 it forms, the power table's 4 and the
+    kept levels' gathered powers and bases' 6, so its blocks are 2.5 times
+    wider.  Per mode, a chunk's table and powers take work in K and the
+    chunk bases, each several elementwise passes, in (N + 1)/K; K near
+    sqrt((N + 1)/25) balances them (within 3% of the fastest full-trace
     tile, and the one of them with the smallest workspace, in a scan of
-    verify at J = 7999 over 2,500 steps) and c = 6 for E's alone (fastest
-    in a warm process over J = 49..7999 and N = 500..20,000).  K is at
-    least 10, so that a short run, such as verify's 10-step probe, is one
-    chunk, at most N + 1, and at most what leaves a block 32 modes within
-    the budget, so that the tile shrinks with the budget.  n then fills
-    twice the budget, v (K + 1) n <= 2 TRACE_CHUNK_ELEMENTS, unless the
-    mesh has fewer modes.  A group's features, 5 M n or 3 M n values, are
-    as many as the table's, M = 5 (K + 1) or K + 1, unless the run has
-    fewer chunks.  At J = 499 and 7999 over 2,500 steps that is (10, 238,
-    55) for a full trace and (20, 346, 21) for E's; at J = 63 over 20,000
-    it is (28, 63, 145) and (57, 63, 58).  These shapes fix the order of
-    the trace's sums, and so the last digits of trace.csv.
+    verify at J = 7999 over 2,500 steps).  K is at least 10, so that a
+    short run, such as verify's 10-step probe, is one chunk, at most N + 1,
+    and at most what leaves a block 32 modes within the budget, so that the
+    tile shrinks with the budget.  n then fills twice the budget,
+    v (K + 1) n <= 2 TRACE_CHUNK_ELEMENTS, unless the mesh has fewer modes.
+    A group's features, 5 M n values, are as many as a table of 25 values
+    per level and mode, M = 5 (K + 1), unless the run has fewer chunks.  At
+    J = 499 and 7999 over 2,500 steps that is (10, 238, 55) for a full
+    trace and (10, 499, 55) and (10, 595, 55) for levels alone; at J = 63
+    over 20,000 it is (28, 63, 145) for both.  A full trace's shapes fix the order of its
+    sums, and so the last digits of trace.csv.
     """
     last = grid.N + 1
-    v, c, columns = (9, 6, 1) if energy_only else (25, 25, 5)
-    width = 2 * TRACE_CHUNK_ELEMENTS // v
-    K = min(last, max(10, math.isqrt(last // c)), max(1, width // 32 - 1))
+    width = 2 * TRACE_CHUNK_ELEMENTS // (10 if levels_only else 25)
+    K = min(last, max(10, math.isqrt(last // 25)), max(1, width // 32 - 1))
     n = min(grid.J, max(1, width // (K + 1)))
-    M = min(columns * (K + 1), -(-last // K))
+    M = min(5 * (K + 1), -(-last // K))
     return RunPlan(keep=keep, K=K, n=n, M=M,
                    batch=min(keep.size, max(1, TRACE_CHUNK_ELEMENTS // (8 * grid.J + 8))))
 
 
 class _Workspace:
     """Every array run's blocks form, flat, allocated once per run for its
-    plan's widest block and trace kind: the power table of G^k, the trace
-    table, the group's matrix product, and a spare that holds first the
-    table's intermediates and then the group's: the power table of the
-    hops G^(K j), the chunk bases, their features (a^2, ab, b^2, a, b),
-    the products that form them and the kept levels' gathers, each viewed
-    by _trace_block in its block's shape."""
+    plan's widest block and kind of run: the power table of G^k, the two
+    trace tables, the group's matrix products, and a spare that holds
+    first the tables' intermediates and then the group's: the power table
+    of the hops G^(K j), the chunk bases, their features (a^2, ab, b^2 and
+    a, b; none for levels alone), the products that form them and the kept
+    levels' gathers, each viewed by _trace_block in its block's shape."""
 
     powers: np.ndarray
     table: np.ndarray
     product: np.ndarray
     spare: np.ndarray
 
-    def __init__(self, plan: RunPlan, energy_only: bool) -> None:
-        for name, size in _workspace_sizes(plan, energy_only).items():
+    def __init__(self, plan: RunPlan, levels_only: bool) -> None:
+        for name, size in _workspace_sizes(plan, levels_only).items():
             setattr(self, name, np.empty(size))
 
 
-def _workspace_sizes(plan: RunPlan, energy_only: bool) -> dict[str, int]:
+def _workspace_sizes(plan: RunPlan, levels_only: bool) -> dict[str, int]:
     """The float64 values of each of _Workspace's arrays."""
     K, n, M, keep = plan.K, plan.n, plan.M, plan.keep
-    columns, features = (1, 3) if energy_only else (5, 5)
-    # a group takes its hops' power table and its bases (4 and 2 values
-    # per mode and chunk, one chunk more than a group), its features and
-    # the larger of a row of products per chunk (the doubling's, the
-    # bases' and the features') and a gather of kept levels: at most K of
-    # them, and no more than a group's K M levels hold, with 6 values per
-    # level and mode (their powers and their chunks' bases)
+    traced = 0 if levels_only else 1
+    # a group takes its hops' powers and its bases (4 and 2 values per mode
+    # and chunk, one chunk more than a group), its features (5, none for
+    # levels alone) and the larger of a row of products per chunk and a
+    # gather of at most K kept levels, no more than a group's K M levels
+    # hold, of 6 values per level and mode (their powers and bases).  The
+    # tables take 16 values per level and mode, their intermediates 15 and
+    # _power_table's doublings 5 (the hops' past the hops' own powers), and
+    # the products 4 per level and chunk (the linear one's 2 reuse them)
     gather = min(K, int(np.max(np.searchsorted(keep, keep + K * M) - np.arange(keep.size))))
-    group = (6 * (M + 1) + features * M + max(M, 6 * gather)) * n
-    return {"powers": 4 * (K + 1) * n, "table": columns * features * (K + 1) * n,
-            "product": columns * K * M,
-            "spare": max(_table_spare_size(K + 1, n, energy_only), group)}
+    group = (6 * (M + 1) + 5 * traced * M + max(M, 6 * gather)) * n
+    return {"powers": 4 * (K + 1) * n, "table": 16 * traced * (K + 1) * n,
+            "product": 4 * traced * K * M,
+            "spare": max((5 + 10 * traced) * (K + 1) * n, 9 * (M + 1) * n, group)}
 
 
 def strided_steps(grid: Grid, stride: int) -> np.ndarray:
@@ -350,29 +353,31 @@ def seam_steps(grid: Grid) -> np.ndarray:
                            if 1 <= s <= last))
 
 
-def run_memory_bytes(grid: Grid, keep: np.ndarray, energy_only: bool = False) -> int:
+def run_memory_bytes(grid: Grid, keep: np.ndarray, levels_only: bool = False) -> int:
     """Bytes run() and the run command's writers hold for grid, the steps
-    keep of the kept levels and the kind of trace.
+    keep of the kept levels and the kind of run.
 
     Counts, per level, the time axis, the trace's modal sums
-    (5, which build_trace completes in place into E, diss_lhs, diss_rhs,
-    C_T and lyapunov), heat, temporaries, and the trace writer's Z and
-    step numbers; 10 J values of transform temporaries; per kept level, its
-    2J+3 values plus 32 for its Python objects (about 220 bytes measured);
-    and the largest of three phases.  The blocks hold the operators (8J),
-    the trace weights (15J), level 0's amplitudes (2J), the workspace of
-    the run's plan and trace kind, from the shapes it is built from, and
-    what a block allocates beside it, 1,024 values of small arrays (its
-    ufunc calls run on contiguous rows and take no iterator buffer).  Then
-    a batch of levels is rebuilt, or the CSV writers hold a block, its
-    buffers and the gather's, and csvtext's tables.
+    (6, which build_trace completes in place into E, diss_rhs, diss_lhs,
+    lyapunov and C_T), heat, temporaries, and the trace writer's Z and
+    step numbers, or for a levels-only run the time axis and its rows'
+    finiteness alone; 10 J values of transform temporaries; per kept level,
+    its 2J+3 values plus 32 for its Python objects (about 220 bytes
+    measured); and the largest of three phases.  The blocks hold the
+    operators (8J), the trace weights (15J), level 0's amplitudes (2J), the
+    workspace of the run's plan and kind, from the shapes it is built from,
+    and what a block allocates beside it, 1,024 values of small arrays (its
+    ufunc calls take no iterator buffer).  Then a batch of levels is
+    rebuilt, or the CSV writers, which write no levels-only run, hold a
+    block, its buffers and the gather's, and csvtext's tables.
     """
-    plan, J = _plan(grid, keep, energy_only), grid.J
+    plan, J = _plan(grid, keep, levels_only), grid.J
     kept = plan.keep.size + 1
-    blocks = (8 + 15 + 2) * J + sum(_workspace_sizes(plan, energy_only).values()) + 1024
-    writer = math.ceil((csvtext.TABLE_BYTES + csvtext.GATHER_BYTES + csvtext.BYTES_PER_VALUE
-                        * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1)) / 8)
-    return 8 * ((grid.N + 2) * (1 + 5 + 1 + 1 + 1 + 1) + 10 * J
+    blocks = (8 + 15 + 2) * J + sum(_workspace_sizes(plan, levels_only).values()) + 1024
+    writer = 0 if levels_only else math.ceil(
+        (csvtext.TABLE_BYTES + csvtext.GATHER_BYTES + csvtext.BYTES_PER_VALUE
+         * max(csvtext.WRITE_BLOCK_VALUES, 2 * kept + 1)) / 8)
+    return 8 * ((grid.N + 2) * (2 if levels_only else 11) + 10 * J
                 + kept * (2 * J + 3 + 32) + max(blocks, plan.batch * 8 * (J + 1), writer))
 
 
@@ -431,52 +436,48 @@ def modal_trace_weights(params: MaterialParams, grid: Grid) -> ModalTraceWeights
 
 
 def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
-                      modes: slice, D: np.ndarray | None, out: np.ndarray,
-                      spare: np.ndarray) -> np.ndarray:
-    """New trace table of a block of modes, (L, 5, 5, n) for L levels, or,
-    without D, E's table alone, (L, 1, 3, n).
+                      modes: slice, D: np.ndarray, out: np.ndarray,
+                      spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New trace tables of a block of modes for L levels: the quadratic
+    one, (L, 4, 3, n), and the linear one, (L, 2, 2, n).
 
     powers (2, 2, L, n) holds, for the n modes in `modes`, entry (i, j) of
     the matrix G_l = G^l mapping a base level x = (a, b) to level l at
     [i, j, l]; D (2, 2, n) are the step's increments, G = I + D, and
     P_l = D G^(l-1) (0 for x itself) maps x to the increment into level l,
     formed as a product (G^l - G^(l-1) loses about eps/|D| relative on slow
-    modes).  With the features phi(x) = (a^2, ab, b^2, a, b),
-    table[l, c, f, i] weighs feature f of mode i in column c of level l: E,
-    diss_rhs and F less their mean parts (F's term linear in y carries m),
-    C_T/heat less its mean part, and diss_lhs from the increment P_l x as
-    the step computes it and y + y_prev = (2 G_l - P_l) x.  Summed over the
-    modes, phi(x) @ table gives the sums build_trace takes.  E's table
-    alone is the first column's first three features; it reads no
-    increments, and no y_0 y_1 monomial, on which E's weight is 0.  Every
-    intermediate is a contiguous (L, n) array per entry, with a weight
-    copied over the rows it multiplies, in the flat spare, of
-    _table_spare_size(L, n, D is None) values, and each column is copied
-    into the table, out, at its end.
+    modes).  quadratic[l, c, f, i] weighs feature f (a^2, ab, b^2) of mode
+    i in column c of level l: E, diss_rhs and F's quadratic part less
+    their mean parts, and diss_lhs from the increment P_l x as the step
+    computes it and y + y_prev = (2 G_l - P_l) x; linear[l, c, f, i] weighs
+    feature f (a, b) in F's part linear in y, which carries m, and C_T/heat
+    less its mean part.  Summed over the modes, the features' products
+    with the two tables give the two arrays of sums build_trace takes, and
+    no column weighs a feature by a structural 0.  Every intermediate is a
+    contiguous (L, n) array per entry, with a weight copied over the rows
+    it multiplies, in the flat spare, of 15 L n values (the three columns'
+    quadratic parts, a monomial and a product, which also hold the later
+    stages'), and the tables are the first 16 L n values of the flat out.
     """
     G = powers
     L, n = G.shape[2:]
-    energy_only = D is None
-    columns, features = (1, 3) if energy_only else (5, 5)
-    table = out
-    rows = 1 if energy_only else 3
-    pairs = ((0, 0), (1, 1)) if energy_only else ((0, 0), (1, 1), (0, 1))
-    quadratic, monomial, product, _ = _carve(spare, (rows, 3, L, n), (3, L, n), (3, L, n))
-    # y_0^2, y_1^2 and y_0 y_1 in turn, on the features a^2, ab, b^2
-    for u, (i, k) in enumerate(pairs):
+    table, linear_table, _ = _carve(out, (L, 4, 3, n), (L, 2, 2, n))
+    quadratic, monomial, product, _ = _carve(spare, (3, 3, L, n), (3, L, n), (3, L, n))
+    # y_0^2, y_1^2 and y_0 y_1 in turn, on the features a^2, ab, b^2, for
+    # E, diss_rhs and F
+    for u, (i, k) in enumerate(((0, 0), (1, 1), (0, 1))):
         np.multiply(G[i, 0], G[k, 0], out=monomial[0])
         np.multiply(G[i, 0], G[k, 1], out=monomial[1])
         monomial[1] += np.multiply(G[i, 1], G[k, 0], out=monomial[2])
         np.multiply(G[i, 1], G[k, 1], out=monomial[2])
-        for c in range(rows):
+        for c in range(3):
             term = product if u else quadratic[c]
             np.copyto(term, w.quadratic[c, u, modes])
             term *= monomial
             if u:
                 quadratic[c] += term
-    table[:, :rows, :3] = quadratic.transpose(2, 0, 1, 3)
-    if energy_only:
-        return table
+    table[:, :2] = quadratic[:2].transpose(2, 0, 1, 3)
+    table[:, 3] = quadratic[2].transpose(1, 0, 2)
     # P_l = D G^(l-1) for l >= 1 and 2 G_l - P_l, entry (i, j) at [i, j]
     K = L - 1
     P, V, weight, both, product, _ = _carve(spare, (2, 2, K, n), (2, 2, K, n), (2, K, n),
@@ -494,87 +495,82 @@ def modal_trace_table(w: ModalTraceWeights, m: float, powers: np.ndarray,
             _dot(both[s], P[0, j], V[0, k], P[1, j], V[1, k], product)
         if s:
             both[0] += both[1]
-        table[1:, 4, f] = both[0]
+        table[1:, 2, f] = both[0]
+    table[0, 2] = 0.0
     # F/m and C_T/heat: sum_i l_i y_i puts sum_i l_i G_ij on x_j
     linear, product, lin, _ = _carve(spare, (2, L, n), (2, L, n), (2, 2, n))
     lin[:] = w.linear[..., modes]
     lin[0] *= m
     for c in (0, 1):
         _dot(linear, lin[c, 0], G[0], lin[c, 1], G[1], product)
-        table[:, 2 + c, 3:] = linear.transpose(1, 0, 2)
-    table[:, :2, 3:] = 0.0
-    table[:, 4, 3:] = table[0, 4] = 0.0
-    table[:, 3, :3] = 0.0
-    return table
-
-
-def _table_spare_size(L: int, n: int, energy_only: bool) -> int:
-    """Values of modal_trace_table's spare for L levels of n modes: E's
-    quadratic part, a monomial and a product (9 L n), or for the full
-    table the three columns' quadratic parts, a monomial and a product
-    (15 L n), which also hold the second stage's increments and products."""
-    return (9 if energy_only else 15) * L * n
+        linear_table[:, c] = linear.transpose(1, 0, 2)
+    return table, linear_table
 
 
 def build_trace(w: ModalTraceWeights, m: float, t: np.ndarray,
-                sums: np.ndarray) -> EnergyTrace:
+                sums: tuple[np.ndarray, np.ndarray]) -> EnergyTrace:
     """EnergyTrace at times t of the levels of a trajectory split as
-    T = m + e, from their sums over the modes in the column order of
-    modal_trace_table.  Row 0 has no predecessor and zeros for the
-    dissipation sides.  diss_lhs comes from the step increments, so it is
-    neither drowned by cancellation near equilibrium nor limited by the
-    rounding of the levels themselves; the mean, never stepped, drops out
-    of it and keeps the heat exactly constant.  From E's sums alone (one
-    column) the trace has t, E and heat, and None in the other four.  The
-    sums are completed in place: every column but t and heat is a view of them.
+    T = m + e, from their sums over the modes of the products of
+    modal_trace_table's quadratic table, (L, 4) in its columns E, diss_rhs,
+    diss_lhs and F, and of its linear one, (L, 2) in F and C_T.  Row 0 has
+    no predecessor and zeros for the dissipation sides.  diss_lhs comes
+    from the step increments, so it is neither drowned by cancellation
+    near equilibrium nor limited by the rounding of the levels themselves;
+    the mean, never stepped, drops out of it and keeps the heat exactly
+    constant.  The sums are completed in place: every column but t and
+    heat is a view of them.
     """
-    E = sums[:, 0]
+    quadratic, linear = sums
+    E, F, C_T = quadratic[:, 0], quadratic[:, 3], linear[:, 1]
     E += w.E_mean * m * m
     heat = np.full_like(E, w.heat_mean * m)
-    if sums.shape[1] == 1:
-        return EnergyTrace(t=t, E=E, diss_lhs=None, diss_rhs=None,
-                           heat=heat, C_T=None, lyapunov=None)
-    sums[:, 2] += w.F_mean * m * m
-    sums[:, 2] += w.lyapunov_weight * E
-    sums[:, 3] += w.boundary_mean * m
-    sums[:, 3] *= heat
-    sums[0, [1, 4]] = 0.0
-    return EnergyTrace(t=t, E=E, diss_lhs=sums[:, 4], diss_rhs=sums[:, 1],
-                       heat=heat, C_T=sums[:, 3], lyapunov=sums[:, 2])
+    F += linear[:, 0]
+    F += w.F_mean * m * m
+    F += w.lyapunov_weight * E
+    C_T += w.boundary_mean * m
+    C_T *= heat
+    quadratic[0, 1:3] = 0.0
+    return EnergyTrace(t=t, E=E, diss_lhs=quadratic[:, 2], diss_rhs=quadratic[:, 1],
+                       heat=heat, C_T=C_T, lyapunov=F)
 
 
 def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
                  modes: slice, m: float, x: np.ndarray, plan: RunPlan,
-                 sums: np.ndarray, kept: np.ndarray, work: _Workspace) -> None:
+                 sums: tuple[np.ndarray, np.ndarray] | None, kept: np.ndarray,
+                 work: _Workspace) -> None:
     """Add one block of modes' share to every row of sums and write its
     amplitudes of the levels plan.keep into kept.
 
     G and D (2, 2, n) are the block's step and increment matrices, x (2, n)
-    its level 0, and sums has 5 columns on 5 features, or 1 on 3 for E's
-    alone.  The trace table of G^k, k = 0..K (K cut where a power or a
-    table entry is not finite), maps a chunk base's features to its
-    chunk's sums.  The bases of a group of M chunks are the powers of G^K
-    applied to the first, and one matrix product gives the group's rows.
-    Every array the block forms is a view of work's.
+    its level 0, and sums build_trace's two arrays, or None for a
+    levels-only run, which forms no table and steps no further than its
+    last kept level.  The trace tables of G^k, k = 0..K (K cut where a
+    power or a table entry is not finite), map a chunk base's features to
+    its chunk's sums.  The bases of a group of M chunks are the powers of
+    G^K applied to the first, and one matrix product per table gives the
+    group's rows.  Every array the block forms is a view of work's.
     """
-    n, last, columns = x.shape[1], sums.shape[0] - 1, sums.shape[1]
-    energy_only = columns == 1
-    f = 3 if energy_only else 5
-    K, M, keep = plan.K, plan.M, plan.keep
+    n, K, M, keep = x.shape[1], plan.K, plan.M, plan.keep
     powers = _power_table(G, K, _view(work.powers, (2, 2, K + 1, n)), work.spare)
     K = powers.shape[2] - 1
-    # E's table reads no increments D G^(k-1)
-    table = modal_trace_table(w, m, powers, modes, None if energy_only else D,
-                              _view(work.table, (K + 1, columns, f, n)), work.spare)
-    finite = _finite(table, axis=(1, 2, 3))
-    if not finite.all():
-        K = max(1, int(np.argmin(finite)) - 1)
-        table = table[:K + 1]
-    table = table.reshape(columns * (K + 1), f * n)
-    # the bases hold one chunk more than a group, the base of the next group
-    hops, bases, features, spare = _carve(work.spare, (2, 2, M + 1, n), (2, M + 1, n),
-                                          (M, f, n))
-    hops = _power_table(powers[:, :, K], M, hops, spare)[:, :, 1:]
+    if sums is None:
+        last = int(keep[-1])
+    else:
+        last = sums[0].shape[0] - 1
+        tables = modal_trace_table(w, m, powers, modes, D, work.table, work.spare)
+        finite = _finite(tables[0], axis=(1, 2, 3)) & _finite(tables[1], axis=(1, 2, 3))
+        if not finite.all():
+            K = max(1, int(np.argmin(finite)) - 1)
+        # a table's (K + 1) c rows, for its c columns, weigh its features:
+        # the quadratic one's a^2, ab, b^2 and the linear one's a, b
+        tables = [table[:K + 1].reshape((K + 1) * table.shape[1], -1) for table in tables]
+    # the bases hold one chunk more than a group, the base of the next
+    # group, and levels alone have no features; the hops' doubling runs on
+    # the spare past them, as nothing else is written there yet
+    f = 0 if sums is None else M
+    hops, bases, *features, spare = _carve(work.spare, (2, 2, M + 1, n), (2, M + 1, n),
+                                           (f, 3, n), (f, 2, n))
+    hops = _power_table(powers[:, :, K], M, hops, work.spare[hops.size:])[:, :, 1:]
     group = hops.shape[2]
     bases[:, 0] = x
     total = -(-last // K)
@@ -592,19 +588,21 @@ def _trace_block(G: np.ndarray, D: np.ndarray, w: ModalTraceWeights,
         for i in (0, 1):
             _dot(bases[i, 1:count + 1], bases[0, 0], hops[i, 0, :count],
                  bases[1, 0], hops[i, 1, :count], product)
-        a, b = bases[:, :count]
-        for k, (u, v) in enumerate(((a, a), (b, a), (b, b))):
-            features[:count, k] = np.multiply(u, v, out=product)
-        if not energy_only:
-            features[:count, 3:] = bases[:, :count].transpose(1, 0, 2)
-        flat = features[:count].reshape(count, f * n)
-        if c0 == 0:
-            sums[0] += table[:columns] @ flat[0]
         start = c0 * K + 1
-        levels = min(count * K, last + 1 - start)
-        rows = np.matmul(flat, table[columns:].T,
-                         out=_view(work.product, (count, columns * K)))
-        sums[start:start + levels] += rows.reshape(-1, columns)[:levels]
+        if sums is not None:
+            square, linear = features
+            a, b = bases[:, :count]
+            for k, (u, v) in enumerate(((a, a), (b, a), (b, b))):
+                square[:count, k] = np.multiply(u, v, out=product)
+            linear[:count] = bases[:, :count].transpose(1, 0, 2)
+            levels = min(count * K, last + 1 - start)
+            for table, chunks, part in zip(tables, features, sums):
+                columns, flat = part.shape[1], chunks[:count].reshape(count, -1)
+                if c0 == 0:
+                    part[0] += np.matmul(table[:columns], flat[0])
+                rows = np.matmul(flat, table[columns:].T,
+                                 out=_view(work.product, (count, columns * K)))
+                part[start:start + levels] += rows.reshape(-1, columns)[:levels]
         # the kept levels, at most a chunk's K at a time: a one-chunk
         # group's in one call.  Their chunks' powers and bases are gathered
         # into the spare (take writes into out without a buffer where it
@@ -626,13 +624,14 @@ def _energy(w: ModalTraceWeights, m: float, x: np.ndarray) -> float:
 
 
 def _start(params: MaterialParams, grid: Grid, init: State, kind: StepperKind,
-           keep: np.ndarray, energy_only: bool) -> tuple[ModalTraceWeights, np.ndarray,
+           keep: np.ndarray, levels_only: bool) -> tuple[ModalTraceWeights, np.ndarray,
                                                          np.ndarray, float, np.ndarray]:
     """A run's weights, G, D and init's mean m and amplitudes x (2, J).
     Raises MeshTooLarge, before allocating, if run_memory_bytes exceeds
-    MAX_RUN_BYTES, and NonFiniteInput if G, D, the weights the run reads
-    (E's alone, with energy_only) or init's energy are not finite."""
-    need = run_memory_bytes(grid, keep, energy_only)
+    MAX_RUN_BYTES, and NonFiniteInput if G, D, the trace weights (E's
+    alone, which forecast reads, with levels_only) or init's energy are not
+    finite."""
+    need = run_memory_bytes(grid, keep, levels_only)
     if need > MAX_RUN_BYTES:
         raise MeshTooLarge(f"a run on J={grid.J}, N={grid.N} keeping {keep.size} levels "
                            f"would hold {need:.3g} bytes, more than "
@@ -646,7 +645,7 @@ def _start(params: MaterialParams, grid: Grid, init: State, kind: StepperKind,
     if not np.isfinite(D).all():
         raise NonFiniteInput("the step matrices overflow; mu2, k, rho, c, dt and dx "
                              "set their size")
-    read = ((weights.quadratic[0], weights.E_mean, weights.heat_mean) if energy_only
+    read = ((weights.quadratic[0], weights.E_mean, weights.heat_mean) if levels_only
             else vars(weights).values())
     if not all(np.isfinite(w).all() for w in read):
         raise NonFiniteInput("the trace weights overflow; mu2, tau_q, k, rho, c, l, dt and dx "
@@ -672,11 +671,11 @@ def _advance(G: np.ndarray, x: np.ndarray, steps: int) -> np.ndarray:
 def forecast(params: MaterialParams, grid: Grid, init: State) -> tuple[float, float, float]:
     """(rate, E, gain) of a coupled run of init over grid's N + 1 steps, from
     one assemble and no step: mode 1's step_decay_rate, E of level N + 1
-    (_advance, O(J log N)) and energy_norm_sq in E's weights.  Raises what an
-    E-only run keeping level N + 1 raises before stepping (its memory too,
-    which bounds forecast's), and NonFiniteState if E is not finite."""
+    (_advance, O(J log N)) and energy_norm_sq in E's weights.  Raises what a
+    levels-only run keeping level N + 1 raises before stepping (its memory
+    too, which bounds forecast's), and NonFiniteState if E is not finite."""
     weights, G, D, m, x = _start(params, grid, init, StepperKind.COUPLED_IMPLICIT,
-                                 np.array([grid.N + 1]), energy_only=True)
+                                 np.array([grid.N + 1]), levels_only=True)
     with np.errstate(over="ignore", invalid="ignore"):
         energy = float(_energy(weights, m, _advance(G, x, grid.N + 1)))
         gain = energy_norm_sq(G, *map(float, weights.quadratic[0, :2, 0]))
@@ -687,17 +686,18 @@ def forecast(params: MaterialParams, grid: Grid, init: State) -> tuple[float, fl
 
 
 def run(params: MaterialParams, config: SimulationConfig, init: State,
-        keep: Sequence[int] | None = None, energy_only: bool = False,
+        keep: Sequence[int] | None = None, levels_only: bool = False,
         kind: StepperKind = StepperKind.COUPLED_IMPLICIT) -> Trajectory:
     """Advance init over config's time mesh with the stepper kind.
 
     Level 0 and the levels of the steps keep (increasing, in 1..N+1; all
     of them by default) are kept, a row each of the Trajectory's T and q;
-    energy diagnostics are recorded at every step regardless of keep, all
-    of them or, with energy_only, E and heat alone (the other trace columns
-    are None).  Raises ValueError if keep is not such steps; MeshTooLarge
-    and NonFiniteInput before stepping (_start); NonFiniteState, naming the
-    first bad step, if a level or its trace row overflows."""
+    energy diagnostics are recorded at every step regardless of keep,
+    unless levels_only, where the run forms the kept levels alone, stepping
+    no further than the last, and its trace is None.  Raises ValueError if
+    keep is not such steps; MeshTooLarge and NonFiniteInput before stepping
+    (_start); NonFiniteState, naming the first bad step, if a level or its
+    trace row overflows (the first bad kept level, with levels_only)."""
     grid = build_grid(params, config)
     _require_on_grid(init, grid, "init")
     last = grid.N + 1
@@ -706,22 +706,24 @@ def run(params: MaterialParams, config: SimulationConfig, init: State,
             or keep[-1] > last or np.any(keep[1:] <= keep[:-1])):
         raise ValueError(f"keep must be increasing integer steps in 1..{last}, "
                          f"got {keep!r}")
-    weights, G, D, m, x = _start(params, grid, init, kind, keep, energy_only)
-    plan = _plan(grid, keep, energy_only)
+    weights, G, D, m, x = _start(params, grid, init, kind, keep, levels_only)
+    plan = _plan(grid, keep, levels_only)
     J, S = grid.J, plan.keep.size + 1
-    sums = np.zeros((grid.N + 2, 1 if energy_only else 5))
+    sums = None if levels_only else (np.zeros((grid.N + 2, 4)), np.zeros((grid.N + 2, 2)))
     levels = np.zeros((S, 2 * J + 3))
     levels[0] = np.concatenate((init.T, init.q))
     kept = _amplitudes(levels[1:])
-    work = _Workspace(plan, energy_only)
+    work = _Workspace(plan, levels_only)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, J, plan.n):
             modes = slice(lo, min(lo + plan.n, J))
             _trace_block(G[..., modes], D[..., modes], weights, modes, m, x[:, modes],
                          plan, sums, kept[..., modes], work)
-        trace = build_trace(weights, m, grid.t, sums)
+        trace = None if levels_only else build_trace(weights, m, grid.t, sums)
         # sums now holds every trace column but heat
-        ok = np.isfinite(sums).all(axis=1) & np.isfinite(trace.heat)
+        ok = np.ones(grid.N + 2, dtype=bool) if levels_only else np.isfinite(trace.heat)
+        for part in sums or ():
+            ok &= np.isfinite(part).all(axis=1)
         # only the trace and the kept levels outlive the blocks
         del G, D, weights, x, work
         for lo in range(1, S, plan.batch):

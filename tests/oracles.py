@@ -13,8 +13,10 @@ its generator formed without scheme.assemble, against which
 diagnostics.generator_decay_rate is checked.  fit_energy_decay_rate fits
 a rate to a trace, as sweep did before it read the exact one, from
 zero_mean_decay's run, whose last E scheme.forecast is held to.
-one_step and oracle_draws are not oracles: one takes the single steps the
-tests compare, through scheme.run, and the other draws, from a
+one_step, table_sums and oracle_draws are not oracles: one takes the
+single steps the tests compare, through scheme.run, one sums
+scheme.modal_trace_table's two tables over a level's features, as run's
+blocks do, and the last draws, from a
 generator, the random states on J = 2..8 whose 10-step runs acceptance
 criterion C4 holds to checks.step_backward_error's bound, beside
 checks.oracle_equivalence.
@@ -43,13 +45,26 @@ def one_step(p: MaterialParams, grid: Grid, prev: State,
 
 
 def zero_mean_decay(p: MaterialParams, config: SimulationConfig) -> EnergyTrace:
-    """The energy trace of a coupled run on config's mesh from the cosine
-    profile at T_b = 0, tracing E alone and keeping no level but the ends:
-    the run whose last E and rate scheme.forecast reads without it.  Its
-    discrete heat dx*T_f/2 is small but nonzero."""
+    """The trace of a coupled run on config's mesh from the cosine profile
+    at T_b = 0, keeping no level but the ends: the run whose last E and
+    rate scheme.forecast reads without it.  Its discrete heat dx*T_f/2 is
+    small but nonzero."""
     grid = build_grid(p, config)
     return scheme.run(p, config, cosine_initial(grid, 0.0, config.T_f),
-                      keep=[grid.N + 1], energy_only=True).trace
+                      keep=[grid.N + 1]).trace
+
+
+def table_sums(tables: tuple[np.ndarray, np.ndarray],
+               x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sums build_trace takes of the levels G^l x, l = 0..L-1, from
+    scheme.modal_trace_table's two tables and the features of the base
+    level x = (a, b): the quadratic table's on a^2, ab, b^2, (L, 4), and
+    the linear table's on a, b, (L, 2)."""
+    quadratic, linear = tables
+    a, b = x
+    L = quadratic.shape[0]
+    return (quadratic.reshape(L, 4, -1) @ np.concatenate((a * a, a * b, b * b)),
+            linear.reshape(L, 2, -1) @ np.concatenate((a, b)))
 
 
 def equilibrium_energy(params: MaterialParams, heat: float) -> float:

@@ -90,7 +90,7 @@ def test_criterion_4_oracle_equivalence():
         cfg = dataclasses.replace(REF_CONFIG, dx=REF_PARAMS.l / (J + 1),
                                   t_final=10 * REF_CONFIG.dt)
         traj = run(REF_PARAMS, cfg, State(T=row[J:], q=np.pad(row[:J], 1)),
-                   energy_only=True)
+                   levels_only=True)
         worst = max(worst, checks.step_backward_error(
             REF_PARAMS, traj.grid, (traj.T[:-1], traj.q[:-1]), (traj.T[1:], traj.q[1:])))
     elapsed = time.perf_counter() - t0

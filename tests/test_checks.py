@@ -181,8 +181,8 @@ class TestRunChecks:
         assert not res.ok and res.value > 1e-11
 
     def test_oracle_runs_once_on_the_main_runs_mesh(self, monkeypatch):
-        # ORACLE_STEPS steps of config.dt from oracle_state, tracing E alone
-        # and keeping every level
+        # ORACLE_STEPS steps of config.dt from oracle_state, a levels-only
+        # run keeping every level
         traj, calls, original = main_run(), [], scheme.run
 
         def recorded(params, config, init, **kwargs):
@@ -193,7 +193,7 @@ class TestRunChecks:
         assert checks.oracle_equivalence(PARAMS, CONFIG, traj).ok
         [(config, init, kwargs)] = calls
         assert config == dataclasses.replace(CONFIG, t_final=10 * CONFIG.dt)
-        assert kwargs == {"energy_only": True}
+        assert kwargs == {"levels_only": True}
         state = checks.oracle_state(traj.grid)
         assert np.array_equal(init.T, state.T) and np.array_equal(init.q, state.q)
 
@@ -273,8 +273,8 @@ def zero_mean_forecast(params, config):
 class TestForecast:
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_reads_the_runs_last_energy_and_rate(self, workload):
-        # E_final against the last E of the energy-only run it replaces
-        # (bit-identical on all 9 pairs, measured), and the rate against
+        # E_final against the last E of the run it replaces (bit-identical
+        # on all 9 pairs, measured), and the rate against
         # numpy's eigenvalues of G_1 (at most 1.5e-14 relative, measured)
         # and against the least-squares fit to that run, which other modes
         # still reach on its window [0.5, 5] s (1.4e-5 relative on

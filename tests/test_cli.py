@@ -368,13 +368,14 @@ class TestCmdVerify:
                              ids=["defaults", "dt=5e-5", "dt=1e-5", "3 steps"])
     def test_verify_makes_no_run_longer_than_its_main_run(self, tmp_path, monkeypatch,
                                                           lines):
-        # the main run and the oracle's of 10 steps, or of the main run's
-        # steps if fewer; the rate check takes no step (a fitted rate read a
-        # run over 6 s at dt/8: 960,000 steps at dt = 5e-5)
+        # the main run, with a full trace, and the oracle's levels-only run
+        # of 10 steps, or of the main run's steps if fewer; the rate check
+        # takes no step (a fitted rate read a run over 6 s at dt/8: 960,000
+        # steps at dt = 5e-5)
         steps, original = [], scheme.run
 
         def counted(params, config, init, **kwargs):
-            steps.append(round(config.t_final / config.dt))
+            steps.append((round(config.t_final / config.dt), kwargs.get("levels_only", False)))
             return original(params, config, init, **kwargs)
 
         monkeypatch.setattr(scheme, "run", counted)
@@ -383,7 +384,7 @@ class TestCmdVerify:
         assert main(["verify", "-c", str(cfg)]) == 0
         manifest = parse_config(lines)
         main_steps = round(manifest.config.t_final / manifest.config.dt)
-        assert steps == [main_steps, min(10, main_steps)]
+        assert steps == [(main_steps, False), (min(10, main_steps), True)]
 
     def test_tiny_step_passes_without_a_warning(self, tmp_path, capsys):
         # rho c/dt is past the float range: the dense reference's solve
@@ -671,14 +672,14 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     def test_sweep_over_memory_cap_exits_one(self, tmp_path, capsys, monkeypatch):
-        # sweep makes no run, but refuses where the energy-only run it reads
-        # the columns of would hold too much, before assembling, as a run does
+        # sweep makes no run, but refuses where a levels-only run keeping
+        # its last level would hold too much, before assembling, as a run does
         cfg = tmp_path / "ok.cfg"
         cfg.write_text(f"dx = 2e-3\nout_dir = {tmp_path / 'o'}\n")
         manifest = parse_config(cfg.read_text())
         grid = build_grid(manifest.params, manifest.config)
         monkeypatch.setattr(scheme, "MAX_RUN_BYTES", scheme.run_memory_bytes(
-            grid, np.array([grid.N + 1]), energy_only=True) - 1)
+            grid, np.array([grid.N + 1]), levels_only=True) - 1)
         monkeypatch.setattr(scheme, "assemble", None)
         assert main(["sweep", "-c", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(

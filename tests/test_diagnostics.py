@@ -17,7 +17,7 @@ from gkheat.scheme import build_trace, modal_trace_table, modal_trace_weights
 from oracles import (boundary_term, discrete_energy, dissipation_check,
                      discrete_decay_rate, equilibrium_energy,
                      fit_energy_decay_rate, lyapunov,
-                     semi_discrete_rate, total_heat)
+                     semi_discrete_rate, table_sums, total_heat)
 
 
 @pytest.fixture(scope="module")
@@ -483,7 +483,7 @@ class TestTraceChecksOnShortRun:
         m = float(np.mean(init.T))
         base = np.stack(((init.T - m) @ cosine, init.q_interior @ sine)).astype(float)
         G, D = scheme.assemble(p, grid)
-        powers = scheme._power_table(G, K, np.empty((2, 2, K + 1, J)), np.empty(K * J))
+        powers = scheme._power_table(G, K, np.empty((2, 2, K + 1, J)), np.empty(5 * (K + 1) * J))
         # levels as the table sees them, and their step increments D x from
         # assemble's D, formed apart from the table's
         x = np.einsum("ijkn,jn->kin", powers, base).astype(ld)
@@ -514,14 +514,11 @@ class TestTraceChecksOnShortRun:
                              (mu2 * qn[0] / dx - k * T[0]) * heat, w_L * E + F))
         expected = np.array(expected, dtype=float)
         weights = modal_trace_weights(p, grid)
-        table = modal_trace_table(weights, float(m), powers, slice(None), D,
-                                  np.empty((K + 1, 5, 5, J)),
-                                  np.empty(scheme._table_spare_size(K + 1, J, False)))
-        assert table.shape == (K + 1, 5, 5, J)
-        a, b = base
-        features = np.concatenate((a * a, a * b, b * b, a, b))
-        sums = table.reshape(5 * (K + 1), 5 * J) @ features
-        tr = build_trace(weights, float(m), grid.t, sums.reshape(K + 1, 5))
+        tables = modal_trace_table(weights, float(m), powers, slice(None), D,
+                                   np.empty(16 * (K + 1) * J),
+                                   np.empty(15 * (K + 1) * J))
+        assert [t.shape for t in tables] == [(K + 1, 4, 3, J), (K + 1, 2, 2, J)]
+        tr = build_trace(weights, float(m), grid.t, table_sums(tables, base))
         got = np.column_stack((tr.E, tr.diss_lhs, tr.diss_rhs, tr.heat, tr.C_T,
                                tr.lyapunov))
         assert got.shape == expected.shape

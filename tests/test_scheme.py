@@ -14,7 +14,7 @@ from gkheat.model import MaterialParams, SimulationConfig
 from gkheat.scheme import strided_steps
 from oracles import (boundary_term, discrete_energy, dissipation_check,
                      longdouble_coupled_run, lyapunov, one_step, step_coupled_reference,
-                     step_factors, total_heat)
+                     step_factors, table_sums, total_heat)
 
 PRINTED = StepperKind.VECTORIAL_AS_PRINTED
 
@@ -32,10 +32,10 @@ def fixed_tile(monkeypatch, K, n, M):
     """Make every run's plan the tile (K, n, M), cut to its mesh and steps."""
     plan = scheme._plan
 
-    def fixed(grid, keep, energy_only=False):
+    def fixed(grid, keep, levels_only=False):
         last = grid.N + 1
         k = min(K, last)
-        return dataclasses.replace(plan(grid, keep, energy_only), K=k, n=min(n, grid.J),
+        return dataclasses.replace(plan(grid, keep, levels_only), K=k, n=min(n, grid.J),
                                    M=min(M, -(-last // k)))
 
     monkeypatch.setattr(scheme, "_plan", fixed)
@@ -45,7 +45,7 @@ def step_powers(G, K):
     """_power_table of the step matrices G: [i, j, k] entry (i, j) of G^k,
     in buffers of its own."""
     n = G.shape[2]
-    return scheme._power_table(G, K, np.empty((2, 2, K + 1, n)), np.empty(K * n))
+    return scheme._power_table(G, K, np.empty((2, 2, K + 1, n)), np.empty(5 * (K + 1) * n))
 
 
 def random_state(rng, J, t_scale=10.0, q_scale=1e4):
@@ -402,26 +402,64 @@ class TestRun:
         with pytest.raises(GridMismatch):
             run(p, cfg, State(T=np.zeros(4), q=np.zeros(5)))
 
-    def test_energy_only_trace_has_no_other_columns(self):
+    def test_levels_only_run_has_no_trace(self):
         p, cfg, grid, ops = small_setup(J=9, t_final=20 * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
-        full = run(p, cfg, init).trace
-        trace = run(p, cfg, init, energy_only=True).trace
-        assert np.array_equal(trace.t, full.t)
-        assert np.array_equal(trace.heat, full.heat)
-        assert np.max(np.abs(trace.E - full.E)) <= 1e-14 * np.max(full.E)
-        for name in ("diss_lhs", "diss_rhs", "C_T", "lyapunov"):
-            assert getattr(trace, name) is None, name
-        # a check of a column the run did not trace fails instead of passing
-        with pytest.raises(TypeError):
-            checks.dissipation_inequality(trace)
+        full = run(p, cfg, init, keep=[3, 19, 20])
+        levels = run(p, cfg, init, keep=[3, 19, 20], levels_only=True)
+        assert levels.trace is None and levels.stored_steps == full.stored_steps
+        assert np.array_equal(levels.T, full.T) and np.array_equal(levels.q, full.q)
+        # a check of a trace the run did not form fails instead of passing
+        with pytest.raises(AttributeError):
+            checks.energy_monotone(levels.trace)
+
+    @pytest.mark.parametrize("dx,t_final,kind", [
+        (2e-4, 30.0, StepperKind.COUPLED_IMPLICIT),
+        (1.5625e-3, 240.0, StepperKind.COUPLED_IMPLICIT),
+        (1.25e-5, 30.0, StepperKind.COUPLED_IMPLICIT), (2e-4, 1.2e-2, PRINTED)],
+        ids=["reference", "long_horizon", "fine_mesh", "printed-one-step"])
+    def test_levels_only_levels_are_the_full_runs(self, ref_params, ref_config, dx, t_final,
+                                                  kind):
+        # the workload meshes keeping the seams verify keeps, and one
+        # as-printed step: on its own wider blocks, a levels-only run forms
+        # each kept level from the same powers and bases, bit for bit
+        cfg = dataclasses.replace(ref_config, dx=dx, t_final=t_final)
+        grid = build_grid(ref_params, cfg)
+        init = cosine_initial(grid, 15.0, 30.0)
+        keep = scheme.seam_steps(grid)
+        full = run(ref_params, cfg, init, keep=keep, kind=kind)
+        levels = run(ref_params, cfg, init, keep=keep, levels_only=True, kind=kind)
+        assert levels.stored_steps == full.stored_steps
+        assert np.array_equal(levels.T, full.T) and np.array_equal(levels.q, full.q)
+
+    def test_levels_only_run_forms_no_table(self, monkeypatch):
+        # no trace table and no matrix product: a levels-only run forms
+        # the powers, the bases and the kept levels alone
+        p, cfg, grid, ops = small_setup(J=99, t_final=200 * 1.2e-2)
+        calls, matmul = [], np.matmul
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("modal_trace_table called")
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "modal_trace_table", no_table)
+        monkeypatch.setattr(np, "matmul", counted)
+        run(p, cfg, cosine_initial(grid, 15.0, 30.0), levels_only=True)
+        assert calls == []
+        monkeypatch.undo()
+        monkeypatch.setattr(np, "matmul", counted)
+        run(p, cfg, cosine_initial(grid, 15.0, 30.0))
+        assert calls
 
     def test_one_chunk_run_forms_its_kept_levels_in_one_call(self, monkeypatch):
         # 10 steps at J = 8 are one chunk of K = 10 levels (M = 1): its 10
         # kept levels are written into the levels in one assignment, not
         # one each
         p, cfg, grid, ops = small_setup(J=8, t_final=10 * 1.2e-2)
-        plan = scheme._plan(grid, np.arange(1, grid.N + 2), energy_only=True)
+        plan = scheme._plan(grid, np.arange(1, grid.N + 2), levels_only=True)
         assert (plan.K, plan.M) == (10, 1)
         writes, trace_block = [], scheme._trace_block
 
@@ -434,7 +472,7 @@ class TestRun:
             trace_block(G, D, w, modes, m, x, plan, sums, kept.view(Recorded), work)
 
         monkeypatch.setattr(scheme, "_trace_block", recorded)
-        traj = run(p, cfg, cosine_initial(grid, 15.0, 30.0), energy_only=True)
+        traj = run(p, cfg, cosine_initial(grid, 15.0, 30.0), levels_only=True)
         assert writes == [slice(0, 10)]
         assert len(traj.stored_steps) - 1 == 10
 
@@ -559,7 +597,7 @@ class TestTraceChunks:
         p, cfg, grid, ops = small_setup(J=J, t_final=steps * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
         budgets = (1, 800, scheme.TRACE_CHUNK_ELEMENTS, 2**17)[J > 1000:]
-        trajs, shapes, energies = [], [], []
+        trajs, shapes, levels = [], [], []
         for budget in budgets + (None,):
             if budget is None:
                 monkeypatch.undo()
@@ -569,7 +607,8 @@ class TestTraceChunks:
             plan = scheme._plan(grid, strided_steps(grid, 7))
             shapes.append((plan.K, plan.n))
             trajs.append(run(p, cfg, init, keep=plan.keep))
-            energies.append(run(p, cfg, init, keep=plan.keep, energy_only=True))
+            levels.append((scheme._plan(grid, plan.keep, levels_only=True).K,
+                           run(p, cfg, init, keep=plan.keep, levels_only=True)))
         K, width = zip(*shapes)
         # chunks shorter than the run; one-mode blocks of one-level chunks,
         # ragged and single blocks
@@ -589,14 +628,13 @@ class TestTraceChunks:
                 got, ref = getattr(traj.trace, name), getattr(base.trace, name)
                 assert got.shape == ref.shape == (grid.N + 2,)
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), name
-        # E's table alone, on its own (longer, wider) blocks
-        for traj in energies:
-            assert traj.stored_steps == base.stored_steps
+        # the levels alone, on their own (wider) blocks: on chunks of the
+        # full run's K, which a budget may cap apart, the same levels
+        for (k, traj), full, (k_full, _) in zip(levels, trajs, shapes):
+            assert traj.stored_steps == base.stored_steps and traj.trace is None
             assert_levels_close(traj, base.T, base.q[:, 1:-1])
-            assert traj.trace.E.shape == (grid.N + 2,)
-            assert np.max(np.abs(traj.trace.E - base.trace.E)) <= \
-                1e-14 * np.max(np.abs(base.trace.E))
-            assert np.array_equal(traj.trace.heat, base.trace.heat)
+            if k == k_full:
+                assert np.array_equal(traj.T, full.T) and np.array_equal(traj.q, full.q)
 
     def test_as_printed_trace_independent_of_chunk_budget(self, monkeypatch):
         p, cfg, grid, ops = small_setup(J=9, t_final=20 * 1.2e-2)
@@ -643,13 +681,11 @@ class TestTraceTable:
             states.append(one_step(p, grid, states[-1], kind))
         weights = scheme.modal_trace_weights(p, grid)
         m = float(np.mean(states[0].T))
-        table = scheme.modal_trace_table(weights, m, step_powers(G, K), slice(None), D,
-                                         np.empty((K + 1, 5, 5, J)),
-                                         np.empty(scheme._table_spare_size(K + 1, J, False)))
-        a, b = scheme._modes(states[0], m)
-        sums = table.reshape(5 * (K + 1), 5 * J) @ np.concatenate((a * a, a * b, b * b, a, b))
-        tr = scheme.build_trace(weights, m, grid.dt * np.arange(K + 1),
-                                sums.reshape(K + 1, 5))
+        tables = scheme.modal_trace_table(weights, m, step_powers(G, K), slice(None), D,
+                                          np.empty(16 * (K + 1) * J),
+                                          np.empty(15 * (K + 1) * J))
+        sums = table_sums(tables, scheme._modes(states[0], m))
+        tr = scheme.build_trace(weights, m, grid.dt * np.arange(K + 1), sums)
         rows = np.column_stack((tr.E, tr.diss_lhs, tr.diss_rhs, tr.heat, tr.C_T,
                                 tr.lyapunov))
         dx = grid.dx
@@ -757,7 +793,7 @@ class TestRunMemory:
         longer = build_grid(p, dataclasses.replace(cfg, t_final=2000 * 1.2e-2))
         per_level = (scheme.run_memory_bytes(longer, strided_steps(longer, longer.N + 1))
                      - one) / 1000
-        assert per_level == 8 * 10
+        assert per_level == 8 * 11
         # over 4000 steps stride 1 keeps 2000 levels more than stride 2,
         # each of 2J+3 values (and 32 values' worth of Python objects),
         # rebuilt in place from the amplitudes written into them
@@ -769,14 +805,16 @@ class TestRunMemory:
     # the fourth and fifth keep one state (stride N+1) of a fine mesh, and
     # every state of a short run on a finer one: there the blocks' phase,
     # operators and trace weights included, is the peak; the sixth, seventh
-    # and last are energy-only runs (stride N+1, as sweep makes them, the
-    # last on sweep's reference mesh), each on its own tile; the eighth
-    # keeps every 25th level of the finest benchmark mesh, where a second
-    # copy of the kept levels would not fit under the estimate; the ninth
-    # keeps every level of an energy-only run, where a mask of the kept
+    # and last are levels-only runs (stride N+1, as forecast bounds sweep's
+    # pairs, the last on sweep's reference mesh), each on its own tile; the
+    # eighth keeps every 25th level of the finest benchmark mesh, where a
+    # second copy of the kept levels would not fit under the estimate; the
+    # ninth keeps every level of a levels-only run, where a mask of the kept
     # levels' finiteness would not fit either; the tenth is a case whose
-    # blocks' phase is the largest of the estimate's three
-    @pytest.mark.parametrize("J,steps,stride,energy_only", [
+    # blocks' phase is the largest of the estimate's three.  The ids'
+    # energy_only marks the cases that were energy-only runs before
+    # levels-only runs took their place
+    @pytest.mark.parametrize("J,steps,stride,levels_only", [
         (499, 2500, 25, False), (63, 500, 1, False), (255, 1000, 1001, False),
         (7999, 2500, 2500, False), (9999, 5, 1, False),
         (7999, 2500, 2500, True), (499, 4000, 4000, True),
@@ -785,10 +823,10 @@ class TestRunMemory:
         "499-2500-25", "63-500-1", "255-1000-1001", "7999-2500-2500", "9999-5-1",
         "7999-2500-2500-energy_only", "499-4000-4000-energy_only", "7999-2500-25",
         "9999-250-1-energy_only", "19999-10-11", "499-2500-2500-energy_only"])
-    def test_estimate_bounds_traced_peak(self, tmp_path, J, steps, stride, energy_only):
+    def test_estimate_bounds_traced_peak(self, tmp_path, J, steps, stride, levels_only):
         # everything run() and both writers allocate, traced, against the
-        # estimate for the run's kind of trace; the writers need the full
-        # trace, so an energy-only run is traced alone.  The caches a fresh
+        # estimate for the run's kind; the writers need the full trace, so
+        # a levels-only run is traced alone.  The caches a fresh
         # process builds are cleared, so that each case traces them
         # whatever ran before it
         p, cfg, grid, ops = small_setup(J=J, t_final=steps * 1.2e-2)
@@ -798,8 +836,8 @@ class TestRunMemory:
         tracemalloc.start()
         try:
             traj = run(p, cfg, init, keep=strided_steps(grid, stride),
-                       energy_only=energy_only)
-            if not energy_only:
+                       levels_only=levels_only)
+            if not levels_only:
                 write_trace_csv(tmp_path / "trace.csv", traj.trace,
                                 diagnostics.decay_constants(p),
                                 diagnostics.supremum_boundary_term(traj.trace))
@@ -807,15 +845,15 @@ class TestRunMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= scheme.run_memory_bytes(grid, strided_steps(grid, stride), energy_only)
+        assert peak <= scheme.run_memory_bytes(grid, strided_steps(grid, stride), levels_only)
 
     def test_fine_mesh_estimate_is_far_under_the_cap(self, ref_params, ref_config):
-        # J = 7999, 2500 steps, every 25th level kept: 17.6 MB, mostly the
-        # 101 kept levels; the traced peak is the run's, 17.2 MB with its
-        # 2.0 MB workspace (the writers' is 15.3 MB)
+        # J = 7999, 2500 steps, every 25th level kept: 17.1 MB, mostly the
+        # 101 kept levels; the traced peak is the run's, 16.9 MB with its
+        # 1.7 MB workspace (the writers' is 15.3 MB)
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=1.25e-5))
         need = scheme.run_memory_bytes(grid, strided_steps(grid, 25))
-        assert 17.2e6 < need < 18.5e6
+        assert 16.9e6 < need < 18.5e6
         assert scheme.MAX_RUN_BYTES >= 20 * need
 
     def test_run_refuses_before_assembling(self, monkeypatch):
@@ -834,22 +872,22 @@ class TestRunMemory:
             run(p, cfg, init, keep=strided_steps(grid, 2))
 
 
-def block_peak(params, grid, energy_only):
+def block_peak(params, grid, levels_only):
     """(workspace, block): the bytes traced while run's workspace for grid
-    and the kind of trace is allocated, and the peak traced by one block
-    of the first modes on that workspace once it has served a block."""
-    plan = scheme._plan(grid, strided_steps(grid, grid.N + 1), energy_only)
+    and the kind of run is allocated, and the peak traced by one block of
+    the first modes on that workspace once it has served a block."""
+    plan = scheme._plan(grid, strided_steps(grid, grid.N + 1), levels_only)
     n = plan.n
     G, D = (matrices[..., :n] for matrices in assemble(params, grid))
     weights = scheme.modal_trace_weights(params, grid)
     init = cosine_initial(grid, 15.0, 30.0)
     m = float(np.mean(init.T))
     x = scheme._modes(init, m)[:, :n]
-    sums = np.zeros((grid.N + 2, 1 if energy_only else 5))
+    sums = None if levels_only else (np.zeros((grid.N + 2, 4)), np.zeros((grid.N + 2, 2)))
     kept = np.empty((1, 2, n))
     tracemalloc.start()
     try:
-        work = scheme._Workspace(plan, energy_only)
+        work = scheme._Workspace(plan, levels_only)
         workspace = tracemalloc.get_traced_memory()[1]
         scheme._trace_block(G, D, weights, slice(0, n), m, x, plan, sums, kept, work)
         tracemalloc.reset_peak()
@@ -867,36 +905,37 @@ class TestBlockShape:
 
     # seam_steps: either side of the full trace's first chunk (K) and group
     # (K M) and of the last step, those on the mesh
-    @pytest.mark.parametrize("dx,t_final,full,energy_only,seams", [
-        (2e-4, 30.0, (10, 238, 55), (20, 346, 21), [10, 11, 550, 551, 2499, 2500]),
-        (1.25e-5, 30.0, (10, 238, 55), (20, 346, 21), [10, 11, 550, 551, 2499, 2500]),
-        (1.5625e-3, 240.0, (28, 63, 145), (57, 63, 58), [28, 29, 4060, 4061, 19999, 20000]),
-        (2e-3, 6.0, (10, 49, 50), (10, 49, 11), [10, 11, 499, 500])], ids=MESHES)
-    def test_shapes(self, ref_params, ref_config, dx, t_final, full, energy_only, seams):
+    @pytest.mark.parametrize("dx,t_final,full,levels_only,seams", [
+        (2e-4, 30.0, (10, 238, 55), (10, 499, 55), [10, 11, 550, 551, 2499, 2500]),
+        (1.25e-5, 30.0, (10, 238, 55), (10, 595, 55), [10, 11, 550, 551, 2499, 2500]),
+        (1.5625e-3, 240.0, (28, 63, 145), (28, 63, 145), [28, 29, 4060, 4061, 19999, 20000]),
+        (2e-3, 6.0, (10, 49, 50), (10, 49, 50), [10, 11, 499, 500])], ids=MESHES)
+    def test_shapes(self, ref_params, ref_config, dx, t_final, full, levels_only, seams):
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=dx,
                                                           t_final=t_final))
         keep = strided_steps(grid, 25)
         for plan, shape in ((scheme._plan(grid, keep), full),
-                            (scheme._plan(grid, keep, energy_only=True), energy_only)):
+                            (scheme._plan(grid, keep, levels_only=True), levels_only)):
             assert (plan.K, plan.n, plan.M) == shape
         assert scheme.seam_steps(grid).tolist() == seams
 
-    @pytest.mark.parametrize("energy_only", [False, True], ids=["full", "energy_only"])
+    # the id energy_only marks the levels-only run that took its place
+    @pytest.mark.parametrize("levels_only", [False, True], ids=["full", "energy_only"])
     @pytest.mark.parametrize("dx,t_final", [(2e-4, 30.0), (1.25e-5, 30.0),
                                             (1.5625e-3, 240.0), (2e-3, 6.0)],
                              ids=MESHES)
     def test_block_reuses_its_workspace(
-            self, ref_params, ref_config, dx, t_final, energy_only):
+            self, ref_params, ref_config, dx, t_final, levels_only):
         # the workspace is the arrays _workspace_sizes counts; a block on it
         # takes no ufunc iterator buffer and allocates only a few small
-        # arrays: 2,742-3,615 bytes measured, whatever the tile, against
-        # 0.08-1.91 MB for the workspace itself (within the 1,024 values
+        # arrays: 2,947-4,151 bytes measured, whatever the tile, against
+        # 0.20-2.61 MB for the workspace itself (within the 1,024 values
         # run_memory_bytes counts beside it)
         grid = build_grid(ref_params, dataclasses.replace(ref_config, dx=dx,
                                                           t_final=t_final))
-        plan = scheme._plan(grid, strided_steps(grid, grid.N + 1), energy_only)
-        workspace, block = block_peak(ref_params, grid, energy_only)
-        values = sum(scheme._workspace_sizes(plan, energy_only).values())
+        plan = scheme._plan(grid, strided_steps(grid, grid.N + 1), levels_only)
+        workspace, block = block_peak(ref_params, grid, levels_only)
+        values = sum(scheme._workspace_sizes(plan, levels_only).values())
         assert 8 * values <= workspace <= 8 * values + 2048
         assert block <= 8 * 1024
 
@@ -918,33 +957,35 @@ class TestNonFinite:
         # (k ~ 92) overflow
         p, cfg, grid, ops = small_setup(J=49, tau_q=0.0, mu2=0.0,
                                         t_final=200 * 1.2e-2)
-        messages, energy = [], []
+        messages, levels = [], []
         for budget in (1, 800, scheme.TRACE_CHUNK_ELEMENTS, None):
             if budget is None:
                 monkeypatch.undo()
                 fixed_tile(monkeypatch, 106, 49, 2)
             else:
                 monkeypatch.setattr(scheme, "TRACE_CHUNK_ELEMENTS", budget)
-            for found, energy_only in ((messages, False), (energy, True)):
+            for found, levels_only in ((messages, False), (levels, True)):
                 with pytest.raises(NonFiniteState, match=r"step \d+ produced") as err:
-                    run(p, cfg, cosine_initial(grid, 15.0, 30.0), energy_only=energy_only,
+                    run(p, cfg, cosine_initial(grid, 15.0, 30.0), levels_only=levels_only,
                         kind=PRINTED)
                 found.append(str(err.value))
         assert len(set(messages)) == 1
-        # E's trace alone overflows no later than the whole trace
-        assert len(set(energy)) == 1
+        # the levels alone, all of them kept, overflow no earlier than
+        # their energy
+        assert len(set(levels)) == 1
         step = re.compile(r"step (\d+)")
-        assert int(step.search(energy[0])[1]) <= int(step.search(messages[0])[1])
+        assert int(step.search(levels[0])[1]) >= int(step.search(messages[0])[1])
 
     def test_overflowing_trace_weights_refused_unless_the_run_reads_e_alone(self):
         # F's weight (rho c/2) dx (dx^2/s^2 + mu2) overflows at J = 1 while
-        # the step matrices and E's weights are finite
+        # the step matrices and E's weights are finite: a levels-only run
+        # is refused on E's weights alone, which forecast reads
         p, cfg, grid, ops = small_setup(J=1, mu2=1e305, t_final=10 * 1.2e-2)
         init = cosine_initial(grid, 15.0, 30.0)
         with pytest.raises(NonFiniteInput, match="trace weights overflow; mu2"):
             run(p, cfg, init)
-        trace = run(p, cfg, init, energy_only=True).trace
-        assert np.isfinite(trace.E).all() and np.isfinite(trace.heat).all()
+        traj = run(p, cfg, init, levels_only=True)
+        assert np.isfinite(traj.T).all() and np.isfinite(traj.q).all()
 
     def test_single_step_overflow(self):
         # this state's energy, 5.0e304, is finite; its high modes grow by
