@@ -1,6 +1,7 @@
 """Configuration parsing, reference runs, verification suites, and sweeps.
 
-Config files are UTF-8 ``key = value`` lines ('#' starts a comment).  Keys:
+Config files are UTF-8 ``key = value`` lines, with or without a leading
+byte-order mark ('#' starts a comment).  Keys:
 rho, c, tau_q, mu2, k, l, dx, dt, t_final, T_b, T_f, stepper, stride,
 out_dir.  Missing keys fall back to the reference case defaults below, and
 a key whose default is a float takes a number; a repeated key, a
@@ -323,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on a usage error, which is exit 1 here; --help 0
         return 1 if exc.code else 0
     try:
-        text = args.config.read_text(encoding="utf-8") if args.config else ""
+        text = args.config.read_text(encoding="utf-8-sig") if args.config else ""
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1

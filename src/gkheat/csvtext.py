@@ -16,9 +16,7 @@ N = round(|v| 10^k), k = 16 - X, 10^16 <= N < 10^17:
    are off by less than 1e-14 in all.
 2. N is I, or I + 1 for f > 1/2.  A fraction within TIE_BAND of 1/2 is
    left undecided: it may be an exact tie, which "%.17g" rounds half to
-   even (1000000000000000.25 is written 1000000000000000.2).  An X taken
-   one off from log10 puts I outside [10^16, 10^17) and is corrected, and
-   N = 10^17 after rounding carries into X.
+   even (1000000000000000.25 is written 1000000000000000.2).
 3. The digits of N are looked up four at a time.
 4. GATHER_VALUES values at a time, each field is gathered from a row of
    its digit characters, its exponent digits, the characters .-e+ and its
@@ -28,14 +26,19 @@ N = round(|v| 10^k), k = 16 - X, 10^16 <= N < 10^17:
    Templates are padded with zero bytes, which are deleted from each
    stretch's text as it is written.
 5. Non-finite values, |v| outside the tabulated 10^k (below 1e-284, or
-   above about 1.3e300, where Dekker's split of |v| overflows) and the
-   undecided near-ties take format(v, ".17g"), once per distinct value of
-   a stretch, and their fields are written over the gathered ones.
+   above about 1.3e300, where Dekker's split of |v| overflows), the
+   undecided near-ties, values whose X log10 misjudges by one next to a
+   power of ten (I outside [10^16, 10^17): 999.9999999999999, -1e-06)
+   and values whose N rounds up to 10^17 (1e-14 and 1e+98, just below
+   the power they print as) take format(v, ".17g"), once per distinct
+   value of a stretch, and their fields are written over the gathered
+   ones.
 
 A writer allocates the buffers of all this once (_Buffers) and reuses
 them for all its blocks, in ufunc calls whose operands are contiguous
 and of one dtype, which take no iterator buffer; a block allocates only
-each stretch's text, freed before the next, and a few small arrays.
+each stretch's text and its fallback's texts, freed before the next,
+and a few small arrays.
 """
 
 from __future__ import annotations
@@ -50,18 +53,22 @@ import numpy as np
 #: longer); a block's buffers take BYTES_PER_VALUE bytes per value
 WRITE_BLOCK_VALUES = 2**13
 #: values whose fields write_block gathers at a time; their buffers take
-#: GATHER_BYTES whatever the block, a quarter MB (2**10 took about 5% less
-#: time on fine_mesh's profiles.csv, in twice the memory)
+#: GATHER_BYTES whatever the block, 0.4 MB (2**10 took about 5% less time
+#: on fine_mesh's profiles.csv, in twice the memory)
 GATHER_VALUES = 2**9
 #: bytes write_csv holds per value of a block: the block (8) and its
 #: _Buffers, 6 float64, 4 int64, 1 uint32, 2 int16 and 4 bool arrays and
 #: the source rows (32); 130.3-130.8 measured with tracemalloc
 BYTES_PER_VALUE = 8 + 8 * 6 + 8 * 4 + 4 + 2 * 2 + 4 + 32
+#: bytes per value of a stretch that its format() fallback takes at most,
+#: freed before the next stretch: np.unique's arrays, the texts and their
+#: Python objects (288 measured, for 512 distinct values like -1.5e-300)
+FALLBACK_BYTES = 300
 #: bytes a writer holds for its gathers: per value of a stretch the gather
-#: index and its row offsets (8 * 25 each, intp), the padded fields (25)
-#: and their text (25, made anew per stretch), and 16 KiB for the open
-#: file's buffer and a block's small arrays (10.2 KB measured)
-GATHER_BYTES = GATHER_VALUES * (8 * 25 * 2 + 25 + 25) + 2**14
+#: index and its row offsets (8 * 25 each, intp), the padded fields (25),
+#: their text (25) and the fallback (both made anew per stretch), and 16 KiB
+#: for the open file's buffer and a block's small arrays (10.2 KB measured)
+GATHER_BYTES = GATHER_VALUES * (8 * 25 * 2 + 25 + 25 + FALLBACK_BYTES) + 2**14
 #: bytes _tables takes while it is built, 405,691 measured with tracemalloc
 TABLE_BYTES = 420_000
 #: a fraction this close to 1/2 is left to format(), far above the
@@ -157,8 +164,9 @@ class _Buffers:
     """Every array write_block needs for blocks of up to size values, so that
     a writer allocates them once.  _scaled takes real[1:6], ints[1:3] and
     masks[1]; write_block holds |v| in real[0], X and then the layout
-    codes in ints[0] and its masks in masks[0] and masks[2:4], and takes
-    ints[2:4] for the round-up and N's digits."""
+    codes in ints[0], the fast values in masks[0], those format() writes
+    in masks[3] and its scratch mask in masks[2], and takes ints[2:4] for
+    the round-up and N's digits."""
 
     def __init__(self, size: int) -> None:
         self.real = np.empty((6, size))
@@ -178,19 +186,18 @@ class _Buffers:
         self.rows = np.repeat(np.arange(0, gather * _ROW, _ROW)[:, None], _WIDTH, axis=1)
 
 
-def _scaled(a: np.ndarray, X: np.ndarray, real: np.ndarray, ints: np.ndarray,
-            ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scaled(a: np.ndarray, X: np.ndarray,
+            work: _Buffers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(I, f, ok): a 10^k = I + f for k = 16 - X, I int64 and 0 <= f < 1,
     where ok is True and the product is finite; ok is False for k outside
     the table, and f is NaN where the product is not finite (Dekker's split
     overflows above about 1.3e300).  Formed in the first a.size values of
-    real (5 rows of float64), ints (2 rows of int64) and ok (bool), and
-    views of them."""
+    work.real[1:6], work.ints[1:3] and work.masks[1], and views of them."""
     hi, hi1, hi2, lo = _tables()[0]
     n = a.size
-    power, p, a1, a2, t = real[:, :n]
-    whole, index = ints[:, :n]
-    ok = ok[:n]
+    power, p, a1, a2, t = work.real[1:6, :n]
+    whole, index = work.ints[1:3, :n]
+    ok = work.masks[1, :n]
     np.subtract(16 - _K_MIN, X, out=whole)
     np.minimum(np.maximum(whole, 0, out=index), hi.size - 1, out=index)
     np.equal(whole, index, out=ok)
@@ -246,47 +253,38 @@ def write_block(f: BinaryIO, values: np.ndarray, work: _Buffers) -> None:
     _, quads, last, exponents, templates, codes = _tables()
     a = work.real[0, :n]
     X = work.ints[0, :n]
-    fast, _, mask, other = work.masks[:, :n]
+    fast, _, mask, slow = work.masks[:, :n]
     with np.errstate(all="ignore"):
         np.abs(v, out=a)
         np.less(a, np.inf, out=fast)
         np.greater(a, 0.0, out=mask)
         fast &= mask
-        np.logical_not(fast, out=other)
-        np.copyto(a, 1.0, where=other)
+        np.logical_not(fast, out=slow)
+        np.copyto(a, 1.0, where=slow)
         np.floor(np.log10(a, out=work.real[1, :n]), out=work.real[1, :n])
         np.copyto(X, work.real[1, :n], casting="unsafe")
-        whole, frac, ok = _scaled(a, X, work.real[1:6], work.ints[1:3], work.masks[1])
-        # log10 can be one off next to a power of ten
-        np.less(whole, 10**16, out=mask)
-        np.greater_equal(whole, 10**17, out=other)
-        mask |= other
-        mask &= ok
-        off = np.flatnonzero(mask)
-        if off.size:
-            X[off] += np.where(whole[off] >= 10**17, 1, -1)
-            again = _scaled(a[off], X[off], np.empty((5, off.size)),
-                            np.empty((2, off.size), dtype=np.int64),
-                            np.empty(off.size, dtype=bool))
-            whole[off], frac[off], ok[off] = again
-            ok[off] &= (whole[off] >= 10**16) & (whole[off] < 10**17)
-        # not fast outside the table, near a tie, or where the product is not
+        whole, frac, ok = _scaled(a, X, work)
+        # not fast outside the table, where log10 took X one too high next to
+        # a power of ten (I < 10^16), near a tie, or where the product is not
         # finite, whose NaN fraction fails the tie test
         fast &= ok
+        np.greater_equal(whole, 10**16, out=mask)
+        fast &= mask
         np.subtract(frac, 0.5, out=work.real[1, :n])
         np.greater_equal(np.abs(work.real[1, :n], out=work.real[1, :n]), TIE_BAND, out=mask)
         fast &= mask
-    # N = I, or I + 1 above one half, and 0 where not fast; 10^17 carries into X
+    # N = I, or I + 1 above one half; not fast where it reaches 10^17 (X one
+    # too low, or N rounded up to the next power), and 0 where not fast
     N, scratch = whole, work.ints[2, :n]
     np.copyto(scratch, np.greater(frac, 0.5, out=mask))
     N += scratch
-    np.logical_not(fast, out=other)
-    np.copyto(N, 0, where=other)
-    np.copyto(X, 0, where=other)
-    np.equal(N, 10**17, out=mask)
-    np.copyto(N, 10**16, where=mask)
-    np.add(X, 1, out=X, where=mask)
-    slow = np.flatnonzero(np.logical_and(other, np.not_equal(v, 0.0, out=mask), out=mask))
+    fast &= np.less(N, 10**17, out=mask)
+    np.logical_not(fast, out=slow)
+    np.copyto(N, 0, where=slow)
+    np.copyto(X, 0, where=slow)
+    # format() writes the values not fast but 0 and -0, which N = X = 0 writes
+    slow &= np.not_equal(v, 0.0, out=mask)
+    any_slow = slow.any()
     source = work.source[:n]
     chars = source.view("<u4")
     if work.cols != cols:
@@ -323,13 +321,11 @@ def write_block(f: BinaryIO, values: np.ndarray, work: _Buffers) -> None:
         index += work.rows[:hi - lo]
         source[lo:hi].reshape(-1).take(index, out=text, mode="clip")
         work.text[hi - lo:] = 0
-        if slow.size:
-            first, end = np.searchsorted(slow, (lo, hi))
-            if first < end:
-                at = slow[first:end]
-                fields, ends = _formatted(v[at])
-                text[at - lo] = fields
-                text[at - lo, ends] = source[at, _SEP]
+        at = np.flatnonzero(slow[lo:hi]) if any_slow else ()
+        if len(at):
+            fields, ends = _formatted(v[lo:hi][at])
+            text[at] = fields
+            text[at, ends] = source[lo:hi][at, _SEP]
         f.write(work.fields.translate(None, b"\0"))
 
 

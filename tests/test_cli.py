@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gkheat import (NonPositiveCoefficient, ParseError, StepperKind, build_grid,
-                    cosine_initial, decay_constants, diagnostics, run, scheme)
+                    cosine_initial, csvtext, decay_constants, diagnostics, run, scheme)
+from gkheat import cli
 from gkheat.cli import (TRACE_COLUMNS, _fmt, cmd_run, cmd_sweep, cmd_verify,
                         main, parse_config)
 from oracles import discrete_decay_rate
@@ -252,6 +253,27 @@ class TestCmdRun:
             monkeypatch.setattr(diagnostics, name, spy)
         assert cmd_run(parse_config(FAST_CONFIG + f"out_dir = {tmp_path}\n")) == 0
         assert sorted(calls) == ["decay_constants", "supremum_boundary_term"]
+
+    # the reference (J=499, 2500 steps) and long-horizon (J=63, 20000 steps)
+    # meshes at the defaults and at T_b = 14.2, T_f = 31.7, and the most
+    # values of their files that csvtext may leave to format(): nearly all
+    # must take its fast path
+    @pytest.mark.parametrize("mesh,temperatures,limit", [
+        ("dx = 2e-4\nt_final = 30\n", "", 0),
+        ("dx = 2e-4\nt_final = 30\n", "T_b = 14.2\nT_f = 31.7\n", 0),
+        ("dx = 1.5625e-3\nt_final = 240\n", "", 2),
+        ("dx = 1.5625e-3\nt_final = 240\n", "T_b = 14.2\nT_f = 31.7\n", 255)],
+        ids=["reference", "reference-14.2-31.7", "long_horizon", "long_horizon-14.2-31.7"])
+    def test_few_values_take_format(self, tmp_path, monkeypatch, mesh, temperatures, limit):
+        seen = []
+
+        def spy(value, spec):
+            seen.append(value)
+            return format(value, spec)
+
+        monkeypatch.setattr(csvtext, "format", spy, raising=False)
+        assert cmd_run(parse_config(mesh + temperatures + f"out_dir = {tmp_path}\n")) == 0
+        assert len(seen) <= limit
 
 
 class TestCmdVerify:
@@ -516,6 +538,25 @@ class TestCmdSweep:
 class TestMain:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "-c", str(tmp_path / "nope.cfg")]) == 1
+
+    @pytest.mark.parametrize("text,err", [
+        ("T_b = 12\n" + FAST_CONFIG + "out_dir = {out}\n", ""),
+        ("T_b = 10\n# comment\nrho = 2e3\nT_b = 12\nout_dir = {out}\n",
+         "error: line 4: duplicate key 'T_b', first set on line 1\n")],
+        ids=["manifest", "duplicate_key"])
+    def test_config_with_a_byte_order_mark(self, tmp_path, monkeypatch, capsys, text, err):
+        # a config saved with a UTF-8 byte-order mark reads as the same
+        # text: the same manifest, or the same error at the same lines
+        text = text.format(out=tmp_path / "o")
+        runs = []
+        monkeypatch.setattr(cli, "cmd_run", lambda manifest: runs.append(manifest) or 0)
+        results = []
+        for name, head in (("plain.cfg", b""), ("bom.cfg", b"\xef\xbb\xbf")):
+            cfg = tmp_path / name
+            cfg.write_bytes(head + text.encode())
+            results.append((main(["run", "-c", str(cfg)]), capsys.readouterr().err))
+        assert results == [(1 if err else 0, err)] * 2
+        assert runs == ([] if err else [parse_config(text)] * 2)
 
     def test_non_utf8_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"

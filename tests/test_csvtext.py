@@ -39,6 +39,26 @@ def used_block_peak(values):
         tracemalloc.stop()
 
 
+#: values whose log10 is one off next to a power of ten, and floats below a
+#: power of ten that "%.17g" prints as that power: format() writes them
+MISJUDGED = [999.9999999999999, 9.999999999999999e-05, 9.999999999999998e+16, -1e-06,
+             1e-14, 1e+98, 1e-243]
+#: values with a fast path, none of which may reach format()
+FAST = [0.0, -0.0, 1e-4, 1e-5, 1e16, 1e17, 0.1, 1.0000000000000039e-203]
+
+
+def format_spy(monkeypatch):
+    """The list of values csvtext hands to format() from now on."""
+    seen = []
+
+    def spy(value, spec):
+        seen.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(csvtext, "format", spy, raising=False)
+    return seen
+
+
 NAMED = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
          2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
          1e-4, 1e-5, 9.9999999999999991e-5, 1.0000000000000001e-4, 1e16, 1e17,
@@ -94,27 +114,20 @@ class TestFormatBlock:
 
     def test_log10_off_values_allocate_only_their_own_arrays(self):
         # 383 values next to powers of ten, whose log10 is one off, in a
-        # 40 x 201 block on a used writer: their second pass takes arrays of
-        # their own size, about 67 bytes a value (a whole writer's buffers
-        # took 211 KB)
-        clean = np.random.default_rng(9).standard_normal((40, 201))
-        near = clean.copy()
-        near.reshape(-1)[::21] = np.resize([999.9999999999999, 9.999999999999999e-05,
-                                            9.999999999999998e+16, -1e-06], 383)
+        # 40 x 201 block on a used writer: format() writes them, and the
+        # block allocates no more than a stretch's text and its fallback at
+        # a time, and a few small arrays
+        near = np.random.default_rng(9).standard_normal((40, 201))
+        near.reshape(-1)[::21] = np.resize(MISJUDGED[:4], 383)
         assert text_of(near) == expected_text(near)
-        assert used_block_peak(near) <= used_block_peak(clean) + 100 * 383
+        assert used_block_peak(near) <= ((25 + csvtext.FALLBACK_BYTES) * csvtext.GATHER_VALUES
+                                         + 2**14)
 
     def test_each_distinct_slow_value_of_a_stretch_takes_one_format(self, monkeypatch):
         # a near-tie, nan and a value below the table, repeated over a
         # 40 x 201 block: one format() per distinct value of each stretch
         # of GATHER_VALUES values, not one per value (6,030)
-        seen = []
-
-        def spy(value, spec):
-            seen.append(value)
-            return format(value, spec)
-
-        monkeypatch.setattr(csvtext, "format", spy, raising=False)
+        seen = format_spy(monkeypatch)
         values = np.resize(np.array([1000000000000000.25, np.nan, 1e-300, 0.5]), (40, 201))
         assert text_of(values) == expected_text(values)
         assert len(seen) == 3 * -(-values.size // csvtext.GATHER_VALUES)
@@ -124,20 +137,49 @@ class TestFormatBlock:
         # to even, ...0.2); non-finite and out-of-table values have no
         # fast path; everything else must not reach format()
         slow = [1000000000000000.25, np.nan, np.inf, 5e-324, 1.7976931348623157e308]
-        fast = [0.0, -0.0, 1e-4, 1e-5, 1e16, 1e17, 0.1, 1.0000000000000039e-203]
-        seen = []
-
-        def spy(value, spec):
-            seen.append(value)
-            return format(value, spec)
-
-        monkeypatch.setattr(csvtext, "format", spy, raising=False)
-        values = np.array([slow + fast])
+        seen = format_spy(monkeypatch)
+        values = np.array([slow + FAST])
         text = text_of(values)
         assert text == expected_text(values)
         assert text.startswith(b"1000000000000000.2,")
         assert len(seen) == len(slow)
         assert np.array_equal(np.array(seen), np.array(slow), equal_nan=True)
+
+    def test_misjudged_exponents_take_one_format_per_stretch(self, monkeypatch):
+        # the values whose exponent log10 misjudges, or whose significand
+        # rounds up to 10^17, cycled with the fast values over a 40 x 201
+        # block: each takes one format() per stretch, and the fast values none
+        seen = format_spy(monkeypatch)
+        values = np.resize(np.array(MISJUDGED + FAST), (40, 201))
+        assert text_of(values) == expected_text(values)
+        assert len(seen) == len(MISJUDGED) * -(-values.size // csvtext.GATHER_VALUES)
+        assert set(seen) == set(MISJUDGED)
+
+    # a 40 x 201 block all of one undecided value, of distinct values each of
+    # the longest text below the table, and of misjudged exponents
+    FALLBACK_BLOCKS = {
+        "nan": np.full((40, 201), np.nan),
+        "near_tie": np.full((40, 201), 1000000000000000.25),
+        "distinct_below_table": -(1.0 + np.random.default_rng(4).random((40, 201))) * 1e-300,
+        "misjudged": np.resize(MISJUDGED, (40, 201))}
+
+    @pytest.mark.parametrize("kind", FALLBACK_BLOCKS)
+    def test_fallback_blocks_stay_within_the_writer_term(self, tmp_path, kind):
+        # a used writer's block allocates a stretch's text and its fallback
+        # at a time, and a few small arrays; a fresh writer's peak, block and
+        # buffers included, is within run_memory_bytes' writer term
+        values = self.FALLBACK_BLOCKS[kind]
+        assert used_block_peak(values) <= ((25 + csvtext.FALLBACK_BYTES)
+                                           * csvtext.GATHER_VALUES + 2**14)
+        csvtext._tables()
+        tracemalloc.start()
+        try:
+            csvtext.write_csv(tmp_path / "block.csv", "h", [values.T])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= csvtext.GATHER_BYTES + csvtext.BYTES_PER_VALUE * values.size
+        assert (tmp_path / "block.csv").read_bytes() == b"h\n" + expected_text(values)
 
 
 class TestWriteCsv:
